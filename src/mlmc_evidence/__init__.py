@@ -14,7 +14,6 @@ from .estimator import (
     LevelEstimate,
     estimate_log_evidence,
     level_estimate,
-    level_mass,
     sample_level,
 )
 from .gradients import GradientEstimate, estimate_gradients
@@ -54,7 +53,6 @@ __all__ = [
     "estimate_gradients",
     "estimate_log_evidence",
     "level_estimate",
-    "level_mass",
     "load_dataset",
     "log_mean_exp",
     "sample_level",

@@ -114,7 +114,6 @@ def _estimator_config(params: dict) -> EstimatorConfig:
         batch_size=params.get("batch", 8),
         level_ratio_log2=params.get("ratio_log2", -1.5),
         level_cap=params.get("level_cap", 40),
-        seed=params["seed"],
     )
 
 
@@ -423,25 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARAM_KEYS = {
-    "gen-data": ["model", "dim", "n", "theta", "seed"],
-    "estimate": ["model", "dim", "seed", "theta", "phi", "data", "n", "true_theta",
-                 "n0", "batch", "ratio_log2", "level_cap"],
-    "variance-profile": ["model", "dim", "seed", "theta", "phi", "data", "n", "true_theta",
-                         "n0", "batch", "ratio_log2", "level_cap", "levels", "reps", "naive"],
-    "grad-check": ["model", "dim", "seed", "theta", "phi", "data", "n", "true_theta",
-                   "n0", "batch", "ratio_log2", "level_cap", "points", "fd_step",
-                   "fd_tol", "reps"],
-    "moments": ["model", "dim", "seed", "theta", "phi", "data", "n", "true_theta",
-                "s", "t", "draws", "x_index"],
-    "train": ["model", "dim", "seed", "theta", "phi", "data", "n", "true_theta",
-              "n0", "batch", "ratio_log2", "level_cap", "steps", "lr_theta", "lr_phi",
-              "momentum", "eval_every", "eval_reps"],
-}
-
-
 def _params_from_args(args: argparse.Namespace) -> dict:
-    return {key: getattr(args, key) for key in _PARAM_KEYS[args.command]}
+    # every parsed flag except the command and the execution details
+    return {k: v for k, v in vars(args).items() if k not in ("command", "out", "workers")}
 
 
 def main(argv=None) -> int:

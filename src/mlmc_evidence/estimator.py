@@ -7,6 +7,11 @@ antithetic differences telescopes across levels to the exact log evidence,
 so drawing the level from a geometric distribution and reweighting each
 difference by its level probability gives an estimator of log p(X) with no
 bias at any finite cost.
+
+A batch is one shared draw buffer per member (`run_batch`). Each estimator
+reduces those buffers to the one quantity it returns: the evidence
+estimate folds the level values here, and `gradients.estimate_gradients`
+folds the level gradients of the same buffers.
 """
 from __future__ import annotations
 
@@ -75,11 +80,6 @@ def sample_level(dist: LevelDistribution, u: float, level_cap: int = DEFAULT_LEV
     return level
 
 
-def level_mass(dist: LevelDistribution, level: int) -> float:
-    """Probability the level distribution assigns to `level`."""
-    return dist.mass(level)
-
-
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Knobs of the randomized multilevel estimator.
@@ -92,7 +92,6 @@ class EstimatorConfig:
     batch_size: int = 1
     level_ratio_log2: float = -1.5
     level_cap: int = DEFAULT_LEVEL_CAP
-    seed: int = 0
 
     def __post_init__(self):
         if self.n0 < 1:
@@ -176,15 +175,13 @@ def antithetic_difference(draws: LevelDraws) -> float:
 
 @dataclass
 class LevelEstimate:
-    """One realized level difference with its gradients and provenance."""
+    """One realized level difference with its gradients."""
 
     level: int
     z_value: float
     grad_theta: np.ndarray
     phi_grad_term: np.ndarray
     cost: int  # latent draws consumed = n0 * 2^level
-    data_index: int = -1
-    rng_stamp: object = None
 
 
 def level_estimate(
@@ -195,11 +192,9 @@ def level_estimate(
     level: int,
     cfg: EstimatorConfig,
     rng: np.random.Generator,
-    data_index: int = -1,
 ) -> LevelEstimate:
     """Level value, its theta-gradient and the level phi-gradient average,
     all from one shared set of latent draws."""
-    token = _rng.stamp(rng)
     draws = draw_level_samples(model, x, theta, phi, level, cfg, rng)
     return LevelEstimate(
         level=level,
@@ -207,8 +202,6 @@ def level_estimate(
         grad_theta=_gradients.grad_theta_level(draws),
         phi_grad_term=_gradients.grad_phi_elbo_level(draws),
         cost=draws.n,
-        data_index=data_index,
-        rng_stamp=token,
     )
 
 
@@ -233,25 +226,33 @@ def run_batch(
     cfg: EstimatorConfig,
     rng: np.random.Generator,
     workers: int = 1,
-) -> list[LevelEstimate]:
-    """Evaluate one batch of level estimates with shared draws per member.
+) -> list[LevelDraws]:
+    """Draw one batch's shared latent buffers, one per member, in batch order.
 
-    Each member gets its own pre-spawned child stream, so the result is
-    bit-identical for any worker count; the caller folds the ordered list.
+    Each member gets its own pre-spawned child stream, so the draws are
+    bit-identical for any worker count. The caller folds the ordered list
+    into whichever quantities it returns.
     """
     indices, levels = draw_batch_indices(data, cfg, rng)
     streams = _rng.spawn(rng, cfg.batch_size)
 
-    def one(m: int) -> LevelEstimate:
-        return level_estimate(
-            model, data.x[indices[m]], theta, phi, levels[m], cfg, streams[m],
-            data_index=int(indices[m]),
+    def one(m: int) -> LevelDraws:
+        return draw_level_samples(
+            model, data.x[indices[m]], theta, phi, levels[m], cfg, streams[m]
         )
 
     if workers > 1 and cfg.batch_size > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(one, range(cfg.batch_size)))
     return [one(m) for m in range(cfg.batch_size)]
+
+
+def batch_cost(batch: list[LevelDraws]) -> tuple[int, dict[int, int]]:
+    """Latent draws a batch consumed, and its member count per level."""
+    counts: dict[int, int] = {}
+    for draws in batch:
+        counts[draws.level] = counts.get(draws.level, 0) + 1
+    return sum(draws.n for draws in batch), counts
 
 
 @dataclass
@@ -278,19 +279,17 @@ def estimate_log_evidence(
     The reported std_error is N * std(z/mass) / sqrt(M) over the M batch
     terms, an estimate of this batch estimator's own noise (0 when M = 1).
     """
-    estimates = run_batch(model, data, theta, phi, cfg, rng, workers=workers)
+    batch = run_batch(model, data, theta, phi, cfg, rng, workers=workers)
     dist = cfg.distribution()
-    terms = np.array([e.z_value / dist.mass(e.level) for e in estimates])
+    terms = np.array([antithetic_difference(d) / dist.mass(d.level) for d in batch])
     n = data.n_total
     m = len(terms)
     value = n * float(terms.mean())
     std_error = 0.0 if m < 2 else n * float(terms.std(ddof=1)) / math.sqrt(m)
-    counts: dict[int, int] = {}
-    for e in estimates:
-        counts[e.level] = counts.get(e.level, 0) + 1
+    total_cost, counts = batch_cost(batch)
     return EvidenceEstimate(
         value=value,
         std_error=std_error,
-        total_cost=sum(e.cost for e in estimates),
+        total_cost=total_cost,
         per_level_counts=counts,
     )

@@ -75,21 +75,18 @@ def estimate_gradients(
     grad_phi is the plain average (N/M) sum_m of the per-member
     score-function term (each level average is unbiased on its own).
     """
-    estimates = _estimator.run_batch(model, data, theta, phi, cfg, rng, workers=workers)
+    batch = _estimator.run_batch(model, data, theta, phi, cfg, rng, workers=workers)
     dist = cfg.distribution()
-    n = data.n_total
-    m = len(estimates)
     grad_theta = np.zeros(model.theta_dim)
     grad_phi = np.zeros(model.phi_dim)
-    counts: dict[int, int] = {}
-    for e in estimates:
-        grad_theta += e.grad_theta / dist.mass(e.level)
-        grad_phi += e.phi_grad_term
-        counts[e.level] = counts.get(e.level, 0) + 1
-    scale = n / m
+    for draws in batch:
+        grad_theta += grad_theta_level(draws) / dist.mass(draws.level)
+        grad_phi += grad_phi_elbo_level(draws)
+    scale = data.n_total / len(batch)
+    total_cost, counts = _estimator.batch_cost(batch)
     return GradientEstimate(
         grad_theta=scale * grad_theta,
         grad_phi=scale * grad_phi,
-        total_cost=sum(e.cost for e in estimates),
+        total_cost=total_cost,
         per_level_counts=counts,
     )

@@ -38,11 +38,3 @@ def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
     order (or concurrently) without affecting each other.
     """
     return rng.spawn(n)
-
-
-def stamp(rng: np.random.Generator):
-    """Opaque reproducibility token identifying the stream behind `rng`."""
-    seq = getattr(rng.bit_generator, "seed_seq", None)
-    if seq is None:
-        return None
-    return (seq.entropy, tuple(seq.spawn_key))

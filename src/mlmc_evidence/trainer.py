@@ -61,12 +61,17 @@ class RunRecord:
 
 
 def _oracle_metrics(model, data, theta, phi):
+    # The oracles depend on an observation only through its value, so each
+    # distinct row is evaluated once and weighted by how often it occurs
+    # (binary data has at most two distinct rows).
+    rows, counts = np.unique(data.x, axis=0, return_counts=True)
     try:
-        evidence = sum(model.oracle_log_evidence(x, theta) for x in data.x)
+        evidence = counts @ np.array([model.oracle_log_evidence(x, theta) for x in rows])
     except UnsupportedOperation:
         return None, None
     try:
-        kl = float(np.mean([model.oracle_posterior_kl(x, theta, phi) for x in data.x]))
+        kl = counts @ np.array([model.oracle_posterior_kl(x, theta, phi) for x in rows])
+        kl = float(kl / data.n_total)
     except UnsupportedOperation:
         kl = None
     return float(evidence), kl

@@ -33,7 +33,7 @@ MODEL = GaussianConjugateModel(1)
 THETA = np.zeros(3)  # mu0 = 0, sigma0 = sigmax = 1
 PHI_MISMATCHED = np.array([0.0, 0.0, 0.5 * math.log(2.0)])  # q = N(0, 2)
 DATA = MODEL.generate_data(THETA, 50, substream(900, 0))
-CFG = EstimatorConfig(n0=8, batch_size=8, seed=900)
+CFG = EstimatorConfig(n0=8, batch_size=8)
 
 
 def report(criterion: str, ok: bool, detail: str, elapsed: float | None = None):
@@ -256,7 +256,7 @@ def test_criterion_9_end_to_end_training():
         momentum=0.9,
         eval_every=2000,
         eval_replications=4,
-        estimator=EstimatorConfig(n0=8, batch_size=16, seed=908),
+        estimator=EstimatorConfig(n0=8, batch_size=16),
     )
     wins = 0
     gaps, kls = [], []

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from mlmc_evidence import gradients
 from mlmc_evidence.errors import ContractViolation, ResourceGuardExceeded
 from mlmc_evidence.estimator import (
     EstimatorConfig,
@@ -14,7 +15,6 @@ from mlmc_evidence.estimator import (
     draw_level_samples,
     estimate_log_evidence,
     level_estimate,
-    level_mass,
     sample_level,
 )
 from mlmc_evidence.logspace import combine_halves, log_mean_exp
@@ -49,11 +49,9 @@ class TestLevelDistribution:
             with pytest.raises(ContractViolation):
                 LevelDistribution(ratio=bad)
 
-    def test_level_mass_function(self):
-        dist = LevelDistribution()
-        assert level_mass(dist, 3) == dist.mass(3)
+    def test_mass_rejects_negative_level(self):
         with pytest.raises(ContractViolation):
-            level_mass(dist, -1)
+            LevelDistribution().mass(-1)
 
 
 class TestSampleLevel:
@@ -300,6 +298,20 @@ class TestEstimateLogEvidence:
         assert runs[0].value == runs[1].value == runs[2].value
         assert runs[0].std_error == runs[1].std_error == runs[2].std_error
         assert runs[0].per_level_counts == runs[1].per_level_counts == runs[2].per_level_counts
+
+    def test_computes_no_gradients(self, monkeypatch):
+        # the evidence path reduces each member's draws to its level value
+        def forbidden(draws):
+            raise AssertionError("evidence estimate computed a level gradient")
+
+        monkeypatch.setattr(gradients, "grad_theta_level", forbidden)
+        monkeypatch.setattr(gradients, "grad_phi_elbo_level", forbidden)
+        cfg = EstimatorConfig(n0=8, batch_size=16)
+        for workers in (1, 2):
+            est = estimate_log_evidence(
+                MODEL, DATA, THETA, PHI_WIDE, cfg, substream(117, 0), workers=workers
+            )
+            assert sum(est.per_level_counts.values()) == 16
 
     def test_empty_dataset_rejected(self):
         from mlmc_evidence.models import Dataset

@@ -7,7 +7,13 @@ import math
 
 import numpy as np
 
-from mlmc_evidence.estimator import EstimatorConfig, draw_level_samples, run_batch
+from mlmc_evidence.estimator import (
+    EstimatorConfig,
+    antithetic_difference,
+    draw_level_samples,
+    estimate_log_evidence,
+    run_batch,
+)
 from mlmc_evidence.gradients import (
     estimate_gradients,
     grad_phi_elbo_level,
@@ -165,17 +171,26 @@ class TestEstimateGradients:
         assert np.all(np.abs(gp.mean(axis=0)) < 4 * se_p)
 
     def test_shared_draws_with_batch_fold(self):
-        # the gradient estimate is exactly the reweighted fold of the same
-        # level estimates the evidence path produces from this seed
-        est = estimate_gradients(MODEL, DATA, THETA, PHI_WIDE, CFG, substream(212, 0))
-        levels = run_batch(MODEL, DATA, THETA, PHI_WIDE, CFG, substream(212, 0))
+        # from one seed, both estimators are exact folds of the same batch
+        # draws: the gradients fold the level gradients, the evidence
+        # estimate folds the reweighted level values
+        batch = run_batch(MODEL, DATA, THETA, PHI_WIDE, CFG, substream(212, 0))
         dist = CFG.distribution()
         n, m = DATA.n_total, CFG.batch_size
-        gt = n / m * sum(e.grad_theta / dist.mass(e.level) for e in levels)
-        gp = n / m * sum(e.phi_grad_term for e in levels)
+
+        est = estimate_gradients(MODEL, DATA, THETA, PHI_WIDE, CFG, substream(212, 0))
+        gt = n / m * sum(grad_theta_level(d) / dist.mass(d.level) for d in batch)
+        gp = n / m * sum(grad_phi_elbo_level(d) for d in batch)
         np.testing.assert_array_equal(est.grad_theta, gt)
         np.testing.assert_array_equal(est.grad_phi, gp)
-        assert est.total_cost == sum(e.cost for e in levels)
+        assert est.total_cost == sum(d.n for d in batch)
+
+        ev = estimate_log_evidence(MODEL, DATA, THETA, PHI_WIDE, CFG, substream(212, 0))
+        terms = np.array([antithetic_difference(d) / dist.mass(d.level) for d in batch])
+        assert ev.value == n * float(terms.mean())
+        assert ev.std_error == n * float(terms.std(ddof=1)) / math.sqrt(m)
+        assert ev.total_cost == est.total_cost
+        assert ev.per_level_counts == est.per_level_counts
 
     def test_bit_identical_reruns(self):
         a = estimate_gradients(MODEL, DATA, THETA, PHI_WIDE, CFG, substream(213, 0))

@@ -31,7 +31,7 @@ def quick_config(steps=50, **kw):
         momentum=0.9,
         eval_every=25,
         eval_replications=2,
-        estimator=EstimatorConfig(n0=8, batch_size=4, seed=0),
+        estimator=EstimatorConfig(n0=8, batch_size=4),
     )
     defaults.update(kw)
     return TrainConfig(**defaults)
