@@ -3,9 +3,9 @@ training as reproducible runs with file outputs.
 
 Every run writes ``manifest.json`` holding the fully resolved semantic
 configuration (command, model, parameter vectors, numeric knobs, seed).
-``rerun --manifest`` replays it bit-exactly. Worker count and output
-location are execution details and deliberately stay out of the manifest,
-so replays are byte-identical for any ``--workers`` value.
+``rerun --manifest`` replays it bit-exactly. The output location is an
+execution detail and stays out of the manifest, so a replay into any
+directory writes byte-identical artifacts.
 
 Exit codes: 0 success, 1 usage or contract error, 2 divergence or resource
 guard.
@@ -127,11 +127,11 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-# Command runners. Each takes the resolved manifest params plus execution
-# details, writes its artifacts, and returns a one-line summary.
+# Command runners. Each takes the resolved manifest params and the output
+# directory, writes its artifacts, and returns a one-line summary.
 
 
-def run_gen_data(params: dict, out: Path, workers: int) -> str:
+def run_gen_data(params: dict, out: Path) -> str:
     model = build_model(params["model"], params.get("dim", 1))
     theta = params.get("theta") or default_true_theta(params["model"], params.get("dim", 1))
     gen = _rng.substream(params["seed"], _rng.STREAM_DATA)
@@ -141,12 +141,12 @@ def run_gen_data(params: dict, out: Path, workers: int) -> str:
     return f"wrote {data.n_total} observations to {path}"
 
 
-def run_estimate(params: dict, out: Path, workers: int) -> str:
+def run_estimate(params: dict, out: Path) -> str:
     model, theta, phi = _resolve_model_params(params)
     data = _resolve_data(params, model)
     cfg = _estimator_config(params)
     rng = _rng.substream(params["seed"], _rng.STREAM_BATCH)
-    result = estimate_log_evidence(model, data, theta, phi, cfg, rng, workers=workers)
+    result = estimate_log_evidence(model, data, theta, phi, cfg, rng)
     levels = sorted(result.per_level_counts)
     _write_json(
         out / "estimate.json",
@@ -161,7 +161,7 @@ def run_estimate(params: dict, out: Path, workers: int) -> str:
     return f"log-evidence estimate {_fmt(result.value)} +/- {_fmt(result.std_error)} (cost {result.total_cost} draws)"
 
 
-def run_variance_profile(params: dict, out: Path, workers: int) -> str:
+def run_variance_profile(params: dict, out: Path) -> str:
     model, theta, phi = _resolve_model_params(params)
     data = _resolve_data(params, model)
     cfg = _estimator_config(params)
@@ -187,10 +187,13 @@ def run_variance_profile(params: dict, out: Path, workers: int) -> str:
     return f"variance decay slope {_fmt(fit.slope)} (r2 {_fmt(fit.r2)}) over levels {levels[0]}..{levels[-1]}"
 
 
-def run_moments(params: dict, out: Path, workers: int) -> str:
+def run_moments(params: dict, out: Path) -> str:
     model, theta, phi = _resolve_model_params(params)
     data = _resolve_data(params, model)
-    x = data.x[params.get("x_index", 0)]
+    x_index = params.get("x_index", 0)
+    if not 0 <= x_index < data.n_total:
+        raise ContractViolation(f"x-index {x_index} is outside the rows [0, {data.n_total})")
+    x = data.x[x_index]
     rng = _rng.substream(params["seed"], _rng.STREAM_DIAG)
     diag = estimate_moments(
         model, x, theta, phi, params["s"], params["t"], params["draws"], rng
@@ -211,7 +214,7 @@ def run_moments(params: dict, out: Path, workers: int) -> str:
     )
 
 
-def run_grad_check(params: dict, out: Path, workers: int) -> str:
+def run_grad_check(params: dict, out: Path) -> str:
     model, theta, phi = _resolve_model_params(params)
     data = _resolve_data(params, model)
     cfg = _estimator_config(params)
@@ -222,10 +225,8 @@ def run_grad_check(params: dict, out: Path, workers: int) -> str:
     fd_max = finite_difference_check(model, data, params.get("points", 100), step, rng)
 
     reps = params.get("reps", 2000)
-    z_theta, z_phi = estimator_mean_check(
-        model, data, theta, phi, cfg, reps,
-        _rng.substream(params["seed"], _rng.STREAM_BATCH), workers,
-    )
+    batch_rng = _rng.substream(params["seed"], _rng.STREAM_BATCH)
+    z_theta, z_phi = estimator_mean_check(model, data, theta, phi, cfg, reps, batch_rng)
     ok = fd_max <= tol and z_theta <= 4.0 and z_phi <= 4.0
     _write_json(
         out / "gradcheck.json",
@@ -276,14 +277,14 @@ def finite_difference_check(model, data: Dataset, points: int, step: float, rng)
     return worst
 
 
-def estimator_mean_check(model, data, theta, phi, cfg, reps, rng, workers) -> tuple[float, float]:
+def estimator_mean_check(model, data, theta, phi, cfg, reps, rng) -> tuple[float, float]:
     """Replication z-scores of both gradient estimators against the oracles."""
     oracle_theta = sum(model.oracle_evidence_grad_theta(x, theta) for x in data.x)
     oracle_phi = sum(model.oracle_elbo_grad_phi(x, theta, phi) for x in data.x)
     mom_t = StreamingMoments()
     mom_p = StreamingMoments()
     for stream in _rng.spawn(rng, reps):
-        est = estimate_gradients(model, data, theta, phi, cfg, stream, workers=workers)
+        est = estimate_gradients(model, data, theta, phi, cfg, stream)
         mom_t.push(est.grad_theta)
         mom_p.push(est.grad_phi)
     se_t = np.sqrt(mom_t.variance() / reps)
@@ -293,7 +294,7 @@ def estimator_mean_check(model, data, theta, phi, cfg, reps, rng, workers) -> tu
     return z_t, z_p
 
 
-def run_train(params: dict, out: Path, workers: int) -> str:
+def run_train(params: dict, out: Path) -> str:
     model, theta0, phi0 = _resolve_model_params(params)
     data = _resolve_data(params, model)
     cfg = TrainConfig(
@@ -306,7 +307,7 @@ def run_train(params: dict, out: Path, workers: int) -> str:
         estimator=_estimator_config(params),
     )
     rng = _rng.substream(params["seed"], _rng.STREAM_BATCH)
-    records = train(model, data, theta0, phi0, cfg, rng, workers=workers)
+    records = train(model, data, theta0, phi0, cfg, rng)
     write_run_records_csv(records, out / "records.csv")
     write_summary_json(records, out / "summary.json", params["seed"])
     final = records[-1]
@@ -328,10 +329,29 @@ _RUNNERS = {
 }
 
 
-def dispatch(command: str, params: dict, out: Path, workers: int) -> str:
+def dispatch(command: str, params: dict, out: Path) -> str:
     out.mkdir(parents=True, exist_ok=True)
     _write_manifest(out, command, params)
-    return _RUNNERS[command](params, out, workers)
+    return _RUNNERS[command](params, out)
+
+
+class _ManifestParams(dict):
+    # a key a runner needs (reads with []) but the manifest lacks
+    def __missing__(self, key):
+        raise ContractViolation(f"manifest has no {key!r}")
+
+
+def _read_manifest(path) -> tuple[str, dict]:
+    try:
+        manifest = json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ContractViolation(f"manifest {path} is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ContractViolation(f"manifest {path} is not a JSON object")
+    command = manifest.pop("command", None)
+    if not isinstance(command, str) or command not in _RUNNERS:
+        raise ContractViolation(f"manifest names unknown command {command!r}")
+    return command, _ManifestParams(manifest)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -346,7 +366,6 @@ def _common_flags(p, data_flags=True):
     p.add_argument("--dim", type=int, default=1, help="latent dimension (gaussian only)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--theta", type=parse_vector, default=None)
     p.add_argument("--phi", type=parse_vector, default=None)
     if data_flags:
@@ -374,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=parse_vector, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("estimate", help="unbiased log-evidence estimate")
     _common_flags(p)
@@ -417,28 +435,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rerun", help="replay a run from its manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
 
     return parser
 
 
 def _params_from_args(args: argparse.Namespace) -> dict:
-    # every parsed flag except the command and the execution details
-    return {k: v for k, v in vars(args).items() if k not in ("command", "out", "workers")}
+    # every parsed flag except the command and the output location
+    return {k: v for k, v in vars(args).items() if k not in ("command", "out")}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "rerun":
-            manifest = json.loads(Path(args.manifest).read_text())
-            command = manifest.pop("command", None)
-            params = manifest
-            if command not in _RUNNERS:
-                raise ContractViolation(f"manifest names unknown command {command!r}")
+            command, params = _read_manifest(args.manifest)
         else:
             command, params = args.command, _params_from_args(args)
-        summary = dispatch(command, params, Path(args.out), args.workers)
+        summary = dispatch(command, params, Path(args.out))
     except (ContractViolation, UnsupportedOperation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

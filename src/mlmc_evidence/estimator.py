@@ -16,13 +16,11 @@ folds the level gradients of the same buffers.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import gradients as _gradients
-from . import rng as _rng
 from .errors import ContractViolation, ResourceGuardExceeded
 from .logspace import log_mean_exp_unchecked
 from .models import Dataset, LatentVariableModel
@@ -112,8 +110,6 @@ class LevelDraws:
     which the level estimate and both gradient estimates are computed."""
 
     level: int
-    x: np.ndarray
-    z: np.ndarray  # (n, z_dim)
     log_f: np.ndarray  # (n,)
     grad_theta_log_f: np.ndarray  # (n, theta_dim)
     grad_phi_log_q: np.ndarray  # (n, phi_dim)
@@ -147,8 +143,6 @@ def draw_level_samples(
         )
     return LevelDraws(
         level=level,
-        x=np.asarray(x, dtype=np.float64),
-        z=z,
         log_f=batch.log_f,
         grad_theta_log_f=batch.grad_theta_log_f,
         grad_phi_log_q=batch.grad_phi_log_q,
@@ -225,26 +219,18 @@ def run_batch(
     phi,
     cfg: EstimatorConfig,
     rng: np.random.Generator,
-    workers: int = 1,
 ) -> list[LevelDraws]:
     """Draw one batch's shared latent buffers, one per member, in batch order.
 
-    Each member gets its own pre-spawned child stream, so the draws are
-    bit-identical for any worker count. The caller folds the ordered list
-    into whichever quantities it returns.
+    Every (data index, level) pair is drawn from `rng` before any latent,
+    then the members draw their latents from `rng` in batch order. The
+    caller folds the ordered list into whichever quantities it returns.
     """
     indices, levels = draw_batch_indices(data, cfg, rng)
-    streams = _rng.spawn(rng, cfg.batch_size)
-
-    def one(m: int) -> LevelDraws:
-        return draw_level_samples(
-            model, data.x[indices[m]], theta, phi, levels[m], cfg, streams[m]
-        )
-
-    if workers > 1 and cfg.batch_size > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, range(cfg.batch_size)))
-    return [one(m) for m in range(cfg.batch_size)]
+    return [
+        draw_level_samples(model, data.x[i], theta, phi, level, cfg, rng)
+        for i, level in zip(indices, levels)
+    ]
 
 
 def batch_cost(batch: list[LevelDraws]) -> tuple[int, dict[int, int]]:
@@ -278,8 +264,11 @@ def estimate_log_evidence(
 
     The reported std_error is N * std(z/mass) / sqrt(M) over the M batch
     terms, an estimate of this batch estimator's own noise (0 when M = 1).
+    `workers` is accepted only as 1: batches run in order on one thread.
     """
-    batch = run_batch(model, data, theta, phi, cfg, rng, workers=workers)
+    if workers != 1:
+        raise ContractViolation(f"workers must be 1, got {workers}")
+    batch = run_batch(model, data, theta, phi, cfg, rng)
     dist = cfg.distribution()
     terms = np.array([antithetic_difference(d) / dist.mass(d.level) for d in batch])
     n = data.n_total

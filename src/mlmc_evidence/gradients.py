@@ -66,7 +66,6 @@ def estimate_gradients(
     phi,
     cfg,
     rng: np.random.Generator,
-    workers: int = 1,
 ) -> GradientEstimate:
     """Both parameter gradients from the common stochastic samples.
 
@@ -75,7 +74,7 @@ def estimate_gradients(
     grad_phi is the plain average (N/M) sum_m of the per-member
     score-function term (each level average is unbiased on its own).
     """
-    batch = _estimator.run_batch(model, data, theta, phi, cfg, rng, workers=workers)
+    batch = _estimator.run_batch(model, data, theta, phi, cfg, rng)
     dist = cfg.distribution()
     grad_theta = np.zeros(model.theta_dim)
     grad_phi = np.zeros(model.phi_dim)

@@ -3,9 +3,9 @@
 Every source of randomness in a run is a named substream addressed by
 ``(seed, stream id, *indices)``. Streams are backed by the counter-based
 Philox generator, so a stream's output depends only on its address, never
-on how much any other stream has consumed. That makes replications,
-batch members and worker threads reproducible independently of execution
-order.
+on how much any other stream has consumed. That makes replications and
+training steps reproducible independently of execution order. The members
+of one batch share their caller's stream and draw from it in batch order.
 """
 from __future__ import annotations
 

@@ -84,17 +84,16 @@ def train(
     phi0,
     cfg: TrainConfig,
     rng: np.random.Generator,
-    workers: int = 1,
 ) -> list[RunRecord]:
     """Run the two-objective ascent and return the evaluation records.
 
     Each step consumes one gradient batch (theta and phi gradients computed
-    from the same draws). Evaluations run on a generator branch spawned
-    before training starts, so metric noise never perturbs the training
-    stream. Records are written at step 0, every `eval_every` steps, and at
-    the final step. A non-finite parameter aborts with a divergence error
-    rather than clamping: heavy-tailed weights are a failure mode that must
-    surface.
+    from the same draws), drawn in order from that step's own generator.
+    Evaluations run on a generator branch spawned before training starts, so
+    metric noise never perturbs the training stream. Records are written at
+    step 0, every `eval_every` steps, and at the final step. A non-finite
+    parameter aborts with a divergence error rather than clamping:
+    heavy-tailed weights are a failure mode that must surface.
     """
     theta = np.array(theta0, dtype=np.float64)
     phi = np.array(phi0, dtype=np.float64)
@@ -111,7 +110,7 @@ def train(
 
     def evaluate(step: int) -> RunRecord:
         values = [
-            estimate_log_evidence(model, data, theta, phi, cfg.estimator, stream, workers=workers).value
+            estimate_log_evidence(model, data, theta, phi, cfg.estimator, stream).value
             for stream in _rng.spawn(eval_rng, cfg.eval_replications)
         ]
         evidence_oracle, kl_oracle = _oracle_metrics(model, data, theta, phi)
@@ -131,8 +130,7 @@ def train(
     for step in range(1, cfg.steps + 1):
         try:
             grads = estimate_gradients(
-                model, data, theta, phi, cfg.estimator, step_streams[step - 1],
-                workers=workers,
+                model, data, theta, phi, cfg.estimator, step_streams[step - 1]
             )
         except ContractViolation as exc:
             # inputs were validated up front, so a non-finite weight

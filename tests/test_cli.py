@@ -1,6 +1,5 @@
-"""CLI contracts: manifest-driven byte-exact reruns across worker counts,
-deterministic printed summaries, lossless CSV round trips, and the exit-code
-mapping."""
+"""CLI contracts: manifest-driven byte-exact reruns, deterministic printed
+summaries, lossless CSV round trips, and the exit-code mapping."""
 
 import json
 import math
@@ -76,36 +75,33 @@ class TestEstimate:
         j2 = (tmp_path / "r2" / "estimate.json").read_bytes()
         assert j1 == j2
 
-    def test_worker_count_does_not_change_bytes(self, tmp_path, capsys):
-        outs = []
-        for w in (1, 2, 8):
-            out = tmp_path / f"w{w}"
-            code, _, _ = run_cli(
-                capsys, "estimate", "--seed", "11", "--batch", "32",
-                "--workers", str(w), "--out", str(out),
-            )
+    def test_replayed_manifest_replays_identically(self, tmp_path, capsys):
+        # a replay's own manifest is the original's, so replays chain
+        outs = [tmp_path / "r0"]
+        code, _, _ = run_cli(capsys, "estimate", "--seed", "11", "--batch", "32",
+                             "--out", str(outs[0]))
+        assert code == 0
+        for k in (1, 2):
+            outs.append(tmp_path / f"r{k}")
+            code, _, _ = run_cli(capsys, "rerun", "--manifest",
+                                 str(outs[-2] / "manifest.json"), "--out", str(outs[-1]))
             assert code == 0
-            outs.append(out)
-        ref_est = (outs[0] / "estimate.json").read_bytes()
-        ref_man = (outs[0] / "manifest.json").read_bytes()
-        for out in outs[1:]:
-            assert (out / "estimate.json").read_bytes() == ref_est
-            assert (out / "manifest.json").read_bytes() == ref_man
+        for name in ("estimate.json", "manifest.json"):
+            ref = (outs[0] / name).read_bytes()
+            assert all((out / name).read_bytes() == ref for out in outs[1:])
 
     def test_rerun_from_manifest(self, tmp_path, capsys):
         first = tmp_path / "first"
         code, line1, _ = run_cli(capsys, "estimate", "--seed", "5", "--batch", "16",
                                  "--phi", "0,0,0.3466", "--out", str(first))
         assert code == 0
-        for w in ("1", "2", "8"):
-            replay = tmp_path / f"replay{w}"
-            code, line2, _ = run_cli(capsys, "rerun", "--manifest",
-                                     str(first / "manifest.json"),
-                                     "--out", str(replay), "--workers", w)
-            assert code == 0
-            assert line2 == line1
-            for name in ("estimate.json", "manifest.json"):
-                assert (replay / name).read_bytes() == (first / name).read_bytes()
+        replay = tmp_path / "replay"
+        code, line2, _ = run_cli(capsys, "rerun", "--manifest",
+                                 str(first / "manifest.json"), "--out", str(replay))
+        assert code == 0
+        assert line2 == line1
+        for name in ("estimate.json", "manifest.json"):
+            assert (replay / name).read_bytes() == (first / name).read_bytes()
 
     def test_loads_dataset_from_file(self, tmp_path, capsys):
         data_dir = tmp_path / "data"
@@ -159,6 +155,16 @@ class TestMomentsCommand:
         assert not payload["tail_warning"]
         assert "s-moment" in line
 
+    @pytest.mark.parametrize("index", ["10", "-1"])
+    def test_x_index_outside_rows_rejected(self, tmp_path, capsys, index):
+        # -1 would otherwise wrap to the last row
+        code, _, err = run_cli(
+            capsys, "moments", "--n", "10", "--x-index", index, "--draws", "100",
+            "--out", str(tmp_path / "m"),
+        )
+        assert code == 1
+        assert err.startswith("error: x-index")
+
 
 class TestGradCheckCommand:
     @pytest.mark.parametrize("model", ["gaussian", "bernoulli"])
@@ -204,7 +210,7 @@ class TestTrainCommand:
         replay = tmp_path / "t2"
         code, line2, _ = run_cli(
             capsys, "rerun", "--manifest", str(first / "manifest.json"),
-            "--out", str(replay), "--workers", "2",
+            "--out", str(replay),
         )
         assert code == 0
         assert line1 == line2
@@ -250,6 +256,29 @@ class TestExitCodes:
             "--out", str(tmp_path / "x"),
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv", [["gen-data", "--n", "5"], ["estimate"], ["rerun", "--manifest", "m.json"]],
+        ids=["gen-data", "estimate", "rerun"],
+    )
+    def test_workers_flag_is_gone(self, tmp_path, capsys, argv):
+        code, _, err = run_cli(capsys, *argv, "--workers", "2", "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert "--workers" in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "not valid JSON"),
+        ("[1, 2]", "not a JSON object"),
+        ('{"command": "estimate"}', "manifest has no 'model'"),
+    ])
+    def test_bad_manifest_is_contract_error(self, tmp_path, capsys, text, message):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text)
+        code, _, err = run_cli(capsys, "rerun", "--manifest", str(manifest),
+                               "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert err.startswith("error: ")
+        assert message in err
 
     def test_wrong_dim_vector_rejected(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "estimate", "--theta", "1,2",

@@ -8,15 +8,19 @@ import numpy as np
 import pytest
 
 from mlmc_evidence import gradients
+from mlmc_evidence import rng as rng_module
 from mlmc_evidence.errors import ContractViolation, ResourceGuardExceeded
 from mlmc_evidence.estimator import (
     EstimatorConfig,
     LevelDistribution,
+    draw_batch_indices,
     draw_level_samples,
     estimate_log_evidence,
     level_estimate,
+    run_batch,
     sample_level,
 )
+from mlmc_evidence.gradients import estimate_gradients
 from mlmc_evidence.logspace import combine_halves, log_mean_exp
 from mlmc_evidence.models import GaussianConjugateModel
 from mlmc_evidence.rng import substream
@@ -287,17 +291,47 @@ class TestEstimateLogEvidence:
         (level, _count), = est.per_level_counts.items()
         assert est.total_cost == 64 * 2**level
 
-    def test_deterministic_and_worker_independent(self):
+    def test_deterministic(self):
         cfg = EstimatorConfig(n0=8, batch_size=16)
-        runs = [
+        a, b = (
+            estimate_log_evidence(MODEL, DATA, THETA, PHI_WIDE, cfg, substream(115, 0))
+            for _ in range(2)
+        )
+        assert a.value == b.value
+        assert a.std_error == b.std_error
+        assert a.total_cost == b.total_cost
+        assert a.per_level_counts == b.per_level_counts
+
+    def test_only_one_worker_accepted(self):
+        cfg = EstimatorConfig(n0=8, batch_size=4)
+        with pytest.raises(ContractViolation):
             estimate_log_evidence(
-                MODEL, DATA, THETA, PHI_WIDE, cfg, substream(115, 0), workers=w
+                MODEL, DATA, THETA, PHI_WIDE, cfg, substream(118, 0), workers=2
             )
-            for w in (1, 2, 8)
+
+    def test_members_draw_in_order_from_the_callers_generator(self, monkeypatch):
+        # no member gets a child stream: the batch draws its (index, level)
+        # pairs, then each member's latents in batch order, from one generator
+        def forbidden(rng, n):
+            raise AssertionError("batch spawned child generators")
+
+        monkeypatch.setattr(rng_module, "spawn", forbidden)
+        cfg = EstimatorConfig(n0=8, batch_size=16)
+        est = estimate_log_evidence(MODEL, DATA, THETA, PHI_WIDE, cfg, substream(119, 0))
+        grads = estimate_gradients(MODEL, DATA, THETA, PHI_WIDE, cfg, substream(119, 0))
+        assert est.per_level_counts == grads.per_level_counts
+
+        rng = substream(119, 0)
+        indices, levels = draw_batch_indices(DATA, cfg, rng)
+        expected = [
+            draw_level_samples(MODEL, DATA.x[i], THETA, PHI_WIDE, level, cfg, rng)
+            for i, level in zip(indices, levels)
         ]
-        assert runs[0].value == runs[1].value == runs[2].value
-        assert runs[0].std_error == runs[1].std_error == runs[2].std_error
-        assert runs[0].per_level_counts == runs[1].per_level_counts == runs[2].per_level_counts
+        batch = run_batch(MODEL, DATA, THETA, PHI_WIDE, cfg, substream(119, 0))
+        assert [d.level for d in batch] == levels
+        for got, want in zip(batch, expected):
+            np.testing.assert_array_equal(got.log_f, want.log_f)
+            np.testing.assert_array_equal(got.grad_theta_log_f, want.grad_theta_log_f)
 
     def test_computes_no_gradients(self, monkeypatch):
         # the evidence path reduces each member's draws to its level value
@@ -307,11 +341,8 @@ class TestEstimateLogEvidence:
         monkeypatch.setattr(gradients, "grad_theta_level", forbidden)
         monkeypatch.setattr(gradients, "grad_phi_elbo_level", forbidden)
         cfg = EstimatorConfig(n0=8, batch_size=16)
-        for workers in (1, 2):
-            est = estimate_log_evidence(
-                MODEL, DATA, THETA, PHI_WIDE, cfg, substream(117, 0), workers=workers
-            )
-            assert sum(est.per_level_counts.values()) == 16
+        est = estimate_log_evidence(MODEL, DATA, THETA, PHI_WIDE, cfg, substream(117, 0))
+        assert sum(est.per_level_counts.values()) == 16
 
     def test_empty_dataset_rejected(self):
         from mlmc_evidence.models import Dataset

@@ -197,13 +197,3 @@ class TestEstimateGradients:
         b = estimate_gradients(MODEL, DATA, THETA, PHI_WIDE, CFG, substream(213, 0))
         np.testing.assert_array_equal(a.grad_theta, b.grad_theta)
         np.testing.assert_array_equal(a.grad_phi, b.grad_phi)
-
-    def test_worker_count_invariance(self):
-        cfg = EstimatorConfig(n0=8, batch_size=16)
-        runs = [
-            estimate_gradients(MODEL, DATA, THETA, PHI_WIDE, cfg, substream(214, 0), workers=w)
-            for w in (1, 2, 8)
-        ]
-        for other in runs[1:]:
-            np.testing.assert_array_equal(runs[0].grad_theta, other.grad_theta)
-            np.testing.assert_array_equal(runs[0].grad_phi, other.grad_phi)
