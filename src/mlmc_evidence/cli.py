@@ -3,7 +3,8 @@ training as reproducible runs with file outputs.
 
 Every run writes ``manifest.json`` holding the fully resolved semantic
 configuration (command, model, parameter vectors, numeric knobs, seed).
-``rerun --manifest`` replays it bit-exactly. The output location is an
+``rerun --manifest`` replays it bit-exactly, after checking each value
+against the type its command's flag parses to. The output location is an
 execution detail and stays out of the manifest, so a replay into any
 directory writes byte-identical artifacts.
 
@@ -351,7 +352,44 @@ def _read_manifest(path) -> tuple[str, dict]:
     command = manifest.pop("command", None)
     if not isinstance(command, str) or command not in _RUNNERS:
         raise ContractViolation(f"manifest names unknown command {command!r}")
+    for action in build_parser().commands[command]._actions:
+        if action.dest in manifest:
+            expected = _unparsable_as(action, manifest[action.dest])
+            if expected:
+                raise ContractViolation(
+                    f"manifest value {action.dest}={manifest[action.dest]!r} is not {expected}"
+                )
     return command, _ManifestParams(manifest)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
+def _unparsable_as(action: argparse.Action, value) -> str | None:
+    """What a manifest value should be, if it is not what the flag of
+    `action` parses to; None if it is."""
+    if value is None and action.default is None:
+        return None
+    if action.choices is not None:
+        return None if value in action.choices else f"one of {list(action.choices)}"
+    if action.nargs == 0:  # a switch
+        return None if isinstance(value, bool) else "true or false"
+    if action.type is int:
+        return None if _is_int(value) else "an integer"
+    if action.type is float:
+        return None if _is_real(value) else "a number"
+    if action.type is parse_vector:
+        ok = isinstance(value, list) and all(_is_real(v) and math.isfinite(v) for v in value)
+        return None if ok else "a list of finite numbers"
+    if action.type is parse_level_range:
+        ok = isinstance(value, list) and value and all(_is_int(v) and v >= 0 for v in value)
+        return None if ok else "a nonempty list of levels >= 0"
+    return None if isinstance(value, str) else "a string"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -436,6 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
 
+    parser.commands = sub.choices  # each command's parser, by name
     return parser
 
 

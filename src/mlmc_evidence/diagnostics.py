@@ -2,6 +2,10 @@
 decay-rate regression, and tail/moment diagnostics for the importance
 weights.
 
+A profile draws each level's replications as the members of flat draw
+buffers (`estimator.draw_chunks`) and reduces them by segment, one row per
+replication, with no loop over replications.
+
 Cost is counted in latent draws (the only quantity that doubles per level);
 wall clock is not asserted on anywhere.
 """
@@ -18,12 +22,25 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import ContractViolation
-from .estimator import EstimatorConfig, antithetic_difference, draw_level_samples
+from .estimator import (
+    EstimatorConfig,
+    antithetic_difference,
+    draw_chunks,
+    half_segments,
+    merge_halves,
+)
+from .estimator import draw_level_samples  # noqa: F401  perfbench/tracer.py wraps this name here
 from .gradients import grad_theta_level
-from .logspace import StreamingMoments, log_mean_exp, softmax_weights
+from .logspace import (
+    StreamingMoments,
+    segment_log_sum_exp_unchecked,
+    segment_softmax_average_unchecked,
+)
 from .models import Dataset, LatentVariableModel
 
 log = logging.getLogger(__name__)
+
+_LOG2 = math.log(2.0)
 
 
 @dataclass
@@ -38,23 +55,33 @@ class LevelStats:
     replications: int
 
 
-def naive_difference(draws) -> float:
-    """Level value without the antithetic half-average: full log-mean minus
-    the first-half log-mean only. Decays one order slower in variance; kept
-    as the contrast case the profile can instrument."""
-    p_full = log_mean_exp(draws.log_f)
-    if draws.level == 0:
-        return p_full
-    half = draws.n // 2
-    return p_full - log_mean_exp(draws.log_f[:half])
+def naive_difference(draws) -> np.ndarray:
+    """Level value without the antithetic half-average, (M,): full log-mean
+    minus the first-half log-mean only. Decays one order slower in
+    variance; kept as the contrast case the profile can instrument. With
+    the halves' log-sums differing by d, the value is log((1 + e^-d) / 2)."""
+    seg = half_segments(draws)
+    log_sums = segment_log_sum_exp_unchecked(draws.log_f, seg.starts)
+    log_means = log_sums - math.log(draws.n0)  # level-0 members hold n0 draws
+    return merge_halves(
+        seg, log_means, lambda a, b: np.logaddexp(0.0, log_sums[b] - log_sums[a]) - _LOG2
+    )
 
 
 def naive_grad_theta(draws) -> np.ndarray:
-    full = softmax_weights(draws.log_f) @ draws.grad_theta_log_f
-    if draws.level == 0:
-        return full
-    half = draws.n // 2
-    return full - softmax_weights(draws.log_f[:half]) @ draws.grad_theta_log_f[:half]
+    """Theta-gradient of `naive_difference`, (M, theta_dim): the full-buffer
+    ratio minus the first half's, which is the second half's weight share
+    times R_b - R_a."""
+    seg = half_segments(draws)
+    log_sums, ratios = segment_softmax_average_unchecked(
+        draws.log_f, draws.grad_theta_log_f, seg.starts
+    )
+
+    def split(a, b):
+        share_b = 0.5 - 0.5 * np.tanh(0.5 * (log_sums[a] - log_sums[b]))
+        return share_b[:, None] * (ratios[b] - ratios[a])
+
+    return merge_halves(seg, ratios, split)
 
 
 def variance_profile(
@@ -70,8 +97,13 @@ def variance_profile(
 ) -> list[LevelStats]:
     """Replicate independent level estimates and accumulate their moments.
 
-    The draw schedule depends only on the generator state, never on the
-    `antithetic` flag, so profiling both variants from identically
+    Each level gets one stream spawned from `rng`. It draws the level's
+    replication data indices, then every replication's latents in order,
+    in the batch draw's buffers of at most `estimator.DRAW_BUDGET` draws.
+    Replications get no streams of their own, so a seed gives other
+    profile values than the stream-per-replication schedule of earlier
+    versions. The draw schedule depends only on the generator state, never
+    on the `antithetic` flag, so profiling both variants from identically
     constructed generators compares them on the same latent draws.
     """
     if replications < 100:
@@ -80,26 +112,26 @@ def variance_profile(
     if any(l > cfg.level_cap for l in levels):
         raise ContractViolation(f"levels {levels} exceed level cap {cfg.level_cap}")
     level_streams = _rng.spawn(rng, len(levels))
+    value_fn, grad_fn = (
+        (antithetic_difference, grad_theta_level) if antithetic
+        else (naive_difference, naive_grad_theta)
+    )
 
     stats = []
     for lvl, stream in zip(levels, level_streams):
-        idx_rng = stream.spawn(1)[0]
-        indices = idx_rng.integers(0, data.n_total, size=replications)
-        rep_streams = stream.spawn(replications)
-        z_mom = StreamingMoments()
-        g_mom = StreamingMoments()
+        indices = stream.integers(0, data.n_total, size=replications)
+        values, grads = [], []
         cost = 0
-        for r in range(replications):
-            draws = draw_level_samples(
-                model, data.x[indices[r]], theta, phi, lvl, cfg, rep_streams[r]
-            )
-            if antithetic:
-                z_mom.push(antithetic_difference(draws))
-                g_mom.push(grad_theta_level(draws))
-            else:
-                z_mom.push(naive_difference(draws))
-                g_mom.push(naive_grad_theta(draws))
+        for draws in draw_chunks(
+            model, data.x[indices], np.full(replications, lvl), theta, phi, cfg, stream
+        ):
+            values.append(value_fn(draws))
+            grads.append(grad_fn(draws))
             cost += draws.n
+        z_mom = StreamingMoments()
+        z_mom.push_many(np.concatenate(values))
+        g_mom = StreamingMoments()
+        g_mom.push_many(np.concatenate(grads))
         stats.append(
             LevelStats(
                 level=lvl,

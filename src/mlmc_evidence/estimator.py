@@ -8,21 +8,28 @@ so drawing the level from a geometric distribution and reweighting each
 difference by its level probability gives an estimator of log p(X) with no
 bias at any finite cost.
 
-A batch is one shared draw buffer per member (`run_batch`). Each estimator
-reduces those buffers to the one quantity it returns: the evidence
-estimate folds the level values here, and `gradients.estimate_gradients`
-folds the level gradients of the same buffers.
+A batch is one flat draw buffer (`run_batch`, `LevelDraws`): member i owns
+the contiguous slice of n0 * 2^level_i draws, members in batch order, and
+the model draws and weighs consecutive members in one call with their
+observations repeated as one row per draw. Every member's level value and
+gradients are segment reductions of that buffer, with no loop over
+members. Each estimator reduces the buffer to the one quantity it returns:
+the evidence estimate folds the level values here, and
+`gradients.estimate_gradients` folds the level gradients of the same
+buffer.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from . import gradients as _gradients
 from .errors import ContractViolation, ResourceGuardExceeded
-from .logspace import log_mean_exp_unchecked
+from .logspace import log_mean_exp_unchecked  # noqa: F401  perfbench/tracer.py wraps this name here
+from .logspace import segment_log_sum_exp_unchecked
 from .models import Dataset, LatentVariableModel
 
 #: Geometric ratio 2^(-3/2): level mass decays fast enough for finite
@@ -31,6 +38,11 @@ from .models import Dataset, LatentVariableModel
 DEFAULT_LEVEL_RATIO = 2.0 ** -1.5
 
 DEFAULT_LEVEL_CAP = 40
+
+#: Most latent draws one model call materialises when a batch is drawn:
+#: consecutive members share a call up to this many draws, and a member
+#: larger than it is drawn alone.
+DRAW_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -49,8 +61,10 @@ class LevelDistribution:
                 f"level ratio must lie in (0, 1/2) for finite expected cost, got {self.ratio}"
             )
 
-    def mass(self, level: int) -> float:
-        if level < 0:
+    def mass(self, level):
+        """mass(level) for one level, or elementwise for an array of levels."""
+        level = np.asarray(level)
+        if (level < 0).any():
             raise ContractViolation(f"level must be >= 0, got {level}")
         return (1.0 - self.ratio) * self.ratio**level
 
@@ -106,10 +120,12 @@ class EstimatorConfig:
 
 @dataclass
 class LevelDraws:
-    """Shared latent draws for one (x, level): the single sample set from
-    which the level estimate and both gradient estimates are computed."""
+    """Shared latent draws of M batch members in one flat buffer: member i
+    owns the contiguous slice of n0 * 2^levels[i] draws, members in batch
+    order. Level values and both gradient estimates are reductions of it."""
 
-    level: int
+    levels: np.ndarray  # (M,)
+    n0: int
     log_f: np.ndarray  # (n,)
     grad_theta_log_f: np.ndarray  # (n, theta_dim)
     grad_phi_log_q: np.ndarray  # (n, phi_dim)
@@ -117,6 +133,96 @@ class LevelDraws:
     @property
     def n(self) -> int:
         return self.log_f.shape[0]
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Draws per member, (M,)."""
+        return self.n0 << self.levels
+
+    @property
+    def starts(self) -> np.ndarray:
+        """Offset of each member's slice in the buffer, (M,)."""
+        sizes = self.sizes
+        return np.cumsum(sizes) - sizes
+
+
+class HalfSegments(NamedTuple):
+    """The buffer cut into the segments the level reducers need: a level-0
+    member is one segment, a deeper member its two contiguous halves."""
+
+    starts: np.ndarray  # (S,) segment offsets, in buffer order
+    first: np.ndarray  # (M,) index of each member's first segment
+    split: np.ndarray  # (M,) True where the member is cut in halves
+
+
+def half_segments(draws: LevelDraws) -> HalfSegments:
+    split = draws.levels > 0
+    per_member = 1 + split
+    starts = np.repeat(draws.starts, per_member)
+    first = np.cumsum(per_member) - per_member
+    starts[first[split] + 1] += draws.sizes[split] // 2
+    return HalfSegments(starts, first, split)
+
+
+def merge_halves(seg: HalfSegments, level_zero: np.ndarray, split_fn) -> np.ndarray:
+    """One row per member: `level_zero` rows of the unsplit members' only
+    segments, and `split_fn(a, b)` of each split member's halves' indices."""
+    out = np.empty((seg.first.size,) + level_zero.shape[1:])
+    out[~seg.split] = level_zero[seg.first[~seg.split]]
+    a = seg.first[seg.split]
+    out[seg.split] = split_fn(a, a + 1)
+    return out
+
+
+def draw_chunks(
+    model: LatentVariableModel,
+    x_rows: np.ndarray,
+    levels: np.ndarray,
+    theta,
+    phi,
+    cfg: EstimatorConfig,
+    rng: np.random.Generator,
+) -> Iterator[LevelDraws]:
+    """Draw the members (observation x_rows[i], level levels[i]) in order
+    from `rng`, as flat buffers of consecutive members.
+
+    Each chunk holds at most DRAW_BUDGET draws, or one member that alone
+    exceeds it, and costs one `sample_q` and one `log_weight_batch` call
+    with the member's observation repeated per draw. The latents come from
+    `rng` in member order whatever the chunking, so chunk boundaries change
+    no value.
+    """
+    levels = np.asarray(levels, dtype=np.int64)
+    if levels.size and levels.min() < 0:
+        raise ContractViolation(f"level must be >= 0, got {int(levels.min())}")
+    if levels.size and levels.max() > cfg.level_cap:
+        raise ResourceGuardExceeded(
+            f"level {int(levels.max())} exceeds level cap {cfg.level_cap}"
+        )
+    sizes = cfg.n0 << levels
+    ends = np.cumsum(sizes)
+    lo = 0
+    while lo < levels.size:
+        base = ends[lo] - sizes[lo]
+        hi = max(lo + 1, int(np.searchsorted(ends, base + DRAW_BUDGET, side="right")))
+        x = np.repeat(x_rows[lo:hi], sizes[lo:hi], axis=0)
+        n = int(ends[hi - 1] - base)
+        z = model.sample_q(x, phi, rng, n)
+        batch = model.log_weight_batch(x, z, theta, phi)
+        if not np.isfinite(batch.log_f).all():
+            i = int(np.flatnonzero(~np.isfinite(batch.log_f))[0])
+            member = lo + int(np.searchsorted(ends[lo:hi] - base, i, side="right"))
+            raise ContractViolation(
+                f"non-finite log weight at x={x[i]!r}, z={z[i]!r} (level {levels[member]})"
+            )
+        yield LevelDraws(
+            levels=levels[lo:hi],
+            n0=cfg.n0,
+            log_f=batch.log_f,
+            grad_theta_log_f=batch.grad_theta_log_f,
+            grad_phi_log_q=batch.grad_phi_log_q,
+        )
+        lo = hi
 
 
 def draw_level_samples(
@@ -128,43 +234,38 @@ def draw_level_samples(
     cfg: EstimatorConfig,
     rng: np.random.Generator,
 ) -> LevelDraws:
-    """Draw n0 * 2^level latents from q and evaluate log f and gradients."""
-    if level < 0:
-        raise ContractViolation(f"level must be >= 0, got {level}")
-    if level > cfg.level_cap:
-        raise ResourceGuardExceeded(f"level {level} exceeds level cap {cfg.level_cap}")
-    n = cfg.n0 << level
-    z = model.sample_q(x, phi, rng, n)
-    batch = model.log_weight_batch(x, z, theta, phi)
-    if not np.isfinite(batch.log_f).all():
-        i = int(np.flatnonzero(~np.isfinite(batch.log_f))[0])
-        raise ContractViolation(
-            f"non-finite log weight at x={np.asarray(x)!r}, z={z[i]!r} (level {level})"
-        )
-    return LevelDraws(
-        level=level,
-        log_f=batch.log_f,
-        grad_theta_log_f=batch.grad_theta_log_f,
-        grad_phi_log_q=batch.grad_phi_log_q,
-    )
+    """Draw n0 * 2^level latents from q and evaluate log f and gradients:
+    the one-member (M = 1) buffer."""
+    x_rows = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    (draws,) = draw_chunks(model, x_rows, [level], theta, phi, cfg, rng)
+    return draws
 
 
-def antithetic_difference(draws: LevelDraws) -> float:
-    """The level value: log-mean of all draws minus the averaged half log-means.
+def _log_cosh(y: np.ndarray) -> np.ndarray:
+    # log((e^y + e^-y) / 2) = |y| + log((1 + e^(-2|y|)) / 2), without
+    # cancelling to zero for small y
+    a = np.abs(y)
+    return a + np.log1p(0.5 * np.expm1(-2.0 * a))
+
+
+def antithetic_difference(draws: LevelDraws) -> np.ndarray:
+    """Each member's level value, (M,): log-mean of all its draws minus the
+    averaged log-means of its two halves.
 
     At level 0 there is nothing to subtract and the value is the plain
     log-mean. The two halves are the first and second contiguous halves of
     the same draw buffer, which is what makes the averaged half-means equal
-    the full mean identically (the antithetic cancellation). Draw buffers
-    were validated when drawn, so the raw reduction applies.
+    the full mean identically (the antithetic cancellation). With the
+    halves' log-sums differing by d, the value is exactly log cosh(d / 2),
+    so each half is reduced once and the full buffer never again. Draw
+    buffers were validated when drawn, so the raw reduction applies.
     """
-    p_full = log_mean_exp_unchecked(draws.log_f)
-    if draws.level == 0:
-        return p_full
-    half = draws.n // 2
-    p_a = log_mean_exp_unchecked(draws.log_f[:half])
-    p_b = log_mean_exp_unchecked(draws.log_f[half:])
-    return p_full - 0.5 * (p_a + p_b)
+    seg = half_segments(draws)
+    log_sums = segment_log_sum_exp_unchecked(draws.log_f, seg.starts)
+    log_means = log_sums - math.log(draws.n0)  # level-0 members hold n0 draws
+    return merge_halves(
+        seg, log_means, lambda a, b: _log_cosh(0.5 * (log_sums[a] - log_sums[b]))
+    )
 
 
 @dataclass
@@ -192,24 +293,60 @@ def level_estimate(
     draws = draw_level_samples(model, x, theta, phi, level, cfg, rng)
     return LevelEstimate(
         level=level,
-        z_value=antithetic_difference(draws),
-        grad_theta=_gradients.grad_theta_level(draws),
-        phi_grad_term=_gradients.grad_phi_elbo_level(draws),
+        z_value=float(antithetic_difference(draws)[0]),
+        grad_theta=_gradients.grad_theta_level(draws)[0],
+        phi_grad_term=_gradients.grad_phi_elbo_level(draws)[0],
         cost=draws.n,
     )
 
 
+def sample_levels(
+    dist: LevelDistribution, u: np.ndarray, level_cap: int = DEFAULT_LEVEL_CAP
+) -> np.ndarray:
+    """`sample_level` for an array of uniforms, level for level.
+
+    numpy's log may differ from the scalar one in the last bit, which moves
+    floor(ln u / ln r) only where the quotient sits at an integer; those
+    few uniforms are recomputed by `sample_level` itself.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    if not ((u > 0.0) & (u < 1.0)).all():
+        bad = u[~((u > 0.0) & (u < 1.0))][0]
+        raise ContractViolation(f"uniform variate must lie strictly in (0, 1), got {bad}")
+    quotient = np.log(u) / math.log(dist.ratio)
+    levels = np.floor(quotient).astype(np.int64)
+    for i in np.flatnonzero(np.abs(quotient - np.rint(quotient)) < 1e-9):
+        levels[i] = sample_level(dist, float(u[i]), level_cap)
+    if levels.size and levels.max() > level_cap:
+        raise ResourceGuardExceeded(
+            f"sampled level {int(levels.max())} exceeds level cap {level_cap}"
+        )
+    return levels
+
+
 def draw_batch_indices(
     data: Dataset, cfg: EstimatorConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, list[int]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The batch's (data index, level) pairs: indices uniform with
     replacement, levels by exact inverse-CDF from the level distribution."""
     if data.n_total < 1:
         raise ContractViolation("dataset is empty")
-    dist = cfg.distribution()
     indices = rng.integers(0, data.n_total, size=cfg.batch_size)
-    levels = [sample_level(dist, float(u), cfg.level_cap) for u in rng.random(cfg.batch_size)]
+    levels = sample_levels(cfg.distribution(), rng.random(cfg.batch_size), cfg.level_cap)
     return indices, levels
+
+
+def concat_draws(chunks: list[LevelDraws]) -> LevelDraws:
+    """One flat buffer of consecutive chunks' members."""
+    if len(chunks) == 1:
+        return chunks[0]
+    return LevelDraws(
+        levels=np.concatenate([c.levels for c in chunks]),
+        n0=chunks[0].n0,
+        log_f=np.concatenate([c.log_f for c in chunks]),
+        grad_theta_log_f=np.concatenate([c.grad_theta_log_f for c in chunks]),
+        grad_phi_log_q=np.concatenate([c.grad_phi_log_q for c in chunks]),
+    )
 
 
 def run_batch(
@@ -219,26 +356,22 @@ def run_batch(
     phi,
     cfg: EstimatorConfig,
     rng: np.random.Generator,
-) -> list[LevelDraws]:
-    """Draw one batch's shared latent buffers, one per member, in batch order.
+) -> LevelDraws:
+    """Draw one batch's shared latent buffer, every member in batch order.
 
     Every (data index, level) pair is drawn from `rng` before any latent,
-    then the members draw their latents from `rng` in batch order. The
-    caller folds the ordered list into whichever quantities it returns.
+    then the members draw their latents from `rng` in batch order, in
+    chunks of at most DRAW_BUDGET draws. The caller reduces the buffer to
+    whichever quantities it returns.
     """
     indices, levels = draw_batch_indices(data, cfg, rng)
-    return [
-        draw_level_samples(model, data.x[i], theta, phi, level, cfg, rng)
-        for i, level in zip(indices, levels)
-    ]
+    return concat_draws(list(draw_chunks(model, data.x[indices], levels, theta, phi, cfg, rng)))
 
 
-def batch_cost(batch: list[LevelDraws]) -> tuple[int, dict[int, int]]:
+def batch_cost(batch: LevelDraws) -> tuple[int, dict[int, int]]:
     """Latent draws a batch consumed, and its member count per level."""
-    counts: dict[int, int] = {}
-    for draws in batch:
-        counts[draws.level] = counts.get(draws.level, 0) + 1
-    return sum(draws.n for draws in batch), counts
+    levels, counts = np.unique(batch.levels, return_counts=True)
+    return batch.n, {int(l): int(c) for l, c in zip(levels, counts)}
 
 
 @dataclass
@@ -269,8 +402,7 @@ def estimate_log_evidence(
     if workers != 1:
         raise ContractViolation(f"workers must be 1, got {workers}")
     batch = run_batch(model, data, theta, phi, cfg, rng)
-    dist = cfg.distribution()
-    terms = np.array([antithetic_difference(d) / dist.mass(d.level) for d in batch])
+    terms = antithetic_difference(batch) / cfg.distribution().mass(batch.levels)
     n = data.n_total
     m = len(terms)
     value = n * float(terms.mean())

@@ -2,6 +2,10 @@
 member: the multilevel antithetic estimator for the evidence gradient in
 theta, and the single-level score-function estimator for the lower-bound
 gradient in phi.
+
+A batch's draws are one flat buffer (`estimator.LevelDraws`); both level
+gradients reduce it by segment to one row per member, with no loop over
+members, and `estimate_gradients` folds those rows.
 """
 from __future__ import annotations
 
@@ -10,35 +14,36 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import estimator as _estimator
-from .logspace import softmax_weights_unchecked
-
-
-def _ratio(log_f: np.ndarray, grads: np.ndarray) -> np.ndarray:
-    # sum_i f_i g_i / sum_i f_i, in log-stable form: softmax(log f) . g
-    # (log_f comes from draw buffers validated at draw time)
-    return softmax_weights_unchecked(log_f) @ grads
+from .logspace import segment_softmax_average_unchecked
+from .logspace import softmax_weights_unchecked  # noqa: F401  perfbench/tracer.py wraps this name here
 
 
 def grad_theta_level(draws) -> np.ndarray:
-    """Theta-gradient of the level value from shared draws.
+    """Theta-gradient of each member's level value, (M, theta_dim).
 
     Each weighted mean of per-draw gradients of log f equals the ratio of
     the gradient-weight mean to the weight mean (since df = f dlog f), so
-    the level-0 gradient is the softmax-weighted gradient average and the
-    higher-level gradient subtracts the averaged half-buffer ratios built
-    from the identical draws.
+    the level-0 gradient is the softmax-weighted gradient average R of the
+    member's draws. A deeper member subtracts the averaged half-buffer
+    ratios R_a, R_b from the full-buffer ratio, which weights the halves by
+    their shares of the total weight; with the halves' log-sums differing
+    by d that leaves tanh(d / 2) / 2 * (R_a - R_b), from the identical
+    draws and with each half reduced once.
     """
-    full = _ratio(draws.log_f, draws.grad_theta_log_f)
-    if draws.level == 0:
-        return full
-    half = draws.n // 2
-    ra = _ratio(draws.log_f[:half], draws.grad_theta_log_f[:half])
-    rb = _ratio(draws.log_f[half:], draws.grad_theta_log_f[half:])
-    return full - 0.5 * (ra + rb)
+    seg = _estimator.half_segments(draws)
+    log_sums, ratios = segment_softmax_average_unchecked(
+        draws.log_f, draws.grad_theta_log_f, seg.starts
+    )
+
+    def split(a, b):
+        return 0.5 * np.tanh(0.5 * (log_sums[a] - log_sums[b]))[:, None] * (ratios[a] - ratios[b])
+
+    return _estimator.merge_halves(seg, ratios, split)
 
 
 def grad_phi_elbo_level(draws) -> np.ndarray:
-    """Score-function phi-gradient term averaged over the level's draws.
+    """Score-function phi-gradient term averaged over each member's draws,
+    (M, phi_dim).
 
     Per draw the integrand is (log f - 1) * dlog q/dphi: the -1 comes from
     the phi-dependence of f through the q denominator and has expectation
@@ -46,7 +51,8 @@ def grad_phi_elbo_level(draws) -> np.ndarray:
     expected log weight. A plain (unweighted) average at any level is
     unbiased for the lower-bound gradient, so no level reweighting applies.
     """
-    return ((draws.log_f - 1.0) @ draws.grad_phi_log_q) / draws.n
+    terms = (draws.log_f - 1.0)[:, None] * draws.grad_phi_log_q
+    return np.add.reduceat(terms, draws.starts, axis=0) / draws.sizes[:, None]
 
 
 @dataclass
@@ -75,13 +81,10 @@ def estimate_gradients(
     score-function term (each level average is unbiased on its own).
     """
     batch = _estimator.run_batch(model, data, theta, phi, cfg, rng)
-    dist = cfg.distribution()
-    grad_theta = np.zeros(model.theta_dim)
-    grad_phi = np.zeros(model.phi_dim)
-    for draws in batch:
-        grad_theta += grad_theta_level(draws) / dist.mass(draws.level)
-        grad_phi += grad_phi_elbo_level(draws)
-    scale = data.n_total / len(batch)
+    masses = cfg.distribution().mass(batch.levels)
+    grad_theta = (grad_theta_level(batch) / masses[:, None]).sum(axis=0)
+    grad_phi = grad_phi_elbo_level(batch).sum(axis=0)
+    scale = data.n_total / batch.levels.size
     total_cost, counts = _estimator.batch_cost(batch)
     return GradientEstimate(
         grad_theta=scale * grad_theta,

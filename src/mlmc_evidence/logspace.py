@@ -49,6 +49,33 @@ def log_mean_exp(values) -> float:
     return log_mean_exp_unchecked(as_log_values(values))
 
 
+def _segment_shifted(buf: np.ndarray, starts: np.ndarray):
+    # per-segment peak, and each value's exp shifted by its segment's peak
+    lengths = np.diff(starts, append=buf.size)
+    peak = np.maximum.reduceat(buf, starts)
+    shifted = np.exp(buf - np.repeat(peak, lengths))
+    return peak, shifted
+
+
+def segment_log_sum_exp_unchecked(buf: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """log(sum_i exp(v_i)) over each contiguous segment of a validated
+    buffer; segment j runs from starts[j] to starts[j + 1] (or the end).
+    Segments must be nonempty."""
+    peak, shifted = _segment_shifted(buf, starts)
+    return peak + np.log(np.add.reduceat(shifted, starts))
+
+
+def segment_softmax_average_unchecked(buf: np.ndarray, rows: np.ndarray, starts: np.ndarray):
+    """Per-segment log-sum-exp, as in `segment_log_sum_exp_unchecked`, and
+    the softmax(buf)-weighted average of the rows of `rows` within each
+    segment: sum_i exp(v_i) rows_i / sum_i exp(v_i), without leaving log
+    space."""
+    peak, shifted = _segment_shifted(buf, starts)
+    total = np.add.reduceat(shifted, starts)
+    weighted = np.add.reduceat(shifted[:, None] * rows, starts, axis=0)
+    return peak + np.log(total), weighted / total[:, None]
+
+
 def combine_halves(a: float, b: float) -> float:
     """log((e^a + e^b) / 2) for two half-buffer log-means.
 
@@ -110,12 +137,8 @@ class StreamingMoments:
         n = values.shape[0]
         if n == 0:
             return
-        batch = StreamingMoments(
-            count=n,
-            mean=values.mean(axis=0),
-            m2=((values - values.mean(axis=0)) ** 2).sum(axis=0),
-        )
-        self.merge(batch)
+        mean = values.mean(axis=0)
+        self.merge(StreamingMoments(count=n, mean=mean, m2=((values - mean) ** 2).sum(axis=0)))
 
     def merge(self, other: "StreamingMoments") -> None:
         """Fold another accumulator into this one (parallel reduction)."""

@@ -9,7 +9,10 @@ and reports, for a batch of latent draws, the log importance weight
 
     log f(x, z) = log p(x|z) + log p(z) - log q(z|x)
 
-together with d(log f)/d(theta) and d(log q)/d(phi) per draw. Everything is
+together with d(log f)/d(theta) and d(log q)/d(phi) per draw. The
+observation x is either one observation (x_dim,) shared by every draw or
+one row per draw (n, x_dim), so a whole batch of members, each with its
+own observation, is drawn and weighted in one call. Everything is
 parameterized so that theta and phi are unconstrained real vectors: standard
 deviations enter as their logarithms and gradients are taken with respect to
 the log-parameters.
@@ -38,7 +41,7 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 
 class WeightBatch(NamedTuple):
-    """Per-draw log weights and gradients for one (x, theta, phi)."""
+    """Per-draw log weights and gradients at one (theta, phi)."""
 
     log_f: np.ndarray  # (n,)
     grad_theta_log_f: np.ndarray  # (n, theta_dim)
@@ -92,11 +95,19 @@ class LatentVariableModel(abc.ABC):
 
     @abc.abstractmethod
     def sample_q(self, x, phi, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw n latents from q(z|x, phi); returns (n, z_dim)."""
+        """Draw n latents from q(z|x, phi); returns (n, z_dim).
+
+        x is one observation (x_dim,) for every draw, or one row per draw
+        (n, x_dim).
+        """
 
     @abc.abstractmethod
     def log_weight_batch(self, x, z, theta, phi) -> WeightBatch:
-        """log f and its gradients for every row of z, shape (n, z_dim)."""
+        """log f and its gradients for every row of z, shape (n, z_dim).
+
+        x is one observation (x_dim,) for every row of z, or one row per
+        row of z (n, x_dim).
+        """
 
     def log_weight(self, x, z, theta, phi) -> LogWeightSample:
         """Single-draw convenience wrapper around log_weight_batch."""
@@ -137,6 +148,18 @@ def _check_vector(name: str, v, length: int) -> np.ndarray:
     return v
 
 
+def _check_x(x, x_dim: int, n: int) -> np.ndarray:
+    """One observation (x_dim,), or one row per draw (n, x_dim)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim < 2:
+        return _check_vector("x", x, x_dim)
+    if x.shape != (n, x_dim):
+        raise ContractViolation(f"x rows must have shape {(n, x_dim)}, got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ContractViolation("x contains non-finite entries")
+    return x
+
+
 class GaussianConjugateModel(LatentVariableModel):
     """Fully conjugate diagonal Gaussian model with analytic everything.
 
@@ -172,15 +195,15 @@ class GaussianConjugateModel(LatentVariableModel):
 
     def sample_q(self, x, phi, rng, n):
         a, b, log_s = self.split_phi(phi)
-        x = _check_vector("x", x, self.x_dim)
+        x = _check_x(x, self.x_dim, n)
         mean = a * x + b
         return mean + np.exp(log_s) * rng.standard_normal((n, self.dim))
 
     def log_weight_batch(self, x, z, theta, phi):
         mu0, log_s0, log_sx = self.split_theta(theta)
         a, b, log_s = self.split_phi(phi)
-        x = _check_vector("x", x, self.x_dim)
         z = np.asarray(z, dtype=np.float64)
+        x = _check_x(x, self.x_dim, z.shape[0])
 
         v0 = np.exp(2.0 * log_s0)
         vx = np.exp(2.0 * log_sx)
@@ -310,21 +333,30 @@ class BernoulliGaussianModel(LatentVariableModel):
     phi_dim = 4
 
     def _q_params(self, x, phi):
+        """q's mean and log scale for each observation in x, picked by its
+        class k (0 for x = 0, else 1); scalars for one observation, one
+        entry per row for rows."""
         phi = _check_vector("phi", phi, self.phi_dim)
-        x = _check_vector("x", x, self.x_dim)
-        k = int(x[0] != 0.0)
-        return float(x[0]), phi[2 * k], phi[2 * k + 1], k
+        k = (x[..., 0] != 0.0).astype(np.intp)
+        return phi[2 * k], phi[2 * k + 1], k
 
     def sample_q(self, x, phi, rng, n):
-        _, m, log_s, _ = self._q_params(x, phi)
-        return m + math.exp(log_s) * rng.standard_normal((n, 1))
+        x = _check_x(x, self.x_dim, n)
+        m, log_s, _ = self._q_params(x, phi)
+        # (n,) per-row parameters become columns; scalars broadcast as is
+        m, log_s = m[..., None], log_s[..., None]
+        return m + np.exp(log_s) * rng.standard_normal((n, 1))
 
     def log_weight_batch(self, x, z, theta, phi):
         theta = _check_vector("theta", theta, self.theta_dim)
-        xv, m, log_s, k = self._q_params(x, phi)
-        if xv not in (0.0, 1.0):
-            raise ContractViolation(f"observation must be 0 or 1, got {xv}")
         z = np.asarray(z, dtype=np.float64)
+        n = z.shape[0]
+        x = _check_x(x, self.x_dim, n)
+        xv = x[..., 0]
+        bad = (xv != 0.0) & (xv != 1.0)
+        if bad.any():
+            raise ContractViolation(f"observation must be 0 or 1, got {xv[bad].flat[0]}")
+        m, log_s, k = self._q_params(x, phi)
         zs = z[:, 0]
         w, c = theta
         eta = w * zs + c
@@ -332,19 +364,20 @@ class BernoulliGaussianModel(LatentVariableModel):
 
         log_lik = _log_sigmoid(sign * eta)
         log_prior = -0.5 * (_LOG_2PI + zs * zs)
-        vq = math.exp(2.0 * log_s)
+        vq = np.exp(2.0 * log_s)
         dzq = zs - m
         log_q = -0.5 * (_LOG_2PI + dzq * dzq / vq) - log_s
 
-        n = z.shape[0]
         resid = xv - 1.0 / (1.0 + np.exp(-eta))  # x - sigmoid(eta)
         gt = np.empty((n, 2))
         gt[:, 0] = zs * resid
         gt[:, 1] = resid
 
+        # only the observed class's q parameters move log q
+        rows = np.arange(n)
         gq = np.zeros((n, 4))
-        gq[:, 2 * k] = dzq / vq
-        gq[:, 2 * k + 1] = dzq * dzq / vq - 1.0
+        gq[rows, 2 * k] = dzq / vq
+        gq[rows, 2 * k + 1] = dzq * dzq / vq - 1.0
 
         return WeightBatch(log_lik + log_prior - log_q, gt, gq)
 
@@ -388,7 +421,8 @@ class BernoulliGaussianModel(LatentVariableModel):
         against q's Gaussian, not from Monte Carlo draws.
         """
         theta = _check_vector("theta", theta, self.theta_dim)
-        xv, m, log_s, k = self._q_params(x, phi)
+        x = _check_vector("x", x, self.x_dim)
+        m, log_s, k = self._q_params(x, phi)
         nodes, log_wts = _hermgauss(n_nodes)
         s = math.exp(log_s)
         z = (m + s * nodes).reshape(-1, 1)

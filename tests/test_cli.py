@@ -280,6 +280,44 @@ class TestExitCodes:
         assert err.startswith("error: ")
         assert message in err
 
+    @pytest.mark.parametrize("argv, key, value", [
+        (["moments", "--draws", "10000"], "x_index", "2"),
+        (["estimate", "--batch", "4"], "seed", "7"),
+        (["estimate", "--batch", "4"], "seed", 7.0),
+        (["estimate", "--batch", "4"], "n0", True),
+        (["estimate", "--batch", "4"], "ratio_log2", "-1.5"),
+        (["estimate", "--batch", "4"], "phi", [0.0, "0", 0.3]),
+        (["estimate", "--batch", "4"], "model", "poisson"),
+        (["variance-profile", "--levels", "1..3", "--reps", "100"], "naive", "yes"),
+    ], ids=["moments-x-index-string", "estimate-seed-string", "int-given-float",
+            "int-given-bool", "float-given-string", "vector-with-string", "not-a-choice",
+            "switch-given-string"])
+    def test_manifest_value_of_wrong_type_rejected(self, tmp_path, capsys, argv, key, value):
+        first = tmp_path / "first"
+        code, _, _ = run_cli(capsys, *argv, "--out", str(first))
+        assert code == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        manifest[key] = value
+        (first / "manifest.json").write_text(json.dumps(manifest))
+        replay = tmp_path / "replay"
+        code, out, err = run_cli(capsys, "rerun", "--manifest", str(first / "manifest.json"),
+                                 "--out", str(replay))
+        assert code == 1
+        assert err.startswith("error: ") and f"{key}=" in err
+        assert out == ""
+        assert not replay.exists()
+
+    def test_float_flag_accepts_integer_manifest_value(self, tmp_path, capsys):
+        first = tmp_path / "first"
+        code, _, _ = run_cli(capsys, "estimate", "--batch", "4", "--out", str(first))
+        assert code == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        manifest["ratio_log2"] = -2
+        (first / "manifest.json").write_text(json.dumps(manifest))
+        code, _, _ = run_cli(capsys, "rerun", "--manifest", str(first / "manifest.json"),
+                             "--out", str(tmp_path / "replay"))
+        assert code == 0
+
     def test_wrong_dim_vector_rejected(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "estimate", "--theta", "1,2",
                                "--out", str(tmp_path / "x"))

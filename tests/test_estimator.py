@@ -7,22 +7,26 @@ import math
 import numpy as np
 import pytest
 
+from mlmc_evidence import estimator as estimator_module
 from mlmc_evidence import gradients
 from mlmc_evidence import rng as rng_module
+from mlmc_evidence.diagnostics import naive_difference, naive_grad_theta, variance_profile
 from mlmc_evidence.errors import ContractViolation, ResourceGuardExceeded
 from mlmc_evidence.estimator import (
     EstimatorConfig,
     LevelDistribution,
+    antithetic_difference,
     draw_batch_indices,
+    draw_chunks,
     draw_level_samples,
     estimate_log_evidence,
     level_estimate,
     run_batch,
     sample_level,
 )
-from mlmc_evidence.gradients import estimate_gradients
+from mlmc_evidence.gradients import estimate_gradients, grad_phi_elbo_level, grad_theta_level
 from mlmc_evidence.logspace import combine_halves, log_mean_exp
-from mlmc_evidence.models import GaussianConjugateModel
+from mlmc_evidence.models import BernoulliGaussianModel, GaussianConjugateModel
 from mlmc_evidence.rng import substream
 
 MODEL = GaussianConjugateModel(1)
@@ -328,10 +332,14 @@ class TestEstimateLogEvidence:
             for i, level in zip(indices, levels)
         ]
         batch = run_batch(MODEL, DATA, THETA, PHI_WIDE, cfg, substream(119, 0))
-        assert [d.level for d in batch] == levels
-        for got, want in zip(batch, expected):
-            np.testing.assert_array_equal(got.log_f, want.log_f)
-            np.testing.assert_array_equal(got.grad_theta_log_f, want.grad_theta_log_f)
+        np.testing.assert_array_equal(batch.levels, levels)
+        assert batch.n == sum(want.n for want in expected)
+        for start, size, want in zip(batch.starts, batch.sizes, expected):
+            assert size == want.n
+            member = slice(start, start + size)
+            np.testing.assert_array_equal(batch.log_f[member], want.log_f)
+            np.testing.assert_array_equal(batch.grad_theta_log_f[member], want.grad_theta_log_f)
+            np.testing.assert_array_equal(batch.grad_phi_log_q[member], want.grad_phi_log_q)
 
     def test_computes_no_gradients(self, monkeypatch):
         # the evidence path reduces each member's draws to its level value
@@ -351,3 +359,162 @@ class TestEstimateLogEvidence:
         cfg = EstimatorConfig()
         with pytest.raises(ContractViolation):
             estimate_log_evidence(MODEL, empty, THETA, PHI_WIDE, cfg, substream(116, 0))
+
+
+class FixedUniforms:
+    """Stands in for a generator in draw_batch_indices: index 0 for every
+    member, then the given uniforms as the level variates."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def integers(self, low, high, size):
+        return np.zeros(size, dtype=np.int64)
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u
+
+
+class TestBatchLevels:
+    def test_same_levels_as_sample_level(self):
+        cfg = EstimatorConfig(batch_size=100_000)
+        indices, levels = draw_batch_indices(DATA, cfg, substream(121, 0))
+        rng = substream(121, 0)
+        np.testing.assert_array_equal(indices, rng.integers(0, DATA.n_total, size=cfg.batch_size))
+        dist = cfg.distribution()
+        expected = [sample_level(dist, float(u)) for u in rng.random(cfg.batch_size)]
+        np.testing.assert_array_equal(levels, expected)
+
+    def test_exact_powers_of_the_ratio(self):
+        # quotients ln u / ln r sit on or next to an integer here, where a
+        # last-bit difference in the logarithm would move the floor
+        cfg = EstimatorConfig()
+        dist = cfg.distribution()
+        powers = dist.ratio ** np.arange(1, 36)
+        u = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, 1.0)])
+        _, levels = draw_batch_indices(DATA, EstimatorConfig(batch_size=u.size), FixedUniforms(u))
+        np.testing.assert_array_equal(levels, [sample_level(dist, float(v)) for v in u])
+
+    def test_level_above_cap_raises(self):
+        dist = LevelDistribution()
+        cfg = EstimatorConfig(batch_size=3, level_cap=10)
+        u = [0.5, dist.ratio**12 * 0.9, 0.5]
+        with pytest.raises(ResourceGuardExceeded):
+            draw_batch_indices(DATA, cfg, FixedUniforms(u))
+
+
+class RowCountingModel(GaussianConjugateModel):
+    """The Gaussian model, recording the largest sample_q row count."""
+
+    def __init__(self, dim):
+        super().__init__(dim)
+        self.max_rows = 0
+
+    def sample_q(self, x, phi, rng, n):
+        self.max_rows = max(self.max_rows, n)
+        return super().sample_q(x, phi, rng, n)
+
+
+class TestDrawBudget:
+    CFG = EstimatorConfig(n0=8, batch_size=32)
+
+    def outputs(self, model):
+        est = estimate_log_evidence(model, DATA, THETA, PHI_WIDE, self.CFG, substream(122, 0))
+        grads = estimate_gradients(model, DATA, THETA, PHI_WIDE, self.CFG, substream(122, 1))
+        profile = variance_profile(
+            model, DATA, THETA, PHI_WIDE, range(0, 4), 100, self.CFG, substream(122, 2)
+        )
+        return est, grads, profile
+
+    @pytest.mark.parametrize("budget", [16, 40])
+    def test_budget_changes_no_output(self, monkeypatch, budget):
+        est, grads, profile = self.outputs(MODEL)
+        monkeypatch.setattr(estimator_module, "DRAW_BUDGET", budget)
+        est_b, grads_b, profile_b = self.outputs(MODEL)
+        assert est_b == est
+        np.testing.assert_array_equal(grads_b.grad_theta, grads.grad_theta)
+        np.testing.assert_array_equal(grads_b.grad_phi, grads.grad_phi)
+        assert (grads_b.total_cost, grads_b.per_level_counts) == (
+            grads.total_cost, grads.per_level_counts)
+        assert profile_b == profile
+
+    @pytest.mark.parametrize("budget", [16, 40])
+    def test_budget_bounds_each_model_call(self, monkeypatch, budget):
+        monkeypatch.setattr(estimator_module, "DRAW_BUDGET", budget)
+        model = RowCountingModel(1)
+        est, grads, _ = self.outputs(model)
+        deepest = max(*est.per_level_counts, *grads.per_level_counts, 3)
+        largest = self.CFG.n0 << deepest
+        assert 0 < model.max_rows <= max(budget, largest)
+
+
+def raw_level_route(log_f, grad_theta_log_f, grad_phi_log_q, level):
+    """Independent route for one member's reductions: raw numpy formulas
+    on its own slice of draws, the full buffer and both halves each
+    reduced directly. Returns the antithetic value, its theta-gradient, the
+    phi term, and the naive value and theta-gradient."""
+
+    def lme(v):
+        return v.max() + np.log(np.exp(v - v.max()).mean())
+
+    def ratio(v, g):
+        w = np.exp(v - v.max())
+        return w @ g / w.sum()
+
+    full, r_full = lme(log_f), ratio(log_f, grad_theta_log_f)
+    phi_term = (log_f - 1.0) @ grad_phi_log_q / log_f.size
+    if level == 0:
+        return full, r_full, phi_term, full, r_full
+    h = log_f.size // 2
+    a, b = slice(0, h), slice(h, None)
+    r_a = ratio(log_f[a], grad_theta_log_f[a])
+    r_b = ratio(log_f[b], grad_theta_log_f[b])
+    return (
+        full - 0.5 * (lme(log_f[a]) + lme(log_f[b])),
+        r_full - 0.5 * (r_a + r_b),
+        phi_term,
+        full - lme(log_f[a]),
+        r_full - r_a,
+    )
+
+
+class TestSegmentReducers:
+    LEVELS = np.array([0, 2, 0, 1, 3, 0, 1, 0])
+
+    def check_against_raw_route(self, model, x_rows, theta, phi, seed):
+        cfg = EstimatorConfig(n0=4)
+        (draws,) = draw_chunks(model, x_rows, self.LEVELS, theta, phi, cfg, substream(seed, 0))
+        got = [
+            antithetic_difference(draws),
+            grad_theta_level(draws),
+            grad_phi_elbo_level(draws),
+            naive_difference(draws),
+            naive_grad_theta(draws),
+        ]
+        m = self.LEVELS.size
+        assert [g.shape for g in got] == [
+            (m,), (m, model.theta_dim), (m, model.phi_dim), (m,), (m, model.theta_dim)]
+        for i, (start, size) in enumerate(zip(draws.starts, draws.sizes)):
+            member = slice(start, start + size)
+            want = raw_level_route(
+                draws.log_f[member], draws.grad_theta_log_f[member],
+                draws.grad_phi_log_q[member], self.LEVELS[i],
+            )
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(g[i], w, rtol=1e-12, atol=1e-12)
+
+    def test_gaussian_dim_three(self):
+        model = GaussianConjugateModel(3)
+        theta = np.array([0.2, -0.1, 0.4, 0.1, 0.0, -0.2, -0.5, -0.4, -0.6])
+        phi = model.posterior_phi(theta) + np.array([0.1, 0.0, -0.1, 0.2, -0.2, 0.1, 0.3, 0.2, 0.4])
+        data = model.generate_data(theta, self.LEVELS.size, substream(123, 0))
+        self.check_against_raw_route(model, data.x, theta, phi, 124)
+
+    def test_bernoulli_both_classes(self):
+        # per-row q parameters: each member draws from its own class's q
+        model = BernoulliGaussianModel()
+        theta = np.array([1.3, -0.4])
+        phi = np.array([0.3, -0.2, -0.5, 0.1])
+        x_rows = np.array([[0.0], [1.0], [1.0], [0.0], [1.0], [0.0], [0.0], [1.0]])
+        self.check_against_raw_route(model, x_rows, theta, phi, 125)

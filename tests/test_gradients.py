@@ -9,6 +9,7 @@ import numpy as np
 
 from mlmc_evidence.estimator import (
     EstimatorConfig,
+    LevelDraws,
     antithetic_difference,
     draw_level_samples,
     estimate_log_evidence,
@@ -54,7 +55,7 @@ class TestGradThetaLevel:
             f = np.exp(draws.log_f)
             direct = (f[:, None] * draws.grad_theta_log_f).sum(0) / f.sum()
             np.testing.assert_allclose(
-                grad_theta_level(draws), direct, rtol=1e-10, atol=1e-12
+                grad_theta_level(draws)[0], direct, rtol=1e-10, atol=1e-12
             )
 
     def test_zero_vector_at_posterior_higher_levels(self):
@@ -99,7 +100,7 @@ class TestGradThetaLevel:
             MODEL, DATA.x[0], THETA, PHI_WIDE, 0, cfg, substream(206, 0)
         )
         np.testing.assert_array_equal(
-            grad_theta_level(draws), draws.grad_theta_log_f[0]
+            grad_theta_level(draws)[0], draws.grad_theta_log_f[0]
         )
 
 
@@ -112,7 +113,7 @@ class TestGradPhiLevel:
         )
         c = draws.log_f[0]
         expected = (c - 1.0) * draws.grad_phi_log_q.mean(axis=0)
-        np.testing.assert_allclose(grad_phi_elbo_level(draws), expected, atol=1e-12)
+        np.testing.assert_allclose(grad_phi_elbo_level(draws)[0], expected, atol=1e-12)
 
     def test_stationary_at_posterior(self):
         # the lower bound is maximized in phi at the posterior, so the
@@ -137,7 +138,7 @@ class TestGradPhiLevel:
         se = per_draw.std(axis=0, ddof=1) / math.sqrt(draws.n)
         np.testing.assert_array_less(np.abs(per_draw.mean(axis=0) - oracle), 4 * se)
         np.testing.assert_allclose(
-            grad_phi_elbo_level(draws), per_draw.mean(axis=0), atol=1e-12
+            grad_phi_elbo_level(draws)[0], per_draw.mean(axis=0), atol=1e-12
         )
 
 
@@ -172,21 +173,32 @@ class TestEstimateGradients:
 
     def test_shared_draws_with_batch_fold(self):
         # from one seed, both estimators are exact folds of the same batch
-        # draws: the gradients fold the level gradients, the evidence
-        # estimate folds the reweighted level values
+        # buffer: the gradients fold its per-member gradient rows, the
+        # evidence estimate folds its reweighted level values, and each
+        # member's rows are the reductions of its own slice alone
         batch = run_batch(MODEL, DATA, THETA, PHI_WIDE, CFG, substream(212, 0))
-        dist = CFG.distribution()
+        masses = CFG.distribution().mass(batch.levels)
         n, m = DATA.n_total, CFG.batch_size
+        rows_t, rows_p = grad_theta_level(batch), grad_phi_elbo_level(batch)
+        assert rows_t.shape == (m, MODEL.theta_dim) and rows_p.shape == (m, MODEL.phi_dim)
+        values = antithetic_difference(batch)
+        for i, (start, size) in enumerate(zip(batch.starts, batch.sizes)):
+            member = slice(start, start + size)
+            alone = LevelDraws(
+                batch.levels[i : i + 1], batch.n0, batch.log_f[member],
+                batch.grad_theta_log_f[member], batch.grad_phi_log_q[member],
+            )
+            np.testing.assert_array_equal(grad_theta_level(alone)[0], rows_t[i])
+            np.testing.assert_array_equal(grad_phi_elbo_level(alone)[0], rows_p[i])
+            assert antithetic_difference(alone)[0] == values[i]
 
         est = estimate_gradients(MODEL, DATA, THETA, PHI_WIDE, CFG, substream(212, 0))
-        gt = n / m * sum(grad_theta_level(d) / dist.mass(d.level) for d in batch)
-        gp = n / m * sum(grad_phi_elbo_level(d) for d in batch)
-        np.testing.assert_array_equal(est.grad_theta, gt)
-        np.testing.assert_array_equal(est.grad_phi, gp)
-        assert est.total_cost == sum(d.n for d in batch)
+        np.testing.assert_array_equal(est.grad_theta, n / m * (rows_t / masses[:, None]).sum(axis=0))
+        np.testing.assert_array_equal(est.grad_phi, n / m * rows_p.sum(axis=0))
+        assert est.total_cost == batch.n == batch.sizes.sum()
 
         ev = estimate_log_evidence(MODEL, DATA, THETA, PHI_WIDE, CFG, substream(212, 0))
-        terms = np.array([antithetic_difference(d) / dist.mass(d.level) for d in batch])
+        terms = values / masses
         assert ev.value == n * float(terms.mean())
         assert ev.std_error == n * float(terms.std(ddof=1)) / math.sqrt(m)
         assert ev.total_cost == est.total_cost

@@ -146,6 +146,21 @@ class TestStreamingMoments:
         np.testing.assert_allclose(a.mean, b.mean, rtol=1e-12)
         np.testing.assert_allclose(a.variance(), b.variance(), rtol=1e-9)
 
+    @pytest.mark.parametrize("shape", [(700,), (700, 3)], ids=["scalar", "vector"])
+    def test_push_many_chunks_equal_pushes(self, shape):
+        rng = np.random.default_rng(20)
+        values = rng.standard_normal(shape) * 3.0 + 1.5
+        pushed = StreamingMoments()
+        for v in values:
+            pushed.push(v)
+        for cuts in ([700], [1, 699], [64, 64, 300, 272]):
+            chunked = StreamingMoments()
+            for chunk in np.split(values, np.cumsum(cuts)[:-1]):
+                chunked.push_many(chunk)
+            assert chunked.count == pushed.count
+            np.testing.assert_allclose(chunked.mean, pushed.mean, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(chunked.variance(), pushed.variance(), rtol=1e-12)
+
     def test_merge_matches_single_stream(self):
         rng = np.random.default_rng(19)
         values = rng.standard_normal(4001)

@@ -301,6 +301,53 @@ class TestSampler:
         assert np.all(mean[~live] == 0.0)
 
 
+class TestRowsPerDraw:
+    """x as one row per draw gives what one observation per call gives."""
+
+    def check_rows(self, model, x_rows, theta, phi, sizes, seed):
+        rows = np.repeat(x_rows, sizes, axis=0)
+        z = model.sample_q(rows, phi, substream(seed, 0), rows.shape[0])
+        batch = model.log_weight_batch(rows, z, theta, phi)
+        rng = substream(seed, 0)
+        start = 0
+        for x, size in zip(x_rows, sizes):
+            member = slice(start, start + size)
+            z_one = model.sample_q(x, phi, rng, size)
+            np.testing.assert_array_equal(z[member], z_one)
+            one = model.log_weight_batch(x, z_one, theta, phi)
+            for got, want in zip(batch, one):
+                np.testing.assert_allclose(got[member], want, rtol=1e-14, atol=1e-14)
+            start += size
+
+    def test_gaussian(self):
+        model = GaussianConjugateModel(2)
+        theta = np.array([0.1, -0.2, 0.3, 0.0, -0.5, -0.4])
+        phi = np.array([0.4, 0.5, -0.1, 0.2, 0.25, 0.1])
+        x_rows = np.array([[0.3, -1.0], [1.2, 0.4], [-0.7, 0.0]])
+        self.check_rows(model, x_rows, theta, phi, [4, 1, 8], 11)
+
+    def test_bernoulli_mixed_classes(self):
+        theta = np.array([1.3, -0.4])
+        phi = np.array([0.3, -0.2, -0.5, 0.1])
+        x_rows = np.array([[1.0], [0.0], [0.0], [1.0]])
+        self.check_rows(BERNOULLI, x_rows, theta, phi, [3, 5, 2, 6], 12)
+
+    def test_bernoulli_rejects_any_bad_row(self):
+        rows = np.array([[0.0], [1.0], [0.5]])
+        with pytest.raises(ContractViolation, match="0 or 1"):
+            BERNOULLI.log_weight_batch(rows, np.zeros((3, 1)), np.zeros(2), np.zeros(4))
+
+    @pytest.mark.parametrize("model", [GAUSSIAN, BERNOULLI], ids=["gaussian", "bernoulli"])
+    def test_row_count_must_match(self, model):
+        rows = np.zeros((3, 1))
+        with pytest.raises(ContractViolation, match="x rows"):
+            model.sample_q(rows, np.zeros(model.phi_dim), substream(13, 0), 4)
+        with pytest.raises(ContractViolation, match="x rows"):
+            model.log_weight_batch(
+                rows, np.zeros((4, 1)), np.zeros(model.theta_dim), np.zeros(model.phi_dim)
+            )
+
+
 class TestDataset:
     def test_n_total_must_match(self):
         with pytest.raises(ContractViolation):
