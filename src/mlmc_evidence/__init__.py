@@ -14,16 +14,15 @@ from .estimator import (
     LevelEstimate,
     estimate_log_evidence,
     level_estimate,
-    sample_level,
+    sample_levels,
 )
 from .gradients import GradientEstimate, estimate_gradients
-from .logspace import StreamingMoments, combine_halves, log_mean_exp, softmax_weights
+from .logspace import StreamingMoments, log_mean_exp, softmax_weights
 from .models import (
     BernoulliGaussianModel,
     Dataset,
     GaussianConjugateModel,
     LatentVariableModel,
-    LogWeightSample,
     load_dataset,
     save_dataset,
 )
@@ -43,19 +42,17 @@ __all__ = [
     "LatentVariableModel",
     "LevelDistribution",
     "LevelEstimate",
-    "LogWeightSample",
     "ResourceGuardExceeded",
     "RunRecord",
     "StreamingMoments",
     "TrainConfig",
     "UnsupportedOperation",
-    "combine_halves",
     "estimate_gradients",
     "estimate_log_evidence",
     "level_estimate",
     "load_dataset",
     "log_mean_exp",
-    "sample_level",
+    "sample_levels",
     "save_dataset",
     "softmax_weights",
     "train",

@@ -257,23 +257,23 @@ def finite_difference_check(model, data: Dataset, points: int, step: float, rng)
         theta = 0.5 * rng.standard_normal(model.theta_dim)
         phi = 0.5 * rng.standard_normal(model.phi_dim)
         z = model.sample_q(x, phi, rng, 1)
-        sample = model.log_weight(x, z, theta, phi)
+        sample = model.log_weight_batch(x, z, theta, phi)
 
         def log_f_at(theta_v, phi_v):
-            return model.log_weight(x, z, theta_v, phi_v).log_f
+            return float(model.log_weight_batch(x, z, theta_v, phi_v).log_f[0])
 
         for j in range(model.theta_dim):
             e = np.zeros(model.theta_dim)
             e[j] = step
             fd = (log_f_at(theta + e, phi) - log_f_at(theta - e, phi)) / (2 * step)
-            g = sample.grad_theta_log_f[j]
+            g = sample.grad_theta_log_f[0, j]
             worst = max(worst, abs(fd - g) / max(1.0, abs(g)))
         for j in range(model.phi_dim):
             e = np.zeros(model.phi_dim)
             e[j] = step
             # f depends on phi only through the q denominator
             fd = -(log_f_at(theta, phi + e) - log_f_at(theta, phi - e)) / (2 * step)
-            g = sample.grad_phi_log_q[j]
+            g = sample.grad_phi_log_q[0, j]
             worst = max(worst, abs(fd - g) / max(1.0, abs(g)))
     return worst
 

@@ -31,11 +31,7 @@ from .estimator import (
 )
 from .estimator import draw_level_samples  # noqa: F401  perfbench/tracer.py wraps this name here
 from .gradients import grad_theta_level
-from .logspace import (
-    StreamingMoments,
-    segment_log_sum_exp_unchecked,
-    segment_softmax_average_unchecked,
-)
+from .logspace import segment_log_sum_exp_unchecked, segment_softmax_average_unchecked
 from .models import Dataset, LatentVariableModel
 
 log = logging.getLogger(__name__)
@@ -95,7 +91,9 @@ def variance_profile(
     rng: np.random.Generator,
     antithetic: bool = True,
 ) -> list[LevelStats]:
-    """Replicate independent level estimates and accumulate their moments.
+    """Replicate independent level estimates: per level, the mean and
+    variance (ddof 1) of the replications' level values, and the largest
+    variance of a theta-gradient component.
 
     Each level gets one stream spawned from `rng`. It draws the level's
     replication data indices, then every replication's latents in order,
@@ -128,16 +126,14 @@ def variance_profile(
             values.append(value_fn(draws))
             grads.append(grad_fn(draws))
             cost += draws.n
-        z_mom = StreamingMoments()
-        z_mom.push_many(np.concatenate(values))
-        g_mom = StreamingMoments()
-        g_mom.push_many(np.concatenate(grads))
+        values = np.concatenate(values)
+        grads = np.concatenate(grads)
         stats.append(
             LevelStats(
                 level=lvl,
-                mean_z=float(z_mom.mean),
-                var_z=float(z_mom.variance()),
-                var_grad_theta_max=float(np.max(g_mom.variance())),
+                mean_z=float(values.mean()),
+                var_z=float(values.var(ddof=1)),
+                var_grad_theta_max=float(np.max(grads.var(axis=0, ddof=1))),
                 mean_cost=cost / replications,
                 replications=replications,
             )

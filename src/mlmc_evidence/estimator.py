@@ -74,24 +74,6 @@ class LevelDistribution:
         return (1.0 - self.ratio) / (1.0 - 2.0 * self.ratio)
 
 
-def sample_level(dist: LevelDistribution, u: float, level_cap: int = DEFAULT_LEVEL_CAP) -> int:
-    """Exact inverse-CDF sample: floor(ln u / ln r) has survival r^l.
-
-    Exceeding `level_cap` raises instead of clamping, which preserves the
-    no-truncation-bias property; at the default ratio the cap sits at
-    probability r^40 ~ 1e-18, so a trip means misconfiguration, not bad
-    luck.
-    """
-    if not (0.0 < u < 1.0):
-        raise ContractViolation(f"uniform variate must lie strictly in (0, 1), got {u}")
-    level = int(math.floor(math.log(u) / math.log(dist.ratio)))
-    if level > level_cap:
-        raise ResourceGuardExceeded(
-            f"sampled level {level} exceeds level cap {level_cap}"
-        )
-    return level
-
-
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Knobs of the randomized multilevel estimator.
@@ -303,24 +285,23 @@ def level_estimate(
 def sample_levels(
     dist: LevelDistribution, u: np.ndarray, level_cap: int = DEFAULT_LEVEL_CAP
 ) -> np.ndarray:
-    """`sample_level` for an array of uniforms, level for level.
+    """Exact inverse-CDF levels of uniforms u in (0, 1]: level l where
+    r^(l+1) < u <= r^l, so P(level >= l) = r^l.
 
-    numpy's log may differ from the scalar one in the last bit, which moves
-    floor(ln u / ln r) only where the quotient sits at an integer; those
-    few uniforms are recomputed by `sample_level` itself.
+    Each level is the count of thresholds r^1, ..., r^(level_cap + 1) that
+    u does not exceed. Exceeding `level_cap` raises instead of clamping,
+    which preserves the no-truncation-bias property; at the default ratio
+    the cap sits at probability r^40 ~ 1e-18, so a trip means
+    misconfiguration, not bad luck.
     """
     u = np.asarray(u, dtype=np.float64)
-    if not ((u > 0.0) & (u < 1.0)).all():
-        bad = u[~((u > 0.0) & (u < 1.0))][0]
-        raise ContractViolation(f"uniform variate must lie strictly in (0, 1), got {bad}")
-    quotient = np.log(u) / math.log(dist.ratio)
-    levels = np.floor(quotient).astype(np.int64)
-    for i in np.flatnonzero(np.abs(quotient - np.rint(quotient)) < 1e-9):
-        levels[i] = sample_level(dist, float(u[i]), level_cap)
+    bad = ~((u > 0.0) & (u <= 1.0))
+    if bad.any():
+        raise ContractViolation(f"uniform variate must lie in (0, 1], got {u[bad][0]}")
+    bounds = dist.ratio ** np.arange(level_cap + 1, 0, -1)
+    levels = bounds.size - np.searchsorted(bounds, u)
     if levels.size and levels.max() > level_cap:
-        raise ResourceGuardExceeded(
-            f"sampled level {int(levels.max())} exceeds level cap {level_cap}"
-        )
+        raise ResourceGuardExceeded(f"sampled level exceeds level cap {level_cap}")
     return levels
 
 
@@ -328,11 +309,14 @@ def draw_batch_indices(
     data: Dataset, cfg: EstimatorConfig, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """The batch's (data index, level) pairs: indices uniform with
-    replacement, levels by exact inverse-CDF from the level distribution."""
+    replacement, levels by exact inverse-CDF from the level distribution.
+    A uniform variate of exactly 0.0 counts as 1.0, so the variates are
+    uniform on (0, 1]."""
     if data.n_total < 1:
         raise ContractViolation("dataset is empty")
     indices = rng.integers(0, data.n_total, size=cfg.batch_size)
-    levels = sample_levels(cfg.distribution(), rng.random(cfg.batch_size), cfg.level_cap)
+    u = rng.random(cfg.batch_size)
+    levels = sample_levels(cfg.distribution(), np.where(u == 0.0, 1.0, u), cfg.level_cap)
     return indices, levels
 
 

@@ -6,14 +6,11 @@ single max-shift pass in double precision.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ContractViolation
-
-_LOG2 = math.log(2.0)
 
 
 def as_log_values(values) -> np.ndarray:
@@ -76,21 +73,6 @@ def segment_softmax_average_unchecked(buf: np.ndarray, rows: np.ndarray, starts:
     return peak + np.log(total), weighted / total[:, None]
 
 
-def combine_halves(a: float, b: float) -> float:
-    """log((e^a + e^b) / 2) for two half-buffer log-means.
-
-    Agrees with log_mean_exp over the concatenated halves to a few ulps,
-    which is what makes the antithetic telescoping identity exact in
-    floating point.
-    """
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ContractViolation(f"non-finite inputs to combine_halves: {a!r}, {b!r}")
-    hi = a if a >= b else b
-    return hi + math.log1p(math.exp(-abs(a - b))) - _LOG2
-
-
 def softmax_weights_unchecked(buf: np.ndarray) -> np.ndarray:
     """softmax_weights for buffers already validated by as_log_values."""
     e = np.exp(buf - buf.max())
@@ -113,8 +95,7 @@ class StreamingMoments:
     """Single-pass (Welford) accumulator for mean and variance.
 
     Works on scalars or fixed-shape vectors; `m2` is the running sum of
-    squared deviations, so variance = m2 / (count - 1). Single writer;
-    use `merge` to combine accumulators filled in parallel.
+    squared deviations, so variance = m2 / (count - 1).
     """
 
     count: int = 0
@@ -130,30 +111,6 @@ class StreamingMoments:
         delta = value - self.mean
         self.mean = self.mean + delta / self.count
         self.m2 = self.m2 + delta * (value - self.mean)
-
-    def push_many(self, values) -> None:
-        """Absorb a batch along axis 0 (equivalent to repeated push)."""
-        values = np.asarray(values, dtype=np.float64)
-        n = values.shape[0]
-        if n == 0:
-            return
-        mean = values.mean(axis=0)
-        self.merge(StreamingMoments(count=n, mean=mean, m2=((values - mean) ** 2).sum(axis=0)))
-
-    def merge(self, other: "StreamingMoments") -> None:
-        """Fold another accumulator into this one (parallel reduction)."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self.mean = np.copy(other.mean)
-            self.m2 = np.copy(other.m2)
-            return
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        self.mean = self.mean + delta * (other.count / total)
-        self.m2 = self.m2 + other.m2 + delta * delta * (self.count * other.count / total)
-        self.count = total
 
     def variance(self) -> np.ndarray:
         if self.count < 2:

@@ -48,16 +48,6 @@ class WeightBatch(NamedTuple):
     grad_phi_log_q: np.ndarray  # (n, phi_dim)
 
 
-@dataclass
-class LogWeightSample:
-    """One latent draw's log weight plus its parameter gradients."""
-
-    z: np.ndarray
-    log_f: float
-    grad_theta_log_f: np.ndarray
-    grad_phi_log_q: np.ndarray
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Observations stacked row-wise, (n_total, x_dim)."""
@@ -108,17 +98,6 @@ class LatentVariableModel(abc.ABC):
         x is one observation (x_dim,) for every row of z, or one row per
         row of z (n, x_dim).
         """
-
-    def log_weight(self, x, z, theta, phi) -> LogWeightSample:
-        """Single-draw convenience wrapper around log_weight_batch."""
-        z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        batch = self.log_weight_batch(x, z, theta, phi)
-        return LogWeightSample(
-            z=z[0],
-            log_f=float(batch.log_f[0]),
-            grad_theta_log_f=batch.grad_theta_log_f[0],
-            grad_phi_log_q=batch.grad_phi_log_q[0],
-        )
 
     @abc.abstractmethod
     def generate_data(self, theta, n: int, rng: np.random.Generator) -> Dataset:

@@ -22,10 +22,10 @@ from mlmc_evidence.estimator import (
     estimate_log_evidence,
     level_estimate,
     run_batch,
-    sample_level,
+    sample_levels,
 )
 from mlmc_evidence.gradients import estimate_gradients, grad_phi_elbo_level, grad_theta_level
-from mlmc_evidence.logspace import combine_halves, log_mean_exp
+from mlmc_evidence.logspace import log_mean_exp
 from mlmc_evidence.models import BernoulliGaussianModel, GaussianConjugateModel
 from mlmc_evidence.rng import substream
 
@@ -34,6 +34,12 @@ THETA = np.zeros(3)
 PHI_POSTERIOR = MODEL.posterior_phi(THETA)
 PHI_WIDE = np.array([0.0, 0.0, 0.5 * math.log(2.0)])  # q = N(0, 2)
 DATA = MODEL.generate_data(THETA, 20, substream(101, 0))
+
+
+def sample_level(ratio: float, u: float) -> int:
+    """Reference level of one uniform: floor(ln u / ln r), the textbook
+    inverse CDF of the geometric law, in scalar math."""
+    return math.floor(math.log(u) / math.log(ratio))
 
 
 class TestLevelDistribution:
@@ -63,27 +69,27 @@ class TestLevelDistribution:
 
 
 class TestSampleLevel:
-    @pytest.mark.parametrize("u,expected", [(0.5, 0), (0.3, 1), (0.1, 2)])
+    @pytest.mark.parametrize("u,expected", [(0.5, 0), (0.3, 1), (0.1, 2), (1.0, 0)])
     def test_inverse_cdf_values(self, u, expected):
-        assert sample_level(LevelDistribution(), u) == expected
+        assert sample_levels(LevelDistribution(), [u])[0] == expected
 
-    @pytest.mark.parametrize("u", [0.0, 1.0, -0.2, 1.5])
+    @pytest.mark.parametrize("u", [0.0, float(np.nextafter(1.0, 2.0)), -0.2, 1.5, math.nan])
     def test_rejects_bad_uniforms(self, u):
         with pytest.raises(ContractViolation):
-            sample_level(LevelDistribution(), u)
+            sample_levels(LevelDistribution(), [0.5, u])
 
     def test_level_cap_guard(self):
         dist = LevelDistribution()
         deep = dist.ratio**12  # survival at level 12
         with pytest.raises(ResourceGuardExceeded):
-            sample_level(dist, deep * 0.9, level_cap=10)
+            sample_levels(dist, [deep * 0.9], level_cap=10)
 
     def test_survival_matches_masses(self):
         # empirical frequencies against (1-r) r^l within 3 standard errors
         dist = LevelDistribution()
         rng = substream(102, 0)
         n = 200_000
-        levels = np.array([sample_level(dist, float(u)) for u in rng.random(n)])
+        levels = sample_levels(dist, rng.random(n))
         for l in range(7):
             p = dist.mass(l)
             freq = (levels == l).mean()
@@ -97,9 +103,7 @@ class TestSampleLevel:
         dist = LevelDistribution()
         rng = substream(120, 0)
         n = 200_000
-        cost = np.array(
-            [2.0 ** sample_level(dist, float(u)) for u in rng.random(n)]
-        )
+        cost = 2.0 ** sample_levels(dist, rng.random(n))
         assert cost.mean() == pytest.approx(dist.expected_cost_factor, rel=0.01)
 
 
@@ -147,8 +151,8 @@ class TestLevelEstimate:
         assert est.z_value == pytest.approx(oracle, abs=1e-12)
 
     def test_antithetic_halves_recombine(self):
-        # combine_halves of the two half log-means reproduces the full
-        # log-mean within 1e-12 relative on every draw set
+        # the level value plus the averaged half log-means reproduces the
+        # full log-mean within 1e-12 relative on every draw set
         cfg = EstimatorConfig(n0=8)
         rng = substream(107, 0)
         for rep in range(300):
@@ -160,7 +164,8 @@ class TestLevelEstimate:
             p_a = log_mean_exp(draws.log_f[:half])
             p_b = log_mean_exp(draws.log_f[half:])
             p_full = log_mean_exp(draws.log_f)
-            assert combine_halves(p_a, p_b) == pytest.approx(p_full, rel=1e-12, abs=1e-12)
+            recombined = antithetic_difference(draws)[0] + (p_a + p_b) / 2
+            assert recombined == pytest.approx(p_full, rel=1e-12, abs=1e-12)
 
     def test_level_cap_enforced(self):
         cfg = EstimatorConfig(n0=2, level_cap=5)
@@ -382,19 +387,29 @@ class TestBatchLevels:
         indices, levels = draw_batch_indices(DATA, cfg, substream(121, 0))
         rng = substream(121, 0)
         np.testing.assert_array_equal(indices, rng.integers(0, DATA.n_total, size=cfg.batch_size))
-        dist = cfg.distribution()
-        expected = [sample_level(dist, float(u)) for u in rng.random(cfg.batch_size)]
+        ratio = cfg.distribution().ratio
+        expected = [sample_level(ratio, float(u)) for u in rng.random(cfg.batch_size)]
         np.testing.assert_array_equal(levels, expected)
 
     def test_exact_powers_of_the_ratio(self):
-        # quotients ln u / ln r sit on or next to an integer here, where a
-        # last-bit difference in the logarithm would move the floor
-        cfg = EstimatorConfig()
-        dist = cfg.distribution()
-        powers = dist.ratio ** np.arange(1, 36)
-        u = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, 1.0)])
-        _, levels = draw_batch_indices(DATA, EstimatorConfig(batch_size=u.size), FixedUniforms(u))
-        np.testing.assert_array_equal(levels, [sample_level(dist, float(v)) for v in u])
+        # level l holds exactly the uniforms r^(l+1) < u <= r^l, also at
+        # the powers themselves and one ulp to either side of them; the
+        # powers are numpy's, whose last bit may differ from scalar pow's
+        for ratio_log2 in (-1.5, -2.0, -1.1):
+            powers = (2.0**ratio_log2) ** np.arange(37)
+            u = powers[1:36]
+            u = np.concatenate([u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)])
+            cfg = EstimatorConfig(batch_size=u.size, level_ratio_log2=ratio_log2)
+            _, levels = draw_batch_indices(DATA, cfg, FixedUniforms(u))
+            for v, l in zip(u, levels):
+                assert powers[l + 1] < v <= powers[l], (ratio_log2, v, l)
+
+    def test_zero_uniform_is_level_zero(self):
+        # rng.random() returns exactly 0.0 with probability 2^-53; it counts
+        # as 1.0, so the level variates are uniform on (0, 1]
+        cfg = EstimatorConfig(batch_size=2)
+        _, levels = draw_batch_indices(DATA, cfg, FixedUniforms([0.0, 0.5]))
+        np.testing.assert_array_equal(levels, [0, 0])
 
     def test_level_above_cap_raises(self):
         dist = LevelDistribution()

@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 
 from mlmc_evidence.errors import ContractViolation
-from mlmc_evidence.logspace import (
-    StreamingMoments,
-    combine_halves,
-    log_mean_exp,
-    softmax_weights,
-)
+from mlmc_evidence.logspace import StreamingMoments, log_mean_exp, softmax_weights
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -52,35 +47,6 @@ class TestLogMeanExp:
     def test_nonfinite_rejected(self, bad):
         with pytest.raises(ContractViolation):
             log_mean_exp([0.0, bad])
-
-
-class TestCombineHalves:
-    def test_equal_halves_exact(self):
-        for c in [-1e8, -3.5, 0.0, 1.0, 700.0]:
-            assert combine_halves(c, c) == c
-
-    def test_small_magnitude_arithmetic(self):
-        assert combine_halves(0.0, LN3) == pytest.approx(LN2, abs=1e-15)
-
-    def test_underflowing_half(self):
-        # e^-745 is negligible next to e^0, so the mean is ~1/2
-        assert combine_halves(-745.0, 0.0) == pytest.approx(-LN2, abs=1e-12)
-
-    def test_matches_concatenated_buffer(self):
-        rng = np.random.default_rng(13)
-        for _ in range(300):
-            n = 2 * int(rng.integers(1, 30))
-            v = rng.uniform(-600, 600, size=n)
-            a = log_mean_exp(v[: n // 2])
-            b = log_mean_exp(v[n // 2 :])
-            whole = log_mean_exp(v)
-            assert combine_halves(a, b) == pytest.approx(whole, rel=1e-12, abs=1e-12)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ContractViolation):
-            combine_halves(math.nan, 0.0)
-        with pytest.raises(ContractViolation):
-            combine_halves(0.0, -math.inf)
 
 
 class TestSoftmaxWeights:
@@ -132,51 +98,6 @@ class TestStreamingMoments:
         assert acc.count == values.size
         assert float(acc.mean) == pytest.approx(values.mean(), rel=1e-12)
         assert float(acc.variance()) == pytest.approx(values.var(ddof=1), rel=1e-9)
-
-    def test_push_many_equals_push_loop(self):
-        rng = np.random.default_rng(18)
-        values = rng.standard_normal((500, 3))
-        a = StreamingMoments()
-        b = StreamingMoments()
-        for v in values:
-            a.push(v)
-        b.push_many(values[:200])
-        b.push_many(values[200:])
-        assert a.count == b.count
-        np.testing.assert_allclose(a.mean, b.mean, rtol=1e-12)
-        np.testing.assert_allclose(a.variance(), b.variance(), rtol=1e-9)
-
-    @pytest.mark.parametrize("shape", [(700,), (700, 3)], ids=["scalar", "vector"])
-    def test_push_many_chunks_equal_pushes(self, shape):
-        rng = np.random.default_rng(20)
-        values = rng.standard_normal(shape) * 3.0 + 1.5
-        pushed = StreamingMoments()
-        for v in values:
-            pushed.push(v)
-        for cuts in ([700], [1, 699], [64, 64, 300, 272]):
-            chunked = StreamingMoments()
-            for chunk in np.split(values, np.cumsum(cuts)[:-1]):
-                chunked.push_many(chunk)
-            assert chunked.count == pushed.count
-            np.testing.assert_allclose(chunked.mean, pushed.mean, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(chunked.variance(), pushed.variance(), rtol=1e-12)
-
-    def test_merge_matches_single_stream(self):
-        rng = np.random.default_rng(19)
-        values = rng.standard_normal(4001)
-        whole = StreamingMoments()
-        left = StreamingMoments()
-        right = StreamingMoments()
-        for v in values:
-            whole.push(v)
-        for v in values[:1234]:
-            left.push(v)
-        for v in values[1234:]:
-            right.push(v)
-        left.merge(right)
-        assert left.count == whole.count
-        assert float(left.mean) == pytest.approx(float(whole.mean), rel=1e-12)
-        assert float(left.variance()) == pytest.approx(float(whole.variance()), rel=1e-10)
 
     def test_m2_nonnegative(self):
         acc = StreamingMoments()

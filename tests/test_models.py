@@ -226,21 +226,21 @@ class TestLogWeightGradients:
             else:
                 x = rng.standard_normal(model.x_dim)
             z = model.sample_q(x, phi, rng, 1)
-            sample = model.log_weight(x, z, theta, phi)
+            sample = model.log_weight_batch(x, z, theta, phi)
 
             for j in range(model.theta_dim):
                 fd = central_difference(
-                    lambda t: model.log_weight(x, z, t, phi).log_f, theta, j
+                    lambda t: model.log_weight_batch(x, z, t, phi).log_f[0], theta, j
                 )
-                g = sample.grad_theta_log_f[j]
+                g = sample.grad_theta_log_f[0, j]
                 assert abs(fd - g) <= 1e-6 * max(1.0, abs(g))
             for j in range(model.phi_dim):
                 # f carries phi only through the q denominator, so
                 # d(log f)/dphi = -d(log q)/dphi
                 fd = -central_difference(
-                    lambda p: model.log_weight(x, z, theta, p).log_f, phi, j
+                    lambda p: model.log_weight_batch(x, z, theta, p).log_f[0], phi, j
                 )
-                g = sample.grad_phi_log_q[j]
+                g = sample.grad_phi_log_q[0, j]
                 assert abs(fd - g) <= 1e-6 * max(1.0, abs(g))
 
     def test_log_f_recomputes(self):
@@ -249,7 +249,7 @@ class TestLogWeightGradients:
         phi = np.array([0.4, -0.1, 0.25])
         x = np.array([0.7])
         z = np.array([[0.9]])
-        sample = GAUSSIAN.log_weight(x, z, theta, phi)
+        sample = GAUSSIAN.log_weight_batch(x, z, theta, phi)
         mu0, s0, sx = 0.3, math.exp(0.2), math.exp(-0.4)
         mq, sq = 0.4 * 0.7 - 0.1, math.exp(0.25)
 
@@ -259,7 +259,7 @@ class TestLogWeightGradients:
         expected = (
             norm_logpdf(0.7, 0.9, sx) + norm_logpdf(0.9, mu0, s0) - norm_logpdf(0.9, mq, sq)
         )
-        assert sample.log_f == pytest.approx(expected, abs=1e-10)
+        assert sample.log_f[0] == pytest.approx(expected, abs=1e-10)
 
 
 class TestSampler:
