@@ -251,6 +251,10 @@ def run_grad_check(params: dict, out: Path) -> str:
 def finite_difference_check(model, data: Dataset, points: int, step: float, rng) -> float:
     """Worst guarded relative error between closed-form and central-difference
     gradients of log f (theta side) and log q (phi side, via -dlog f/dphi)."""
+    if points < 1:
+        raise ContractViolation(f"points must be >= 1, got {points}")
+    if not 0.0 < step < math.inf:
+        raise ContractViolation(f"fd-step must be finite and positive, got {step}")
     worst = 0.0
     for _ in range(points):
         x = data.x[rng.integers(data.n_total)]
@@ -275,7 +279,7 @@ def finite_difference_check(model, data: Dataset, points: int, step: float, rng)
             fd = -(log_f_at(theta, phi + e) - log_f_at(theta, phi - e)) / (2 * step)
             g = sample.grad_phi_log_q[0, j]
             worst = max(worst, abs(fd - g) / max(1.0, abs(g)))
-    return worst
+    return float(worst)  # a numpy scalar here makes `passed` a numpy bool, which JSON rejects
 
 
 def estimator_mean_check(model, data, theta, phi, cfg, reps, rng) -> tuple[float, float]:
@@ -399,18 +403,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _common_flags(p, data_flags=True):
+def _common_flags(p):
     p.add_argument("--model", choices=["gaussian", "bernoulli"], default="gaussian")
     p.add_argument("--dim", type=int, default=1, help="latent dimension (gaussian only)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--theta", type=parse_vector, default=None)
     p.add_argument("--phi", type=parse_vector, default=None)
-    if data_flags:
-        p.add_argument("--data", default=None, help="dataset file (with sidecar header)")
-        p.add_argument("--n", type=int, default=50, help="synthetic dataset size")
-        p.add_argument("--true-theta", type=parse_vector, default=None,
-                       help="generating parameters for synthetic data")
+    p.add_argument("--data", default=None, help="dataset file (with sidecar header)")
+    p.add_argument("--n", type=int, default=50, help="synthetic dataset size")
+    p.add_argument("--true-theta", type=parse_vector, default=None,
+                   help="generating parameters for synthetic data")
 
 
 def _estimator_flags(p):

@@ -201,8 +201,10 @@ def estimate_moments(
     rng: np.random.Generator,
 ) -> MomentDiagnostic:
     """Estimate both tail moments of f/p from n_draws importance samples."""
-    if s_exponent <= 0.0 or t_exponent <= 0.0:
-        raise ContractViolation("moment exponents must be positive")
+    if not (0.0 < s_exponent < math.inf and 0.0 < t_exponent < math.inf):
+        raise ContractViolation(
+            f"moment exponents must be finite and positive, got s={s_exponent}, t={t_exponent}"
+        )
     if n_draws < 10_000:
         raise ContractViolation(f"need at least 1e4 draws, got {n_draws}")
     log_p = model.oracle_log_evidence(x, theta)  # raises if no oracle

@@ -8,15 +8,14 @@ so drawing the level from a geometric distribution and reweighting each
 difference by its level probability gives an estimator of log p(X) with no
 bias at any finite cost.
 
-A batch is one flat draw buffer (`run_batch`, `LevelDraws`): member i owns
-the contiguous slice of n0 * 2^level_i draws, members in batch order, and
-the model draws and weighs consecutive members in one call with their
-observations repeated as one row per draw. Every member's level value and
-gradients are segment reductions of that buffer, with no loop over
-members. Each estimator reduces the buffer to the one quantity it returns:
-the evidence estimate folds the level values here, and
-`gradients.estimate_gradients` folds the level gradients of the same
-buffer.
+A batch is drawn in chunks of consecutive members (`draw_chunks`,
+`LevelDraws`): member i owns a contiguous slice of n0 * 2^level_i draws,
+and the model draws and weighs a chunk in one call with the observations
+repeated as one row per draw. `run_batch` reduces the batch chunk by chunk
+as it is drawn, by segment with no loop over members, to one row per
+member of each quantity its caller names, so no buffer spans the batch.
+The evidence estimate folds the level values here, and
+`gradients.estimate_gradients` folds the level gradients of the same draws.
 """
 from __future__ import annotations
 
@@ -102,8 +101,8 @@ class EstimatorConfig:
 
 @dataclass
 class LevelDraws:
-    """Shared latent draws of M batch members in one flat buffer: member i
-    owns the contiguous slice of n0 * 2^levels[i] draws, members in batch
+    """Shared latent draws of M consecutive batch members, one chunk: member
+    i owns the contiguous slice of n0 * 2^levels[i] draws, members in batch
     order. Level values and both gradient estimates are reductions of it."""
 
     levels: np.ndarray  # (M,)
@@ -320,19 +319,6 @@ def draw_batch_indices(
     return indices, levels
 
 
-def concat_draws(chunks: list[LevelDraws]) -> LevelDraws:
-    """One flat buffer of consecutive chunks' members."""
-    if len(chunks) == 1:
-        return chunks[0]
-    return LevelDraws(
-        levels=np.concatenate([c.levels for c in chunks]),
-        n0=chunks[0].n0,
-        log_f=np.concatenate([c.log_f for c in chunks]),
-        grad_theta_log_f=np.concatenate([c.grad_theta_log_f for c in chunks]),
-        grad_phi_log_q=np.concatenate([c.grad_phi_log_q for c in chunks]),
-    )
-
-
 def run_batch(
     model: LatentVariableModel,
     data: Dataset,
@@ -340,22 +326,29 @@ def run_batch(
     phi,
     cfg: EstimatorConfig,
     rng: np.random.Generator,
-) -> LevelDraws:
-    """Draw one batch's shared latent buffer, every member in batch order.
+    *,
+    reducers,
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Draw one batch and reduce it chunk by chunk as it is drawn: the
+    batch's levels, (M,), and per reducer its (M, ...) per-member rows.
 
     Every (data index, level) pair is drawn from `rng` before any latent,
     then the members draw their latents from `rng` in batch order, in
-    chunks of at most DRAW_BUDGET draws. The caller reduces the buffer to
-    whichever quantities it returns.
+    chunks of at most DRAW_BUDGET draws, each dropped once reduced.
     """
     indices, levels = draw_batch_indices(data, cfg, rng)
-    return concat_draws(list(draw_chunks(model, data.x[indices], levels, theta, phi, cfg, rng)))
+    rows = [[] for _ in reducers]
+    for draws in draw_chunks(model, data.x[indices], levels, theta, phi, cfg, rng):
+        for out, reduce in zip(rows, reducers):
+            out.append(reduce(draws))
+    return levels, [np.concatenate(r) for r in rows]
 
 
-def batch_cost(batch: LevelDraws) -> tuple[int, dict[int, int]]:
-    """Latent draws a batch consumed, and its member count per level."""
-    levels, counts = np.unique(batch.levels, return_counts=True)
-    return batch.n, {int(l): int(c) for l, c in zip(levels, counts)}
+def batch_cost(levels: np.ndarray, n0: int) -> tuple[int, dict[int, int]]:
+    """Latent draws and per-level member counts of a batch, from its levels
+    alone: the batch is reduced chunk by chunk as drawn and keeps no draws."""
+    distinct, counts = np.unique(levels, return_counts=True)
+    return int((n0 << levels).sum()), {int(l): int(c) for l, c in zip(distinct, counts)}
 
 
 @dataclass
@@ -385,13 +378,15 @@ def estimate_log_evidence(
     """
     if workers != 1:
         raise ContractViolation(f"workers must be 1, got {workers}")
-    batch = run_batch(model, data, theta, phi, cfg, rng)
-    terms = antithetic_difference(batch) / cfg.distribution().mass(batch.levels)
+    levels, (values,) = run_batch(
+        model, data, theta, phi, cfg, rng, reducers=[antithetic_difference]
+    )
+    terms = values / cfg.distribution().mass(levels)
     n = data.n_total
     m = len(terms)
     value = n * float(terms.mean())
     std_error = 0.0 if m < 2 else n * float(terms.std(ddof=1)) / math.sqrt(m)
-    total_cost, counts = batch_cost(batch)
+    total_cost, counts = batch_cost(levels, cfg.n0)
     return EvidenceEstimate(
         value=value,
         std_error=std_error,

@@ -3,9 +3,10 @@ member: the multilevel antithetic estimator for the evidence gradient in
 theta, and the single-level score-function estimator for the lower-bound
 gradient in phi.
 
-A batch's draws are one flat buffer (`estimator.LevelDraws`); both level
-gradients reduce it by segment to one row per member, with no loop over
-members, and `estimate_gradients` folds those rows.
+A batch is reduced chunk by chunk as it is drawn (`estimator.run_batch`):
+both level gradients reduce each chunk (`estimator.LevelDraws`) by segment
+to one row per member, with no loop over members, and `estimate_gradients`
+folds those rows.
 """
 from __future__ import annotations
 
@@ -80,15 +81,15 @@ def estimate_gradients(
     grad_phi is the plain average (N/M) sum_m of the per-member
     score-function term (each level average is unbiased on its own).
     """
-    batch = _estimator.run_batch(model, data, theta, phi, cfg, rng)
-    masses = cfg.distribution().mass(batch.levels)
-    grad_theta = (grad_theta_level(batch) / masses[:, None]).sum(axis=0)
-    grad_phi = grad_phi_elbo_level(batch).sum(axis=0)
-    scale = data.n_total / batch.levels.size
-    total_cost, counts = _estimator.batch_cost(batch)
+    levels, (rows_theta, rows_phi) = _estimator.run_batch(
+        model, data, theta, phi, cfg, rng, reducers=[grad_theta_level, grad_phi_elbo_level]
+    )
+    masses = cfg.distribution().mass(levels)
+    scale = data.n_total / levels.size
+    total_cost, counts = _estimator.batch_cost(levels, cfg.n0)
     return GradientEstimate(
-        grad_theta=scale * grad_theta,
-        grad_phi=scale * grad_phi,
+        grad_theta=scale * (rows_theta / masses[:, None]).sum(axis=0),
+        grad_phi=scale * rows_phi.sum(axis=0),
         total_cost=total_cost,
         per_level_counts=counts,
     )

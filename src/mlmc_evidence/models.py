@@ -11,7 +11,7 @@ and reports, for a batch of latent draws, the log importance weight
 
 together with d(log f)/d(theta) and d(log q)/d(phi) per draw. The
 observation x is either one observation (x_dim,) shared by every draw or
-one row per draw (n, x_dim), so a whole batch of members, each with its
+one row per draw (n, x_dim), so a chunk of batch members, each with its
 own observation, is drawn and weighted in one call. Everything is
 parameterized so that theta and phi are unconstrained real vectors: standard
 deviations enter as their logarithms and gradients are taken with respect to
@@ -379,12 +379,12 @@ class BernoulliGaussianModel(LatentVariableModel):
         m = v.max()
         return float(m + np.log(np.exp(v - m).sum()))
 
-    def oracle_evidence_grad_theta(self, x, theta, n_nodes: int = 64):
+    def oracle_evidence_grad_theta(self, x, theta):
         """Posterior expectation of the likelihood score, by quadrature:
         grad log p(x) = E[ grad log p(x|z) | x ]."""
         theta = _check_vector("theta", theta, self.theta_dim)
         x = _check_vector("x", x, self.x_dim)
-        nodes, log_wts = _hermgauss(n_nodes)
+        nodes, log_wts = _hermgauss(64)
         sign = 2.0 * x[0] - 1.0
         eta = theta[0] * nodes + theta[1]
         v = log_wts + _log_sigmoid(sign * eta)
@@ -393,7 +393,7 @@ class BernoulliGaussianModel(LatentVariableModel):
         resid = x[0] - 1.0 / (1.0 + np.exp(-eta))
         return np.array([post @ (nodes * resid), post @ resid])
 
-    def oracle_elbo_grad_phi(self, x, theta, phi, n_nodes: int = 64):
+    def oracle_elbo_grad_phi(self, x, theta, phi):
         """Quadrature of E_q[log f * dlog q/dphi], the lower-bound gradient.
 
         Independent of the sampling path: nodes come from Gauss-Hermite
@@ -402,7 +402,7 @@ class BernoulliGaussianModel(LatentVariableModel):
         theta = _check_vector("theta", theta, self.theta_dim)
         x = _check_vector("x", x, self.x_dim)
         m, log_s, k = self._q_params(x, phi)
-        nodes, log_wts = _hermgauss(n_nodes)
+        nodes, log_wts = _hermgauss(64)
         s = math.exp(log_s)
         z = (m + s * nodes).reshape(-1, 1)
         batch = self.log_weight_batch(x, z, theta, phi)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,8 +39,10 @@ class TrainConfig:
         if self.steps < 1:
             raise ContractViolation(f"steps must be >= 1, got {self.steps}")
         # Learning rates of exactly 0 are allowed so one side can be frozen.
-        if self.lr_theta < 0 or self.lr_phi < 0:
-            raise ContractViolation("learning rates must be nonnegative")
+        if not (0.0 <= self.lr_theta < math.inf and 0.0 <= self.lr_phi < math.inf):
+            raise ContractViolation(
+                f"learning rates must be finite and nonnegative, got {self.lr_theta}, {self.lr_phi}"
+            )
         if not (0.0 <= self.momentum < 1.0):
             raise ContractViolation(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.eval_every < 1 or self.eval_replications < 1:

@@ -165,6 +165,16 @@ class TestMomentsCommand:
         assert code == 1
         assert err.startswith("error: x-index")
 
+    @pytest.mark.parametrize("flag, value", [("--s", "nan"), ("--t", "nan"), ("--s", "inf")])
+    def test_nonfinite_exponent_rejected(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "m"
+        code, _, err = run_cli(
+            capsys, "moments", flag, value, "--draws", "10000", "--out", str(out),
+        )
+        assert code == 1
+        assert err.startswith("error: moment exponents")
+        assert not (out / "moments.json").exists()
+
 
 class TestGradCheckCommand:
     @pytest.mark.parametrize("model", ["gaussian", "bernoulli"])
@@ -180,6 +190,39 @@ class TestGradCheckCommand:
         payload = json.loads((out / "gradcheck.json").read_text())
         assert payload["passed"] is True
         assert payload["fd_max_rel_err"] <= 1e-6
+
+    @pytest.mark.parametrize("step", ["0", "nan", "inf"])
+    def test_fd_step_must_be_finite_and_positive(self, tmp_path, capsys, step):
+        # a zero step divided by zero; a NaN step compared as a 0 error
+        out = tmp_path / "gc"
+        code, _, err = run_cli(
+            capsys, "grad-check", "--fd-step", step, "--points", "2", "--reps", "100",
+            "--out", str(out),
+        )
+        assert code == 1
+        assert err.startswith("error: fd-step")
+        assert not (out / "gradcheck.json").exists()
+
+    def test_failed_fd_check_reports_failure(self, tmp_path, capsys):
+        # a tolerance no central difference meets: the check fails cleanly
+        out = tmp_path / "gc"
+        code, _, err = run_cli(
+            capsys, "grad-check", "--fd-tol", "1e-300", "--points", "2", "--reps", "100",
+            "--out", str(out),
+        )
+        assert code == 1
+        assert err.startswith("error: gradient check failed: FAIL")
+        assert json.loads((out / "gradcheck.json").read_text())["passed"] is False
+
+    def test_zero_points_rejected(self, tmp_path, capsys):
+        # no point checked must not read as a passed check
+        out = tmp_path / "gc"
+        code, _, err = run_cli(
+            capsys, "grad-check", "--points", "0", "--reps", "100", "--out", str(out),
+        )
+        assert code == 1
+        assert err.startswith("error: points")
+        assert not (out / "gradcheck.json").exists()
 
 
 class TestTrainCommand:
@@ -198,6 +241,16 @@ class TestTrainCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["seed"] == 8
         assert summary["total_cost"] > 0
+
+    @pytest.mark.parametrize("flag", ["--lr-theta", "--lr-phi"])
+    def test_nan_learning_rate_rejected(self, tmp_path, capsys, flag):
+        # not a divergence (exit 2) after one step: the input is invalid
+        code, _, err = run_cli(
+            capsys, "train", flag, "nan", "--steps", "5", "--batch", "2", "--n", "10",
+            "--out", str(tmp_path / "t"),
+        )
+        assert code == 1
+        assert err.startswith("error: learning rates")
 
     def test_rerun_reproduces_training(self, tmp_path, capsys):
         first = tmp_path / "t1"

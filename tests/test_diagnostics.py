@@ -191,6 +191,13 @@ class TestEstimateMoments:
                 MODEL, DATA.x[0], THETA, PHI_WIDE, 4.5, 3.0, 999, substream(413, 0)
             )
 
+    @pytest.mark.parametrize(
+        "s, t", [(math.nan, 3.0), (4.5, math.nan), (math.inf, 3.0), (4.5, math.inf)]
+    )
+    def test_nonfinite_exponents_rejected(self, s, t):
+        with pytest.raises(ContractViolation, match="finite and positive"):
+            estimate_moments(MODEL, DATA.x[0], THETA, PHI_WIDE, s, t, 10_000, substream(414, 0))
+
 
 class TestCsv:
     def test_round_trip(self, tmp_path):

@@ -3,6 +3,7 @@ antithetic cancellation at the zero-variance fixed point, the telescoping
 identity against an independent vectorized oracle, and determinism."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -320,11 +321,14 @@ class TestEstimateLogEvidence:
 
     def test_members_draw_in_order_from_the_callers_generator(self, monkeypatch):
         # no member gets a child stream: the batch draws its (index, level)
-        # pairs, then each member's latents in batch order, from one generator
+        # pairs, then each member's latents in batch order, from one
+        # generator, and each reducer's row for a member is that reducer
+        # applied to the member's own draws, across several chunks
         def forbidden(rng, n):
             raise AssertionError("batch spawned child generators")
 
         monkeypatch.setattr(rng_module, "spawn", forbidden)
+        monkeypatch.setattr(estimator_module, "DRAW_BUDGET", 64)
         cfg = EstimatorConfig(n0=8, batch_size=16)
         est = estimate_log_evidence(MODEL, DATA, THETA, PHI_WIDE, cfg, substream(119, 0))
         grads = estimate_gradients(MODEL, DATA, THETA, PHI_WIDE, cfg, substream(119, 0))
@@ -336,15 +340,16 @@ class TestEstimateLogEvidence:
             draw_level_samples(MODEL, DATA.x[i], THETA, PHI_WIDE, level, cfg, rng)
             for i, level in zip(indices, levels)
         ]
-        batch = run_batch(MODEL, DATA, THETA, PHI_WIDE, cfg, substream(119, 0))
-        np.testing.assert_array_equal(batch.levels, levels)
-        assert batch.n == sum(want.n for want in expected)
-        for start, size, want in zip(batch.starts, batch.sizes, expected):
-            assert size == want.n
-            member = slice(start, start + size)
-            np.testing.assert_array_equal(batch.log_f[member], want.log_f)
-            np.testing.assert_array_equal(batch.grad_theta_log_f[member], want.grad_theta_log_f)
-            np.testing.assert_array_equal(batch.grad_phi_log_q[member], want.grad_phi_log_q)
+        assert est.total_cost == sum(want.n for want in expected) > 64
+        reducers = [antithetic_difference, grad_theta_level, grad_phi_elbo_level]
+        batch_levels, rows = run_batch(
+            MODEL, DATA, THETA, PHI_WIDE, cfg, substream(119, 0), reducers=reducers
+        )
+        np.testing.assert_array_equal(batch_levels, levels)
+        for reduce, got in zip(reducers, rows):
+            assert len(got) == cfg.batch_size
+            for row, want in zip(got, expected):
+                np.testing.assert_array_equal(row, reduce(want)[0])
 
     def test_computes_no_gradients(self, monkeypatch):
         # the evidence path reduces each member's draws to its level value
@@ -462,6 +467,34 @@ class TestDrawBudget:
         deepest = max(*est.per_level_counts, *grads.per_level_counts, 3)
         largest = self.CFG.n0 << deepest
         assert 0 < model.max_rows <= max(budget, largest)
+
+
+def traced_peak(call) -> int:
+    """Peak bytes `tracemalloc` traces while `call()` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    def test_batch_peak_is_a_few_chunks(self, monkeypatch):
+        # a batch of about 18 chunks is reduced chunk by chunk as drawn, so
+        # its peak stays near one chunk's, not the whole batch's draws
+        monkeypatch.setattr(estimator_module, "DRAW_BUDGET", 4096)
+        model = GaussianConjugateModel(4)
+        theta = np.zeros(model.theta_dim)
+        phi = np.repeat([0.0, 0.0, 0.5 * math.log(2.0)], 4)  # q = N(0, 2) per coordinate
+        data = model.generate_data(theta, 50, substream(125, 0))
+        cfg = EstimatorConfig(n0=16, batch_size=2048)
+        one_chunk = traced_peak(
+            lambda: draw_level_samples(model, data.x[0], theta, phi, 8, cfg, substream(125, 1))
+        )
+        for estimate in (estimate_log_evidence, estimate_gradients):
+            peak = traced_peak(lambda: estimate(model, data, theta, phi, cfg, substream(125, 2)))
+            assert peak <= 3 * one_chunk, (estimate.__name__, peak, one_chunk)
 
 
 def raw_level_route(log_f, grad_theta_log_f, grad_phi_log_q, level):

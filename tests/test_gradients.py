@@ -9,8 +9,8 @@ import numpy as np
 
 from mlmc_evidence.estimator import (
     EstimatorConfig,
-    LevelDraws,
     antithetic_difference,
+    draw_batch_indices,
     draw_level_samples,
     estimate_log_evidence,
     run_batch,
@@ -172,22 +172,25 @@ class TestEstimateGradients:
         assert np.all(np.abs(gp.mean(axis=0)) < 4 * se_p)
 
     def test_shared_draws_with_batch_fold(self):
-        # from one seed, both estimators are exact folds of the same batch
-        # buffer: the gradients fold its per-member gradient rows, the
+        # from one seed, both estimators are exact folds of the same batch's
+        # per-member rows: the gradients fold its gradient rows, the
         # evidence estimate folds its reweighted level values, and each
-        # member's rows are the reductions of its own slice alone
-        batch = run_batch(MODEL, DATA, THETA, PHI_WIDE, CFG, substream(212, 0))
-        masses = CFG.distribution().mass(batch.levels)
+        # member's rows are the reductions of its own draws alone
+        reducers = [antithetic_difference, grad_theta_level, grad_phi_elbo_level]
+        levels, (values, rows_t, rows_p) = run_batch(
+            MODEL, DATA, THETA, PHI_WIDE, CFG, substream(212, 0), reducers=reducers
+        )
+        masses = CFG.distribution().mass(levels)
         n, m = DATA.n_total, CFG.batch_size
-        rows_t, rows_p = grad_theta_level(batch), grad_phi_elbo_level(batch)
         assert rows_t.shape == (m, MODEL.theta_dim) and rows_p.shape == (m, MODEL.phi_dim)
-        values = antithetic_difference(batch)
-        for i, (start, size) in enumerate(zip(batch.starts, batch.sizes)):
-            member = slice(start, start + size)
-            alone = LevelDraws(
-                batch.levels[i : i + 1], batch.n0, batch.log_f[member],
-                batch.grad_theta_log_f[member], batch.grad_phi_log_q[member],
-            )
+        rng = substream(212, 0)
+        indices, member_levels = draw_batch_indices(DATA, CFG, rng)
+        np.testing.assert_array_equal(member_levels, levels)
+        members = [
+            draw_level_samples(MODEL, DATA.x[i], THETA, PHI_WIDE, level, CFG, rng)
+            for i, level in zip(indices, levels)
+        ]
+        for i, alone in enumerate(members):
             np.testing.assert_array_equal(grad_theta_level(alone)[0], rows_t[i])
             np.testing.assert_array_equal(grad_phi_elbo_level(alone)[0], rows_p[i])
             assert antithetic_difference(alone)[0] == values[i]
@@ -195,7 +198,7 @@ class TestEstimateGradients:
         est = estimate_gradients(MODEL, DATA, THETA, PHI_WIDE, CFG, substream(212, 0))
         np.testing.assert_array_equal(est.grad_theta, n / m * (rows_t / masses[:, None]).sum(axis=0))
         np.testing.assert_array_equal(est.grad_phi, n / m * rows_p.sum(axis=0))
-        assert est.total_cost == batch.n == batch.sizes.sum()
+        assert est.total_cost == sum(alone.n for alone in members) == (CFG.n0 << levels).sum()
 
         ev = estimate_log_evidence(MODEL, DATA, THETA, PHI_WIDE, CFG, substream(212, 0))
         terms = values / masses

@@ -48,6 +48,12 @@ class TestConfigValidation:
         with pytest.raises(ContractViolation):
             quick_config(eval_every=0)
 
+    @pytest.mark.parametrize("key", ["lr_theta", "lr_phi"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_nonfinite_learning_rates(self, key, value):
+        with pytest.raises(ContractViolation, match="finite and nonnegative"):
+            quick_config(**{key: value})
+
     def test_zero_learning_rates_allowed(self):
         quick_config(lr_theta=0.0, lr_phi=0.0)
 
