@@ -1,12 +1,13 @@
 """Command-line front end: estimation, diagnostics, gradient checks and
 training as reproducible runs with file outputs.
 
-Every run writes ``manifest.json`` holding the fully resolved semantic
-configuration (command, model, parameter vectors, numeric knobs, seed).
-``rerun --manifest`` replays it bit-exactly, after checking each value
-against the type its command's flag parses to. The output location is an
-execution detail and stays out of the manifest, so a replay into any
-directory writes byte-identical artifacts.
+Each command's parser is its only schema and holds every default. A run
+writes ``manifest.json``: the command plus the parsed value of each of its
+flags except ``--out``, and nothing else. ``rerun --manifest`` replays it
+bit-exactly. It first rejects a manifest that lacks one of those keys,
+holds any other key, or holds a value the flag could not have parsed to.
+The output location is an execution detail and stays out of the
+manifest, so a replay into any directory writes byte-identical artifacts.
 
 Exit codes: 0 success, 1 usage or contract error, 2 divergence or resource
 guard.
@@ -86,35 +87,36 @@ def default_true_theta(name: str, dim: int) -> list[float]:
 
 
 def _resolve_model_params(params: dict):
-    model = build_model(params["model"], params.get("dim", 1))
-    theta = np.asarray(
-        params.get("theta") or [0.0] * model.theta_dim, dtype=np.float64
-    )
-    phi = np.asarray(params.get("phi") or [0.0] * model.phi_dim, dtype=np.float64)
+    model = build_model(params["model"], params["dim"])
+    theta = np.asarray(params["theta"] or [0.0] * model.theta_dim, dtype=np.float64)
+    phi = np.asarray(params["phi"] or [0.0] * model.phi_dim, dtype=np.float64)
     return model, theta, phi
 
 
+def _synthetic_data(params: dict, model, true_theta) -> tuple[Dataset, list[float]]:
+    # drawn at `true_theta`, else at the default; returns the theta it used
+    true_theta = true_theta or default_true_theta(params["model"], params["dim"])
+    gen = _rng.substream(params["seed"], _rng.STREAM_DATA)
+    return model.generate_data(np.asarray(true_theta), params["n"], gen), true_theta
+
+
 def _resolve_data(params: dict, model) -> Dataset:
-    if params.get("data"):
+    if params["data"]:
         data, _header = load_dataset(params["data"])
         if data.x.shape[1] != model.x_dim:
             raise ContractViolation(
                 f"dataset dim {data.x.shape[1]} does not match model dim {model.x_dim}"
             )
         return data
-    true_theta = params.get("true_theta") or default_true_theta(
-        params["model"], params.get("dim", 1)
-    )
-    gen = _rng.substream(params["seed"], _rng.STREAM_DATA)
-    return model.generate_data(np.asarray(true_theta), params.get("n", 50), gen)
+    return _synthetic_data(params, model, params["true_theta"])[0]
 
 
 def _estimator_config(params: dict) -> EstimatorConfig:
     return EstimatorConfig(
-        n0=params.get("n0", 8),
-        batch_size=params.get("batch", 8),
-        level_ratio_log2=params.get("ratio_log2", -1.5),
-        level_cap=params.get("level_cap", 40),
+        n0=params["n0"],
+        batch_size=params["batch"],
+        level_ratio_log2=params["ratio_log2"],
+        level_cap=params["level_cap"],
     )
 
 
@@ -133,10 +135,8 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def run_gen_data(params: dict, out: Path) -> str:
-    model = build_model(params["model"], params.get("dim", 1))
-    theta = params.get("theta") or default_true_theta(params["model"], params.get("dim", 1))
-    gen = _rng.substream(params["seed"], _rng.STREAM_DATA)
-    data = model.generate_data(np.asarray(theta), params["n"], gen)
+    model = build_model(params["model"], params["dim"])
+    data, theta = _synthetic_data(params, model, params["theta"])
     path = out / "dataset.txt"
     save_dataset(path, data, params["seed"], theta)
     return f"wrote {data.n_total} observations to {path}"
@@ -170,7 +170,7 @@ def run_variance_profile(params: dict, out: Path) -> str:
     rng = _rng.substream(params["seed"], _rng.STREAM_DIAG)
     stats = variance_profile(
         model, data, theta, phi, levels, params["reps"], cfg, rng,
-        antithetic=not params.get("naive", False),
+        antithetic=not params["naive"],
     )
     write_level_stats_csv(stats, out / "profile.csv")
     fit = fit_decay_rate(stats, "var_z")
@@ -191,7 +191,7 @@ def run_variance_profile(params: dict, out: Path) -> str:
 def run_moments(params: dict, out: Path) -> str:
     model, theta, phi = _resolve_model_params(params)
     data = _resolve_data(params, model)
-    x_index = params.get("x_index", 0)
+    x_index = params["x_index"]
     if not 0 <= x_index < data.n_total:
         raise ContractViolation(f"x-index {x_index} is outside the rows [0, {data.n_total})")
     x = data.x[x_index]
@@ -219,21 +219,18 @@ def run_grad_check(params: dict, out: Path) -> str:
     model, theta, phi = _resolve_model_params(params)
     data = _resolve_data(params, model)
     cfg = _estimator_config(params)
-    step = params.get("fd_step", 1e-5)
-    tol = params.get("fd_tol", 1e-6)
     rng = _rng.substream(params["seed"], _rng.STREAM_CHECK)
 
-    fd_max = finite_difference_check(model, data, params.get("points", 100), step, rng)
+    fd_max = finite_difference_check(model, data, params["points"], params["fd_step"], rng)
 
-    reps = params.get("reps", 2000)
     batch_rng = _rng.substream(params["seed"], _rng.STREAM_BATCH)
-    z_theta, z_phi = estimator_mean_check(model, data, theta, phi, cfg, reps, batch_rng)
-    ok = fd_max <= tol and z_theta <= 4.0 and z_phi <= 4.0
+    z_theta, z_phi = estimator_mean_check(model, data, theta, phi, cfg, params["reps"], batch_rng)
+    ok = fd_max <= params["fd_tol"] and z_theta <= 4.0 and z_phi <= 4.0
     _write_json(
         out / "gradcheck.json",
         {
             "fd_max_rel_err": fd_max,
-            "fd_tolerance": tol,
+            "fd_tolerance": params["fd_tol"],
             "max_zscore_grad_theta": z_theta,
             "max_zscore_grad_phi": z_phi,
             "passed": ok,
@@ -288,7 +285,7 @@ def estimator_mean_check(model, data, theta, phi, cfg, reps, rng) -> tuple[float
     oracle_phi = sum(model.oracle_elbo_grad_phi(x, theta, phi) for x in data.x)
     mom_t = StreamingMoments()
     mom_p = StreamingMoments()
-    for stream in _rng.spawn(rng, reps):
+    for stream in _rng.streams(rng, reps):
         est = estimate_gradients(model, data, theta, phi, cfg, stream)
         mom_t.push(est.grad_theta)
         mom_p.push(est.grad_phi)
@@ -306,9 +303,9 @@ def run_train(params: dict, out: Path) -> str:
         steps=params["steps"],
         lr_theta=params["lr_theta"],
         lr_phi=params["lr_phi"],
-        momentum=params.get("momentum", 0.9),
-        eval_every=params.get("eval_every", 100),
-        eval_replications=params.get("eval_reps", 8),
+        momentum=params["momentum"],
+        eval_every=params["eval_every"],
+        eval_replications=params["eval_reps"],
         estimator=_estimator_config(params),
     )
     rng = _rng.substream(params["seed"], _rng.STREAM_BATCH)
@@ -340,10 +337,11 @@ def dispatch(command: str, params: dict, out: Path) -> str:
     return _RUNNERS[command](params, out)
 
 
-class _ManifestParams(dict):
-    # a key a runner needs (reads with []) but the manifest lacks
-    def __missing__(self, key):
-        raise ContractViolation(f"manifest has no {key!r}")
+def manifest_flags(command: str) -> dict[str, argparse.Action]:
+    """A manifest's keys, in parser order, with their flags: every dest of
+    `command`'s parser except help and out."""
+    actions = build_parser().commands[command]._actions
+    return {a.dest: a for a in actions if a.dest not in ("help", "out")}
 
 
 def _read_manifest(path) -> tuple[str, dict]:
@@ -356,14 +354,17 @@ def _read_manifest(path) -> tuple[str, dict]:
     command = manifest.pop("command", None)
     if not isinstance(command, str) or command not in _RUNNERS:
         raise ContractViolation(f"manifest names unknown command {command!r}")
-    for action in build_parser().commands[command]._actions:
-        if action.dest in manifest:
-            expected = _unparsable_as(action, manifest[action.dest])
-            if expected:
-                raise ContractViolation(
-                    f"manifest value {action.dest}={manifest[action.dest]!r} is not {expected}"
-                )
-    return command, _ManifestParams(manifest)
+    flags = manifest_flags(command)
+    for key, action in flags.items():
+        if key not in manifest:
+            raise ContractViolation(f"manifest has no {key!r}")
+        expected = _unparsable_as(action, manifest[key])
+        if expected:
+            raise ContractViolation(f"manifest value {key}={manifest[key]!r} is not {expected}")
+    unknown = [key for key in manifest if key not in flags]
+    if unknown:
+        raise ContractViolation(f"manifest has unknown key {unknown[0]!r}")
+    return command, manifest
 
 
 def _is_int(v) -> bool:
@@ -377,7 +378,7 @@ def _is_real(v) -> bool:
 def _unparsable_as(action: argparse.Action, value) -> str | None:
     """What a manifest value should be, if it is not what the flag of
     `action` parses to; None if it is."""
-    if value is None and action.default is None:
+    if value is None and action.default is None and not action.required:
         return None
     if action.choices is not None:
         return None if value in action.choices else f"one of {list(action.choices)}"
@@ -391,8 +392,9 @@ def _unparsable_as(action: argparse.Action, value) -> str | None:
         ok = isinstance(value, list) and all(_is_real(v) and math.isfinite(v) for v in value)
         return None if ok else "a list of finite numbers"
     if action.type is parse_level_range:
-        ok = isinstance(value, list) and value and all(_is_int(v) and v >= 0 for v in value)
-        return None if ok else "a nonempty list of levels >= 0"
+        ok = isinstance(value, list) and value and all(_is_int(v) for v in value)
+        ok = ok and value[0] >= 0 and value == list(range(value[0], value[-1] + 1))
+        return None if ok else "a range of levels a..b with 0 <= a <= b"
     return None if isinstance(value, str) else "a string"
 
 
@@ -403,12 +405,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _common_flags(p):
+def _model_flags(p):
     p.add_argument("--model", choices=["gaussian", "bernoulli"], default="gaussian")
     p.add_argument("--dim", type=int, default=1, help="latent dimension (gaussian only)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--theta", type=parse_vector, default=None)
+
+
+def _common_flags(p):
+    _model_flags(p)
     p.add_argument("--phi", type=parse_vector, default=None)
     p.add_argument("--data", default=None, help="dataset file (with sidecar header)")
     p.add_argument("--n", type=int, default=50, help="synthetic dataset size")
@@ -428,12 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="write a synthetic dataset with sidecar header")
-    p.add_argument("--model", choices=["gaussian", "bernoulli"], default="gaussian")
-    p.add_argument("--dim", type=int, default=1)
+    _model_flags(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--theta", type=parse_vector, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
 
     p = sub.add_parser("estimate", help="unbiased log-evidence estimate")
     _common_flags(p)
@@ -482,8 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _params_from_args(args: argparse.Namespace) -> dict:
-    # every parsed flag except the command and the output location
-    return {k: v for k, v in vars(args).items() if k not in ("command", "out")}
+    return {key: getattr(args, key) for key in manifest_flags(args.command)}
 
 
 def main(argv=None) -> int:

@@ -101,7 +101,7 @@ class LatentVariableModel(abc.ABC):
 
     @abc.abstractmethod
     def generate_data(self, theta, n: int, rng: np.random.Generator) -> Dataset:
-        """Synthesize n observations from the model at parameters theta."""
+        """Synthesize n >= 1 observations from the model at parameters theta."""
 
     # Optional oracles. Models with closed forms override these.
 
@@ -125,6 +125,11 @@ def _check_vector(name: str, v, length: int) -> np.ndarray:
     if not np.isfinite(v).all():
         raise ContractViolation(f"{name} contains non-finite entries")
     return v
+
+
+def _check_size(n) -> None:
+    if n < 1:
+        raise ContractViolation(f"dataset size must be >= 1, got {n}")
 
 
 def _check_x(x, x_dim: int, n: int) -> np.ndarray:
@@ -219,6 +224,7 @@ class GaussianConjugateModel(LatentVariableModel):
         return WeightBatch(log_f, gt, gq)
 
     def generate_data(self, theta, n, rng):
+        _check_size(n)
         mu0, log_s0, log_sx = self.split_theta(theta)
         z = mu0 + np.exp(log_s0) * rng.standard_normal((n, self.dim))
         x = z + np.exp(log_sx) * rng.standard_normal((n, self.dim))
@@ -361,6 +367,7 @@ class BernoulliGaussianModel(LatentVariableModel):
         return WeightBatch(log_lik + log_prior - log_q, gt, gq)
 
     def generate_data(self, theta, n, rng):
+        _check_size(n)
         theta = _check_vector("theta", theta, self.theta_dim)
         z = rng.standard_normal(n)
         p1 = 1.0 / (1.0 + np.exp(-(theta[0] * z + theta[1])))
@@ -433,15 +440,30 @@ def save_dataset(path, dataset: Dataset, seed: int, true_theta) -> None:
 
 
 def load_dataset(path) -> tuple[Dataset, dict]:
-    """Inverse of save_dataset; returns the data and the sidecar header."""
+    """Inverse of save_dataset; returns the data and the sidecar header.
+
+    Raises ContractViolation naming the file when the data file is not
+    UTF-8 rows of equally many numbers, or the sidecar is not a JSON
+    object holding `dim` and `n_total`.
+    """
     path = Path(path)
-    rows = [
-        [float(tok) for tok in line.split()]
-        for line in path.read_text().splitlines()
-        if line.strip()
-    ]
-    header = json.loads(Path(str(path) + ".json").read_text())
-    data = Dataset.from_rows(np.asarray(rows, dtype=np.float64))
+    sidecar = Path(str(path) + ".json")
+    try:  # UnicodeDecodeError, a bad token and ragged rows are ValueErrors
+        rows = [
+            [float(tok) for tok in line.split()]
+            for line in path.read_text().splitlines()
+            if line.strip()
+        ]
+        x = np.asarray(rows, dtype=np.float64)
+    except ValueError as exc:
+        raise ContractViolation(f"dataset file {path} is malformed: {exc}") from None
+    try:
+        header = json.loads(sidecar.read_text())
+    except ValueError as exc:
+        raise ContractViolation(f"sidecar {sidecar} is not valid JSON: {exc}") from None
+    if not (isinstance(header, dict) and {"dim", "n_total"} <= header.keys()):
+        raise ContractViolation(f"sidecar {sidecar} is not a JSON object with dim and n_total")
+    data = Dataset.from_rows(x)
     if data.n_total != header["n_total"] or data.x.shape[1] != header["dim"]:
         raise ContractViolation(f"dataset file {path} does not match its sidecar header")
     return data, header

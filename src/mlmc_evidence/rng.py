@@ -38,3 +38,16 @@ def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
     order (or concurrently) without affecting each other.
     """
     return rng.spawn(n)
+
+
+# Children `streams` spawns per call: a bound on the children alive before
+# use. One spawn per training step instead cost the 50-step train-bernoulli
+# benchmark call about 7 % against one spawn of all 50.
+_SPAWN_BLOCK = 64
+
+
+def streams(rng: np.random.Generator, n: int):
+    """The `n` children `spawn(rng, n)` returns, spawned a block at a time
+    as they are consumed, so memory does not grow with `n`."""
+    for start in range(0, n, _SPAWN_BLOCK):
+        yield from spawn(rng, min(_SPAWN_BLOCK, n - start))

@@ -91,9 +91,10 @@ def train(
     """Run the two-objective ascent and return the evaluation records.
 
     Each step consumes one gradient batch (theta and phi gradients computed
-    from the same draws), drawn in order from that step's own generator.
-    Evaluations run on a generator branch spawned before training starts, so
-    metric noise never perturbs the training stream. Records are written at
+    from the same draws), drawn in order from that step's own generator,
+    spawned from the training branch shortly before use. Evaluations run on
+    a generator branch spawned before training starts, so metric noise
+    never perturbs the training stream. Records are written at
     step 0, every `eval_every` steps, and at the final step. A non-finite
     parameter aborts with a divergence error rather than clamping:
     heavy-tailed weights are a failure mode that must surface.
@@ -129,12 +130,9 @@ def train(
         )
 
     records = [evaluate(0)]
-    step_streams = _rng.spawn(train_rng, cfg.steps)
-    for step in range(1, cfg.steps + 1):
+    for step, stream in enumerate(_rng.streams(train_rng, cfg.steps), start=1):
         try:
-            grads = estimate_gradients(
-                model, data, theta, phi, cfg.estimator, step_streams[step - 1]
-            )
+            grads = estimate_gradients(model, data, theta, phi, cfg.estimator, stream)
         except ContractViolation as exc:
             # inputs were validated up front, so a non-finite weight
             # mid-training means the parameters ran away

@@ -3,12 +3,14 @@ summaries, lossless CSV round trips, and the exit-code mapping."""
 
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from mlmc_evidence.cli import main, parse_level_range, parse_vector
+from mlmc_evidence.cli import build_parser, main, manifest_flags, parse_level_range, parse_vector
 from mlmc_evidence.errors import ContractViolation
 
 
@@ -31,6 +33,14 @@ class TestParsers:
     def test_level_range(self):
         assert parse_level_range("1..7") == [1, 2, 3, 4, 5, 6, 7]
         assert parse_level_range("3") == [3]
+
+    def test_readme_commands_parse(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines() if line.startswith("mlmc-evidence ")]
+        assert len(lines) == 7
+        for line in lines:
+            build_parser().parse_args(shlex.split(line)[1:])  # a usage error exits
 
 
 class TestGenData:
@@ -342,9 +352,11 @@ class TestExitCodes:
         (["estimate", "--batch", "4"], "phi", [0.0, "0", 0.3]),
         (["estimate", "--batch", "4"], "model", "poisson"),
         (["variance-profile", "--levels", "1..3", "--reps", "100"], "naive", "yes"),
+    (["variance-profile", "--levels", "1..3", "--reps", "100"], "levels", [3, 1, 2]),
+    (["variance-profile", "--levels", "1..3", "--reps", "100"], "levels", [1, 1, 2]),
     ], ids=["moments-x-index-string", "estimate-seed-string", "int-given-float",
             "int-given-bool", "float-given-string", "vector-with-string", "not-a-choice",
-            "switch-given-string"])
+            "switch-given-string", "levels-out-of-order", "levels-repeated"])
     def test_manifest_value_of_wrong_type_rejected(self, tmp_path, capsys, argv, key, value):
         first = tmp_path / "first"
         code, _, _ = run_cli(capsys, *argv, "--out", str(first))
@@ -375,3 +387,82 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "estimate", "--theta", "1,2",
                                "--out", str(tmp_path / "x"))
         assert code == 1
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m.update(batchsize=m.pop("batch")), "manifest has no 'batch'"),
+        (lambda m: m.update(workers=2), "manifest has unknown key 'workers'"),
+    ], ids=["renamed-key", "extra-key"])
+    def test_manifest_must_hold_exactly_its_flags(self, tmp_path, capsys, edit, message):
+        # a missing key once replayed at the runner's own default
+        first = tmp_path / "first"
+        code, _, _ = run_cli(capsys, "estimate", "--batch", "64", "--out", str(first))
+        assert code == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        edit(manifest)
+        (first / "manifest.json").write_text(json.dumps(manifest))
+        replay = tmp_path / "replay"
+        code, out, err = run_cli(capsys, "rerun", "--manifest", str(first / "manifest.json"),
+                                 "--out", str(replay))
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert out == ""
+        assert not replay.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--n", "-3"],
+        ["gen-data", "--n", "-1"],
+        ["gen-data", "--n", "0"],
+    ], ids=["estimate-negative", "gen-data-negative", "gen-data-zero"])
+    def test_dataset_size_below_one_rejected(self, tmp_path, capsys, argv):
+        code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert err.startswith("error: dataset size must be >= 1")
+
+    def test_manifest_dataset_size_below_one_rejected(self, tmp_path, capsys):
+        first = tmp_path / "first"
+        code, _, _ = run_cli(capsys, "estimate", "--batch", "4", "--out", str(first))
+        assert code == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        manifest["n"] = -3
+        (first / "manifest.json").write_text(json.dumps(manifest))
+        code, _, err = run_cli(capsys, "rerun", "--manifest", str(first / "manifest.json"),
+                               "--out", str(tmp_path / "replay"))
+        assert code == 1
+        assert err.startswith("error: dataset size must be >= 1")
+
+    @pytest.mark.parametrize("rows, sidecar, culprit", [
+        (b"0.5\nabc\n", b'{"dim": 1, "n_total": 2}', "dataset.txt "),
+        (b"0.5\n0.5 1.0\n", b'{"dim": 1, "n_total": 2}', "dataset.txt "),
+        (b"0.5\n\xff\n", b'{"dim": 1, "n_total": 2}', "dataset.txt "),
+        (b"0.5\n1.0\n", b"{dim: 1", "dataset.txt.json"),
+        (b"0.5\n1.0\n", b'{"dim": 1}', "dataset.txt.json"),
+        (b"0.5\n1.0\n", b"[1, 2]", "dataset.txt.json"),
+    ], ids=["bad-token", "ragged-rows", "not-utf8", "sidecar-not-json",
+            "sidecar-without-n-total", "sidecar-not-object"])
+    def test_malformed_dataset_file_is_contract_error(self, tmp_path, capsys, rows,
+                                                      sidecar, culprit):
+        path = tmp_path / "dataset.txt"
+        path.write_bytes(rows)
+        (tmp_path / "dataset.txt.json").write_bytes(sidecar)
+        code, _, err = run_cli(capsys, "estimate", "--data", str(path),
+                               "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert err.startswith("error: ") and culprit in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-data", "--n", "5"],
+    ["estimate", "--batch", "2"],
+    ["variance-profile", "--levels", "1..3", "--reps", "100"],
+    ["grad-check", "--points", "2", "--reps", "100", "--batch", "4", "--n", "12"],
+    ["moments", "--draws", "10000"],
+    ["train", "--steps", "2", "--batch", "2", "--eval-reps", "1", "--n", "10"],
+], ids=lambda argv: argv[0])
+def test_written_manifest_holds_exactly_the_flags(tmp_path, capsys, argv):
+    # the writer and the reader of manifests share one schema
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 0, err
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest.pop("command") == argv[0]
+    assert sorted(manifest) == sorted(manifest_flags(argv[0]))

@@ -145,6 +145,23 @@ class TestTrain:
                 MODEL, DATA, np.array([np.nan, 0, 0]), np.zeros(3), cfg, substream(509, 1)
             )
 
+    def test_step_streams_are_spawned_in_blocks(self, monkeypatch):
+        # spawning every step's stream up front costs memory in proportion to steps
+        import mlmc_evidence.rng as rng_module
+
+        asked = []
+        spawn = rng_module.spawn
+
+        def counting_spawn(rng, n):
+            asked.append(n)
+            return spawn(rng, n)
+
+        monkeypatch.setattr(rng_module, "spawn", counting_spawn)
+        cfg = quick_config(steps=200, eval_every=100, eval_replications=3)
+        train(MODEL, DATA, np.zeros(3), np.zeros(3), cfg, substream(510, 0))
+        assert max(asked) <= 64  # one block
+        assert sum(asked) == 2 + 200 + 3 * 3  # branches, steps, three evaluations
+
 
 class TestArtifacts:
     def test_csv_and_summary(self, tmp_path):
