@@ -10,7 +10,9 @@ The output location is an execution detail and stays out of the
 manifest, so a replay into any directory writes byte-identical artifacts.
 
 Exit codes: 0 success, 1 usage or contract error, 2 divergence or resource
-guard.
+guard. Commands run with numpy's floating-point warnings off: every value
+that can overflow ends in a finiteness check of its own, so a failed run
+prints its one `error:` line and nothing before it.
 """
 from __future__ import annotations
 
@@ -261,7 +263,7 @@ def finite_difference_check(model, data: Dataset, points: int, step: float, rng)
         sample = model.log_weight_batch(x, z, theta, phi)
 
         def log_f_at(theta_v, phi_v):
-            return float(model.log_weight_batch(x, z, theta_v, phi_v).log_f[0])
+            return float(model.log_weight_batch(x, z, theta_v, phi_v, grads=()).log_f[0])
 
         for j in range(model.theta_dim):
             e = np.zeros(model.theta_dim)
@@ -494,7 +496,8 @@ def main(argv=None) -> int:
             command, params = _read_manifest(args.manifest)
         else:
             command, params = args.command, _params_from_args(args)
-        summary = dispatch(command, params, Path(args.out))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            summary = dispatch(command, params, Path(args.out))
     except (ContractViolation, UnsupportedOperation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -3,8 +3,10 @@ decay-rate regression, and tail/moment diagnostics for the importance
 weights.
 
 A profile draws each level's replications as the members of flat draw
-buffers (`estimator.draw_chunks`) and reduces them by segment, one row per
-replication, with no loop over replications.
+buffers (`estimator.draw_chunks`), with the theta-gradient array only, and
+reduces them by segment, one row per replication, with no loop over
+replications. The level value and its theta-gradient share one
+exponentiation of each chunk (`estimator.LevelDraws.halves`).
 
 Cost is counted in latent draws (the only quantity that doubles per level);
 wall clock is not asserted on anywhere.
@@ -22,16 +24,9 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import ContractViolation
-from .estimator import (
-    EstimatorConfig,
-    antithetic_difference,
-    draw_chunks,
-    half_segments,
-    merge_halves,
-)
+from .estimator import EstimatorConfig, antithetic_difference, draw_chunks, merge_halves
 from .estimator import draw_level_samples  # noqa: F401  perfbench/tracer.py wraps this name here
 from .gradients import grad_theta_level
-from .logspace import segment_log_sum_exp_unchecked, segment_softmax_average_unchecked
 from .models import Dataset, LatentVariableModel
 
 log = logging.getLogger(__name__)
@@ -56,8 +51,8 @@ def naive_difference(draws) -> np.ndarray:
     minus the first-half log-mean only. Decays one order slower in
     variance; kept as the contrast case the profile can instrument. With
     the halves' log-sums differing by d, the value is log((1 + e^-d) / 2)."""
-    seg = half_segments(draws)
-    log_sums = segment_log_sum_exp_unchecked(draws.log_f, seg.starts)
+    seg, halves = draws.halves
+    log_sums = halves.log_sums
     log_means = log_sums - math.log(draws.n0)  # level-0 members hold n0 draws
     return merge_halves(
         seg, log_means, lambda a, b: np.logaddexp(0.0, log_sums[b] - log_sums[a]) - _LOG2
@@ -68,10 +63,8 @@ def naive_grad_theta(draws) -> np.ndarray:
     """Theta-gradient of `naive_difference`, (M, theta_dim): the full-buffer
     ratio minus the first half's, which is the second half's weight share
     times R_b - R_a."""
-    seg = half_segments(draws)
-    log_sums, ratios = segment_softmax_average_unchecked(
-        draws.log_f, draws.grad_theta_log_f, seg.starts
-    )
+    seg, halves = draws.halves
+    log_sums, ratios = halves.log_sums, halves.average(draws.grad_theta_log_f)
 
     def split(a, b):
         share_b = 0.5 - 0.5 * np.tanh(0.5 * (log_sums[a] - log_sums[b]))
@@ -121,7 +114,8 @@ def variance_profile(
         values, grads = [], []
         cost = 0
         for draws in draw_chunks(
-            model, data.x[indices], np.full(replications, lvl), theta, phi, cfg, stream
+            model, data.x[indices], np.full(replications, lvl), theta, phi, cfg, stream,
+            grads=("theta",),
         ):
             values.append(value_fn(draws))
             grads.append(grad_fn(draws))
@@ -200,7 +194,10 @@ def estimate_moments(
     n_draws: int,
     rng: np.random.Generator,
 ) -> MomentDiagnostic:
-    """Estimate both tail moments of f/p from n_draws importance samples."""
+    """Estimate both tail moments of f/p from n_draws importance samples.
+
+    The oracle's log evidence and every draw's log weight must be finite;
+    parameters that overflow either are a contract error."""
     if not (0.0 < s_exponent < math.inf and 0.0 < t_exponent < math.inf):
         raise ContractViolation(
             f"moment exponents must be finite and positive, got s={s_exponent}, t={t_exponent}"
@@ -208,8 +205,14 @@ def estimate_moments(
     if n_draws < 10_000:
         raise ContractViolation(f"need at least 1e4 draws, got {n_draws}")
     log_p = model.oracle_log_evidence(x, theta)  # raises if no oracle
+    if not math.isfinite(log_p):
+        raise ContractViolation(f"oracle log evidence {log_p!r} is not finite")
     z = model.sample_q(x, phi, rng, n_draws)
-    lam = model.log_weight_batch(x, z, theta, phi).log_f - log_p
+    log_f = model.log_weight_batch(x, z, theta, phi, grads=()).log_f
+    if not np.isfinite(log_f).all():
+        i = int(np.flatnonzero(~np.isfinite(log_f))[0])
+        raise ContractViolation(f"non-finite log weight at z={z[i]!r}")
+    lam = log_f - log_p
 
     scaled = s_exponent * lam
     m = scaled.max()

@@ -14,13 +14,16 @@ and the model draws and weighs a chunk in one call with the observations
 repeated as one row per draw. `run_batch` reduces the batch chunk by chunk
 as it is drawn, by segment with no loop over members, to one row per
 member of each quantity its caller names, so no buffer spans the batch.
-The evidence estimate folds the level values here, and
-`gradients.estimate_gradients` folds the level gradients of the same draws.
+The model builds only the gradient arrays the caller's reducers read. The
+evidence estimate folds the level values here and builds no gradient
+arrays, and `gradients.estimate_gradients` folds the level gradients of the
+same draws.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -28,8 +31,8 @@ import numpy as np
 from . import gradients as _gradients
 from .errors import ContractViolation, ResourceGuardExceeded
 from .logspace import log_mean_exp_unchecked  # noqa: F401  perfbench/tracer.py wraps this name here
-from .logspace import segment_log_sum_exp_unchecked
-from .models import Dataset, LatentVariableModel
+from .logspace import SegmentExp, segment_exp
+from .models import ALL_GRADS, Dataset, LatentVariableModel
 
 #: Geometric ratio 2^(-3/2): level mass decays fast enough for finite
 #: variance (weight 1/mass grows slower than the difference variance decays)
@@ -99,17 +102,27 @@ class EstimatorConfig:
         return LevelDistribution(ratio=2.0**self.level_ratio_log2)
 
 
+class HalfSegments(NamedTuple):
+    """The buffer cut into the segments the level reducers need: a level-0
+    member is one segment, a deeper member its two contiguous halves."""
+
+    starts: np.ndarray  # (S,) segment offsets, in buffer order
+    first: np.ndarray  # (M,) index of each member's first segment
+    split: np.ndarray  # (M,) True where the member is cut in halves
+
+
 @dataclass
 class LevelDraws:
     """Shared latent draws of M consecutive batch members, one chunk: member
     i owns the contiguous slice of n0 * 2^levels[i] draws, members in batch
-    order. Level values and both gradient estimates are reductions of it."""
+    order. Level values and both gradient estimates are reductions of it.
+    A gradient array the chunk was not drawn with is None."""
 
     levels: np.ndarray  # (M,)
     n0: int
     log_f: np.ndarray  # (n,)
-    grad_theta_log_f: np.ndarray  # (n, theta_dim)
-    grad_phi_log_q: np.ndarray  # (n, phi_dim)
+    grad_theta_log_f: np.ndarray | None  # (n, theta_dim)
+    grad_phi_log_q: np.ndarray | None  # (n, phi_dim)
 
     @property
     def n(self) -> int:
@@ -126,23 +139,17 @@ class LevelDraws:
         sizes = self.sizes
         return np.cumsum(sizes) - sizes
 
-
-class HalfSegments(NamedTuple):
-    """The buffer cut into the segments the level reducers need: a level-0
-    member is one segment, a deeper member its two contiguous halves."""
-
-    starts: np.ndarray  # (S,) segment offsets, in buffer order
-    first: np.ndarray  # (M,) index of each member's first segment
-    split: np.ndarray  # (M,) True where the member is cut in halves
-
-
-def half_segments(draws: LevelDraws) -> HalfSegments:
-    split = draws.levels > 0
-    per_member = 1 + split
-    starts = np.repeat(draws.starts, per_member)
-    first = np.cumsum(per_member) - per_member
-    starts[first[split] + 1] += draws.sizes[split] // 2
-    return HalfSegments(starts, first, split)
+    @cached_property
+    def halves(self) -> tuple[HalfSegments, SegmentExp]:
+        """The half segments and their one peak/exp/sum pass over log_f,
+        made by whichever level reducer reads them first and shared by the
+        rest, so a chunk is exponentiated once."""
+        split = self.levels > 0
+        per_member = 1 + split
+        starts = np.repeat(self.starts, per_member)
+        first = np.cumsum(per_member) - per_member
+        starts[first[split] + 1] += self.sizes[split] // 2
+        return HalfSegments(starts, first, split), segment_exp(self.log_f, starts)
 
 
 def merge_halves(seg: HalfSegments, level_zero: np.ndarray, split_fn) -> np.ndarray:
@@ -163,6 +170,7 @@ def draw_chunks(
     phi,
     cfg: EstimatorConfig,
     rng: np.random.Generator,
+    grads=ALL_GRADS,
 ) -> Iterator[LevelDraws]:
     """Draw the members (observation x_rows[i], level levels[i]) in order
     from `rng`, as flat buffers of consecutive members.
@@ -171,7 +179,9 @@ def draw_chunks(
     exceeds it, and costs one `sample_q` and one `log_weight_batch` call
     with the member's observation repeated per draw. The latents come from
     `rng` in member order whatever the chunking, so chunk boundaries change
-    no value.
+    no value. `grads` names the gradient arrays the chunks carry, a subset
+    of {"theta", "phi"}; the others are None, and no value read from the
+    chunks depends on it.
     """
     levels = np.asarray(levels, dtype=np.int64)
     if levels.size and levels.min() < 0:
@@ -189,7 +199,7 @@ def draw_chunks(
         x = np.repeat(x_rows[lo:hi], sizes[lo:hi], axis=0)
         n = int(ends[hi - 1] - base)
         z = model.sample_q(x, phi, rng, n)
-        batch = model.log_weight_batch(x, z, theta, phi)
+        batch = model.log_weight_batch(x, z, theta, phi, grads=grads)
         if not np.isfinite(batch.log_f).all():
             i = int(np.flatnonzero(~np.isfinite(batch.log_f))[0])
             member = lo + int(np.searchsorted(ends[lo:hi] - base, i, side="right"))
@@ -241,8 +251,8 @@ def antithetic_difference(draws: LevelDraws) -> np.ndarray:
     so each half is reduced once and the full buffer never again. Draw
     buffers were validated when drawn, so the raw reduction applies.
     """
-    seg = half_segments(draws)
-    log_sums = segment_log_sum_exp_unchecked(draws.log_f, seg.starts)
+    seg, halves = draws.halves
+    log_sums = halves.log_sums
     log_means = log_sums - math.log(draws.n0)  # level-0 members hold n0 draws
     return merge_halves(
         seg, log_means, lambda a, b: _log_cosh(0.5 * (log_sums[a] - log_sums[b]))
@@ -328,17 +338,20 @@ def run_batch(
     rng: np.random.Generator,
     *,
     reducers,
+    grads=ALL_GRADS,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Draw one batch and reduce it chunk by chunk as it is drawn: the
     batch's levels, (M,), and per reducer its (M, ...) per-member rows.
 
     Every (data index, level) pair is drawn from `rng` before any latent,
     then the members draw their latents from `rng` in batch order, in
-    chunks of at most DRAW_BUDGET draws, each dropped once reduced.
+    chunks of at most DRAW_BUDGET draws, each dropped once reduced. The
+    chunks carry the gradient arrays named in `grads` (see `draw_chunks`),
+    which must cover those the reducers read.
     """
     indices, levels = draw_batch_indices(data, cfg, rng)
     rows = [[] for _ in reducers]
-    for draws in draw_chunks(model, data.x[indices], levels, theta, phi, cfg, rng):
+    for draws in draw_chunks(model, data.x[indices], levels, theta, phi, cfg, rng, grads):
         for out, reduce in zip(rows, reducers):
             out.append(reduce(draws))
     return levels, [np.concatenate(r) for r in rows]
@@ -347,8 +360,8 @@ def run_batch(
 def batch_cost(levels: np.ndarray, n0: int) -> tuple[int, dict[int, int]]:
     """Latent draws and per-level member counts of a batch, from its levels
     alone: the batch is reduced chunk by chunk as drawn and keeps no draws."""
-    distinct, counts = np.unique(levels, return_counts=True)
-    return int((n0 << levels).sum()), {int(l): int(c) for l, c in zip(distinct, counts)}
+    counts = np.bincount(levels).tolist()
+    return int((n0 << levels).sum()), {l: c for l, c in enumerate(counts) if c}
 
 
 @dataclass
@@ -379,7 +392,7 @@ def estimate_log_evidence(
     if workers != 1:
         raise ContractViolation(f"workers must be 1, got {workers}")
     levels, (values,) = run_batch(
-        model, data, theta, phi, cfg, rng, reducers=[antithetic_difference]
+        model, data, theta, phi, cfg, rng, reducers=[antithetic_difference], grads=()
     )
     terms = values / cfg.distribution().mass(levels)
     n = data.n_total

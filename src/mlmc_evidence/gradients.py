@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import estimator as _estimator
-from .logspace import segment_softmax_average_unchecked
 from .logspace import softmax_weights_unchecked  # noqa: F401  perfbench/tracer.py wraps this name here
 
 
@@ -31,10 +30,8 @@ def grad_theta_level(draws) -> np.ndarray:
     by d that leaves tanh(d / 2) / 2 * (R_a - R_b), from the identical
     draws and with each half reduced once.
     """
-    seg = _estimator.half_segments(draws)
-    log_sums, ratios = segment_softmax_average_unchecked(
-        draws.log_f, draws.grad_theta_log_f, seg.starts
-    )
+    seg, halves = draws.halves
+    log_sums, ratios = halves.log_sums, halves.average(draws.grad_theta_log_f)
 
     def split(a, b):
         return 0.5 * np.tanh(0.5 * (log_sums[a] - log_sums[b]))[:, None] * (ratios[a] - ratios[b])
@@ -82,7 +79,8 @@ def estimate_gradients(
     score-function term (each level average is unbiased on its own).
     """
     levels, (rows_theta, rows_phi) = _estimator.run_batch(
-        model, data, theta, phi, cfg, rng, reducers=[grad_theta_level, grad_phi_elbo_level]
+        model, data, theta, phi, cfg, rng,
+        reducers=[grad_theta_level, grad_phi_elbo_level], grads=("theta", "phi"),
     )
     masses = cfg.distribution().mass(levels)
     scale = data.n_total / levels.size

@@ -7,6 +7,7 @@ single max-shift pass in double precision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,31 +47,33 @@ def log_mean_exp(values) -> float:
     return log_mean_exp_unchecked(as_log_values(values))
 
 
-def _segment_shifted(buf: np.ndarray, starts: np.ndarray):
-    # per-segment peak, and each value's exp shifted by its segment's peak
-    lengths = np.diff(starts, append=buf.size)
+class SegmentExp(NamedTuple):
+    """One peak/exp/sum pass over the contiguous segments of a validated
+    buffer; segment j runs from starts[j] to starts[j + 1] (or the end)."""
+
+    starts: np.ndarray  # (S,)
+    shifted: np.ndarray  # (n,) each value's exp, shifted by its segment's peak
+    total: np.ndarray  # (S,) per-segment sum of `shifted`
+    log_sums: np.ndarray  # (S,) per-segment log(sum_i exp(v_i))
+
+    def average(self, rows: np.ndarray) -> np.ndarray:
+        """The softmax(buf)-weighted average of the rows of `rows` within
+        each segment, sum_i exp(v_i) rows_i / sum_i exp(v_i), without
+        leaving log space."""
+        weighted = np.add.reduceat(self.shifted[:, None] * rows, self.starts, axis=0)
+        return weighted / self.total[:, None]
+
+
+def segment_exp(buf: np.ndarray, starts: np.ndarray) -> SegmentExp:
+    """The peak/exp/sum pass over each nonempty segment of a validated
+    buffer: the shifted exps are built in one buffer, and each segment's
+    log-sum-exp is its peak plus the log of its shifted sum."""
     peak = np.maximum.reduceat(buf, starts)
-    shifted = np.exp(buf - np.repeat(peak, lengths))
-    return peak, shifted
-
-
-def segment_log_sum_exp_unchecked(buf: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """log(sum_i exp(v_i)) over each contiguous segment of a validated
-    buffer; segment j runs from starts[j] to starts[j + 1] (or the end).
-    Segments must be nonempty."""
-    peak, shifted = _segment_shifted(buf, starts)
-    return peak + np.log(np.add.reduceat(shifted, starts))
-
-
-def segment_softmax_average_unchecked(buf: np.ndarray, rows: np.ndarray, starts: np.ndarray):
-    """Per-segment log-sum-exp, as in `segment_log_sum_exp_unchecked`, and
-    the softmax(buf)-weighted average of the rows of `rows` within each
-    segment: sum_i exp(v_i) rows_i / sum_i exp(v_i), without leaving log
-    space."""
-    peak, shifted = _segment_shifted(buf, starts)
+    shifted = np.repeat(peak, np.diff(starts, append=buf.size))
+    np.subtract(buf, shifted, out=shifted)
+    np.exp(shifted, out=shifted)
     total = np.add.reduceat(shifted, starts)
-    weighted = np.add.reduceat(shifted[:, None] * rows, starts, axis=0)
-    return peak + np.log(total), weighted / total[:, None]
+    return SegmentExp(starts, shifted, total, peak + np.log(total))
 
 
 def softmax_weights_unchecked(buf: np.ndarray) -> np.ndarray:

@@ -9,13 +9,16 @@ and reports, for a batch of latent draws, the log importance weight
 
     log f(x, z) = log p(x|z) + log p(z) - log q(z|x)
 
-together with d(log f)/d(theta) and d(log q)/d(phi) per draw. The
-observation x is either one observation (x_dim,) shared by every draw or
-one row per draw (n, x_dim), so a chunk of batch members, each with its
-own observation, is drawn and weighted in one call. Everything is
-parameterized so that theta and phi are unconstrained real vectors: standard
-deviations enter as their logarithms and gradients are taken with respect to
-the log-parameters.
+together with d(log f)/d(theta) and d(log q)/d(phi) per draw. A caller
+names the gradient arrays it reads, a subset of {"theta", "phi"} (both by
+default), and the model builds only those: an unrequested field of the
+returned `WeightBatch` is None, and log f is the same whichever are asked
+for. The evidence estimate asks for none. The observation x is either one
+observation (x_dim,) shared by every draw or one row per draw (n, x_dim),
+so a chunk of batch members, each with its own observation, is drawn and
+weighted in one call. Everything is parameterized so that theta and phi
+are unconstrained real vectors: standard deviations enter as their
+logarithms and gradients are taken with respect to the log-parameters.
 
 Two concrete models are provided. The conjugate Gaussian model has closed
 forms for the evidence, the posterior and the KL term, which makes it the
@@ -40,12 +43,17 @@ from .errors import ContractViolation, UnsupportedOperation
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
+#: Every gradient array `log_weight_batch` can build, by name.
+ALL_GRADS = frozenset({"theta", "phi"})
+
+
 class WeightBatch(NamedTuple):
-    """Per-draw log weights and gradients at one (theta, phi)."""
+    """Per-draw log weights and the requested gradients at one (theta, phi);
+    a gradient the caller did not ask for is None."""
 
     log_f: np.ndarray  # (n,)
-    grad_theta_log_f: np.ndarray  # (n, theta_dim)
-    grad_phi_log_q: np.ndarray  # (n, phi_dim)
+    grad_theta_log_f: np.ndarray | None  # (n, theta_dim)
+    grad_phi_log_q: np.ndarray | None  # (n, phi_dim)
 
 
 @dataclass(frozen=True)
@@ -92,11 +100,15 @@ class LatentVariableModel(abc.ABC):
         """
 
     @abc.abstractmethod
-    def log_weight_batch(self, x, z, theta, phi) -> WeightBatch:
-        """log f and its gradients for every row of z, shape (n, z_dim).
+    def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS) -> WeightBatch:
+        """log f and the gradients named in `grads` for every row of z,
+        shape (n, z_dim).
 
         x is one observation (x_dim,) for every row of z, or one row per
-        row of z (n, x_dim).
+        row of z (n, x_dim). `grads` is a subset of {"theta", "phi"}:
+        "theta" builds d(log f)/d(theta), "phi" builds d(log q)/d(phi), and
+        each gradient not named is None in the result. log f does not
+        depend on `grads`.
         """
 
     @abc.abstractmethod
@@ -125,6 +137,14 @@ def _check_vector(name: str, v, length: int) -> np.ndarray:
     if not np.isfinite(v).all():
         raise ContractViolation(f"{name} contains non-finite entries")
     return v
+
+
+def _wanted(grads) -> tuple[bool, bool]:
+    """Whether `grads` names the theta and the phi gradient arrays."""
+    unknown = set(grads) - ALL_GRADS
+    if unknown:
+        raise ContractViolation(f"unknown gradients {sorted(unknown)}; choose from theta, phi")
+    return "theta" in grads, "phi" in grads
 
 
 def _check_size(n) -> None:
@@ -180,47 +200,58 @@ class GaussianConjugateModel(LatentVariableModel):
     def sample_q(self, x, phi, rng, n):
         a, b, log_s = self.split_phi(phi)
         x = _check_x(x, self.x_dim, n)
-        mean = a * x + b
-        return mean + np.exp(log_s) * rng.standard_normal((n, self.dim))
+        z = rng.standard_normal((n, self.dim))
+        z *= np.exp(log_s)
+        z += a * x + b
+        return z
 
-    def log_weight_batch(self, x, z, theta, phi):
+    def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS):
+        want_theta, want_phi = _wanted(grads)
         mu0, log_s0, log_sx = self.split_theta(theta)
         a, b, log_s = self.split_phi(phi)
         z = np.asarray(z, dtype=np.float64)
-        x = _check_x(x, self.x_dim, z.shape[0])
+        n, d = z.shape[0], self.dim
+        x = _check_x(x, self.x_dim, n)
 
         v0 = np.exp(2.0 * log_s0)
         vx = np.exp(2.0 * log_sx)
         vq = np.exp(2.0 * log_s)
-        m = a * x + b
+        gt = np.empty((n, self.theta_dim)) if want_theta else None
+        gq = np.empty((n, self.phi_dim)) if want_phi else None
 
-        dz0 = z - mu0  # (n, d)
-        dxz = x - z
-        dzq = z - m
+        # q accumulates q0 + qx - qq, the three squared standardized
+        # residuals; `r` holds each residual in turn, then its square
+        r = z - mu0
+        if want_theta:
+            np.divide(r, v0, out=gt[:, :d])
+        q = r * r
+        q /= v0
+        if want_theta:
+            np.subtract(q, 1.0, out=gt[:, d : 2 * d])
 
-        q0 = dz0 * dz0 / v0
-        qx = dxz * dxz / vx
-        qq = dzq * dzq / vq
+        np.subtract(x, z, out=r)
+        r *= r
+        r /= vx
+        if want_theta:
+            np.subtract(r, 1.0, out=gt[:, 2 * d :])
+        q += r
 
-        log_f = (
-            -0.5 * (q0 + qx - qq).sum(axis=1)
-            - (log_s0.sum() + log_sx.sum() - log_s.sum())
-            - 0.5 * self.dim * _LOG_2PI
-        )
+        np.multiply(a, x, out=r)
+        r += b
+        np.subtract(z, r, out=r)  # z - (a x + b)
+        if want_phi:
+            dm = np.divide(r, vq, out=gq[:, d : 2 * d])
+            np.multiply(dm, x, out=gq[:, :d])
+        r *= r
+        r /= vq
+        if want_phi:
+            np.subtract(r, 1.0, out=gq[:, 2 * d :])
+        q -= r
 
-        n = z.shape[0]
-        gt = np.empty((n, self.theta_dim))
-        d = self.dim
-        gt[:, :d] = dz0 / v0
-        gt[:, d : 2 * d] = q0 - 1.0
-        gt[:, 2 * d :] = qx - 1.0
-
-        gq = np.empty((n, self.phi_dim))
-        dm = dzq / vq
-        gq[:, :d] = dm * x
-        gq[:, d : 2 * d] = dm
-        gq[:, 2 * d :] = qq - 1.0
-
+        log_f = q.sum(axis=1)
+        log_f *= -0.5
+        log_f -= log_s0.sum() + log_sx.sum() - log_s.sum()
+        log_f -= 0.5 * self.dim * _LOG_2PI
         return WeightBatch(log_f, gt, gq)
 
     def generate_data(self, theta, n, rng):
@@ -296,7 +327,14 @@ def _hermgauss(n_nodes: int):
 
 
 def _log_sigmoid(eta: np.ndarray) -> np.ndarray:
-    return np.minimum(eta, 0.0) - np.log1p(np.exp(-np.abs(eta)))
+    # min(eta, 0) - log1p(exp(-|eta|))
+    tail = np.abs(eta)
+    np.negative(tail, out=tail)
+    np.exp(tail, out=tail)
+    np.log1p(tail, out=tail)
+    out = np.minimum(eta, 0.0)
+    out -= tail
+    return out
 
 
 class BernoulliGaussianModel(LatentVariableModel):
@@ -329,10 +367,13 @@ class BernoulliGaussianModel(LatentVariableModel):
         x = _check_x(x, self.x_dim, n)
         m, log_s, _ = self._q_params(x, phi)
         # (n,) per-row parameters become columns; scalars broadcast as is
-        m, log_s = m[..., None], log_s[..., None]
-        return m + np.exp(log_s) * rng.standard_normal((n, 1))
+        z = rng.standard_normal((n, 1))
+        z *= np.exp(log_s)[..., None]
+        z += m[..., None]
+        return z
 
-    def log_weight_batch(self, x, z, theta, phi):
+    def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS):
+        want_theta, want_phi = _wanted(grads)
         theta = _check_vector("theta", theta, self.theta_dim)
         z = np.asarray(z, dtype=np.float64)
         n = z.shape[0]
@@ -344,27 +385,46 @@ class BernoulliGaussianModel(LatentVariableModel):
         m, log_s, k = self._q_params(x, phi)
         zs = z[:, 0]
         w, c = theta
-        eta = w * zs + c
+        eta = w * zs
+        eta += c
         sign = 2.0 * xv - 1.0
 
-        log_lik = _log_sigmoid(sign * eta)
-        log_prior = -0.5 * (_LOG_2PI + zs * zs)
+        log_f = _log_sigmoid(sign * eta)  # log p(x|z), then log f
+        log_prior = zs * zs
+        log_prior += _LOG_2PI
+        log_prior *= -0.5
+        log_f += log_prior
         vq = np.exp(2.0 * log_s)
         dzq = zs - m
-        log_q = -0.5 * (_LOG_2PI + dzq * dzq / vq) - log_s
+        qq = dzq * dzq
+        qq /= vq
+        log_q = qq + _LOG_2PI
+        log_q *= -0.5
+        log_q -= log_s
+        log_f -= log_q
 
-        resid = xv - 1.0 / (1.0 + np.exp(-eta))  # x - sigmoid(eta)
-        gt = np.empty((n, 2))
-        gt[:, 0] = zs * resid
-        gt[:, 1] = resid
+        gt = gq = None
+        if want_theta:
+            gt = np.empty((n, 2))
+            resid = gt[:, 1]  # x - sigmoid(eta)
+            np.negative(eta, out=resid)
+            np.exp(resid, out=resid)
+            resid += 1.0
+            np.divide(1.0, resid, out=resid)
+            np.subtract(xv, resid, out=resid)
+            np.multiply(zs, resid, out=gt[:, 0])
+        if want_phi:
+            # only the observed class's q parameters move log q; the other
+            # class's columns stay +0.0
+            gq = np.zeros((n, 4))
+            dm = dzq / vq
+            qq -= 1.0
+            for cls in (0, 1):
+                on = k == cls
+                np.copyto(gq[:, 2 * cls], dm, where=on)
+                np.copyto(gq[:, 2 * cls + 1], qq, where=on)
 
-        # only the observed class's q parameters move log q
-        rows = np.arange(n)
-        gq = np.zeros((n, 4))
-        gq[rows, 2 * k] = dzq / vq
-        gq[rows, 2 * k + 1] = dzq * dzq / vq - 1.0
-
-        return WeightBatch(log_lik + log_prior - log_q, gt, gq)
+        return WeightBatch(log_f, gt, gq)
 
     def generate_data(self, theta, n, rng):
         _check_size(n)

@@ -66,10 +66,11 @@ class RunRecord:
 def _oracle_metrics(model, data, theta, phi):
     # The oracles depend on an observation only through its value, so each
     # distinct row is evaluated once and weighted by how often it occurs
-    # (binary data has at most two distinct rows).
+    # (binary data has at most two distinct rows). Parameters that overflow
+    # an oracle are a contract error, not a record.
     rows, counts = np.unique(data.x, axis=0, return_counts=True)
     try:
-        evidence = counts @ np.array([model.oracle_log_evidence(x, theta) for x in rows])
+        evidence = float(counts @ np.array([model.oracle_log_evidence(x, theta) for x in rows]))
     except UnsupportedOperation:
         return None, None
     try:
@@ -77,7 +78,9 @@ def _oracle_metrics(model, data, theta, phi):
         kl = float(kl / data.n_total)
     except UnsupportedOperation:
         kl = None
-    return float(evidence), kl
+    if not (math.isfinite(evidence) and (kl is None or math.isfinite(kl))):
+        raise ContractViolation(f"oracle evidence {evidence!r} or KL {kl!r} is not finite")
+    return evidence, kl
 
 
 def train(

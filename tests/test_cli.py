@@ -321,6 +321,29 @@ class TestExitCodes:
         assert code == 2
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen-data", "--n", "5", "--theta", "1,0,800"],
+            ["estimate", "--phi", "0,0,800"],
+            ["estimate", "--true-theta", "1,0,800"],
+            ["moments", "--phi", "0,0,800", "--draws", "10000"],
+            ["train", "--theta", "0,800,0", "--steps", "1"],
+        ],
+        ids=["gen-data-theta", "estimate-phi", "estimate-true-theta", "moments-phi",
+             "train-theta"],
+    )
+    def test_overflow_prints_only_the_error_line(self, tmp_path, argv):
+        # a fresh interpreter, so numpy's warnings reach stderr unfiltered;
+        # moments and train would otherwise write infinite or NaN results
+        proc = subprocess.run(
+            [sys.executable, "-m", "mlmc_evidence.cli", *argv, "--out", str(tmp_path / "x")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+    @pytest.mark.parametrize(
         "argv", [["gen-data", "--n", "5"], ["estimate"], ["rerun", "--manifest", "m.json"]],
         ids=["gen-data", "estimate", "rerun"],
     )

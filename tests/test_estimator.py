@@ -27,7 +27,7 @@ from mlmc_evidence.estimator import (
 )
 from mlmc_evidence.gradients import estimate_gradients, grad_phi_elbo_level, grad_theta_level
 from mlmc_evidence.logspace import log_mean_exp
-from mlmc_evidence.models import BernoulliGaussianModel, GaussianConjugateModel
+from mlmc_evidence.models import ALL_GRADS, BernoulliGaussianModel, GaussianConjugateModel
 from mlmc_evidence.rng import substream
 
 MODEL = GaussianConjugateModel(1)
@@ -175,8 +175,8 @@ class TestLevelEstimate:
 
     def test_nonfinite_weight_identified(self):
         class BrokenModel(GaussianConjugateModel):
-            def log_weight_batch(self, x, z, theta, phi):
-                batch = super().log_weight_batch(x, z, theta, phi)
+            def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS):
+                batch = super().log_weight_batch(x, z, theta, phi, grads)
                 batch.log_f[0] = -math.inf
                 return batch
 
@@ -495,6 +495,23 @@ class TestBoundedMemory:
         for estimate in (estimate_log_evidence, estimate_gradients):
             peak = traced_peak(lambda: estimate(model, data, theta, phi, cfg, substream(125, 2)))
             assert peak <= 3 * one_chunk, (estimate.__name__, peak, one_chunk)
+
+    def test_evidence_builds_no_gradient_arrays(self):
+        # at dim 32 a draw's two gradient rows (96 reals each) outweigh its
+        # other temporaries, so the evidence path, which builds neither,
+        # peaks well under the gradient path on the same one-chunk batch
+        model = GaussianConjugateModel(32)
+        theta = np.zeros(model.theta_dim)
+        phi = np.repeat([0.0, 0.0, 0.5 * math.log(2.0)], 32)
+        data = model.generate_data(theta, 50, substream(126, 0))
+        cfg = EstimatorConfig(n0=256, batch_size=16)
+        _, levels = draw_batch_indices(data, cfg, substream(126, 1))
+        assert (cfg.n0 << levels).sum() <= estimator_module.DRAW_BUDGET  # one chunk
+        evidence, gradient = (
+            traced_peak(lambda: estimate(model, data, theta, phi, cfg, substream(126, 1)))
+            for estimate in (estimate_log_evidence, estimate_gradients)
+        )
+        assert evidence < 2 / 3 * gradient, (evidence, gradient)
 
 
 def raw_level_route(log_f, grad_theta_log_f, grad_phi_log_q, level):

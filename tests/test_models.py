@@ -348,6 +348,56 @@ class TestRowsPerDraw:
             )
 
 
+class TestRequestedGradients:
+    """A caller gets exactly the gradient arrays it names, each bit-identical
+    to the full call's, and log f does not depend on which it names."""
+
+    @staticmethod
+    def inputs(model, rows, seed):
+        rng = substream(seed, 0)
+        theta = 0.4 * rng.standard_normal(model.theta_dim)
+        phi = 0.4 * rng.standard_normal(model.phi_dim)
+        n = 48
+        if model is BERNOULLI:
+            x = rng.integers(2, size=(n, 1)).astype(np.float64) if rows else np.array([0.0])
+        else:
+            x = rng.standard_normal((n, model.x_dim) if rows else model.x_dim)
+        return x, model.sample_q(x, phi, rng, n), theta, phi
+
+    @pytest.mark.parametrize("grads", [(), ("theta",), ("phi",), ("theta", "phi")],
+                             ids=["none", "theta", "phi", "both"])
+    @pytest.mark.parametrize("rows", [False, True], ids=["one-observation", "rows"])
+    @pytest.mark.parametrize("model", [GaussianConjugateModel(3), BERNOULLI],
+                             ids=["gaussian-3", "bernoulli"])
+    def test_subset_matches_full_call(self, model, rows, grads):
+        x, z, theta, phi = self.inputs(model, rows, 14)
+        full = model.log_weight_batch(x, z, theta, phi)
+        part = model.log_weight_batch(x, z, theta, phi, grads=grads)
+        assert part.log_f.tobytes() == full.log_f.tobytes()
+        for name, got, want in [
+            ("theta", part.grad_theta_log_f, full.grad_theta_log_f),
+            ("phi", part.grad_phi_log_q, full.grad_phi_log_q),
+        ]:
+            if name in grads:
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            else:
+                assert got is None
+
+    def test_bernoulli_other_class_columns_are_positive_zero(self):
+        x, z, theta, phi = self.inputs(BERNOULLI, True, 16)
+        gq = BERNOULLI.log_weight_batch(x, z, theta, phi, grads=("phi",)).grad_phi_log_q
+        one = x[:, 0] == 1.0
+        assert 0 < one.sum() < one.size
+        for off in (gq[one][:, :2], gq[~one][:, 2:]):
+            assert np.all(off == 0.0) and not np.signbit(off).any()
+
+    @pytest.mark.parametrize("grads", [("psi",), "theta"], ids=["unknown", "string"])
+    def test_unknown_gradient_rejected(self, grads):
+        x, z, theta, phi = self.inputs(GAUSSIAN, False, 17)
+        with pytest.raises(ContractViolation, match="unknown gradients"):
+            GAUSSIAN.log_weight_batch(x, z, theta, phi, grads=grads)
+
+
 class TestDataset:
     def test_n_total_must_match(self):
         with pytest.raises(ContractViolation):
