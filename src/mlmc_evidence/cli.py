@@ -9,10 +9,11 @@ holds any other key, or holds a value the flag could not have parsed to.
 The output location is an execution detail and stays out of the
 manifest, so a replay into any directory writes byte-identical artifacts.
 
-Exit codes: 0 success, 1 usage or contract error, 2 divergence or resource
-guard. Commands run with numpy's floating-point warnings off: every value
-that can overflow ends in a finiteness check of its own, so a failed run
-prints its one `error:` line and nothing before it.
+Exit codes: 0 success, 1 usage or contract error, 2 divergence, resource
+guard or an allocation that cannot be made. Commands run with numpy's
+floating-point warnings off: every value that can overflow ends in a
+finiteness check of its own, so a failed run prints its one `error:` line
+and nothing before it.
 """
 from __future__ import annotations
 
@@ -501,7 +502,7 @@ def main(argv=None) -> int:
     except (ContractViolation, UnsupportedOperation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DivergenceError, ResourceGuardExceeded) as exc:
+    except (DivergenceError, ResourceGuardExceeded, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(summary)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -96,10 +96,18 @@ class EstimatorConfig:
             raise ContractViolation(f"batch_size must be >= 1, got {self.batch_size}")
         if self.level_cap < 1:
             raise ContractViolation(f"level_cap must be >= 1, got {self.level_cap}")
-        self.distribution()  # validates the ratio
+        if int(self.n0).bit_length() + self.level_cap > 63:
+            raise ContractViolation(
+                f"n0 * 2^level_cap = {self.n0} * 2^{self.level_cap} draws does not fit in int64"
+            )
+        # Built once (it validates the ratio); not a field, so equality,
+        # hashing, repr and `dataclasses.replace` see only the four knobs.
+        object.__setattr__(
+            self, "_distribution", LevelDistribution(ratio=2.0**self.level_ratio_log2)
+        )
 
     def distribution(self) -> LevelDistribution:
-        return LevelDistribution(ratio=2.0**self.level_ratio_log2)
+        return self._distribution
 
 
 class HalfSegments(NamedTuple):
@@ -128,16 +136,16 @@ class LevelDraws:
     def n(self) -> int:
         return self.log_f.shape[0]
 
-    @property
+    @cached_property
     def sizes(self) -> np.ndarray:
         """Draws per member, (M,)."""
         return self.n0 << self.levels
 
-    @property
+    @cached_property
     def starts(self) -> np.ndarray:
         """Offset of each member's slice in the buffer, (M,)."""
         sizes = self.sizes
-        return np.cumsum(sizes) - sizes
+        return sizes.cumsum() - sizes
 
     @cached_property
     def halves(self) -> tuple[HalfSegments, SegmentExp]:
@@ -146,20 +154,21 @@ class LevelDraws:
         rest, so a chunk is exponentiated once."""
         split = self.levels > 0
         per_member = 1 + split
-        starts = np.repeat(self.starts, per_member)
-        first = np.cumsum(per_member) - per_member
-        starts[first[split] + 1] += self.sizes[split] // 2
-        return HalfSegments(starts, first, split), segment_exp(self.log_f, starts)
+        sizes = (self.sizes >> split).repeat(per_member)  # a split member's halves are equal
+        starts = sizes.cumsum() - sizes
+        first = per_member.cumsum() - per_member
+        return HalfSegments(starts, first, split), segment_exp(self.log_f, starts, sizes)
 
 
 def merge_halves(seg: HalfSegments, level_zero: np.ndarray, split_fn) -> np.ndarray:
     """One row per member: `level_zero` rows of the unsplit members' only
-    segments, and `split_fn(a, b)` of each split member's halves' indices."""
-    out = np.empty((seg.first.size,) + level_zero.shape[1:])
-    out[~seg.split] = level_zero[seg.first[~seg.split]]
-    a = seg.first[seg.split]
-    out[seg.split] = split_fn(a, a + 1)
-    return out
+    segments, and `split_fn(a, b)` of each split member's halves' indices.
+
+    `split_fn` runs on every member at once, an unsplit member passing its
+    only segment as both halves, and its rows there are discarded."""
+    a = seg.first
+    split = seg.split.reshape(seg.split.shape + (1,) * (level_zero.ndim - 1))
+    return np.where(split, split_fn(a, a + seg.split), level_zero[a])
 
 
 def draw_chunks(
@@ -184,19 +193,28 @@ def draw_chunks(
     chunks depends on it.
     """
     levels = np.asarray(levels, dtype=np.int64)
-    if levels.size and levels.min() < 0:
+    if not levels.size:
+        return
+    if levels.min() < 0:
         raise ContractViolation(f"level must be >= 0, got {int(levels.min())}")
-    if levels.size and levels.max() > cfg.level_cap:
+    top = int(levels.max())
+    if top > cfg.level_cap:
+        raise ResourceGuardExceeded(f"level {top} exceeds level cap {cfg.level_cap}")
+    # the widest per-draw row a chunk holds, in bytes; past 2^63 - 1 bytes
+    # the draw offsets below or an array's size would overflow
+    row = 8 * max(model.x_dim, model.z_dim, model.theta_dim, model.phi_dim)
+    if (levels.size * (int(cfg.n0) << top) * row) >> 63:
         raise ResourceGuardExceeded(
-            f"level {int(levels.max())} exceeds level cap {cfg.level_cap}"
+            f"{levels.size} members up to level {top} may need more than 2^63 - 1 bytes"
+            f" at {row} bytes per draw"
         )
     sizes = cfg.n0 << levels
-    ends = np.cumsum(sizes)
+    ends = sizes.cumsum()
     lo = 0
     while lo < levels.size:
         base = ends[lo] - sizes[lo]
-        hi = max(lo + 1, int(np.searchsorted(ends, base + DRAW_BUDGET, side="right")))
-        x = np.repeat(x_rows[lo:hi], sizes[lo:hi], axis=0)
+        hi = max(lo + 1, int(ends.searchsorted(base + DRAW_BUDGET, side="right")))
+        x = x_rows[lo:hi].repeat(sizes[lo:hi], axis=0)
         n = int(ends[hi - 1] - base)
         z = model.sample_q(x, phi, rng, n)
         batch = model.log_weight_batch(x, z, theta, phi, grads=grads)
@@ -291,6 +309,15 @@ def level_estimate(
     )
 
 
+@lru_cache(maxsize=16)
+def _level_bounds(ratio: float, level_cap: int) -> np.ndarray:
+    """The thresholds r^(level_cap + 1), ..., r^1 in ascending order, made
+    once per (ratio, level_cap) and shared read-only by every batch."""
+    bounds = ratio ** np.arange(level_cap + 1, 0, -1)
+    bounds.flags.writeable = False
+    return bounds
+
+
 def sample_levels(
     dist: LevelDistribution, u: np.ndarray, level_cap: int = DEFAULT_LEVEL_CAP
 ) -> np.ndarray:
@@ -304,11 +331,11 @@ def sample_levels(
     misconfiguration, not bad luck.
     """
     u = np.asarray(u, dtype=np.float64)
-    bad = ~((u > 0.0) & (u <= 1.0))
-    if bad.any():
-        raise ContractViolation(f"uniform variate must lie in (0, 1], got {u[bad][0]}")
-    bounds = dist.ratio ** np.arange(level_cap + 1, 0, -1)
-    levels = bounds.size - np.searchsorted(bounds, u)
+    ok = (u > 0.0) & (u <= 1.0)
+    if not ok.all():
+        raise ContractViolation(f"uniform variate must lie in (0, 1], got {u[~ok][0]}")
+    bounds = _level_bounds(dist.ratio, level_cap)
+    levels = bounds.size - bounds.searchsorted(u)
     if levels.size and levels.max() > level_cap:
         raise ResourceGuardExceeded(f"sampled level exceeds level cap {level_cap}")
     return levels
@@ -360,8 +387,8 @@ def run_batch(
 def batch_cost(levels: np.ndarray, n0: int) -> tuple[int, dict[int, int]]:
     """Latent draws and per-level member counts of a batch, from its levels
     alone: the batch is reduced chunk by chunk as drawn and keeps no draws."""
-    counts = np.bincount(levels).tolist()
-    return int((n0 << levels).sum()), {l: c for l, c in enumerate(counts) if c}
+    counts = {l: c for l, c in enumerate(np.bincount(levels).tolist()) if c}
+    return sum(c * (n0 << l) for l, c in counts.items()), counts
 
 
 @dataclass
@@ -397,8 +424,15 @@ def estimate_log_evidence(
     terms = values / cfg.distribution().mass(levels)
     n = data.n_total
     m = len(terms)
-    value = n * float(terms.mean())
-    std_error = 0.0 if m < 2 else n * float(terms.std(ddof=1)) / math.sqrt(m)
+    # terms.mean() and terms.std(ddof=1) in numpy's own operand order
+    mean = terms.sum() / m
+    value = n * float(mean)
+    if m < 2:
+        std_error = 0.0
+    else:
+        terms -= mean
+        terms *= terms
+        std_error = n * math.sqrt(terms.sum() / (m - 1)) / math.sqrt(m)
     total_cost, counts = batch_cost(levels, cfg.n0)
     return EvidenceEstimate(
         value=value,

@@ -64,12 +64,13 @@ class SegmentExp(NamedTuple):
         return weighted / self.total[:, None]
 
 
-def segment_exp(buf: np.ndarray, starts: np.ndarray) -> SegmentExp:
-    """The peak/exp/sum pass over each nonempty segment of a validated
-    buffer: the shifted exps are built in one buffer, and each segment's
+def segment_exp(buf: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> SegmentExp:
+    """The peak/exp/sum pass over the nonempty segments of a validated
+    buffer that tile it in order, segment j holding sizes[j] values from
+    starts[j]: the shifted exps are built in one buffer, and each segment's
     log-sum-exp is its peak plus the log of its shifted sum."""
     peak = np.maximum.reduceat(buf, starts)
-    shifted = np.repeat(peak, np.diff(starts, append=buf.size))
+    shifted = peak.repeat(sizes)
     np.subtract(buf, shifted, out=shifted)
     np.exp(shifted, out=shifted)
     total = np.add.reduceat(shifted, starts)

@@ -311,6 +311,41 @@ class TestExitCodes:
         assert code == 2
         assert "level cap" in err
 
+    def test_level_cap_beyond_int64_draws_is_contract_error(self, tmp_path, capsys):
+        # 8 * 2^70 draws at the deepest level cannot be counted in int64
+        code, _, err = run_cli(
+            capsys, "variance-profile", "--level-cap", "70", "--levels", "62..62",
+            "--reps", "100", "--out", str(tmp_path / "x"),
+        )
+        assert code == 1
+        assert err.startswith("error: ") and "int64" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--level-cap", "59", "--levels", "59..59"],
+        ["--dim", "16", "--level-cap", "56", "--levels", "53..53"],
+    ], ids=["offsets-wrap", "bytes-overflow"])
+    def test_draws_beyond_addressable_bytes_exit_two(self, tmp_path, capsys, argv):
+        # a hundred level-59 members hold more than 2^63 draws; a level-53
+        # member at dim 16 holds 2^56 draws, whose rows need 2^63 bytes
+        code, _, err = run_cli(
+            capsys, "variance-profile", *argv, "--reps", "100", "--out", str(tmp_path / "x"),
+        )
+        assert code == 2
+        assert err.startswith("error: 100 members up to level")
+
+    def test_allocation_failure_exit_two(self, tmp_path):
+        # a level-45 member at n0 = 8 needs 2 PiB, beyond a 47-bit user
+        # address space, so the allocation fails at once and takes nothing;
+        # a fresh interpreter keeps the attempt out of the test process
+        proc = subprocess.run(
+            [sys.executable, "-m", "mlmc_evidence.cli", "variance-profile", "--level-cap", "50",
+             "--levels", "45..45", "--reps", "100", "--out", str(tmp_path / "x")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate"), proc.stderr
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_two(self, tmp_path, capsys):
         code, _, err = run_cli(

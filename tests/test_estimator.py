@@ -2,6 +2,7 @@
 antithetic cancellation at the zero-variance fixed point, the telescoping
 identity against an independent vectorized oracle, and determinism."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -122,6 +123,32 @@ class TestEstimatorConfig:
     def test_distribution_ratio(self):
         assert EstimatorConfig().distribution().ratio == pytest.approx(2.0**-1.5)
 
+    @pytest.mark.parametrize("n0, level_cap", [(8, 59), (1, 62), (3, 61)])
+    def test_deepest_draw_count_fits_int64(self, n0, level_cap):
+        assert (n0 << level_cap) <= np.iinfo(np.int64).max
+        EstimatorConfig(n0=n0, level_cap=level_cap)
+
+    @pytest.mark.parametrize("n0, level_cap", [(8, 60), (8, 61), (1, 63), (1, 64), (3, 62)])
+    def test_deepest_draw_count_beyond_int64_rejected(self, n0, level_cap):
+        assert (n0 << level_cap) > np.iinfo(np.int64).max
+        with pytest.raises(ContractViolation, match="int64"):
+            EstimatorConfig(n0=n0, level_cap=level_cap)
+
+    def test_distribution_is_built_once_and_is_no_field(self):
+        cfg = EstimatorConfig(n0=4, batch_size=3)
+        assert cfg.distribution() is cfg.distribution()
+        assert [f.name for f in dataclasses.fields(cfg)] == [
+            "n0", "batch_size", "level_ratio_log2", "level_cap"]
+        assert repr(cfg) == (
+            "EstimatorConfig(n0=4, batch_size=3, level_ratio_log2=-1.5, level_cap=40)")
+        twin = EstimatorConfig(n0=4, batch_size=3)
+        assert cfg == twin and hash(cfg) == hash(twin)
+        assert cfg != EstimatorConfig(n0=4, batch_size=3, level_ratio_log2=-2.0)
+        moved = dataclasses.replace(cfg, level_ratio_log2=-2.0)
+        assert moved == EstimatorConfig(n0=4, batch_size=3, level_ratio_log2=-2.0)
+        assert moved.distribution().ratio == 0.25
+        assert cfg.distribution().ratio == 2.0**-1.5
+
 
 class TestLevelEstimate:
     def test_cost_accounting(self):
@@ -172,6 +199,15 @@ class TestLevelEstimate:
         cfg = EstimatorConfig(n0=2, level_cap=5)
         with pytest.raises(ResourceGuardExceeded):
             level_estimate(MODEL, DATA.x[0], THETA, PHI_WIDE, 6, cfg, substream(108, 0))
+
+    @pytest.mark.parametrize("levels", [[59, 59], [56]], ids=["offsets-wrap", "bytes-overflow"])
+    def test_draws_beyond_addressable_bytes_rejected(self, levels):
+        # a member's 2^62 draws fit in int64 but two members' do not; a
+        # member's 2^59 draws do, but not their 24-byte gradient rows
+        cfg = EstimatorConfig(n0=8, level_cap=59)
+        x_rows = DATA.x[: len(levels)]
+        with pytest.raises(ResourceGuardExceeded, match=f"{len(levels)} members up to level"):
+            next(draw_chunks(MODEL, x_rows, levels, THETA, PHI_WIDE, cfg, substream(108, 1)))
 
     def test_nonfinite_weight_identified(self):
         class BrokenModel(GaussianConjugateModel):
@@ -362,6 +398,25 @@ class TestEstimateLogEvidence:
         est = estimate_log_evidence(MODEL, DATA, THETA, PHI_WIDE, cfg, substream(117, 0))
         assert sum(est.per_level_counts.values()) == 16
 
+    @pytest.mark.parametrize("m", [1, 2, 64])
+    def test_fold_is_numpy_mean_and_std(self, m):
+        # the fold's mean and std(ddof=1) equal numpy's bit for bit, on
+        # terms rebuilt from the same seed's per-member rows
+        cfg = EstimatorConfig(n0=4, batch_size=m)
+        for seed in range(20):
+            est = estimate_log_evidence(MODEL, DATA, THETA, PHI_WIDE, cfg, substream(127, seed))
+            levels, (values,) = run_batch(
+                MODEL, DATA, THETA, PHI_WIDE, cfg, substream(127, seed),
+                reducers=[antithetic_difference], grads=(),
+            )
+            terms = values / cfg.distribution().mass(levels)
+            n = DATA.n_total
+            assert est.value == n * np.mean(terms)
+            if m == 1:
+                assert est.std_error == 0.0
+            else:
+                assert est.std_error == n * np.std(terms, ddof=1) / math.sqrt(m)
+
     def test_empty_dataset_rejected(self):
         from mlmc_evidence.models import Dataset
 
@@ -547,9 +602,9 @@ def raw_level_route(log_f, grad_theta_log_f, grad_phi_log_q, level):
 class TestSegmentReducers:
     LEVELS = np.array([0, 2, 0, 1, 3, 0, 1, 0])
 
-    def check_against_raw_route(self, model, x_rows, theta, phi, seed):
+    def check_against_raw_route(self, model, x_rows, theta, phi, seed, levels=LEVELS):
         cfg = EstimatorConfig(n0=4)
-        (draws,) = draw_chunks(model, x_rows, self.LEVELS, theta, phi, cfg, substream(seed, 0))
+        (draws,) = draw_chunks(model, x_rows, levels, theta, phi, cfg, substream(seed, 0))
         got = [
             antithetic_difference(draws),
             grad_theta_level(draws),
@@ -557,14 +612,14 @@ class TestSegmentReducers:
             naive_difference(draws),
             naive_grad_theta(draws),
         ]
-        m = self.LEVELS.size
+        m = levels.size
         assert [g.shape for g in got] == [
             (m,), (m, model.theta_dim), (m, model.phi_dim), (m,), (m, model.theta_dim)]
         for i, (start, size) in enumerate(zip(draws.starts, draws.sizes)):
             member = slice(start, start + size)
             want = raw_level_route(
                 draws.log_f[member], draws.grad_theta_log_f[member],
-                draws.grad_phi_log_q[member], self.LEVELS[i],
+                draws.grad_phi_log_q[member], levels[i],
             )
             for g, w in zip(got, want):
                 np.testing.assert_allclose(g[i], w, rtol=1e-12, atol=1e-12)
@@ -583,3 +638,25 @@ class TestSegmentReducers:
         phi = np.array([0.3, -0.2, -0.5, 0.1])
         x_rows = np.array([[0.0], [1.0], [1.0], [0.0], [1.0], [0.0], [0.0], [1.0]])
         self.check_against_raw_route(model, x_rows, theta, phi, 125)
+
+    @pytest.mark.parametrize(
+        "levels", [np.array([0, 0, 0]), np.array([1, 2, 3, 1])], ids=["none-split", "all-split"]
+    )
+    def test_chunk_of_one_kind(self, levels):
+        # every member takes the same branch of merge_halves: no split
+        # member, or no level-0 member, in the chunk
+        model = GaussianConjugateModel(3)
+        theta = np.array([0.2, -0.1, 0.4, 0.1, 0.0, -0.2, -0.5, -0.4, -0.6])
+        phi = model.posterior_phi(theta) + np.array([0.1, 0.0, -0.1, 0.2, -0.2, 0.1, 0.3, 0.2, 0.4])
+        data = model.generate_data(theta, levels.size, substream(128, 0))
+        self.check_against_raw_route(model, data.x, theta, phi, 129, levels)
+        cfg = EstimatorConfig(n0=4)
+        (draws,) = draw_chunks(model, data.x, levels, theta, phi, cfg, substream(129, 0))
+        seg, halves = draws.halves
+        np.testing.assert_array_equal(seg.split, levels > 0)
+        want = np.concatenate([
+            [size] if level == 0 else [size // 2, size // 2]
+            for level, size in zip(levels, 4 << levels)
+        ])
+        np.testing.assert_array_equal(np.diff(seg.starts, append=draws.n), want)
+        assert halves.log_sums.shape == want.shape

@@ -107,9 +107,9 @@ def test_profile_exponentiates_each_chunk_once(monkeypatch, antithetic):
     passes = []
     shared_pass = estimator_module.segment_exp
 
-    def counted_pass(buf, starts):
+    def counted_pass(buf, *args):
         passes.append(len(buf))
-        return shared_pass(buf, starts)
+        return shared_pass(buf, *args)
 
     monkeypatch.setattr(estimator_module, "segment_exp", counted_pass)
     monkeypatch.setattr(estimator_module, "DRAW_BUDGET", 256)
