@@ -1,19 +1,18 @@
-"""Latent-variable models: log densities, posterior-approximation samplers,
+"""Latent-variable models: log densities, the posterior approximation q,
 closed-form gradients of the log importance weight, and ground-truth oracles.
 
-A model packages three densities,
-
-    prior  p(z | theta),  likelihood  p(x | z, theta),  sampler  q(z | x, phi),
-
-and reports, for a batch of latent draws, the log importance weight
+A model states the prior p(z | theta), the likelihood p(x | z, theta) and
+q(z | x, phi), a diagonal Gaussian given by its location and log scale
+(`q_loc_log_scale`). The base class's `sample_q` draws every model's
+latents from those. For a batch of draws a model reports the log weight
 
     log f(x, z) = log p(x|z) + log p(z) - log q(z|x)
 
-together with d(log f)/d(theta) and d(log q)/d(phi) per draw. A caller
-names the gradient arrays it reads, a subset of {"theta", "phi"} (both by
-default), and the model builds only those: an unrequested field of the
-returned `WeightBatch` is None, and log f is the same whichever are asked
-for. The evidence estimate asks for none. The observation x is either one
+with d(log f)/d(theta) and d(log q)/d(phi) per draw. A caller names the
+gradient arrays it reads, a subset of {"theta", "phi"} (both by default),
+and the model builds only those: an unrequested field of the returned
+`WeightBatch` is None, and log f is the same whichever are asked for. The
+evidence estimate asks for none. The observation x is either one
 observation (x_dim,) shared by every draw or one row per draw (n, x_dim),
 so a chunk of batch members, each with its own observation, is drawn and
 weighted in one call. Everything is parameterized so that theta and phi
@@ -61,26 +60,26 @@ class Dataset:
     """Observations stacked row-wise, (n_total, x_dim)."""
 
     x: np.ndarray
-    n_total: int
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.atleast_2d(np.asarray(self.x, dtype=np.float64)))
-        if self.n_total != self.x.shape[0]:
-            raise ContractViolation(
-                f"n_total={self.n_total} but dataset has {self.x.shape[0]} rows"
-            )
         if not np.isfinite(self.x).all():
             raise ContractViolation("dataset contains non-finite entries")
 
+    @property
+    def n_total(self) -> int:
+        return self.x.shape[0]
+
     @classmethod
     def from_rows(cls, x) -> "Dataset":
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return cls(x=x, n_total=x.shape[0])
+        return cls(x)
 
 
 class LatentVariableModel(abc.ABC):
     """Interface every model implements.
 
+    A model states q(z|x, phi) as a location and a log scale; it does not
+    sample it. `sample_q` is the one sampler, shared by every model.
     Implementations are immutable after construction; all operations are
     pure given an explicit generator, so concurrent calls with independent
     streams are safe.
@@ -92,12 +91,22 @@ class LatentVariableModel(abc.ABC):
     phi_dim: int
 
     @abc.abstractmethod
+    def q_loc_log_scale(self, x, phi) -> tuple[np.ndarray, np.ndarray]:
+        """q(z|x, phi)'s location and log scale, two arrays that broadcast
+        against (n, z_dim), for x checked by `_check_x`."""
+
     def sample_q(self, x, phi, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n latents from q(z|x, phi); returns (n, z_dim).
 
         x is one observation (x_dim,) for every draw, or one row per draw
         (n, x_dim).
         """
+        x = _check_x(x, self.x_dim, n)
+        loc, log_scale = self.q_loc_log_scale(x, phi)
+        z = rng.standard_normal((n, self.z_dim))
+        z *= np.exp(log_scale)
+        z += loc
+        return z
 
     @abc.abstractmethod
     def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS) -> WeightBatch:
@@ -197,13 +206,9 @@ class GaussianConjugateModel(LatentVariableModel):
         d = self.dim
         return phi[:d], phi[d : 2 * d], phi[2 * d :]
 
-    def sample_q(self, x, phi, rng, n):
+    def q_loc_log_scale(self, x, phi):
         a, b, log_s = self.split_phi(phi)
-        x = _check_x(x, self.x_dim, n)
-        z = rng.standard_normal((n, self.dim))
-        z *= np.exp(log_s)
-        z += a * x + b
-        return z
+        return a * x + b, log_s
 
     def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS):
         want_theta, want_phi = _wanted(grads)
@@ -299,20 +304,18 @@ class GaussianConjugateModel(LatentVariableModel):
 
     def oracle_posterior_kl(self, x, theta, phi):
         """KL(q(.|x) || p(.|x)) between two diagonal Gaussians; >= 0."""
-        a, b, log_s = self.split_phi(phi)
         x = _check_vector("x", x, self.x_dim)
+        m, log_s = self.q_loc_log_scale(x, phi)
         mean_p, var_p = self.posterior_params(x, theta)
-        m = a * x + b
         vq = np.exp(2.0 * log_s)
         kl = 0.5 * np.log(var_p) - log_s + (vq + (m - mean_p) ** 2) / (2.0 * var_p) - 0.5
         return float(kl.sum())
 
     def oracle_elbo_grad_phi(self, x, theta, phi):
         """Gradient of log p(x) - KL(q||posterior) in phi (= -grad KL)."""
-        a, b, log_s = self.split_phi(phi)
         x = _check_vector("x", x, self.x_dim)
+        m, log_s = self.q_loc_log_scale(x, phi)
         mean_p, var_p = self.posterior_params(x, theta)
-        m = a * x + b
         vq = np.exp(2.0 * log_s)
         dkl_dm = (m - mean_p) / var_p
         dkl_dlogs = vq / var_p - 1.0
@@ -363,14 +366,10 @@ class BernoulliGaussianModel(LatentVariableModel):
         k = (x[..., 0] != 0.0).astype(np.intp)
         return phi[2 * k], phi[2 * k + 1], k
 
-    def sample_q(self, x, phi, rng, n):
-        x = _check_x(x, self.x_dim, n)
+    def q_loc_log_scale(self, x, phi):
         m, log_s, _ = self._q_params(x, phi)
-        # (n,) per-row parameters become columns; scalars broadcast as is
-        z = rng.standard_normal((n, 1))
-        z *= np.exp(log_s)[..., None]
-        z += m[..., None]
-        return z
+        # (n,) per-row parameters become columns; scalars become (1,)
+        return m[..., None], log_s[..., None]
 
     def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS):
         want_theta, want_phi = _wanted(grads)

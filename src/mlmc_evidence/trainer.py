@@ -118,7 +118,7 @@ def train(
     def evaluate(step: int) -> RunRecord:
         values = [
             estimate_log_evidence(model, data, theta, phi, cfg.estimator, stream).value
-            for stream in _rng.spawn(eval_rng, cfg.eval_replications)
+            for stream in _rng.streams(eval_rng, cfg.eval_replications)
         ]
         evidence_oracle, kl_oracle = _oracle_metrics(model, data, theta, phi)
         return RunRecord(

@@ -8,10 +8,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mlmc_evidence.cli import build_parser, main, manifest_flags, parse_level_range, parse_vector
+from mlmc_evidence.cli import (
+    _max_zscore,
+    build_parser,
+    main,
+    manifest_flags,
+    parse_level_range,
+    parse_vector,
+)
 from mlmc_evidence.errors import ContractViolation
+from mlmc_evidence.logspace import StreamingMoments
 
 
 def run_cli(capsys, *argv):
@@ -21,6 +30,10 @@ def run_cli(capsys, *argv):
         code = exc.code if isinstance(exc.code, int) else 1
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _reject(token):
+    raise ValueError(f"non-standard JSON constant {token}")
 
 
 class TestParsers:
@@ -223,6 +236,25 @@ class TestGradCheckCommand:
         assert code == 1
         assert err.startswith("error: gradient check failed: FAIL")
         assert json.loads((out / "gradcheck.json").read_text())["passed"] is False
+
+    def test_single_class_data_passes(self, tmp_path, capsys):
+        # at c = -40 every observation is 0, so class 1's phi columns are 0
+        # in every replication and in the oracle: zero spread, no z-score
+        out = tmp_path / "gc"
+        code, line, _ = run_cli(
+            capsys, "grad-check", "--model", "bernoulli", "--true-theta", "0,-40",
+            "--n", "20", "--points", "3", "--reps", "50", "--out", str(out),
+        )
+        assert code == 0, line
+        payload = json.loads((out / "gradcheck.json").read_text(), parse_constant=_reject)
+        assert payload["passed"] is True
+
+    def test_zero_spread_scores_zero_only_at_the_oracle(self):
+        moments = StreamingMoments()
+        for row in ([1.0, 0.0, 2.0], [3.0, 0.0, 2.0]):
+            moments.push(np.array(row))
+        assert _max_zscore(moments, np.array([2.0, 0.0, 2.0])) == 0.0
+        assert _max_zscore(moments, np.array([2.0, 0.0, 1.0])) == math.inf
 
     def test_zero_points_rejected(self, tmp_path, capsys):
         # no point checked must not read as a passed check

@@ -166,8 +166,8 @@ class TestEstimateMoments:
             x_dim = z_dim = 1
             theta_dim = phi_dim = 1
 
-            def sample_q(self, x, phi, rng, n):
-                return rng.standard_normal((n, 1))
+            def q_loc_log_scale(self, x, phi):
+                return np.zeros(1), np.zeros(1)
 
             def log_weight_batch(self, x, z, theta, phi):
                 raise NotImplementedError

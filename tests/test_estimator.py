@@ -420,7 +420,7 @@ class TestEstimateLogEvidence:
     def test_empty_dataset_rejected(self):
         from mlmc_evidence.models import Dataset
 
-        empty = Dataset(x=np.zeros((0, 1)), n_total=0)
+        empty = Dataset(x=np.zeros((0, 1)))
         cfg = EstimatorConfig()
         with pytest.raises(ContractViolation):
             estimate_log_evidence(MODEL, empty, THETA, PHI_WIDE, cfg, substream(116, 0))

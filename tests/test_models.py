@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from mlmc_evidence.errors import ContractViolation, UnsupportedOperation
+from mlmc_evidence.estimator import EstimatorConfig, estimate_log_evidence
 from mlmc_evidence.models import (
     BernoulliGaussianModel,
     Dataset,
     GaussianConjugateModel,
     LatentVariableModel,
+    WeightBatch,
     load_dataset,
     save_dataset,
 )
@@ -301,6 +303,66 @@ class TestSampler:
         assert np.all(mean[~live] == 0.0)
 
 
+class SumOfTwoModel(LatentVariableModel):
+    """Test-only model that states q and its weights, nothing more:
+
+        z ~ Normal(0, I_2),  x | z ~ Normal(z_0 + z_1 + theta, 1),
+        q(z|x) = Normal(phi[:2] + x / 3, diag(exp(2 phi[2:]))),
+
+    so p(x) = Normal(x; theta, 3)."""
+
+    x_dim = 1
+    z_dim = 2
+    theta_dim = 1
+    phi_dim = 4
+
+    def q_loc_log_scale(self, x, phi):
+        return phi[:2] + x / 3, phi[2:]
+
+    def log_weight_batch(self, x, z, theta, phi, grads=()):
+        assert not grads, "this model computes weights only"
+        loc, log_scale = self.q_loc_log_scale(x, phi)
+        resid = x[..., 0] - z.sum(axis=1) - theta[0]
+        log_p = -0.5 * ((z * z).sum(axis=1) + resid * resid + 3 * math.log(2 * math.pi))
+        std = (z - loc) / np.exp(log_scale)
+        log_q = -0.5 * ((std * std).sum(axis=1) + 2 * math.log(2 * math.pi)) - log_scale.sum()
+        return WeightBatch(log_p - log_q, None, None)
+
+    def generate_data(self, theta, n, rng):
+        z = rng.standard_normal((n, 2))
+        return Dataset.from_rows(z.sum(axis=1, keepdims=True) + theta[0] + rng.standard_normal((n, 1)))
+
+
+class TestLocationScaleInterface:
+    """A model that states only q's location and log scale gets the one
+    base-class sampler and runs through the estimator."""
+
+    MODEL = SumOfTwoModel()
+    PHI = np.array([-0.15, -0.2, 0.0, 0.1])  # wider than the posterior at theta = 0.5
+
+    @pytest.mark.parametrize("x", [np.array([0.7]), np.array([[0.7], [-1.2], [0.0]])],
+                             ids=["one-observation", "rows"])
+    def test_sample_q_is_loc_plus_scaled_normals(self, x):
+        z = self.MODEL.sample_q(x, self.PHI, substream(18, 0), 3)
+        loc, log_scale = self.MODEL.q_loc_log_scale(x, self.PHI)
+        eps = substream(18, 0).standard_normal((3, 2))
+        assert z.shape == (3, 2)
+        np.testing.assert_array_equal(z, loc + np.exp(log_scale) * eps)
+
+    def test_row_count_must_match(self):
+        with pytest.raises(ContractViolation, match="x rows"):
+            self.MODEL.sample_q(np.zeros((3, 1)), self.PHI, substream(18, 1), 4)
+
+    def test_estimate_log_evidence_runs(self):
+        theta = np.array([0.5])
+        data = self.MODEL.generate_data(theta, 10, substream(18, 2))
+        cfg = EstimatorConfig(n0=4, batch_size=64)
+        est = estimate_log_evidence(self.MODEL, data, theta, self.PHI, cfg, substream(18, 3))
+        oracle = (-0.5 * (np.log(6 * math.pi) + (data.x[:, 0] - theta[0]) ** 2 / 3)).sum()
+        assert est.total_cost > 0
+        assert abs(est.value - oracle) < 5 * est.std_error
+
+
 class TestRowsPerDraw:
     """x as one row per draw gives what one observation per call gives."""
 
@@ -399,10 +461,6 @@ class TestRequestedGradients:
 
 
 class TestDataset:
-    def test_n_total_must_match(self):
-        with pytest.raises(ContractViolation):
-            Dataset(x=np.zeros((3, 1)), n_total=5)
-
     def test_rejects_nonfinite(self):
         with pytest.raises(ContractViolation):
             Dataset.from_rows([[0.0], [math.nan]])

@@ -145,8 +145,9 @@ class TestTrain:
                 MODEL, DATA, np.array([np.nan, 0, 0]), np.zeros(3), cfg, substream(509, 1)
             )
 
-    def test_step_streams_are_spawned_in_blocks(self, monkeypatch):
-        # spawning every step's stream up front costs memory in proportion to steps
+    @staticmethod
+    def spawn_sizes(monkeypatch, cfg, seed):
+        """The child count of every `rng.spawn` call one training run makes."""
         import mlmc_evidence.rng as rng_module
 
         asked = []
@@ -157,10 +158,22 @@ class TestTrain:
             return spawn(rng, n)
 
         monkeypatch.setattr(rng_module, "spawn", counting_spawn)
+        train(MODEL, DATA, np.zeros(3), np.zeros(3), cfg, substream(seed, 0))
+        return asked
+
+    def test_step_streams_are_spawned_in_blocks(self, monkeypatch):
+        # spawning every step's stream up front costs memory in proportion to steps
         cfg = quick_config(steps=200, eval_every=100, eval_replications=3)
-        train(MODEL, DATA, np.zeros(3), np.zeros(3), cfg, substream(510, 0))
+        asked = self.spawn_sizes(monkeypatch, cfg, 510)
         assert max(asked) <= 64  # one block
         assert sum(asked) == 2 + 200 + 3 * 3  # branches, steps, three evaluations
+
+    def test_eval_streams_are_spawned_in_blocks(self, monkeypatch):
+        # each generator holds about 1 KB until its replication runs
+        cfg = quick_config(steps=2, eval_every=2, eval_replications=70)
+        asked = self.spawn_sizes(monkeypatch, cfg, 511)
+        assert max(asked) <= 64  # one block
+        assert sum(asked) == 2 + 2 + 2 * 70  # branches, steps, two evaluations
 
 
 class TestArtifacts:
