@@ -56,8 +56,12 @@ def _fmt(x: float) -> str:
 
 
 def parse_vector(text: str) -> list[float]:
+    """Comma-separated reals; an empty vector or entry is an error, not the default."""
+    tokens = text.split(",")
+    if not all(tok.strip() for tok in tokens):
+        raise ContractViolation(f"cannot parse vector {text!r}: empty entry")
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        return [float(tok) for tok in tokens]
     except ValueError as exc:
         raise ContractViolation(f"cannot parse vector {text!r}: {exc}") from None
 
@@ -207,14 +211,15 @@ def run_moments(params: dict, out: Path) -> str:
         {
             "s_exponent": diag.s_exponent,
             "t_exponent": diag.t_exponent,
-            "s_moment_estimate": diag.s_moment_estimate,
+            "log_s_moment_estimate": diag.log_s_moment_estimate,
             "t_moment_estimate": diag.t_moment_estimate,
             "tail_warning": diag.tail_warning,
         },
     )
     flag = "TAIL-WARNING" if diag.tail_warning else "ok"
     return (
-        f"s-moment {_fmt(diag.s_moment_estimate)} t-moment {_fmt(diag.t_moment_estimate)} [{flag}]"
+        f"log s-moment {_fmt(diag.log_s_moment_estimate)}"
+        f" t-moment {_fmt(diag.t_moment_estimate)} [{flag}]"
     )
 
 
@@ -399,8 +404,9 @@ def _unparsable_as(action: argparse.Action, value) -> str | None:
     if action.type is float:
         return None if _is_real(value) else "a number"
     if action.type is parse_vector:
-        ok = isinstance(value, list) and all(_is_real(v) and math.isfinite(v) for v in value)
-        return None if ok else "a list of finite numbers"
+        ok = isinstance(value, list) and value
+        ok = ok and all(_is_real(v) and math.isfinite(v) for v in value)
+        return None if ok else "a nonempty list of finite numbers"
     if action.type is parse_level_range:
         ok = isinstance(value, list) and value and all(_is_int(v) for v in value)
         ok = ok and value[0] >= 0 and value == list(range(value[0], value[-1] + 1))

@@ -14,6 +14,8 @@ and the model draws and weighs a chunk in one call with the observations
 repeated as one row per draw. `run_batch` reduces the batch chunk by chunk
 as it is drawn, by segment with no loop over members, to one row per
 member of each quantity its caller names, so no buffer spans the batch.
+Each chunk is cut once into its members' halves and exponentiated once
+(`Halves`), and every level reducer is a formula of that record.
 The model builds only the gradient arrays the caller's reducers read. The
 evidence estimate folds the level values here and builds no gradient
 arrays, and `gradients.estimate_gradients` folds the level gradients of the
@@ -31,7 +33,7 @@ import numpy as np
 from . import gradients as _gradients
 from .errors import ContractViolation, ResourceGuardExceeded
 from .logspace import log_mean_exp_unchecked  # noqa: F401  perfbench/tracer.py wraps this name here
-from .logspace import SegmentExp, segment_exp
+from .logspace import segment_exp
 from .models import ALL_GRADS, Dataset, LatentVariableModel
 
 #: Geometric ratio 2^(-3/2): level mass decays fast enough for finite
@@ -110,13 +112,32 @@ class EstimatorConfig:
         return self._distribution
 
 
-class HalfSegments(NamedTuple):
-    """The buffer cut into the segments the level reducers need: a level-0
-    member is one segment, a deeper member its two contiguous halves."""
+class Halves(NamedTuple):
+    """A chunk cut into the segments the level reducers read, a level-0
+    member as one segment and a deeper member as its two contiguous halves,
+    with the one peak/exp/sum pass over them. Every level value is a
+    function of d, the difference of a member's halves' log-sums."""
 
     starts: np.ndarray  # (S,) segment offsets, in buffer order
-    first: np.ndarray  # (M,) index of each member's first segment
+    shifted: np.ndarray  # (n,) each draw's exp, shifted by its segment's peak
+    total: np.ndarray  # (S,) per-segment sum of `shifted`
+    log_sums: np.ndarray  # (S,) per-segment log(sum_i exp(log f_i))
+    a: np.ndarray  # (M,) each member's first segment
+    b: np.ndarray  # (M,) its second segment; a at level 0
+    d: np.ndarray  # (M,) log_sums[a] - log_sums[b]; 0 at level 0
     split: np.ndarray  # (M,) True where the member is cut in halves
+
+    def average(self, rows: np.ndarray) -> np.ndarray:
+        """The softmax(log f)-weighted average of `rows` within each
+        segment, sum_i exp(log f_i) rows_i / sum_i exp(log f_i), (S, k)."""
+        weighted = np.add.reduceat(self.shifted[:, None] * rows, self.starts, axis=0)
+        return weighted / self.total[:, None]
+
+    def merge(self, level_zero: np.ndarray, split_rows: np.ndarray) -> np.ndarray:
+        """One row per member: `split_rows` where the member is split, its
+        only segment's `level_zero` row where it is not."""
+        split = self.split.reshape(self.split.shape + (1,) * (split_rows.ndim - 1))
+        return np.where(split, split_rows, level_zero[self.a])
 
 
 @dataclass
@@ -148,7 +169,7 @@ class LevelDraws:
         return sizes.cumsum() - sizes
 
     @cached_property
-    def halves(self) -> tuple[HalfSegments, SegmentExp]:
+    def halves(self) -> Halves:
         """The half segments and their one peak/exp/sum pass over log_f,
         made by whichever level reducer reads them first and shared by the
         rest, so a chunk is exponentiated once."""
@@ -156,19 +177,10 @@ class LevelDraws:
         per_member = 1 + split
         sizes = (self.sizes >> split).repeat(per_member)  # a split member's halves are equal
         starts = sizes.cumsum() - sizes
-        first = per_member.cumsum() - per_member
-        return HalfSegments(starts, first, split), segment_exp(self.log_f, starts, sizes)
-
-
-def merge_halves(seg: HalfSegments, level_zero: np.ndarray, split_fn) -> np.ndarray:
-    """One row per member: `level_zero` rows of the unsplit members' only
-    segments, and `split_fn(a, b)` of each split member's halves' indices.
-
-    `split_fn` runs on every member at once, an unsplit member passing its
-    only segment as both halves, and its rows there are discarded."""
-    a = seg.first
-    split = seg.split.reshape(seg.split.shape + (1,) * (level_zero.ndim - 1))
-    return np.where(split, split_fn(a, a + seg.split), level_zero[a])
+        a = per_member.cumsum() - per_member
+        shifted, total, log_sums = segment_exp(self.log_f, starts, sizes)
+        b = a + split
+        return Halves(starts, shifted, total, log_sums, a, b, log_sums[a] - log_sums[b], split)
 
 
 def draw_chunks(
@@ -269,12 +281,9 @@ def antithetic_difference(draws: LevelDraws) -> np.ndarray:
     so each half is reduced once and the full buffer never again. Draw
     buffers were validated when drawn, so the raw reduction applies.
     """
-    seg, halves = draws.halves
-    log_sums = halves.log_sums
-    log_means = log_sums - math.log(draws.n0)  # level-0 members hold n0 draws
-    return merge_halves(
-        seg, log_means, lambda a, b: _log_cosh(0.5 * (log_sums[a] - log_sums[b]))
-    )
+    h = draws.halves
+    # level-0 members hold n0 draws
+    return h.merge(h.log_sums - math.log(draws.n0), _log_cosh(0.5 * h.d))
 
 
 @dataclass

@@ -30,13 +30,9 @@ def grad_theta_level(draws) -> np.ndarray:
     by d that leaves tanh(d / 2) / 2 * (R_a - R_b), from the identical
     draws and with each half reduced once.
     """
-    seg, halves = draws.halves
-    log_sums, ratios = halves.log_sums, halves.average(draws.grad_theta_log_f)
-
-    def split(a, b):
-        return 0.5 * np.tanh(0.5 * (log_sums[a] - log_sums[b]))[:, None] * (ratios[a] - ratios[b])
-
-    return _estimator.merge_halves(seg, ratios, split)
+    h = draws.halves
+    r = h.average(draws.grad_theta_log_f)
+    return h.merge(r, 0.5 * np.tanh(0.5 * h.d)[:, None] * (r[h.a] - r[h.b]))
 
 
 def grad_phi_elbo_level(draws) -> np.ndarray:

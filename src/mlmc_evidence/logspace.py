@@ -7,7 +7,6 @@ single max-shift pass in double precision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -47,34 +46,20 @@ def log_mean_exp(values) -> float:
     return log_mean_exp_unchecked(as_log_values(values))
 
 
-class SegmentExp(NamedTuple):
-    """One peak/exp/sum pass over the contiguous segments of a validated
-    buffer; segment j runs from starts[j] to starts[j + 1] (or the end)."""
-
-    starts: np.ndarray  # (S,)
-    shifted: np.ndarray  # (n,) each value's exp, shifted by its segment's peak
-    total: np.ndarray  # (S,) per-segment sum of `shifted`
-    log_sums: np.ndarray  # (S,) per-segment log(sum_i exp(v_i))
-
-    def average(self, rows: np.ndarray) -> np.ndarray:
-        """The softmax(buf)-weighted average of the rows of `rows` within
-        each segment, sum_i exp(v_i) rows_i / sum_i exp(v_i), without
-        leaving log space."""
-        weighted = np.add.reduceat(self.shifted[:, None] * rows, self.starts, axis=0)
-        return weighted / self.total[:, None]
-
-
-def segment_exp(buf: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> SegmentExp:
+def segment_exp(
+    buf: np.ndarray, starts: np.ndarray, sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The peak/exp/sum pass over the nonempty segments of a validated
     buffer that tile it in order, segment j holding sizes[j] values from
-    starts[j]: the shifted exps are built in one buffer, and each segment's
-    log-sum-exp is its peak plus the log of its shifted sum."""
+    starts[j]: (shifted, total, log_sums), each value's exp shifted by its
+    segment's peak (built in one buffer), each segment's sum of those, and
+    each segment's log-sum-exp, its peak plus the log of its shifted sum."""
     peak = np.maximum.reduceat(buf, starts)
     shifted = peak.repeat(sizes)
     np.subtract(buf, shifted, out=shifted)
     np.exp(shifted, out=shifted)
     total = np.add.reduceat(shifted, starts)
-    return SegmentExp(starts, shifted, total, peak + np.log(total))
+    return shifted, total, peak + np.log(total)
 
 
 def softmax_weights_unchecked(buf: np.ndarray) -> np.ndarray:

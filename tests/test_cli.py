@@ -42,6 +42,10 @@ class TestParsers:
         assert parse_vector("1e-3,2.5E2") == [0.001, 250.0]
         with pytest.raises(ContractViolation):
             parse_vector("1,abc")
+        # an empty vector once ran at the default parameters
+        for text in ["", " ", ",", "1,,0", "1,0,"]:
+            with pytest.raises(ContractViolation, match="empty entry"):
+                parse_vector(text)
 
     def test_level_range(self):
         assert parse_level_range("1..7") == [1, 2, 3, 4, 5, 6, 7]
@@ -175,8 +179,19 @@ class TestMomentsCommand:
         assert code == 0
         payload = json.loads((out / "moments.json").read_text())
         assert payload["s_exponent"] == 4.5
+        assert math.isfinite(payload["log_s_moment_estimate"])
         assert not payload["tail_warning"]
-        assert "s-moment" in line
+        assert "log s-moment" in line
+
+    def test_overflowing_s_moment_is_strict_json(self, tmp_path, capsys):
+        # the s-moment itself overflows float64; its log does not
+        out = tmp_path / "m"
+        code, _, _ = run_cli(
+            capsys, "moments", "--s", "2000", "--draws", "10000", "--out", str(out),
+        )
+        assert code == 0
+        payload = json.loads((out / "moments.json").read_text(), parse_constant=_reject)
+        assert math.isfinite(payload["log_s_moment_estimate"])
 
     @pytest.mark.parametrize("index", ["10", "-1"])
     def test_x_index_outside_rows_rejected(self, tmp_path, capsys, index):
@@ -440,12 +455,14 @@ class TestExitCodes:
         (["estimate", "--batch", "4"], "n0", True),
         (["estimate", "--batch", "4"], "ratio_log2", "-1.5"),
         (["estimate", "--batch", "4"], "phi", [0.0, "0", 0.3]),
+        (["estimate", "--batch", "4"], "theta", []),
         (["estimate", "--batch", "4"], "model", "poisson"),
         (["variance-profile", "--levels", "1..3", "--reps", "100"], "naive", "yes"),
     (["variance-profile", "--levels", "1..3", "--reps", "100"], "levels", [3, 1, 2]),
     (["variance-profile", "--levels", "1..3", "--reps", "100"], "levels", [1, 1, 2]),
     ], ids=["moments-x-index-string", "estimate-seed-string", "int-given-float",
-            "int-given-bool", "float-given-string", "vector-with-string", "not-a-choice",
+            "int-given-bool", "float-given-string", "vector-with-string", "empty-vector",
+            "not-a-choice",
             "switch-given-string", "levels-out-of-order", "levels-repeated"])
     def test_manifest_value_of_wrong_type_rejected(self, tmp_path, capsys, argv, key, value):
         first = tmp_path / "first"
@@ -472,6 +489,19 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "rerun", "--manifest", str(first / "manifest.json"),
                              "--out", str(tmp_path / "replay"))
         assert code == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--theta", "", "--phi", ","],
+        ["gen-data", "--n", "5", "--theta", ""],
+    ], ids=["estimate", "gen-data"])
+    def test_empty_vector_flag_rejected(self, tmp_path, capsys, argv):
+        # an empty vector once ran silently at the default parameters
+        out = tmp_path / "x"
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 1
+        assert "error: argument --theta" in err
+        assert stdout == ""
+        assert not out.exists()
 
     def test_wrong_dim_vector_rejected(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "estimate", "--theta", "1,2",

@@ -140,7 +140,7 @@ class TestEstimateMoments:
         d = estimate_moments(
             MODEL, DATA.x[0], THETA, PHI_POSTERIOR, 4.5, 3.0, 10_000, substream(408, 0)
         )
-        assert d.s_moment_estimate == pytest.approx(1.0, abs=1e-12)
+        assert d.log_s_moment_estimate == pytest.approx(0.0, abs=1e-12)
         assert d.t_moment_estimate == pytest.approx(0.0, abs=1e-40)
         assert not d.tail_warning
 
@@ -158,8 +158,16 @@ class TestEstimateMoments:
             MODEL, np.array([0.5]), THETA, PHI_WIDE, 4.5, 3.0, 100_000, substream(410, 0)
         )
         assert not d.tail_warning
-        assert np.isfinite(d.s_moment_estimate)
+        assert np.isfinite(d.log_s_moment_estimate)
         assert np.isfinite(d.t_moment_estimate)
+
+    def test_log_s_moment_finite_past_float_overflow(self):
+        # log E[(f/p)^s] is about 699.45 here: below float64's overflow at
+        # about 709.78, and once reported as inf by a cut-off at 700
+        d = estimate_moments(
+            MODEL, np.array([1.3]), np.zeros(3), np.zeros(3), 915, 3, 100_000, substream(0, 3)
+        )
+        assert d.log_s_moment_estimate == pytest.approx(699.45, abs=0.01)
 
     def test_requires_oracle(self):
         class NoOracle(LatentVariableModel):

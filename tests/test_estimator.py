@@ -643,7 +643,7 @@ class TestSegmentReducers:
         "levels", [np.array([0, 0, 0]), np.array([1, 2, 3, 1])], ids=["none-split", "all-split"]
     )
     def test_chunk_of_one_kind(self, levels):
-        # every member takes the same branch of merge_halves: no split
+        # every member takes the same branch of Halves.merge: no split
         # member, or no level-0 member, in the chunk
         model = GaussianConjugateModel(3)
         theta = np.array([0.2, -0.1, 0.4, 0.1, 0.0, -0.2, -0.5, -0.4, -0.6])
@@ -652,11 +652,19 @@ class TestSegmentReducers:
         self.check_against_raw_route(model, data.x, theta, phi, 129, levels)
         cfg = EstimatorConfig(n0=4)
         (draws,) = draw_chunks(model, data.x, levels, theta, phi, cfg, substream(129, 0))
-        seg, halves = draws.halves
-        np.testing.assert_array_equal(seg.split, levels > 0)
+        h = draws.halves
+        np.testing.assert_array_equal(h.split, levels > 0)
         want = np.concatenate([
             [size] if level == 0 else [size // 2, size // 2]
             for level, size in zip(levels, 4 << levels)
         ])
-        np.testing.assert_array_equal(np.diff(seg.starts, append=draws.n), want)
-        assert halves.log_sums.shape == want.shape
+        np.testing.assert_array_equal(np.diff(h.starts, append=draws.n), want)
+        assert h.log_sums.shape == want.shape
+        # a level-0 member is its own second half, with d exactly 0; a
+        # split member's halves are consecutive segments
+        whole = levels == 0
+        np.testing.assert_array_equal(h.a[whole], h.b[whole])
+        assert (h.d[whole] == 0.0).all()
+        np.testing.assert_array_equal(h.b[~whole], h.a[~whole] + 1)
+        np.testing.assert_array_equal(h.d, h.log_sums[h.a] - h.log_sums[h.b])
+        assert len(h.starts) == levels.size + h.split.sum()
