@@ -56,14 +56,18 @@ def _fmt(x: float) -> str:
 
 
 def parse_vector(text: str) -> list[float]:
-    """Comma-separated reals; an empty vector or entry is an error, not the default."""
+    """Comma-separated finite reals; an empty vector or entry is an error,
+    not the default, and so is nan or inf, which no manifest may hold."""
     tokens = text.split(",")
     if not all(tok.strip() for tok in tokens):
         raise ContractViolation(f"cannot parse vector {text!r}: empty entry")
     try:
-        return [float(tok) for tok in tokens]
+        values = [float(tok) for tok in tokens]
     except ValueError as exc:
         raise ContractViolation(f"cannot parse vector {text!r}: {exc}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ContractViolation(f"cannot parse vector {text!r}: non-finite entry")
+    return values
 
 
 def parse_level_range(text: str) -> list[int]:
@@ -348,8 +352,9 @@ _RUNNERS = {
 
 def dispatch(command: str, params: dict, out: Path) -> str:
     out.mkdir(parents=True, exist_ok=True)
-    _write_manifest(out, command, params)
-    return _RUNNERS[command](params, out)
+    summary = _RUNNERS[command](params, out)
+    _write_manifest(out, command, params)  # only a run that succeeded can be replayed
+    return summary
 
 
 def manifest_flags(command: str) -> dict[str, argparse.Action]:

@@ -4,7 +4,8 @@ weights.
 
 A profile draws each level's replications as the members of flat draw
 buffers (`estimator.draw_chunks`), with the theta-gradient array only, and
-reduces them by segment, one row per replication, with no loop over
+reduces them by segment as they are drawn (`estimator.reduce_chunks`, the
+batch's own loop), one row per replication, with no loop over
 replications. The level value and its theta-gradient are formulas of the
 chunk's one half-segment record (`estimator.Halves`), so they share one
 exponentiation of each chunk.
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import ContractViolation
-from .estimator import EstimatorConfig, antithetic_difference, draw_chunks
+from .estimator import EstimatorConfig, antithetic_difference, draw_chunks, reduce_chunks
 from .estimator import draw_level_samples  # noqa: F401  perfbench/tracer.py wraps this name here
 from .gradients import grad_theta_level
 from .models import Dataset, LatentVariableModel
@@ -83,7 +84,7 @@ def variance_profile(
 
     Each level gets one stream spawned from `rng`. It draws the level's
     replication data indices, then every replication's latents in order,
-    in the batch draw's buffers of at most `estimator.DRAW_BUDGET` draws.
+    in the batch draw's chunks of at most `estimator.CHUNK_BYTES` of rows.
     Replications get no streams of their own, so a seed gives other
     profile values than the stream-per-replication schedule of earlier
     versions. The draw schedule depends only on the generator state, never
@@ -104,26 +105,18 @@ def variance_profile(
     stats = []
     for lvl, stream in zip(levels, level_streams):
         indices = stream.integers(0, data.n_total, size=replications)
-        values, grads = [], []
-        cost = 0
-        # inline, not shared with run_batch: a shared helper frees each level's
-        # last chunk sooner (minor faults per profile-levels call: 2788 -> 3996)
-        for draws in draw_chunks(
+        chunks = draw_chunks(
             model, data.x[indices], np.full(replications, lvl), theta, phi, cfg, stream,
             grads=("theta",),
-        ):
-            values.append(value_fn(draws))
-            grads.append(grad_fn(draws))
-            cost += draws.n
-        values = np.concatenate(values)
-        grads = np.concatenate(grads)
+        )
+        values, grads = reduce_chunks(chunks, [value_fn, grad_fn])
         stats.append(
             LevelStats(
                 level=lvl,
                 mean_z=float(values.mean()),
                 var_z=float(values.var(ddof=1)),
                 var_grad_theta_max=float(np.max(grads.var(axis=0, ddof=1))),
-                mean_cost=cost / replications,
+                mean_cost=float(cfg.n0 << lvl),
                 replications=replications,
             )
         )

@@ -11,8 +11,11 @@ bias at any finite cost.
 A batch is drawn in chunks of consecutive members (`draw_chunks`,
 `LevelDraws`): member i owns a contiguous slice of n0 * 2^level_i draws,
 and the model draws and weighs a chunk in one call with the observations
-repeated as one row per draw. `run_batch` reduces the batch chunk by chunk
-as it is drawn, by segment with no loop over members, to one row per
+repeated as one row per draw. A chunk's per-draw rows take at most
+CHUNK_BYTES, so it stays cache-sized at any dimension, and every chunk of
+one draw writes them into the same workspace, so only the first maps
+fresh pages. `run_batch` reduces the batch chunk by chunk as it is drawn
+(`reduce_chunks`), by segment with no loop over members, to one row per
 member of each quantity its caller names, so no buffer spans the batch.
 Each chunk is cut once into its members' halves and exponentiated once
 (`Halves`), and every level reducer is a formula of that record.
@@ -34,7 +37,7 @@ from . import gradients as _gradients
 from .errors import ContractViolation, ResourceGuardExceeded
 from .logspace import log_mean_exp_unchecked  # noqa: F401  perfbench/tracer.py wraps this name here
 from .logspace import segment_exp
-from .models import ALL_GRADS, Dataset, LatentVariableModel
+from .models import ALL_GRADS, Dataset, LatentVariableModel, Workspace, take
 
 #: Geometric ratio 2^(-3/2): level mass decays fast enough for finite
 #: variance (weight 1/mass grows slower than the difference variance decays)
@@ -43,10 +46,11 @@ DEFAULT_LEVEL_RATIO = 2.0 ** -1.5
 
 DEFAULT_LEVEL_CAP = 40
 
-#: Most latent draws one model call materialises when a batch is drawn:
-#: consecutive members share a call up to this many draws, and a member
-#: larger than it is drawn alone.
-DRAW_BUDGET = 1 << 16
+#: Most bytes of workspace rows (`row_bytes`) one chunk holds when a batch
+#: is drawn: consecutive members share a model call up to this many bytes,
+#: and a member larger than it is drawn alone. Of 0.5, 1, 1.5, 2, 3 and
+#: 4 MiB, 1.5 and 2 MiB drew the most latents per second in level profiles.
+CHUNK_BYTES = 3 << 19
 
 
 @dataclass(frozen=True)
@@ -126,12 +130,14 @@ class Halves(NamedTuple):
     b: np.ndarray  # (M,) its second segment; a at level 0
     d: np.ndarray  # (M,) log_sums[a] - log_sums[b]; 0 at level 0
     split: np.ndarray  # (M,) True where the member is cut in halves
+    workspace: Workspace | None  # the chunk's, for `average`'s weighted rows
 
     def average(self, rows: np.ndarray) -> np.ndarray:
         """The softmax(log f)-weighted average of `rows` within each
         segment, sum_i exp(log f_i) rows_i / sum_i exp(log f_i), (S, k)."""
-        weighted = np.add.reduceat(self.shifted[:, None] * rows, self.starts, axis=0)
-        return weighted / self.total[:, None]
+        weighted = take(self.workspace, rows.shape)
+        np.multiply(self.shifted[:, None], rows, out=weighted)
+        return np.add.reduceat(weighted, self.starts, axis=0) / self.total[:, None]
 
     def merge(self, level_zero: np.ndarray, split_rows: np.ndarray) -> np.ndarray:
         """One row per member: `split_rows` where the member is split, its
@@ -145,13 +151,17 @@ class LevelDraws:
     """Shared latent draws of M consecutive batch members, one chunk: member
     i owns the contiguous slice of n0 * 2^levels[i] draws, members in batch
     order. Level values and both gradient estimates are reductions of it.
-    A gradient array the chunk was not drawn with is None."""
+    A gradient array the chunk was not drawn with is None. Its rows are cut
+    from `workspace` (None for a draw of one chunk), which the next chunk of
+    the same draw overwrites, so a chunk is valid until the next one is
+    drawn."""
 
     levels: np.ndarray  # (M,)
     n0: int
     log_f: np.ndarray  # (n,)
     grad_theta_log_f: np.ndarray | None  # (n, theta_dim)
     grad_phi_log_q: np.ndarray | None  # (n, phi_dim)
+    workspace: Workspace | None
 
     @property
     def n(self) -> int:
@@ -178,9 +188,22 @@ class LevelDraws:
         sizes = (self.sizes >> split).repeat(per_member)  # a split member's halves are equal
         starts = sizes.cumsum() - sizes
         a = per_member.cumsum() - per_member
-        shifted, total, log_sums = segment_exp(self.log_f, starts, sizes)
+        out = None if self.workspace is None else self.workspace.empty((self.n,))
+        shifted, total, log_sums = segment_exp(self.log_f, starts, sizes, out)
         b = a + split
-        return Halves(starts, shifted, total, log_sums, a, b, log_sums[a] - log_sums[b], split)
+        d = log_sums[a] - log_sums[b]
+        return Halves(starts, shifted, total, log_sums, a, b, d, split, self.workspace)
+
+
+def row_bytes(model: LatentVariableModel, grads) -> int:
+    """Bytes per draw of the workspace rows of a chunk drawn with the
+    gradient arrays `grads`: z and two residual rows of its width for the
+    model, log f and its segment exp, and with the theta gradient its rows
+    and their weighted product in `Halves.average`. The x rows and the
+    segment peaks, which numpy's `repeat` builds, and the phi-gradient
+    rows are fresh arrays."""
+    theta = 2 * model.theta_dim if "theta" in grads else 0
+    return 8 * (3 * model.z_dim + 2 + theta)
 
 
 def draw_chunks(
@@ -196,13 +219,18 @@ def draw_chunks(
     """Draw the members (observation x_rows[i], level levels[i]) in order
     from `rng`, as flat buffers of consecutive members.
 
-    Each chunk holds at most DRAW_BUDGET draws, or one member that alone
-    exceeds it, and costs one `sample_q` and one `log_weight_batch` call
-    with the member's observation repeated per draw. The latents come from
-    `rng` in member order whatever the chunking, so chunk boundaries change
-    no value. `grads` names the gradient arrays the chunks carry, a subset
-    of {"theta", "phi"}; the others are None, and no value read from the
-    chunks depends on it.
+    Each chunk holds at most CHUNK_BYTES // `row_bytes` draws, or one
+    member that alone exceeds it, and costs one `sample_q` and one
+    `log_weight_batch` call with the member's observation repeated per
+    draw. The latents come from `rng` in member order whatever the
+    chunking, so chunk boundaries change no value. `grads` names the
+    gradient arrays the chunks carry, a subset of {"theta", "phi"}; the
+    others are None, and no value read from the chunks depends on it.
+
+    A call of more than one chunk owns one workspace, sized for its
+    largest chunk, which holds every chunk's `row_bytes` rows: a chunk is
+    valid until the next one is drawn. A call of one chunk has no later
+    chunk to reuse its rows for and draws into fresh arrays.
     """
     levels = np.asarray(levels, dtype=np.int64)
     if not levels.size:
@@ -212,9 +240,10 @@ def draw_chunks(
     top = int(levels.max())
     if top > cfg.level_cap:
         raise ResourceGuardExceeded(f"level {top} exceeds level cap {cfg.level_cap}")
-    # the widest per-draw row a chunk holds, in bytes; past 2^63 - 1 bytes
-    # the draw offsets below or an array's size would overflow
-    row = 8 * max(model.x_dim, model.z_dim, model.theta_dim, model.phi_dim)
+    # the widest per-draw row a chunk holds, or its workspace rows, in bytes;
+    # past 2^63 - 1 bytes the draw offsets below or an array's size would overflow
+    per_draw = row_bytes(model, grads)
+    row = max(8 * max(model.x_dim, model.z_dim, model.theta_dim, model.phi_dim), per_draw)
     if (levels.size * (int(cfg.n0) << top) * row) >> 63:
         raise ResourceGuardExceeded(
             f"{levels.size} members up to level {top} may need more than 2^63 - 1 bytes"
@@ -222,14 +251,20 @@ def draw_chunks(
         )
     sizes = cfg.n0 << levels
     ends = sizes.cumsum()
+    budget = CHUNK_BYTES // per_draw  # draws per chunk
+    out = None
+    if levels.size > 1 and ends[-1] > budget:
+        out = Workspace(max(budget, int(sizes.max())), per_draw)
     lo = 0
     while lo < levels.size:
         base = ends[lo] - sizes[lo]
-        hi = max(lo + 1, int(ends.searchsorted(base + DRAW_BUDGET, side="right")))
+        hi = max(lo + 1, int(ends.searchsorted(base + budget, side="right")))
         x = x_rows[lo:hi].repeat(sizes[lo:hi], axis=0)
         n = int(ends[hi - 1] - base)
-        z = model.sample_q(x, phi, rng, n)
-        batch = model.log_weight_batch(x, z, theta, phi, grads=grads)
+        if out is not None:
+            out.rewind()
+        z = model.sample_q(x, phi, rng, n, out=out)
+        batch = model.log_weight_batch(x, z, theta, phi, grads=grads, out=out)
         if not np.isfinite(batch.log_f).all():
             i = int(np.flatnonzero(~np.isfinite(batch.log_f))[0])
             member = lo + int(np.searchsorted(ends[lo:hi] - base, i, side="right"))
@@ -242,6 +277,7 @@ def draw_chunks(
             log_f=batch.log_f,
             grad_theta_log_f=batch.grad_theta_log_f,
             grad_phi_log_q=batch.grad_phi_log_q,
+            workspace=out,
         )
         lo = hi
 
@@ -381,16 +417,23 @@ def run_batch(
 
     Every (data index, level) pair is drawn from `rng` before any latent,
     then the members draw their latents from `rng` in batch order, in
-    chunks of at most DRAW_BUDGET draws, each dropped once reduced. The
-    chunks carry the gradient arrays named in `grads` (see `draw_chunks`),
-    which must cover those the reducers read.
+    the chunks of `draw_chunks`, each reduced as it is drawn. The chunks
+    carry the gradient arrays named in `grads`, which must cover those the
+    reducers read.
     """
     indices, levels = draw_batch_indices(data, cfg, rng)
+    chunks = draw_chunks(model, data.x[indices], levels, theta, phi, cfg, rng, grads)
+    return levels, reduce_chunks(chunks, reducers)
+
+
+def reduce_chunks(chunks: Iterator[LevelDraws], reducers) -> list[np.ndarray]:
+    """Per reducer, its rows of every chunk in order, (M, ...): each chunk
+    is reduced by every reducer before the next is drawn."""
     rows = [[] for _ in reducers]
-    for draws in draw_chunks(model, data.x[indices], levels, theta, phi, cfg, rng, grads):
+    for draws in chunks:
         for out, reduce in zip(rows, reducers):
             out.append(reduce(draws))
-    return levels, [np.concatenate(r) for r in rows]
+    return [np.concatenate(r) for r in rows]
 
 
 def batch_cost(levels: np.ndarray, n0: int) -> tuple[int, dict[int, int]]:

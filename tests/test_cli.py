@@ -46,6 +46,10 @@ class TestParsers:
         for text in ["", " ", ",", "1,,0", "1,0,"]:
             with pytest.raises(ContractViolation, match="empty entry"):
                 parse_vector(text)
+        # nan once reached the manifest as a bare NaN, which is not JSON
+        for text in ["nan,0,0", "1,inf", "-inf", "1,-NaN"]:
+            with pytest.raises(ContractViolation, match="non-finite entry"):
+                parse_vector(text)
 
     def test_level_range(self):
         assert parse_level_range("1..7") == [1, 2, 3, 4, 5, 6, 7]
@@ -344,6 +348,16 @@ class TestExitCodes:
         assert code == 1
         assert "error" in err
 
+    def test_failed_run_leaves_no_manifest(self, tmp_path, capsys):
+        # the manifest was once written before the run, so a failed run
+        # left one behind that replays the failure
+        out = tmp_path / "d"
+        code, stdout, err = run_cli(capsys, "estimate", "--n0", "0", "--out", str(out))
+        assert code == 1
+        assert stdout == ""
+        assert err.splitlines() == ["error: n0 must be >= 1, got 0"]
+        assert not (out / "manifest.json").exists()
+
     def test_missing_dataset_path(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "estimate", "--data",
                                str(tmp_path / "absent.txt"), "--out", str(tmp_path / "x"))
@@ -493,7 +507,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["estimate", "--theta", "", "--phi", ","],
         ["gen-data", "--n", "5", "--theta", ""],
-    ], ids=["estimate", "gen-data"])
+        ["estimate", "--theta", "nan,0,0"],
+    ], ids=["estimate", "gen-data", "non-finite"])
     def test_empty_vector_flag_rejected(self, tmp_path, capsys, argv):
         # an empty vector once ran silently at the default parameters
         out = tmp_path / "x"

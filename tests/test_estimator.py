@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mlmc_evidence import diagnostics as diagnostics_module
 from mlmc_evidence import estimator as estimator_module
 from mlmc_evidence import gradients
 from mlmc_evidence import rng as rng_module
@@ -23,12 +24,18 @@ from mlmc_evidence.estimator import (
     draw_level_samples,
     estimate_log_evidence,
     level_estimate,
+    row_bytes,
     run_batch,
     sample_levels,
 )
 from mlmc_evidence.gradients import estimate_gradients, grad_phi_elbo_level, grad_theta_level
 from mlmc_evidence.logspace import log_mean_exp
-from mlmc_evidence.models import ALL_GRADS, BernoulliGaussianModel, GaussianConjugateModel
+from mlmc_evidence.models import (
+    ALL_GRADS,
+    BernoulliGaussianModel,
+    GaussianConjugateModel,
+    Workspace,
+)
 from mlmc_evidence.rng import substream
 
 MODEL = GaussianConjugateModel(1)
@@ -200,10 +207,14 @@ class TestLevelEstimate:
         with pytest.raises(ResourceGuardExceeded):
             level_estimate(MODEL, DATA.x[0], THETA, PHI_WIDE, 6, cfg, substream(108, 0))
 
-    @pytest.mark.parametrize("levels", [[59, 59], [56]], ids=["offsets-wrap", "bytes-overflow"])
+    @pytest.mark.parametrize(
+        "levels", [[59, 59], [56], [55]], ids=["offsets-wrap", "bytes-overflow", "workspace-bytes"]
+    )
     def test_draws_beyond_addressable_bytes_rejected(self, levels):
         # a member's 2^62 draws fit in int64 but two members' do not; a
-        # member's 2^59 draws do, but not their 24-byte gradient rows
+        # member's 2^59 draws do, but not their 24-byte gradient rows; a
+        # member's 2^58 draws' gradient rows do, but not their 88-byte
+        # workspace rows
         cfg = EstimatorConfig(n0=8, level_cap=59)
         x_rows = DATA.x[: len(levels)]
         with pytest.raises(ResourceGuardExceeded, match=f"{len(levels)} members up to level"):
@@ -211,8 +222,8 @@ class TestLevelEstimate:
 
     def test_nonfinite_weight_identified(self):
         class BrokenModel(GaussianConjugateModel):
-            def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS):
-                batch = super().log_weight_batch(x, z, theta, phi, grads)
+            def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS, out=None):
+                batch = super().log_weight_batch(x, z, theta, phi, grads, out)
                 batch.log_f[0] = -math.inf
                 return batch
 
@@ -364,9 +375,10 @@ class TestEstimateLogEvidence:
             raise AssertionError("batch spawned child generators")
 
         monkeypatch.setattr(rng_module, "spawn", forbidden)
-        monkeypatch.setattr(estimator_module, "DRAW_BUDGET", 64)
         cfg = EstimatorConfig(n0=8, batch_size=16)
+        chunk_draws(monkeypatch, 64, MODEL, ())
         est = estimate_log_evidence(MODEL, DATA, THETA, PHI_WIDE, cfg, substream(119, 0))
+        chunk_draws(monkeypatch, 64, MODEL, ALL_GRADS)
         grads = estimate_gradients(MODEL, DATA, THETA, PHI_WIDE, cfg, substream(119, 0))
         assert est.per_level_counts == grads.per_level_counts
 
@@ -479,34 +491,49 @@ class TestBatchLevels:
             draw_batch_indices(DATA, cfg, FixedUniforms(u))
 
 
+def chunk_draws(monkeypatch, draws, model, grads):
+    """Set the chunk byte budget to `draws` draws of `model`'s rows drawn
+    with the gradient arrays `grads`."""
+    monkeypatch.setattr(estimator_module, "CHUNK_BYTES", draws * row_bytes(model, grads))
+
+
 class RowCountingModel(GaussianConjugateModel):
-    """The Gaussian model, recording the largest sample_q row count."""
+    """The Gaussian model, recording each weight call's row count with the
+    most draws the byte budget allows a chunk drawn with its gradients."""
 
     def __init__(self, dim):
         super().__init__(dim)
-        self.max_rows = 0
+        self.calls = []
 
-    def sample_q(self, x, phi, rng, n):
-        self.max_rows = max(self.max_rows, n)
-        return super().sample_q(x, phi, rng, n)
+    def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS, out=None):
+        allowed = estimator_module.CHUNK_BYTES // row_bytes(self, grads)
+        self.calls.append((z.shape[0], allowed))
+        return super().log_weight_batch(x, z, theta, phi, grads, out)
 
 
 class TestDrawBudget:
     CFG = EstimatorConfig(n0=8, batch_size=32)
+    GRADS = [(), ALL_GRADS, ("theta",)]  # evidence, gradients, profile
 
-    def outputs(self, model):
-        est = estimate_log_evidence(model, DATA, THETA, PHI_WIDE, self.CFG, substream(122, 0))
-        grads = estimate_gradients(model, DATA, THETA, PHI_WIDE, self.CFG, substream(122, 1))
+    def outputs(self, model, data=DATA, theta=THETA, phi=PHI_WIDE, budget=lambda grads: None):
+        """Evidence, gradients and a profile, each drawn after
+        `budget(grads)` is called with the gradient arrays it draws."""
+        budget(self.GRADS[0])
+        est = estimate_log_evidence(model, data, theta, phi, self.CFG, substream(122, 0))
+        budget(self.GRADS[1])
+        grads = estimate_gradients(model, data, theta, phi, self.CFG, substream(122, 1))
+        budget(self.GRADS[2])
         profile = variance_profile(
-            model, DATA, THETA, PHI_WIDE, range(0, 4), 100, self.CFG, substream(122, 2)
+            model, data, theta, phi, range(0, 4), 100, self.CFG, substream(122, 2)
         )
         return est, grads, profile
 
     @pytest.mark.parametrize("budget", [16, 40])
     def test_budget_changes_no_output(self, monkeypatch, budget):
         est, grads, profile = self.outputs(MODEL)
-        monkeypatch.setattr(estimator_module, "DRAW_BUDGET", budget)
-        est_b, grads_b, profile_b = self.outputs(MODEL)
+        est_b, grads_b, profile_b = self.outputs(
+            MODEL, budget=lambda g: chunk_draws(monkeypatch, budget, MODEL, g)
+        )
         assert est_b == est
         np.testing.assert_array_equal(grads_b.grad_theta, grads.grad_theta)
         np.testing.assert_array_equal(grads_b.grad_phi, grads.grad_phi)
@@ -516,12 +543,80 @@ class TestDrawBudget:
 
     @pytest.mark.parametrize("budget", [16, 40])
     def test_budget_bounds_each_model_call(self, monkeypatch, budget):
-        monkeypatch.setattr(estimator_module, "DRAW_BUDGET", budget)
-        model = RowCountingModel(1)
-        est, grads, _ = self.outputs(model)
-        deepest = max(*est.per_level_counts, *grads.per_level_counts, 3)
-        largest = self.CFG.n0 << deepest
-        assert 0 < model.max_rows <= max(budget, largest)
+        # each model call draws at most the byte budget over its rows'
+        # bytes, or one member: at dim 1 a budget of `budget` draws per
+        # call, and at dim 32 with gradients one byte budget, `budget`
+        # draws of the widest rows, under which narrower rows draw more
+        narrow = RowCountingModel(1)
+        runs = [(narrow, self.outputs(
+            narrow, budget=lambda g: chunk_draws(monkeypatch, budget, narrow, g)))]
+        wide = RowCountingModel(32)
+        theta = np.zeros(wide.theta_dim)
+        phi = np.repeat([0.0, 0.0, 0.5 * math.log(2.0)], 32)  # q = N(0, 2) per coordinate
+        data = wide.generate_data(theta, 20, substream(122, 3))
+        chunk_draws(monkeypatch, budget, wide, ALL_GRADS)
+        runs.append((wide, self.outputs(wide, data, theta, phi)))
+        for model, (est, grads, _) in runs:
+            deepest = max(*est.per_level_counts, *grads.per_level_counts, 3)
+            largest = self.CFG.n0 << deepest
+            for n, allowed in model.calls:
+                assert 0 < n <= max(allowed, largest), (model.dim, n, allowed)
+        widths = {estimator_module.CHUNK_BYTES // row_bytes(wide, g) for g in self.GRADS}
+        assert {allowed for _, allowed in wide.calls} == widths and len(widths) > 1
+
+
+class TestWorkspace:
+    def test_arrays_past_the_block_are_fresh(self):
+        # a caller that takes more rows than the block holds (two weighted
+        # averages of one chunk, say) gets arrays of its own, never rows
+        # that overlap another live array
+        workspace = Workspace(2, 16)  # four float64s
+        first = workspace.empty((3,))
+        second = workspace.empty((2,))
+        assert first.base is not None and second.base is None
+        assert not np.shares_memory(first, second)
+        workspace.rewind()
+        assert np.shares_memory(workspace.empty((2, 2)), first)
+
+    def test_chunks_reuse_one_workspace_and_results_never_alias_it(self, monkeypatch):
+        # every chunk of a draw writes into the same rows, and no result
+        # of a batch, an estimate or a profile is a view of them
+        chunks, reduced = [], []
+        real_draw, real_reduce = estimator_module.draw_chunks, estimator_module.reduce_chunks
+
+        def recording_draw(*args, **kwargs):
+            for draws in real_draw(*args, **kwargs):
+                chunks.append(draws)
+                yield draws
+
+        def recording_reduce(*args):
+            rows = real_reduce(*args)
+            reduced.extend(rows)
+            return rows
+
+        for module in (estimator_module, diagnostics_module):
+            monkeypatch.setattr(module, "draw_chunks", recording_draw)
+            monkeypatch.setattr(module, "reduce_chunks", recording_reduce)
+        chunk_draws(monkeypatch, 64, MODEL, ALL_GRADS)
+        cfg = EstimatorConfig(n0=8, batch_size=16)
+        reducers = [antithetic_difference, grad_theta_level, grad_phi_elbo_level]
+        levels, _ = run_batch(MODEL, DATA, THETA, PHI_WIDE, cfg, substream(127, 0), reducers=reducers)
+        batch_chunks = len(chunks)
+        grads = estimate_gradients(MODEL, DATA, THETA, PHI_WIDE, cfg, substream(127, 1))
+        variance_profile(MODEL, DATA, THETA, PHI_WIDE, range(0, 3), 100, cfg, substream(127, 2))
+        assert batch_chunks > 1
+        first, second = chunks[:2]
+        block = first.log_f.base
+        assert block is not None and block.nbytes >= first.log_f.nbytes
+        for row in (second.log_f, second.grad_theta_log_f, second.halves.shifted):
+            assert row.base is block
+
+        results = [levels, *reduced, grads.grad_theta, grads.grad_phi]
+        for draws in chunks:
+            rows = [draws.log_f, draws.grad_theta_log_f, draws.grad_phi_log_q, draws.halves.shifted]
+            for row in (r for r in rows if r is not None):
+                for result in results:
+                    assert not np.shares_memory(row, result)
 
 
 def traced_peak(call) -> int:
@@ -538,7 +633,6 @@ class TestBoundedMemory:
     def test_batch_peak_is_a_few_chunks(self, monkeypatch):
         # a batch of about 18 chunks is reduced chunk by chunk as drawn, so
         # its peak stays near one chunk's, not the whole batch's draws
-        monkeypatch.setattr(estimator_module, "DRAW_BUDGET", 4096)
         model = GaussianConjugateModel(4)
         theta = np.zeros(model.theta_dim)
         phi = np.repeat([0.0, 0.0, 0.5 * math.log(2.0)], 4)  # q = N(0, 2) per coordinate
@@ -547,11 +641,12 @@ class TestBoundedMemory:
         one_chunk = traced_peak(
             lambda: draw_level_samples(model, data.x[0], theta, phi, 8, cfg, substream(125, 1))
         )
-        for estimate in (estimate_log_evidence, estimate_gradients):
+        for estimate, grads in [(estimate_log_evidence, ()), (estimate_gradients, ALL_GRADS)]:
+            chunk_draws(monkeypatch, 4096, model, grads)
             peak = traced_peak(lambda: estimate(model, data, theta, phi, cfg, substream(125, 2)))
             assert peak <= 3 * one_chunk, (estimate.__name__, peak, one_chunk)
 
-    def test_evidence_builds_no_gradient_arrays(self):
+    def test_evidence_builds_no_gradient_arrays(self, monkeypatch):
         # at dim 32 a draw's two gradient rows (96 reals each) outweigh its
         # other temporaries, so the evidence path, which builds neither,
         # peaks well under the gradient path on the same one-chunk batch
@@ -561,11 +656,14 @@ class TestBoundedMemory:
         data = model.generate_data(theta, 50, substream(126, 0))
         cfg = EstimatorConfig(n0=256, batch_size=16)
         _, levels = draw_batch_indices(data, cfg, substream(126, 1))
-        assert (cfg.n0 << levels).sum() <= estimator_module.DRAW_BUDGET  # one chunk
-        evidence, gradient = (
-            traced_peak(lambda: estimate(model, data, theta, phi, cfg, substream(126, 1)))
-            for estimate in (estimate_log_evidence, estimate_gradients)
-        )
+        assert (cfg.n0 << levels).sum() <= 1 << 16  # one chunk of 2^16 draws
+        peaks = []
+        for estimate, grads in [(estimate_log_evidence, ()), (estimate_gradients, ALL_GRADS)]:
+            chunk_draws(monkeypatch, 1 << 16, model, grads)
+            peaks.append(
+                traced_peak(lambda: estimate(model, data, theta, phi, cfg, substream(126, 1)))
+            )
+        evidence, gradient = peaks
         assert evidence < 2 / 3 * gradient, (evidence, gradient)
 
 

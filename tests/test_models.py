@@ -319,7 +319,7 @@ class SumOfTwoModel(LatentVariableModel):
     def q_loc_log_scale(self, x, phi):
         return phi[:2] + x / 3, phi[2:]
 
-    def log_weight_batch(self, x, z, theta, phi, grads=()):
+    def log_weight_batch(self, x, z, theta, phi, grads=(), out=None):
         assert not grads, "this model computes weights only"
         loc, log_scale = self.q_loc_log_scale(x, phi)
         resid = x[..., 0] - z.sum(axis=1) - theta[0]

@@ -30,9 +30,9 @@ class RecordingModel(GaussianConjugateModel):
         super().__init__(dim)
         self.asked = []
 
-    def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS):
+    def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS, out=None):
         self.asked.append(frozenset(grads))
-        return super().log_weight_batch(x, z, theta, phi, grads)
+        return super().log_weight_batch(x, z, theta, phi, grads, out)
 
 
 def test_evidence_asks_for_none():
@@ -95,9 +95,9 @@ class ChunkCountingModel(GaussianConjugateModel):
 
     chunks = 0
 
-    def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS):
+    def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS, out=None):
         self.chunks += 1
-        return super().log_weight_batch(x, z, theta, phi, grads)
+        return super().log_weight_batch(x, z, theta, phi, grads, out)
 
 
 @pytest.mark.parametrize("antithetic", [True, False], ids=["antithetic", "naive"])
@@ -112,8 +112,10 @@ def test_profile_exponentiates_each_chunk_once(monkeypatch, antithetic):
         return shared_pass(buf, *args)
 
     monkeypatch.setattr(estimator_module, "segment_exp", counted_pass)
-    monkeypatch.setattr(estimator_module, "DRAW_BUDGET", 256)
     model = ChunkCountingModel(1)
+    monkeypatch.setattr(
+        estimator_module, "CHUNK_BYTES", 256 * estimator_module.row_bytes(model, ("theta",))
+    )
     variance_profile(
         model, DATA, THETA, PHI_WIDE, range(0, 5), 100, CFG, substream(608, 0),
         antithetic=antithetic,

@@ -12,7 +12,7 @@ back. Each family covers three models (Gaussian dim 1, Gaussian dim 3,
 Bernoulli) times the seeds:
 
 - evidence and gradients at (n0, batch) in (1, 1), (4, 8), (8, 64), (32, 4),
-  at the library's draw budget and at a 64-draw budget;
+  at the library's chunk byte budget and at a budget of 64 draws' rows;
 - variance profiles at levels 0..5, antithetic and naive;
 - tail moments;
 - 20-step training records;
@@ -38,7 +38,7 @@ from mlmc_evidence import cli, estimator
 from mlmc_evidence.diagnostics import estimate_moments, variance_profile
 from mlmc_evidence.estimator import EstimatorConfig, estimate_log_evidence
 from mlmc_evidence.gradients import estimate_gradients
-from mlmc_evidence.models import BernoulliGaussianModel, GaussianConjugateModel
+from mlmc_evidence.models import ALL_GRADS, BernoulliGaussianModel, GaussianConjugateModel
 from mlmc_evidence.rng import substream
 from mlmc_evidence.trainer import TrainConfig, train
 
@@ -105,13 +105,16 @@ def setting(name: str, dim: int, seed: int):
 
 
 @contextlib.contextmanager
-def draw_budget(budget: int):
-    saved = estimator.DRAW_BUDGET
-    estimator.DRAW_BUDGET = budget
+def chunk_draws(draws: int | None, model, grads):
+    """Chunks of `draws` draws of `model`'s rows drawn with the gradient
+    arrays `grads`; the library's own byte budget for None."""
+    saved = estimator.CHUNK_BYTES
+    if draws is not None:
+        estimator.CHUNK_BYTES = draws * estimator.row_bytes(model, grads)
     try:
         yield
     finally:
-        estimator.DRAW_BUDGET = saved
+        estimator.CHUNK_BYTES = saved
 
 
 def run_cli(argv: list[str], out: Path) -> list:
@@ -148,13 +151,14 @@ def fingerprint(seeds: int) -> dict[str, Family]:
         for name, dim in MODELS:
             model, data, theta, phi = setting(name, dim, seed)
             tag = f"{name}{dim} seed {seed}"
-            for budget, suffix in [(estimator.DRAW_BUDGET, ""), (SMALL_BUDGET, "-budget64")]:
-                with draw_budget(budget):
-                    for n0, batch in SHAPES:
-                        cfg = EstimatorConfig(n0=n0, batch_size=batch)
-                        case = f"{tag} n0 {n0} batch {batch}"
+            for draws, suffix in [(None, ""), (SMALL_BUDGET, "-budget64")]:
+                for n0, batch in SHAPES:
+                    cfg = EstimatorConfig(n0=n0, batch_size=batch)
+                    case = f"{tag} n0 {n0} batch {batch}"
+                    with chunk_draws(draws, model, ()):
                         family("evidence" + suffix).add(case, lambda: estimate_log_evidence(
                             model, data, theta, phi, cfg, substream(seed, 1)))
+                    with chunk_draws(draws, model, ALL_GRADS):
                         family("gradients" + suffix).add(case, lambda: estimate_gradients(
                             model, data, theta, phi, cfg, substream(seed, 1)))
             for antithetic, variant in [(True, "antithetic"), (False, "naive")]:
