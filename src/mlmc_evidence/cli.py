@@ -2,8 +2,9 @@
 training as reproducible runs with file outputs.
 
 Each command's parser is its only schema and holds every default. A run
-writes ``manifest.json``: the command plus the parsed value of each of its
-flags except ``--out``, and nothing else. ``rerun --manifest`` replays it
+writes ``manifest.json`` with its first artifact (`RunDir`): the command
+plus the parsed value of each of its flags except ``--out``, and nothing
+else. ``rerun --manifest`` replays it
 bit-exactly. It first rejects a manifest that lacks one of those keys,
 holds any other key, or holds a value the flag could not have parsed to.
 The output location is an execution detail and stays out of the
@@ -141,19 +142,37 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+class RunDir:
+    """A run's output directory. `artifact(name)` is the path to write the
+    artifact `name` to, and the first call writes the run's manifest: a
+    run that fails before its first artifact (on a bad `--n0`, say) leaves
+    no manifest, and one that fails after it (a failed grad check) leaves
+    the manifest that replays the failure."""
+
+    def __init__(self, path: Path, command: str, params: dict):
+        self._path = path
+        self._manifest = (command, params)
+
+    def artifact(self, name: str) -> Path:
+        if self._manifest is not None:
+            _write_manifest(self._path, *self._manifest)
+            self._manifest = None
+        return self._path / name
+
+
 # Command runners. Each takes the resolved manifest params and the output
-# directory, writes its artifacts, and returns a one-line summary.
+# directory, writes at least one artifact, and returns a one-line summary.
 
 
-def run_gen_data(params: dict, out: Path) -> str:
+def run_gen_data(params: dict, out: RunDir) -> str:
     model = build_model(params["model"], params["dim"])
     data, theta = _synthetic_data(params, model, params["theta"])
-    path = out / "dataset.txt"
+    path = out.artifact("dataset.txt")
     save_dataset(path, data, params["seed"], theta)
     return f"wrote {data.n_total} observations to {path}"
 
 
-def run_estimate(params: dict, out: Path) -> str:
+def run_estimate(params: dict, out: RunDir) -> str:
     model, theta, phi = _resolve_model_params(params)
     data = _resolve_data(params, model)
     cfg = _estimator_config(params)
@@ -161,7 +180,7 @@ def run_estimate(params: dict, out: Path) -> str:
     result = estimate_log_evidence(model, data, theta, phi, cfg, rng)
     levels = sorted(result.per_level_counts)
     _write_json(
-        out / "estimate.json",
+        out.artifact("estimate.json"),
         {
             "value": result.value,
             "std_error": result.std_error,
@@ -173,7 +192,7 @@ def run_estimate(params: dict, out: Path) -> str:
     return f"log-evidence estimate {_fmt(result.value)} +/- {_fmt(result.std_error)} (cost {result.total_cost} draws)"
 
 
-def run_variance_profile(params: dict, out: Path) -> str:
+def run_variance_profile(params: dict, out: RunDir) -> str:
     model, theta, phi = _resolve_model_params(params)
     data = _resolve_data(params, model)
     cfg = _estimator_config(params)
@@ -183,11 +202,11 @@ def run_variance_profile(params: dict, out: Path) -> str:
         model, data, theta, phi, levels, params["reps"], cfg, rng,
         antithetic=not params["naive"],
     )
-    write_level_stats_csv(stats, out / "profile.csv")
+    write_level_stats_csv(stats, out.artifact("profile.csv"))
     fit = fit_decay_rate(stats, "var_z")
     fit_grad = fit_decay_rate(stats, "var_grad_theta_max")
     _write_json(
-        out / "fit.json",
+        out.artifact("fit.json"),
         {
             "slope_var_z": fit.slope,
             "intercept_var_z": fit.intercept,
@@ -199,7 +218,7 @@ def run_variance_profile(params: dict, out: Path) -> str:
     return f"variance decay slope {_fmt(fit.slope)} (r2 {_fmt(fit.r2)}) over levels {levels[0]}..{levels[-1]}"
 
 
-def run_moments(params: dict, out: Path) -> str:
+def run_moments(params: dict, out: RunDir) -> str:
     model, theta, phi = _resolve_model_params(params)
     data = _resolve_data(params, model)
     x_index = params["x_index"]
@@ -211,7 +230,7 @@ def run_moments(params: dict, out: Path) -> str:
         model, x, theta, phi, params["s"], params["t"], params["draws"], rng
     )
     _write_json(
-        out / "moments.json",
+        out.artifact("moments.json"),
         {
             "s_exponent": diag.s_exponent,
             "t_exponent": diag.t_exponent,
@@ -227,7 +246,7 @@ def run_moments(params: dict, out: Path) -> str:
     )
 
 
-def run_grad_check(params: dict, out: Path) -> str:
+def run_grad_check(params: dict, out: RunDir) -> str:
     model, theta, phi = _resolve_model_params(params)
     data = _resolve_data(params, model)
     cfg = _estimator_config(params)
@@ -239,7 +258,7 @@ def run_grad_check(params: dict, out: Path) -> str:
     z_theta, z_phi = estimator_mean_check(model, data, theta, phi, cfg, params["reps"], batch_rng)
     ok = fd_max <= params["fd_tol"] and z_theta <= 4.0 and z_phi <= 4.0
     _write_json(
-        out / "gradcheck.json",
+        out.artifact("gradcheck.json"),
         {
             "fd_max_rel_err": fd_max,
             "fd_tolerance": params["fd_tol"],
@@ -315,7 +334,7 @@ def estimator_mean_check(model, data, theta, phi, cfg, reps, rng) -> tuple[float
     return _max_zscore(mom_t, oracle_theta), _max_zscore(mom_p, oracle_phi)
 
 
-def run_train(params: dict, out: Path) -> str:
+def run_train(params: dict, out: RunDir) -> str:
     model, theta0, phi0 = _resolve_model_params(params)
     data = _resolve_data(params, model)
     cfg = TrainConfig(
@@ -329,8 +348,8 @@ def run_train(params: dict, out: Path) -> str:
     )
     rng = _rng.substream(params["seed"], _rng.STREAM_BATCH)
     records = train(model, data, theta0, phi0, cfg, rng)
-    write_run_records_csv(records, out / "records.csv")
-    write_summary_json(records, out / "summary.json", params["seed"])
+    write_run_records_csv(records, out.artifact("records.csv"))
+    write_summary_json(records, out.artifact("summary.json"), params["seed"])
     final = records[-1]
     oracle = "" if final.evidence_oracle is None else f" oracle {_fmt(final.evidence_oracle)}"
     kl = "" if final.kl_oracle is None else f" kl {_fmt(final.kl_oracle)}"
@@ -352,9 +371,7 @@ _RUNNERS = {
 
 def dispatch(command: str, params: dict, out: Path) -> str:
     out.mkdir(parents=True, exist_ok=True)
-    summary = _RUNNERS[command](params, out)
-    _write_manifest(out, command, params)  # only a run that succeeded can be replayed
-    return summary
+    return _RUNNERS[command](params, RunDir(out, command, params))
 
 
 def manifest_flags(command: str) -> dict[str, argparse.Action]:

@@ -12,9 +12,10 @@ A batch is drawn in chunks of consecutive members (`draw_chunks`,
 `LevelDraws`): member i owns a contiguous slice of n0 * 2^level_i draws,
 and the model draws and weighs a chunk in one call with the observations
 repeated as one row per draw. A chunk's per-draw rows take at most
-CHUNK_BYTES, so it stays cache-sized at any dimension, and every chunk of
-one draw writes them into the same workspace, so only the first maps
-fresh pages. `run_batch` reduces the batch chunk by chunk as it is drawn
+CHUNK_BYTES, so its memory stays bounded at any dimension, and every chunk of
+one draw writes its theta-gradient rows and the reducers' per-draw rows
+into the same `Workspace`, so only the first maps fresh pages for them.
+`run_batch` reduces the batch chunk by chunk as it is drawn
 (`reduce_chunks`), by segment with no loop over members, to one row per
 member of each quantity its caller names, so no buffer spans the batch.
 Each chunk is cut once into its members' halves and exponentiated once
@@ -37,7 +38,7 @@ from . import gradients as _gradients
 from .errors import ContractViolation, ResourceGuardExceeded
 from .logspace import log_mean_exp_unchecked  # noqa: F401  perfbench/tracer.py wraps this name here
 from .logspace import segment_exp
-from .models import ALL_GRADS, Dataset, LatentVariableModel, Workspace, take
+from .models import ALL_GRADS, Dataset, LatentVariableModel
 
 #: Geometric ratio 2^(-3/2): level mass decays fast enough for finite
 #: variance (weight 1/mass grows slower than the difference variance decays)
@@ -46,11 +47,12 @@ DEFAULT_LEVEL_RATIO = 2.0 ** -1.5
 
 DEFAULT_LEVEL_CAP = 40
 
-#: Most bytes of workspace rows (`row_bytes`) one chunk holds when a batch
+#: Most bytes of per-draw rows (`row_bytes`) one chunk holds when a batch
 #: is drawn: consecutive members share a model call up to this many bytes,
 #: and a member larger than it is drawn alone. Of 0.5, 1, 1.5, 2, 3 and
-#: 4 MiB, 1.5 and 2 MiB drew the most latents per second in level profiles.
-CHUNK_BYTES = 3 << 19
+#: 4 MiB, 4 MiB drew the most latents per second in level profiles: fewer
+#: chunks pay fewer model calls' fixed costs.
+CHUNK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -116,6 +118,34 @@ class EstimatorConfig:
         return self._distribution
 
 
+class Workspace:
+    """One block of `capacity` rows of `width` float64s that the chunks of
+    one draw write into in turn.
+
+    `empty(shape)` cuts the next uninitialized float64 array from the
+    block, or makes one on its own once the block is used up, and
+    `rewind()` hands the whole block out again for the next chunk. So the
+    chunks of a draw share one allocation, every chunk after the first
+    writes into pages already mapped, and an array taken from it is valid
+    until the workspace is rewound. A workspace of capacity 0 makes every
+    array on its own.
+    """
+
+    def __init__(self, capacity: int, width: int):
+        self._block = np.empty(capacity * width)
+        self._used = 0
+
+    def rewind(self) -> None:
+        self._used = 0
+
+    def empty(self, shape: tuple[int, ...]) -> np.ndarray:
+        start = self._used
+        self._used = end = start + math.prod(shape)
+        if end > self._block.size:
+            return np.empty(shape)
+        return self._block[start:end].reshape(shape)
+
+
 class Halves(NamedTuple):
     """A chunk cut into the segments the level reducers read, a level-0
     member as one segment and a deeper member as its two contiguous halves,
@@ -130,13 +160,12 @@ class Halves(NamedTuple):
     b: np.ndarray  # (M,) its second segment; a at level 0
     d: np.ndarray  # (M,) log_sums[a] - log_sums[b]; 0 at level 0
     split: np.ndarray  # (M,) True where the member is cut in halves
-    workspace: Workspace | None  # the chunk's, for `average`'s weighted rows
+    workspace: Workspace  # the chunk's, for `average`'s weighted rows
 
     def average(self, rows: np.ndarray) -> np.ndarray:
         """The softmax(log f)-weighted average of `rows` within each
         segment, sum_i exp(log f_i) rows_i / sum_i exp(log f_i), (S, k)."""
-        weighted = take(self.workspace, rows.shape)
-        np.multiply(self.shifted[:, None], rows, out=weighted)
+        weighted = np.multiply(self.shifted[:, None], rows, out=self.workspace.empty(rows.shape))
         return np.add.reduceat(weighted, self.starts, axis=0) / self.total[:, None]
 
     def merge(self, level_zero: np.ndarray, split_rows: np.ndarray) -> np.ndarray:
@@ -151,17 +180,17 @@ class LevelDraws:
     """Shared latent draws of M consecutive batch members, one chunk: member
     i owns the contiguous slice of n0 * 2^levels[i] draws, members in batch
     order. Level values and both gradient estimates are reductions of it.
-    A gradient array the chunk was not drawn with is None. Its rows are cut
-    from `workspace` (None for a draw of one chunk), which the next chunk of
-    the same draw overwrites, so a chunk is valid until the next one is
-    drawn."""
+    A gradient array the chunk was not drawn with is None. Its theta-gradient
+    rows and its reducers' per-draw rows are cut from `workspace`, which the
+    next chunk of the same draw overwrites, so a chunk is valid until the
+    next one is drawn."""
 
     levels: np.ndarray  # (M,)
     n0: int
     log_f: np.ndarray  # (n,)
     grad_theta_log_f: np.ndarray | None  # (n, theta_dim)
     grad_phi_log_q: np.ndarray | None  # (n, phi_dim)
-    workspace: Workspace | None
+    workspace: Workspace
 
     @property
     def n(self) -> int:
@@ -188,22 +217,28 @@ class LevelDraws:
         sizes = (self.sizes >> split).repeat(per_member)  # a split member's halves are equal
         starts = sizes.cumsum() - sizes
         a = per_member.cumsum() - per_member
-        out = None if self.workspace is None else self.workspace.empty((self.n,))
-        shifted, total, log_sums = segment_exp(self.log_f, starts, sizes, out)
+        shifted, total, log_sums = segment_exp(
+            self.log_f, starts, sizes, self.workspace.empty((self.n,))
+        )
         b = a + split
         d = log_sums[a] - log_sums[b]
         return Halves(starts, shifted, total, log_sums, a, b, d, split, self.workspace)
 
 
+def workspace_width(model: LatentVariableModel, grads) -> int:
+    """float64s per draw that a chunk drawn with the gradient arrays
+    `grads` takes from its workspace: the segment exp of log f, and with
+    the theta gradient its rows and their weighted product in
+    `Halves.average`."""
+    return 1 + (2 * model.theta_dim if "theta" in grads else 0)
+
+
 def row_bytes(model: LatentVariableModel, grads) -> int:
-    """Bytes per draw of the workspace rows of a chunk drawn with the
-    gradient arrays `grads`: z and two residual rows of its width for the
-    model, log f and its segment exp, and with the theta gradient its rows
-    and their weighted product in `Halves.average`. The x rows and the
-    segment peaks, which numpy's `repeat` builds, and the phi-gradient
-    rows are fresh arrays."""
-    theta = 2 * model.theta_dim if "theta" in grads else 0
-    return 8 * (3 * model.z_dim + 2 + theta)
+    """Bytes per draw of a chunk drawn with the gradient arrays `grads`:
+    its workspace rows and the fresh x row, z row, log f and phi-gradient
+    row. The model's own temporaries are not counted."""
+    phi = model.phi_dim if "phi" in grads else 0
+    return 8 * (workspace_width(model, grads) + model.x_dim + model.z_dim + 1 + phi)
 
 
 def draw_chunks(
@@ -228,9 +263,10 @@ def draw_chunks(
     others are None, and no value read from the chunks depends on it.
 
     A call of more than one chunk owns one workspace, sized for its
-    largest chunk, which holds every chunk's `row_bytes` rows: a chunk is
-    valid until the next one is drawn. A call of one chunk has no later
-    chunk to reuse its rows for and draws into fresh arrays.
+    largest chunk, which holds every chunk's theta-gradient rows and its
+    reducers' per-draw rows (`workspace_width`): a chunk is valid until the
+    next one is drawn. A call of one chunk has no later chunk to reuse its
+    rows for, and its workspace of capacity 0 makes fresh arrays.
     """
     levels = np.asarray(levels, dtype=np.int64)
     if not levels.size:
@@ -240,7 +276,7 @@ def draw_chunks(
     top = int(levels.max())
     if top > cfg.level_cap:
         raise ResourceGuardExceeded(f"level {top} exceeds level cap {cfg.level_cap}")
-    # the widest per-draw row a chunk holds, or its workspace rows, in bytes;
+    # the widest per-draw row a chunk holds, or all its rows, in bytes;
     # past 2^63 - 1 bytes the draw offsets below or an array's size would overflow
     per_draw = row_bytes(model, grads)
     row = max(8 * max(model.x_dim, model.z_dim, model.theta_dim, model.phi_dim), per_draw)
@@ -252,19 +288,19 @@ def draw_chunks(
     sizes = cfg.n0 << levels
     ends = sizes.cumsum()
     budget = CHUNK_BYTES // per_draw  # draws per chunk
-    out = None
-    if levels.size > 1 and ends[-1] > budget:
-        out = Workspace(max(budget, int(sizes.max())), per_draw)
+    capacity = max(budget, int(sizes.max())) if levels.size > 1 and ends[-1] > budget else 0
+    workspace = Workspace(capacity, workspace_width(model, grads))
+    want_theta = "theta" in grads
     lo = 0
     while lo < levels.size:
         base = ends[lo] - sizes[lo]
         hi = max(lo + 1, int(ends.searchsorted(base + budget, side="right")))
         x = x_rows[lo:hi].repeat(sizes[lo:hi], axis=0)
         n = int(ends[hi - 1] - base)
-        if out is not None:
-            out.rewind()
-        z = model.sample_q(x, phi, rng, n, out=out)
-        batch = model.log_weight_batch(x, z, theta, phi, grads=grads, out=out)
+        workspace.rewind()
+        z = model.sample_q(x, phi, rng, n)
+        gt = workspace.empty((n, model.theta_dim)) if want_theta else None
+        batch = model.log_weight_batch(x, z, theta, phi, grads=grads, grad_theta_out=gt)
         if not np.isfinite(batch.log_f).all():
             i = int(np.flatnonzero(~np.isfinite(batch.log_f))[0])
             member = lo + int(np.searchsorted(ends[lo:hi] - base, i, side="right"))
@@ -277,7 +313,7 @@ def draw_chunks(
             log_f=batch.log_f,
             grad_theta_log_f=batch.grad_theta_log_f,
             grad_phi_log_q=batch.grad_phi_log_q,
-            workspace=out,
+            workspace=workspace,
         )
         lo = hi
 

@@ -47,17 +47,16 @@ def log_mean_exp(values) -> float:
 
 
 def segment_exp(
-    buf: np.ndarray, starts: np.ndarray, sizes: np.ndarray, out: np.ndarray | None = None
+    buf: np.ndarray, starts: np.ndarray, sizes: np.ndarray, out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The peak/exp/sum pass over the nonempty segments of a validated
     buffer that tile it in order, segment j holding sizes[j] values from
     starts[j]: (shifted, total, log_sums), each value's exp shifted by its
-    segment's peak (built in `out`, shaped like buf, if given, else in the
-    repeated peaks), each segment's sum of those, and each segment's
-    log-sum-exp, its peak plus the log of its shifted sum."""
+    segment's peak (built in `out`, shaped like buf), each segment's sum of
+    those, and each segment's log-sum-exp, its peak plus the log of its
+    shifted sum."""
     peak = np.maximum.reduceat(buf, starts)
-    shifted = peak.repeat(sizes)
-    shifted = np.subtract(buf, shifted, out=shifted if out is None else out)
+    shifted = np.subtract(buf, peak.repeat(sizes), out=out)
     np.exp(shifted, out=shifted)
     total = np.add.reduceat(shifted, starts)
     return shifted, total, peak + np.log(total)

@@ -12,9 +12,9 @@ with d(log f)/d(theta) and d(log q)/d(phi) per draw. A caller names the
 gradient arrays it reads, a subset of {"theta", "phi"} (both by default),
 and the model builds only those: an unrequested field of the returned
 `WeightBatch` is None, and log f is the same whichever are asked for. The
-evidence estimate asks for none. A caller that draws chunk after chunk
-passes a `Workspace` as `out`, and the model may take its per-draw arrays
-from it instead of allocating them. The observation x is either one
+evidence estimate asks for none. A caller may lend the model an array to
+build the theta gradient in (`grad_theta_out`), and the model may build it
+there or in an array of its own. The observation x is either one
 observation (x_dim,) shared by every draw or one row per draw (n, x_dim),
 so a chunk of batch members, each with its own observation, is drawn and
 weighted in one call. Everything is parameterized so that theta and phi
@@ -57,38 +57,6 @@ class WeightBatch(NamedTuple):
     grad_phi_log_q: np.ndarray | None  # (n, phi_dim)
 
 
-class Workspace:
-    """One block of `capacity` rows of `row_bytes` that the chunks of one
-    draw write into in turn.
-
-    `empty(shape)` cuts the next uninitialized float64 array from the
-    block, or makes one on its own once the block is used up, and
-    `rewind()` hands the whole block out again for the next chunk. So the
-    chunks of a draw share one allocation, every chunk after the first
-    writes into pages already mapped, and an array taken from it is valid
-    until the workspace is rewound.
-    """
-
-    def __init__(self, capacity: int, row_bytes: int):
-        self._block = np.empty(capacity * row_bytes // 8)
-        self._used = 0
-
-    def rewind(self) -> None:
-        self._used = 0
-
-    def empty(self, shape: tuple[int, ...]) -> np.ndarray:
-        start = self._used
-        self._used = end = start + math.prod(shape)
-        if end > self._block.size:
-            return np.empty(shape)
-        return self._block[start:end].reshape(shape)
-
-
-def take(out: Workspace | None, shape: tuple[int, ...]) -> np.ndarray:
-    """An uninitialized float64 array of `shape` from `out`, or a fresh one."""
-    return np.empty(shape) if out is None else out.empty(shape)
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Observations stacked row-wise, (n_total, x_dim)."""
@@ -129,25 +97,22 @@ class LatentVariableModel(abc.ABC):
         """q(z|x, phi)'s location and log scale, two arrays that broadcast
         against (n, z_dim), for x checked by `_check_x`."""
 
-    def sample_q(
-        self, x, phi, rng: np.random.Generator, n: int, out: Workspace | None = None
-    ) -> np.ndarray:
+    def sample_q(self, x, phi, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n latents from q(z|x, phi); returns (n, z_dim).
 
         x is one observation (x_dim,) for every draw, or one row per draw
-        (n, x_dim). The latents are drawn into the workspace `out` when
-        one is given.
+        (n, x_dim).
         """
         x = _check_x(x, self.x_dim, n)
         loc, log_scale = self.q_loc_log_scale(x, phi)
-        z = rng.standard_normal(out=take(out, (n, self.z_dim)))
+        z = rng.standard_normal((n, self.z_dim))
         z *= np.exp(log_scale)
         z += loc
         return z
 
     @abc.abstractmethod
     def log_weight_batch(
-        self, x, z, theta, phi, grads=ALL_GRADS, out: Workspace | None = None
+        self, x, z, theta, phi, grads=ALL_GRADS, grad_theta_out=None
     ) -> WeightBatch:
         """log f and the gradients named in `grads` for every row of z,
         shape (n, z_dim).
@@ -156,8 +121,9 @@ class LatentVariableModel(abc.ABC):
         row of z (n, x_dim). `grads` is a subset of {"theta", "phi"}:
         "theta" builds d(log f)/d(theta), "phi" builds d(log q)/d(phi), and
         each gradient not named is None in the result. log f does not
-        depend on `grads`. A model may take its per-draw arrays, results
-        included, from the workspace `out`; no value depends on it.
+        depend on `grads`. `grad_theta_out` is None or, when "theta" is
+        named, an (n, theta_dim) float64 array the theta gradient may be
+        built in; a model may ignore it, and no value depends on it.
         """
 
     @abc.abstractmethod
@@ -250,7 +216,7 @@ class GaussianConjugateModel(LatentVariableModel):
         a, b, log_s = self.split_phi(phi)
         return a * x + b, log_s
 
-    def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS, out=None):
+    def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS, grad_theta_out=None):
         want_theta, want_phi = _wanted(grads)
         mu0, log_s0, log_sx = self.split_theta(theta)
         a, b, log_s = self.split_phi(phi)
@@ -261,15 +227,17 @@ class GaussianConjugateModel(LatentVariableModel):
         v0 = np.exp(2.0 * log_s0)
         vx = np.exp(2.0 * log_sx)
         vq = np.exp(2.0 * log_s)
-        gt = take(out, (n, self.theta_dim)) if want_theta else None
+        gt = None
+        if want_theta:
+            gt = np.empty((n, self.theta_dim)) if grad_theta_out is None else grad_theta_out
         gq = np.empty((n, self.phi_dim)) if want_phi else None
 
         # q accumulates q0 + qx - qq, the three squared standardized
         # residuals; `r` holds each residual in turn, then its square
-        r = np.subtract(z, mu0, out=take(out, (n, d)))
+        r = z - mu0
         if want_theta:
             np.divide(r, v0, out=gt[:, :d])
-        q = np.multiply(r, r, out=take(out, (n, d)))
+        q = r * r
         q /= v0
         if want_theta:
             np.subtract(q, 1.0, out=gt[:, d : 2 * d])
@@ -293,7 +261,7 @@ class GaussianConjugateModel(LatentVariableModel):
             np.subtract(r, 1.0, out=gq[:, 2 * d :])
         q -= r
 
-        log_f = np.add.reduce(q, axis=1, out=take(out, (n,)))
+        log_f = q.sum(axis=1)
         log_f *= -0.5
         log_f -= log_s0.sum() + log_sx.sum() - log_s.sum()
         log_f -= 0.5 * self.dim * _LOG_2PI
@@ -411,9 +379,7 @@ class BernoulliGaussianModel(LatentVariableModel):
         # (n,) per-row parameters become columns; scalars become (1,)
         return m[..., None], log_s[..., None]
 
-    def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS, out=None):
-        # fresh arrays, nothing taken from `out`: reusing this model's rows
-        # has not been measured to pay
+    def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS, grad_theta_out=None):
         want_theta, want_phi = _wanted(grads)
         theta = _check_vector("theta", theta, self.theta_dim)
         z = np.asarray(z, dtype=np.float64)
@@ -446,7 +412,7 @@ class BernoulliGaussianModel(LatentVariableModel):
 
         gt = gq = None
         if want_theta:
-            gt = np.empty((n, 2))
+            gt = np.empty((n, 2)) if grad_theta_out is None else grad_theta_out
             resid = gt[:, 1]  # x - sigmoid(eta)
             np.negative(eta, out=resid)
             np.exp(resid, out=resid)

@@ -349,14 +349,30 @@ class TestExitCodes:
         assert "error" in err
 
     def test_failed_run_leaves_no_manifest(self, tmp_path, capsys):
-        # the manifest was once written before the run, so a failed run
-        # left one behind that replays the failure
+        # the manifest was once written before the run, so a run that
+        # failed before writing any artifact left one behind
         out = tmp_path / "d"
         code, stdout, err = run_cli(capsys, "estimate", "--n0", "0", "--out", str(out))
         assert code == 1
         assert stdout == ""
         assert err.splitlines() == ["error: n0 must be >= 1, got 0"]
         assert not (out / "manifest.json").exists()
+
+    def test_failure_after_an_artifact_can_be_replayed(self, tmp_path, capsys):
+        # a failed grad check writes its gradcheck.json, then fails: the
+        # manifest written with that artifact replays the same failure
+        first, again = tmp_path / "first", tmp_path / "again"
+        argv = ["grad-check", "--fd-tol", "1e-300", "--points", "2", "--reps", "100"]
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(first))
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: gradient check failed: FAIL")
+        manifest = first / "manifest.json"
+        assert json.loads(manifest.read_text())["fd_tol"] == 1e-300
+        assert run_cli(capsys, "rerun", "--manifest", str(manifest), "--out", str(again)) == (
+            code, stdout, err
+        )
+        for name in ("manifest.json", "gradcheck.json"):
+            assert (again / name).read_bytes() == (first / name).read_bytes()
 
     def test_missing_dataset_path(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "estimate", "--data",

@@ -21,6 +21,7 @@ from mlmc_evidence.estimator import (
     antithetic_difference,
     draw_batch_indices,
     draw_chunks,
+    Workspace,
     draw_level_samples,
     estimate_log_evidence,
     level_estimate,
@@ -30,12 +31,7 @@ from mlmc_evidence.estimator import (
 )
 from mlmc_evidence.gradients import estimate_gradients, grad_phi_elbo_level, grad_theta_level
 from mlmc_evidence.logspace import log_mean_exp
-from mlmc_evidence.models import (
-    ALL_GRADS,
-    BernoulliGaussianModel,
-    GaussianConjugateModel,
-    Workspace,
-)
+from mlmc_evidence.models import ALL_GRADS, BernoulliGaussianModel, GaussianConjugateModel
 from mlmc_evidence.rng import substream
 
 MODEL = GaussianConjugateModel(1)
@@ -213,8 +209,8 @@ class TestLevelEstimate:
     def test_draws_beyond_addressable_bytes_rejected(self, levels):
         # a member's 2^62 draws fit in int64 but two members' do not; a
         # member's 2^59 draws do, but not their 24-byte gradient rows; a
-        # member's 2^58 draws' gradient rows do, but not their 88-byte
-        # workspace rows
+        # member's 2^58 draws' gradient rows do, but not all their 104-byte
+        # rows
         cfg = EstimatorConfig(n0=8, level_cap=59)
         x_rows = DATA.x[: len(levels)]
         with pytest.raises(ResourceGuardExceeded, match=f"{len(levels)} members up to level"):
@@ -222,8 +218,8 @@ class TestLevelEstimate:
 
     def test_nonfinite_weight_identified(self):
         class BrokenModel(GaussianConjugateModel):
-            def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS, out=None):
-                batch = super().log_weight_batch(x, z, theta, phi, grads, out)
+            def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS, grad_theta_out=None):
+                batch = super().log_weight_batch(x, z, theta, phi, grads, grad_theta_out)
                 batch.log_f[0] = -math.inf
                 return batch
 
@@ -505,10 +501,10 @@ class RowCountingModel(GaussianConjugateModel):
         super().__init__(dim)
         self.calls = []
 
-    def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS, out=None):
+    def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS, grad_theta_out=None):
         allowed = estimator_module.CHUNK_BYTES // row_bytes(self, grads)
         self.calls.append((z.shape[0], allowed))
-        return super().log_weight_batch(x, z, theta, phi, grads, out)
+        return super().log_weight_batch(x, z, theta, phi, grads, grad_theta_out)
 
 
 class TestDrawBudget:
@@ -570,7 +566,7 @@ class TestWorkspace:
         # a caller that takes more rows than the block holds (two weighted
         # averages of one chunk, say) gets arrays of its own, never rows
         # that overlap another live array
-        workspace = Workspace(2, 16)  # four float64s
+        workspace = Workspace(2, 2)  # four float64s
         first = workspace.empty((3,))
         second = workspace.empty((2,))
         assert first.base is not None and second.base is None
@@ -579,8 +575,9 @@ class TestWorkspace:
         assert np.shares_memory(workspace.empty((2, 2)), first)
 
     def test_chunks_reuse_one_workspace_and_results_never_alias_it(self, monkeypatch):
-        # every chunk of a draw writes into the same rows, and no result
-        # of a batch, an estimate or a profile is a view of them
+        # every chunk of a draw writes its theta-gradient and exp rows into
+        # the same block, and no result of a batch, an estimate or a
+        # profile is a view of any chunk's rows
         chunks, reduced = [], []
         real_draw, real_reduce = estimator_module.draw_chunks, estimator_module.reduce_chunks
 
@@ -600,15 +597,17 @@ class TestWorkspace:
         chunk_draws(monkeypatch, 64, MODEL, ALL_GRADS)
         cfg = EstimatorConfig(n0=8, batch_size=16)
         reducers = [antithetic_difference, grad_theta_level, grad_phi_elbo_level]
-        levels, _ = run_batch(MODEL, DATA, THETA, PHI_WIDE, cfg, substream(127, 0), reducers=reducers)
+        levels, _ = run_batch(
+            MODEL, DATA, THETA, PHI_WIDE, cfg, substream(127, 0), reducers=reducers
+        )
         batch_chunks = len(chunks)
         grads = estimate_gradients(MODEL, DATA, THETA, PHI_WIDE, cfg, substream(127, 1))
         variance_profile(MODEL, DATA, THETA, PHI_WIDE, range(0, 3), 100, cfg, substream(127, 2))
         assert batch_chunks > 1
         first, second = chunks[:2]
-        block = first.log_f.base
-        assert block is not None and block.nbytes >= first.log_f.nbytes
-        for row in (second.log_f, second.grad_theta_log_f, second.halves.shifted):
+        block = first.grad_theta_log_f.base
+        assert block is not None and block.nbytes >= first.grad_theta_log_f.nbytes
+        for row in (second.grad_theta_log_f, second.halves.shifted):
             assert row.base is block
 
         results = [levels, *reduced, grads.grad_theta, grads.grad_phi]

@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
+from mlmc_evidence import estimator as estimator_module
+from mlmc_evidence.diagnostics import variance_profile
 from mlmc_evidence.errors import ContractViolation, UnsupportedOperation
-from mlmc_evidence.estimator import EstimatorConfig, estimate_log_evidence
+from mlmc_evidence.estimator import EstimatorConfig, estimate_log_evidence, row_bytes
 from mlmc_evidence.models import (
     BernoulliGaussianModel,
     Dataset,
@@ -304,7 +306,8 @@ class TestSampler:
 
 
 class SumOfTwoModel(LatentVariableModel):
-    """Test-only model that states q and its weights, nothing more:
+    """Test-only model that states q, its weights and their theta gradient,
+    nothing more, and builds that gradient in an array of its own:
 
         z ~ Normal(0, I_2),  x | z ~ Normal(z_0 + z_1 + theta, 1),
         q(z|x) = Normal(phi[:2] + x / 3, diag(exp(2 phi[2:]))),
@@ -319,14 +322,15 @@ class SumOfTwoModel(LatentVariableModel):
     def q_loc_log_scale(self, x, phi):
         return phi[:2] + x / 3, phi[2:]
 
-    def log_weight_batch(self, x, z, theta, phi, grads=(), out=None):
-        assert not grads, "this model computes weights only"
+    def log_weight_batch(self, x, z, theta, phi, grads=(), grad_theta_out=None):
+        assert "phi" not in grads, "this model has no phi gradient"
         loc, log_scale = self.q_loc_log_scale(x, phi)
         resid = x[..., 0] - z.sum(axis=1) - theta[0]
         log_p = -0.5 * ((z * z).sum(axis=1) + resid * resid + 3 * math.log(2 * math.pi))
         std = (z - loc) / np.exp(log_scale)
         log_q = -0.5 * ((std * std).sum(axis=1) + 2 * math.log(2 * math.pi)) - log_scale.sum()
-        return WeightBatch(log_p - log_q, None, None)
+        grad_theta = resid[:, None] if "theta" in grads else None
+        return WeightBatch(log_p - log_q, grad_theta, None)
 
     def generate_data(self, theta, n, rng):
         z = rng.standard_normal((n, 2))
@@ -361,6 +365,27 @@ class TestLocationScaleInterface:
         oracle = (-0.5 * (np.log(6 * math.pi) + (data.x[:, 0] - theta[0]) ** 2 / 3)).sum()
         assert est.total_cost > 0
         assert abs(est.value - oracle) < 5 * est.std_error
+
+    def test_chunk_after_chunk_gives_what_one_chunk_gives(self, monkeypatch):
+        # the model ignores the array lent for its theta gradient, so a
+        # draw of many chunks sharing one workspace must not read that
+        # array; chunks of at most 16 draws give what one chunk per call gives
+        theta = np.array([0.5])
+        data = self.MODEL.generate_data(theta, 10, substream(18, 4))
+        cfg = EstimatorConfig(n0=4, batch_size=64)
+
+        def outputs():
+            est = estimate_log_evidence(self.MODEL, data, theta, self.PHI, cfg, substream(18, 5))
+            profile = variance_profile(
+                self.MODEL, data, theta, self.PHI, range(0, 4), 100, cfg, substream(18, 6)
+            )
+            return est, profile
+
+        one_chunk = outputs()
+        monkeypatch.setattr(
+            estimator_module, "CHUNK_BYTES", 16 * row_bytes(self.MODEL, ("theta",))
+        )
+        assert outputs() == one_chunk
 
 
 class TestRowsPerDraw:

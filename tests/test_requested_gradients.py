@@ -30,9 +30,9 @@ class RecordingModel(GaussianConjugateModel):
         super().__init__(dim)
         self.asked = []
 
-    def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS, out=None):
+    def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS, grad_theta_out=None):
         self.asked.append(frozenset(grads))
-        return super().log_weight_batch(x, z, theta, phi, grads, out)
+        return super().log_weight_batch(x, z, theta, phi, grads, grad_theta_out)
 
 
 def test_evidence_asks_for_none():
@@ -95,9 +95,9 @@ class ChunkCountingModel(GaussianConjugateModel):
 
     chunks = 0
 
-    def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS, out=None):
+    def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS, grad_theta_out=None):
         self.chunks += 1
-        return super().log_weight_batch(x, z, theta, phi, grads, out)
+        return super().log_weight_batch(x, z, theta, phi, grads, grad_theta_out)
 
 
 @pytest.mark.parametrize("antithetic", [True, False], ids=["antithetic", "naive"])
