@@ -132,12 +132,6 @@ def _estimator_config(params: dict) -> EstimatorConfig:
     )
 
 
-def _write_manifest(out: Path, command: str, params: dict) -> None:
-    # one flat object: the command plus every resolved semantic parameter
-    manifest = {"command": command, **params}
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -155,7 +149,9 @@ class RunDir:
 
     def artifact(self, name: str) -> Path:
         if self._manifest is not None:
-            _write_manifest(self._path, *self._manifest)
+            command, params = self._manifest
+            # one flat object: the command plus every resolved semantic parameter
+            _write_json(self._path / "manifest.json", {"command": command, **params})
             self._manifest = None
         return self._path / name
 

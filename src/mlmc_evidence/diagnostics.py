@@ -32,6 +32,8 @@ from .gradients import grad_theta_level
 from .models import Dataset, LatentVariableModel
 
 log = logging.getLogger(__name__)
+# warnings reach stderr only where the application configures logging
+log.addHandler(logging.NullHandler())
 
 _LOG2 = math.log(2.0)
 
@@ -186,8 +188,9 @@ def estimate_moments(
 ) -> MomentDiagnostic:
     """Estimate both tail moments of f/p from n_draws importance samples.
 
-    The oracle's log evidence and every draw's log weight must be finite;
-    parameters that overflow either are a contract error."""
+    The oracle's log evidence, every draw's log weight and both estimates
+    must be finite; parameters that overflow any of them are a contract
+    error."""
     if not (0.0 < s_exponent < math.inf and 0.0 < t_exponent < math.inf):
         raise ContractViolation(
             f"moment exponents must be finite and positive, got s={s_exponent}, t={t_exponent}"
@@ -211,6 +214,12 @@ def estimate_moments(
     shifted = np.exp(scaled - peak)
     total = shifted.sum()
     t_moment = float(np.mean(np.abs(lam) ** t_exponent))
+    log_s_moment = float(peak + math.log(total / n_draws))
+    if not (math.isfinite(log_s_moment) and math.isfinite(t_moment)):
+        raise ContractViolation(
+            f"moment estimates overflow at s={s_exponent}, t={t_exponent}:"
+            f" log s-moment {log_s_moment}, t-moment {t_moment}"
+        )
 
     top = max(1, n_draws // 1000)
     tail_share = float(np.partition(shifted, n_draws - top)[-top:].sum() / total)
@@ -218,7 +227,7 @@ def estimate_moments(
     return MomentDiagnostic(
         s_exponent=float(s_exponent),
         t_exponent=float(t_exponent),
-        log_s_moment_estimate=float(peak + math.log(total / n_draws)),
+        log_s_moment_estimate=log_s_moment,
         t_moment_estimate=t_moment,
         tail_warning=tail_share > 0.5,
     )

@@ -13,8 +13,9 @@ A batch is drawn in chunks of consecutive members (`draw_chunks`,
 and the model draws and weighs a chunk in one call with the observations
 repeated as one row per draw. A chunk's per-draw rows take at most
 CHUNK_BYTES, so its memory stays bounded at any dimension, and every chunk of
-one draw writes its theta-gradient rows and the reducers' per-draw rows
-into the same `Workspace`, so only the first maps fresh pages for them.
+one draw cuts its theta-gradient rows and the reducers' per-draw rows from
+the start of one block allocated per draw, so only the first maps fresh
+pages for them.
 `run_batch` reduces the batch chunk by chunk as it is drawn
 (`reduce_chunks`), by segment with no loop over members, to one row per
 member of each quantity its caller names, so no buffer spans the batch.
@@ -118,34 +119,6 @@ class EstimatorConfig:
         return self._distribution
 
 
-class Workspace:
-    """One block of `capacity` rows of `width` float64s that the chunks of
-    one draw write into in turn.
-
-    `empty(shape)` cuts the next uninitialized float64 array from the
-    block, or makes one on its own once the block is used up, and
-    `rewind()` hands the whole block out again for the next chunk. So the
-    chunks of a draw share one allocation, every chunk after the first
-    writes into pages already mapped, and an array taken from it is valid
-    until the workspace is rewound. A workspace of capacity 0 makes every
-    array on its own.
-    """
-
-    def __init__(self, capacity: int, width: int):
-        self._block = np.empty(capacity * width)
-        self._used = 0
-
-    def rewind(self) -> None:
-        self._used = 0
-
-    def empty(self, shape: tuple[int, ...]) -> np.ndarray:
-        start = self._used
-        self._used = end = start + math.prod(shape)
-        if end > self._block.size:
-            return np.empty(shape)
-        return self._block[start:end].reshape(shape)
-
-
 class Halves(NamedTuple):
     """A chunk cut into the segments the level reducers read, a level-0
     member as one segment and a deeper member as its two contiguous halves,
@@ -160,12 +133,12 @@ class Halves(NamedTuple):
     b: np.ndarray  # (M,) its second segment; a at level 0
     d: np.ndarray  # (M,) log_sums[a] - log_sums[b]; 0 at level 0
     split: np.ndarray  # (M,) True where the member is cut in halves
-    workspace: Workspace  # the chunk's, for `average`'s weighted rows
+    weighted: np.ndarray  # (n, theta_dim) rows `average` writes its products into
 
     def average(self, rows: np.ndarray) -> np.ndarray:
         """The softmax(log f)-weighted average of `rows` within each
         segment, sum_i exp(log f_i) rows_i / sum_i exp(log f_i), (S, k)."""
-        weighted = np.multiply(self.shifted[:, None], rows, out=self.workspace.empty(rows.shape))
+        weighted = np.multiply(self.shifted[:, None], rows, out=self.weighted)
         return np.add.reduceat(weighted, self.starts, axis=0) / self.total[:, None]
 
     def merge(self, level_zero: np.ndarray, split_rows: np.ndarray) -> np.ndarray:
@@ -181,16 +154,17 @@ class LevelDraws:
     i owns the contiguous slice of n0 * 2^levels[i] draws, members in batch
     order. Level values and both gradient estimates are reductions of it.
     A gradient array the chunk was not drawn with is None. Its theta-gradient
-    rows and its reducers' per-draw rows are cut from `workspace`, which the
-    next chunk of the same draw overwrites, so a chunk is valid until the
-    next one is drawn."""
+    rows, `exp_row` and `weighted_rows` are cut from its draw's one block,
+    which the next chunk of the same draw overwrites, so a chunk is valid
+    until the next one is drawn."""
 
     levels: np.ndarray  # (M,)
     n0: int
     log_f: np.ndarray  # (n,)
     grad_theta_log_f: np.ndarray | None  # (n, theta_dim)
     grad_phi_log_q: np.ndarray | None  # (n, phi_dim)
-    workspace: Workspace
+    exp_row: np.ndarray  # (n,) where `halves` writes the segment exp of log_f
+    weighted_rows: np.ndarray  # (n, theta_dim), or (n, 0) with no theta gradient
 
     @property
     def n(self) -> int:
@@ -217,28 +191,21 @@ class LevelDraws:
         sizes = (self.sizes >> split).repeat(per_member)  # a split member's halves are equal
         starts = sizes.cumsum() - sizes
         a = per_member.cumsum() - per_member
-        shifted, total, log_sums = segment_exp(
-            self.log_f, starts, sizes, self.workspace.empty((self.n,))
-        )
+        shifted, total, log_sums = segment_exp(self.log_f, starts, sizes, self.exp_row)
         b = a + split
         d = log_sums[a] - log_sums[b]
-        return Halves(starts, shifted, total, log_sums, a, b, d, split, self.workspace)
-
-
-def workspace_width(model: LatentVariableModel, grads) -> int:
-    """float64s per draw that a chunk drawn with the gradient arrays
-    `grads` takes from its workspace: the segment exp of log f, and with
-    the theta gradient its rows and their weighted product in
-    `Halves.average`."""
-    return 1 + (2 * model.theta_dim if "theta" in grads else 0)
+        return Halves(starts, shifted, total, log_sums, a, b, d, split, self.weighted_rows)
 
 
 def row_bytes(model: LatentVariableModel, grads) -> int:
     """Bytes per draw of a chunk drawn with the gradient arrays `grads`:
-    its workspace rows and the fresh x row, z row, log f and phi-gradient
+    the rows cut from its draw's block (the segment exp of log f and, with
+    the theta gradient, its rows and their weighted product in
+    `Halves.average`) and the fresh x row, z row, log f and phi-gradient
     row. The model's own temporaries are not counted."""
+    theta = 2 * model.theta_dim if "theta" in grads else 0
     phi = model.phi_dim if "phi" in grads else 0
-    return 8 * (workspace_width(model, grads) + model.x_dim + model.z_dim + 1 + phi)
+    return 8 * (1 + theta + model.x_dim + model.z_dim + 1 + phi)
 
 
 def draw_chunks(
@@ -262,11 +229,10 @@ def draw_chunks(
     gradient arrays the chunks carry, a subset of {"theta", "phi"}; the
     others are None, and no value read from the chunks depends on it.
 
-    A call of more than one chunk owns one workspace, sized for its
-    largest chunk, which holds every chunk's theta-gradient rows and its
-    reducers' per-draw rows (`workspace_width`): a chunk is valid until the
-    next one is drawn. A call of one chunk has no later chunk to reuse its
-    rows for, and its workspace of capacity 0 makes fresh arrays.
+    A call allocates one block, sized for its largest chunk, and each
+    chunk cuts from its start, in this order, its theta-gradient rows (if
+    drawn), its exp row and `Halves.average`'s weighted rows: a chunk is
+    valid until the next one is drawn.
     """
     levels = np.asarray(levels, dtype=np.int64)
     if not levels.size:
@@ -288,18 +254,18 @@ def draw_chunks(
     sizes = cfg.n0 << levels
     ends = sizes.cumsum()
     budget = CHUNK_BYTES // per_draw  # draws per chunk
-    capacity = max(budget, int(sizes.max())) if levels.size > 1 and ends[-1] > budget else 0
-    workspace = Workspace(capacity, workspace_width(model, grads))
-    want_theta = "theta" in grads
+    k = model.theta_dim if "theta" in grads else 0
+    # one allocation: as three arrays per call the rows mapped fresh pages
+    # on every level profile (about 3900 minor faults per profile call)
+    block = np.empty(min(int(ends[-1]), max(budget, int(cfg.n0) << top)) * (1 + 2 * k))
     lo = 0
     while lo < levels.size:
         base = ends[lo] - sizes[lo]
         hi = max(lo + 1, int(ends.searchsorted(base + budget, side="right")))
         x = x_rows[lo:hi].repeat(sizes[lo:hi], axis=0)
         n = int(ends[hi - 1] - base)
-        workspace.rewind()
         z = model.sample_q(x, phi, rng, n)
-        gt = workspace.empty((n, model.theta_dim)) if want_theta else None
+        gt = block[: n * k].reshape(n, k) if k else None
         batch = model.log_weight_batch(x, z, theta, phi, grads=grads, grad_theta_out=gt)
         if not np.isfinite(batch.log_f).all():
             i = int(np.flatnonzero(~np.isfinite(batch.log_f))[0])
@@ -313,7 +279,8 @@ def draw_chunks(
             log_f=batch.log_f,
             grad_theta_log_f=batch.grad_theta_log_f,
             grad_phi_log_q=batch.grad_phi_log_q,
-            workspace=workspace,
+            exp_row=block[n * k : n * (k + 1)],
+            weighted_rows=block[n * (k + 1) : n * (2 * k + 1)].reshape(n, k),
         )
         lo = hi
 

@@ -172,6 +172,19 @@ class TestVarianceProfileCommand:
         write_level_stats_csv(stats, rewritten)
         assert rewritten.read_bytes() == (out / "profile.csv").read_bytes()
 
+    def test_failed_fit_prints_only_the_error_line(self, tmp_path):
+        # a fresh interpreter, whose logging has no handler of its own, so a
+        # warning about the dropped level would reach stderr before the error
+        proc = subprocess.run(
+            [sys.executable, "-m", "mlmc_evidence.cli", "variance-profile", "--model",
+             "bernoulli", "--n", "3", "--levels", "0..2", "--reps", "100",
+             "--out", str(tmp_path / "x")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: decay fit"), proc.stderr
+
 
 class TestMomentsCommand:
     def test_moments_artifact(self, tmp_path, capsys):
@@ -196,6 +209,19 @@ class TestMomentsCommand:
         assert code == 0
         payload = json.loads((out / "moments.json").read_text(), parse_constant=_reject)
         assert math.isfinite(payload["log_s_moment_estimate"])
+
+    @pytest.mark.parametrize("flag", ["--s", "--t"])
+    def test_overflowing_estimate_is_contract_error(self, tmp_path, capsys, flag):
+        # s * log(f/p) or |log(f/p)|^t overflows float64, and NaN or
+        # Infinity in moments.json would not be strict JSON
+        out = tmp_path / "m"
+        code, _, err = run_cli(
+            capsys, "moments", "--draws", "10000", flag, "1e308", "--phi", "0,0,-2",
+            "--out", str(out),
+        )
+        assert code == 1
+        assert err.startswith("error: moment estimates overflow") and err.count("\n") == 1
+        assert not (out / "moments.json").exists()
 
     @pytest.mark.parametrize("index", ["10", "-1"])
     def test_x_index_outside_rows_rejected(self, tmp_path, capsys, index):

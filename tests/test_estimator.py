@@ -21,7 +21,6 @@ from mlmc_evidence.estimator import (
     antithetic_difference,
     draw_batch_indices,
     draw_chunks,
-    Workspace,
     draw_level_samples,
     estimate_log_evidence,
     level_estimate,
@@ -562,17 +561,28 @@ class TestDrawBudget:
 
 
 class TestWorkspace:
-    def test_arrays_past_the_block_are_fresh(self):
-        # a caller that takes more rows than the block holds (two weighted
-        # averages of one chunk, say) gets arrays of its own, never rows
-        # that overlap another live array
-        workspace = Workspace(2, 2)  # four float64s
-        first = workspace.empty((3,))
-        second = workspace.empty((2,))
-        assert first.base is not None and second.base is None
-        assert not np.shares_memory(first, second)
-        workspace.rewind()
-        assert np.shares_memory(workspace.empty((2, 2)), first)
+    def test_two_averages_of_each_chunk_give_what_each_gives_alone(self, monkeypatch):
+        # both reducers average each chunk's theta-gradient rows into the
+        # same weighted rows of the block; each average is reduced before the
+        # next one overwrites them, so together in chunks they give what each
+        # gives alone and what one chunk gives
+        cfg = EstimatorConfig(n0=8, batch_size=16)
+        reducers = [grad_theta_level, naive_grad_theta]
+
+        def rows(reducers):
+            return run_batch(
+                MODEL, DATA, THETA, PHI_WIDE, cfg, substream(128, 0),
+                reducers=reducers, grads=("theta",),
+            )
+
+        levels, one_chunk = rows(reducers)
+        chunk_draws(monkeypatch, 64, MODEL, ("theta",))
+        assert (cfg.n0 << levels).sum() > 64
+        together = rows(reducers)[1]
+        alone = [rows([reduce])[1][0] for reduce in reducers]
+        for got in (together, alone):
+            for row, want in zip(got, one_chunk, strict=True):
+                np.testing.assert_array_equal(row, want)
 
     def test_chunks_reuse_one_workspace_and_results_never_alias_it(self, monkeypatch):
         # every chunk of a draw writes its theta-gradient and exp rows into
