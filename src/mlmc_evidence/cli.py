@@ -71,16 +71,18 @@ def parse_vector(text: str) -> list[float]:
     return values
 
 
+# no EstimatorConfig admits a deeper level: n0.bit_length() + level_cap <= 63
+_DEEPEST_LEVEL = 62
+
+
 def parse_level_range(text: str) -> list[int]:
-    """Inclusive 'a..b' range, or a single level."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        levels = list(range(int(lo), int(hi) + 1))
-    else:
-        levels = [int(text)]
-    if not levels or levels[0] < 0:
+    """Inclusive 'a..b' range, or a single level, within 0..62."""
+    lo, hi = text.split("..", 1) if ".." in text else (text, text)
+    lo, hi = int(lo), int(hi)
+    # checked before the list is built, which past 62 could be any size
+    if not 0 <= lo <= hi <= _DEEPEST_LEVEL:
         raise ContractViolation(f"bad level range {text!r}")
-    return levels
+    return list(range(lo, hi + 1))
 
 
 def build_model(name: str, dim: int):
@@ -427,8 +429,9 @@ def _unparsable_as(action: argparse.Action, value) -> str | None:
         return None if ok else "a nonempty list of finite numbers"
     if action.type is parse_level_range:
         ok = isinstance(value, list) and value and all(_is_int(v) for v in value)
-        ok = ok and value[0] >= 0 and value == list(range(value[0], value[-1] + 1))
-        return None if ok else "a range of levels a..b with 0 <= a <= b"
+        ok = ok and 0 <= value[0] and value[-1] <= _DEEPEST_LEVEL
+        ok = ok and all(b == a + 1 for a, b in zip(value, value[1:]))
+        return None if ok else f"a range of levels a..b with 0 <= a <= b <= {_DEEPEST_LEVEL}"
     return None if isinstance(value, str) else "a string"
 
 

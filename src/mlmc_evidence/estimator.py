@@ -21,7 +21,7 @@ pages for them.
 member of each quantity its caller names, so no buffer spans the batch.
 Each chunk is cut once into its members' halves and exponentiated once
 (`Halves`), and every level reducer is a formula of that record.
-The model builds only the gradient arrays the caller's reducers read. The
+`log_weight_batch` builds only the gradient arrays the reducers read. The
 evidence estimate folds the level values here and builds no gradient
 arrays, and `gradients.estimate_gradients` folds the level gradients of the
 same draws.

@@ -1,20 +1,20 @@
 """Latent-variable models: log densities, the posterior approximation q,
 closed-form gradients of the log importance weight, and ground-truth oracles.
 
-A model states the prior p(z | theta), the likelihood p(x | z, theta) and
-q(z | x, phi), a diagonal Gaussian given by its location and log scale
-(`q_loc_log_scale`). The base class's `sample_q` draws every model's
-latents from those. For a batch of draws a model reports the log weight
+A model states its joint density log p(x|z) + log p(z) with the theta
+gradient (`log_joint`), q(z|x, phi) as a diagonal Gaussian's location and
+log scale (`q_loc_log_scale`), and q's chain rule to phi (`q_grad_phi`).
+The base class's `sample_q` draws every model's latents from q, and its
+`log_weight_batch` weighs them under that same q:
 
     log f(x, z) = log p(x|z) + log p(z) - log q(z|x)
 
 with d(log f)/d(theta) and d(log q)/d(phi) per draw. A caller names the
 gradient arrays it reads, a subset of {"theta", "phi"} (both by default),
-and the model builds only those: an unrequested field of the returned
+and only those are built: an unrequested field of the returned
 `WeightBatch` is None, and log f is the same whichever are asked for. The
-evidence estimate asks for none. A caller may lend the model an array to
-build the theta gradient in (`grad_theta_out`), and the model may build it
-there or in an array of its own. The observation x is either one
+evidence estimate asks for none. A caller may lend an array to build the
+theta gradient in (`grad_theta_out`). The observation x is either one
 observation (x_dim,) shared by every draw or one row per draw (n, x_dim),
 so a chunk of batch members, each with its own observation, is drawn and
 weighted in one call. Everything is parameterized so that theta and phi
@@ -80,8 +80,9 @@ class Dataset:
 class LatentVariableModel(abc.ABC):
     """Interface every model implements.
 
-    A model states q(z|x, phi) as a location and a log scale; it does not
-    sample it. `sample_q` is the one sampler, shared by every model.
+    A model states q(z|x, phi) as a location and a log scale; it neither
+    samples nor evaluates it. `sample_q` is the one sampler and
+    `log_weight_batch` the one weighing of draws, shared by every model.
     Implementations are immutable after construction; all operations are
     pure given an explicit generator, so concurrent calls with independent
     streams are safe.
@@ -94,8 +95,21 @@ class LatentVariableModel(abc.ABC):
 
     @abc.abstractmethod
     def q_loc_log_scale(self, x, phi) -> tuple[np.ndarray, np.ndarray]:
-        """q(z|x, phi)'s location and log scale, two arrays that broadcast
-        against (n, z_dim), for x checked by `_check_x`."""
+        """q(z|x, phi)'s location and log scale, each (z_dim,) or (n, z_dim),
+        for x checked by `_check_x`. A location of shape (n, z_dim) belongs
+        to the caller, which may overwrite it: never one the model keeps."""
+
+    @abc.abstractmethod
+    def log_joint(self, x, z, theta, grad_theta) -> np.ndarray:
+        """log p(x|z) + log p(z), a fresh (n,) array, for z (n, z_dim) and x
+        checked by `_check_x`; writes d(log p(x, z))/d(theta) into
+        `grad_theta`, an (n, theta_dim) float64 array, unless it is None."""
+
+    @abc.abstractmethod
+    def q_grad_phi(self, x, dloc, dlog_scale) -> np.ndarray:
+        """d(log q)/d(phi), (n, phi_dim), by the chain rule from
+        d(log q)/d(location) and d(log q)/d(log scale), each (n, z_dim),
+        for x checked by `_check_x`."""
 
     def sample_q(self, x, phi, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n latents from q(z|x, phi); returns (n, z_dim).
@@ -110,7 +124,6 @@ class LatentVariableModel(abc.ABC):
         z += loc
         return z
 
-    @abc.abstractmethod
     def log_weight_batch(
         self, x, z, theta, phi, grads=ALL_GRADS, grad_theta_out=None
     ) -> WeightBatch:
@@ -122,9 +135,38 @@ class LatentVariableModel(abc.ABC):
         "theta" builds d(log f)/d(theta), "phi" builds d(log q)/d(phi), and
         each gradient not named is None in the result. log f does not
         depend on `grads`. `grad_theta_out` is None or, when "theta" is
-        named, an (n, theta_dim) float64 array the theta gradient may be
-        built in; a model may ignore it, and no value depends on it.
+        named, an (n, theta_dim) float64 array the theta gradient is built
+        in; no value depends on it.
         """
+        unknown = set(grads) - ALL_GRADS
+        if unknown:
+            raise ContractViolation(f"unknown gradients {sorted(unknown)}; choose from theta, phi")
+        z = np.asarray(z, dtype=np.float64)
+        n = z.shape[0]
+        x = _check_x(x, self.x_dim, n)
+        gt = None
+        if "theta" in grads:
+            gt = np.empty((n, self.theta_dim)) if grad_theta_out is None else grad_theta_out
+        log_f = self.log_joint(x, z, theta, gt)
+
+        # log q = -0.5 (sum_j r_j^2 + z_dim log 2pi) - sum_j log_scale_j for
+        # the standardized residual r = (z - loc) / scale; `r` holds z - loc,
+        # then r^2, then (for one coordinate) log q
+        loc, log_scale = self.q_loc_log_scale(x, phi)
+        r = np.subtract(z, loc, out=loc if loc.shape == z.shape else None)
+        vq = np.exp(2.0 * log_scale)
+        dloc = r / vq if "phi" in grads else None
+        r *= r
+        r /= vq
+        gq = None
+        if "phi" in grads:
+            gq = self.q_grad_phi(x, dloc, r - 1.0)
+        log_q = _coordinate_sum(r)
+        log_q += self.z_dim * _LOG_2PI
+        log_q *= -0.5
+        log_q -= _coordinate_sum(log_scale)
+        log_f -= log_q
+        return WeightBatch(log_f, gt, gq)
 
     @abc.abstractmethod
     def generate_data(self, theta, n: int, rng: np.random.Generator) -> Dataset:
@@ -154,12 +196,10 @@ def _check_vector(name: str, v, length: int) -> np.ndarray:
     return v
 
 
-def _wanted(grads) -> tuple[bool, bool]:
-    """Whether `grads` names the theta and the phi gradient arrays."""
-    unknown = set(grads) - ALL_GRADS
-    if unknown:
-        raise ContractViolation(f"unknown gradients {sorted(unknown)}; choose from theta, phi")
-    return "theta" in grads, "phi" in grads
+def _coordinate_sum(a: np.ndarray) -> np.ndarray:
+    """`a` summed over its last axis, the latent coordinates: for one, a view
+    of `a`, so in-place arithmetic on the sum writes into `a`."""
+    return a[..., 0] if a.shape[-1] == 1 else a.sum(axis=-1)
 
 
 def _check_size(n) -> None:
@@ -216,56 +256,36 @@ class GaussianConjugateModel(LatentVariableModel):
         a, b, log_s = self.split_phi(phi)
         return a * x + b, log_s
 
-    def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS, grad_theta_out=None):
-        want_theta, want_phi = _wanted(grads)
+    def log_joint(self, x, z, theta, grad_theta):
         mu0, log_s0, log_sx = self.split_theta(theta)
-        a, b, log_s = self.split_phi(phi)
-        z = np.asarray(z, dtype=np.float64)
-        n, d = z.shape[0], self.dim
-        x = _check_x(x, self.x_dim, n)
-
+        d = self.dim
         v0 = np.exp(2.0 * log_s0)
         vx = np.exp(2.0 * log_sx)
-        vq = np.exp(2.0 * log_s)
-        gt = None
-        if want_theta:
-            gt = np.empty((n, self.theta_dim)) if grad_theta_out is None else grad_theta_out
-        gq = np.empty((n, self.phi_dim)) if want_phi else None
 
-        # q accumulates q0 + qx - qq, the three squared standardized
-        # residuals; `r` holds each residual in turn, then its square
+        # q accumulates the two squared standardized residuals; `r` holds
+        # each residual in turn, then its square
         r = z - mu0
-        if want_theta:
-            np.divide(r, v0, out=gt[:, :d])
+        if grad_theta is not None:
+            np.divide(r, v0, out=grad_theta[:, :d])
         q = r * r
         q /= v0
-        if want_theta:
-            np.subtract(q, 1.0, out=gt[:, d : 2 * d])
-
+        if grad_theta is not None:
+            np.subtract(q, 1.0, out=grad_theta[:, d : 2 * d])
         np.subtract(x, z, out=r)
         r *= r
         r /= vx
-        if want_theta:
-            np.subtract(r, 1.0, out=gt[:, 2 * d :])
+        if grad_theta is not None:
+            np.subtract(r, 1.0, out=grad_theta[:, 2 * d :])
         q += r
 
-        np.multiply(a, x, out=r)
-        r += b
-        np.subtract(z, r, out=r)  # z - (a x + b)
-        if want_phi:
-            dm = np.divide(r, vq, out=gq[:, d : 2 * d])
-            np.multiply(dm, x, out=gq[:, :d])
-        r *= r
-        r /= vq
-        if want_phi:
-            np.subtract(r, 1.0, out=gq[:, 2 * d :])
-        q -= r
+        log_p = _coordinate_sum(q)
+        log_p *= -0.5
+        log_p -= log_s0.sum() + log_sx.sum() + d * _LOG_2PI
+        return log_p
 
-        log_f = q.sum(axis=1)
-        log_f *= -0.5
-        log_f -= log_s0.sum() + log_sx.sum() - log_s.sum()
-        log_f -= 0.5 * self.dim * _LOG_2PI
-        return WeightBatch(log_f, gt, gq)
+    def q_grad_phi(self, x, dloc, dlog_scale):
+        # location a x + b, log scale log s
+        return np.concatenate([dloc * x, dloc, dlog_scale], axis=1)
 
     def generate_data(self, theta, n, rng):
         _check_size(n)
@@ -366,72 +386,47 @@ class BernoulliGaussianModel(LatentVariableModel):
     theta_dim = 2
     phi_dim = 4
 
-    def _q_params(self, x, phi):
-        """q's mean and log scale for each observation in x, picked by its
-        class k (0 for x = 0, else 1); scalars for one observation, one
-        entry per row for rows."""
-        phi = _check_vector("phi", phi, self.phi_dim)
-        k = (x[..., 0] != 0.0).astype(np.intp)
-        return phi[2 * k], phi[2 * k + 1], k
-
     def q_loc_log_scale(self, x, phi):
-        m, log_s, _ = self._q_params(x, phi)
-        # (n,) per-row parameters become columns; scalars become (1,)
-        return m[..., None], log_s[..., None]
+        # the parameters of each observation's class k: 0 for x = 0, else 1
+        phi = _check_vector("phi", phi, self.phi_dim)
+        k = (x[..., :1] != 0.0).astype(np.intp)
+        return phi[2 * k], phi[2 * k + 1]
 
-    def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS, grad_theta_out=None):
-        want_theta, want_phi = _wanted(grads)
-        theta = _check_vector("theta", theta, self.theta_dim)
-        z = np.asarray(z, dtype=np.float64)
-        n = z.shape[0]
-        x = _check_x(x, self.x_dim, n)
+    def log_joint(self, x, z, theta, grad_theta):
+        w, c = _check_vector("theta", theta, self.theta_dim)
         xv = x[..., 0]
         bad = (xv != 0.0) & (xv != 1.0)
         if bad.any():
             raise ContractViolation(f"observation must be 0 or 1, got {xv[bad].flat[0]}")
-        m, log_s, k = self._q_params(x, phi)
         zs = z[:, 0]
-        w, c = theta
         eta = w * zs
         eta += c
         sign = 2.0 * xv - 1.0
 
-        log_f = _log_sigmoid(sign * eta)  # log p(x|z), then log f
+        log_p = _log_sigmoid(sign * eta)  # log p(x|z), then log p(x, z)
         log_prior = zs * zs
         log_prior += _LOG_2PI
         log_prior *= -0.5
-        log_f += log_prior
-        vq = np.exp(2.0 * log_s)
-        dzq = zs - m
-        qq = dzq * dzq
-        qq /= vq
-        log_q = qq + _LOG_2PI
-        log_q *= -0.5
-        log_q -= log_s
-        log_f -= log_q
-
-        gt = gq = None
-        if want_theta:
-            gt = np.empty((n, 2)) if grad_theta_out is None else grad_theta_out
-            resid = gt[:, 1]  # x - sigmoid(eta)
+        log_p += log_prior
+        if grad_theta is not None:
+            resid = grad_theta[:, 1]  # x - sigmoid(eta)
             np.negative(eta, out=resid)
             np.exp(resid, out=resid)
             resid += 1.0
             np.divide(1.0, resid, out=resid)
             np.subtract(xv, resid, out=resid)
-            np.multiply(zs, resid, out=gt[:, 0])
-        if want_phi:
-            # only the observed class's q parameters move log q; the other
-            # class's columns stay +0.0
-            gq = np.zeros((n, 4))
-            dm = dzq / vq
-            qq -= 1.0
-            for cls in (0, 1):
-                on = k == cls
-                np.copyto(gq[:, 2 * cls], dm, where=on)
-                np.copyto(gq[:, 2 * cls + 1], qq, where=on)
+            np.multiply(zs, resid, out=grad_theta[:, 0])
+        return log_p
 
-        return WeightBatch(log_f, gt, gq)
+    def q_grad_phi(self, x, dloc, dlog_scale):
+        # only the observed class's q parameters move log q; the other
+        # class's columns stay +0.0
+        one = x[..., :1] != 0.0
+        gq = np.zeros((dloc.shape[0], self.phi_dim))
+        for cls, on in enumerate((~one, one)):
+            np.copyto(gq[:, 2 * cls : 2 * cls + 1], dloc, where=on)
+            np.copyto(gq[:, 2 * cls + 1 : 2 * cls + 2], dlog_scale, where=on)
+        return gq
 
     def generate_data(self, theta, n, rng):
         _check_size(n)
@@ -475,7 +470,8 @@ class BernoulliGaussianModel(LatentVariableModel):
         """
         theta = _check_vector("theta", theta, self.theta_dim)
         x = _check_vector("x", x, self.x_dim)
-        m, log_s, k = self._q_params(x, phi)
+        (m,), (log_s,) = self.q_loc_log_scale(x, phi)
+        k = int(x[0] != 0.0)
         nodes, log_wts = _hermgauss(64)
         s = math.exp(log_s)
         z = (m + s * nodes).reshape(-1, 1)

@@ -54,6 +54,10 @@ class TestParsers:
     def test_level_range(self):
         assert parse_level_range("1..7") == [1, 2, 3, 4, 5, 6, 7]
         assert parse_level_range("3") == [3]
+        assert parse_level_range("62..62") == [62]
+        for text in ["2..1", "-1..2", "0..63", "63"]:
+            with pytest.raises(ContractViolation, match="bad level range"):
+                parse_level_range(text)
 
     def test_readme_commands_parse(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -449,6 +453,18 @@ class TestExitCodes:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate"), proc.stderr
 
+    def test_level_beyond_any_level_cap_is_usage_error(self, tmp_path):
+        # the range was once built before it was checked: a MemoryError
+        # traceback out of argparse
+        proc = subprocess.run(
+            [sys.executable, "-m", "mlmc_evidence.cli", "variance-profile",
+             "--levels", "0..1000000000000", "--out", str(tmp_path / "x")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "--levels" in proc.stderr
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_two(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -516,10 +532,12 @@ class TestExitCodes:
         (["variance-profile", "--levels", "1..3", "--reps", "100"], "naive", "yes"),
     (["variance-profile", "--levels", "1..3", "--reps", "100"], "levels", [3, 1, 2]),
     (["variance-profile", "--levels", "1..3", "--reps", "100"], "levels", [1, 1, 2]),
+    (["variance-profile", "--levels", "1..3", "--reps", "100"], "levels", [0, 10**12]),
     ], ids=["moments-x-index-string", "estimate-seed-string", "int-given-float",
             "int-given-bool", "float-given-string", "vector-with-string", "empty-vector",
             "not-a-choice",
-            "switch-given-string", "levels-out-of-order", "levels-repeated"])
+            "switch-given-string", "levels-out-of-order", "levels-repeated",
+            "levels-beyond-62"])
     def test_manifest_value_of_wrong_type_rejected(self, tmp_path, capsys, argv, key, value):
         first = tmp_path / "first"
         code, _, _ = run_cli(capsys, *argv, "--out", str(first))

@@ -177,7 +177,10 @@ class TestEstimateMoments:
             def q_loc_log_scale(self, x, phi):
                 return np.zeros(1), np.zeros(1)
 
-            def log_weight_batch(self, x, z, theta, phi):
+            def log_joint(self, x, z, theta, grad_theta):
+                raise NotImplementedError
+
+            def q_grad_phi(self, x, dloc, dlog_scale):
                 raise NotImplementedError
 
             def generate_data(self, theta, n, rng):

@@ -217,10 +217,10 @@ class TestLevelEstimate:
 
     def test_nonfinite_weight_identified(self):
         class BrokenModel(GaussianConjugateModel):
-            def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS, grad_theta_out=None):
-                batch = super().log_weight_batch(x, z, theta, phi, grads, grad_theta_out)
-                batch.log_f[0] = -math.inf
-                return batch
+            def log_joint(self, x, z, theta, grad_theta):
+                log_p = super().log_joint(x, z, theta, grad_theta)
+                log_p[0] = -math.inf
+                return log_p
 
         cfg = EstimatorConfig(n0=4)
         with pytest.raises(ContractViolation, match="non-finite log weight"):

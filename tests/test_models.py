@@ -16,7 +16,6 @@ from mlmc_evidence.models import (
     Dataset,
     GaussianConjugateModel,
     LatentVariableModel,
-    WeightBatch,
     load_dataset,
     save_dataset,
 )
@@ -216,10 +215,42 @@ class TestBernoulliOracles:
             assert grad[j] == pytest.approx(fd, abs=1e-7)
 
 
+class SumOfTwoModel(LatentVariableModel):
+    """Test-only model with two latents and a location depending on x; it
+    states its joint density, q and q's chain rule, nothing more:
+
+        z ~ Normal(0, I_2),  x | z ~ Normal(z_0 + z_1 + theta, 1),
+        q(z|x) = Normal(phi[:2] + x / 3, diag(exp(2 phi[2:]))),
+
+    so p(x) = Normal(x; theta, 3)."""
+
+    x_dim = 1
+    z_dim = 2
+    theta_dim = 1
+    phi_dim = 4
+
+    def q_loc_log_scale(self, x, phi):
+        return phi[:2] + x / 3, phi[2:]
+
+    def log_joint(self, x, z, theta, grad_theta):
+        resid = x[..., 0] - z.sum(axis=1) - theta[0]
+        if grad_theta is not None:
+            grad_theta[:, 0] = resid
+        return -0.5 * ((z * z).sum(axis=1) + resid * resid + 3 * math.log(2 * math.pi))
+
+    def q_grad_phi(self, x, dloc, dlog_scale):
+        return np.concatenate([dloc, dlog_scale], axis=1)
+
+    def generate_data(self, theta, n, rng):
+        z = rng.standard_normal((n, 2))
+        return Dataset.from_rows(z.sum(axis=1, keepdims=True) + theta[0] + rng.standard_normal((n, 1)))
+
+
 class TestLogWeightGradients:
     """Closed-form gradients against central finite differences, step 1e-5."""
 
-    @pytest.mark.parametrize("model", [GAUSSIAN, BERNOULLI], ids=["gaussian", "bernoulli"])
+    @pytest.mark.parametrize("model", [GAUSSIAN, BERNOULLI, SumOfTwoModel()],
+                             ids=["gaussian", "bernoulli", "sum-of-two"])
     def test_fd_agreement_at_random_points(self, model: LatentVariableModel):
         rng = substream(5, 0)
         for _ in range(100):
@@ -305,41 +336,10 @@ class TestSampler:
         assert np.all(mean[~live] == 0.0)
 
 
-class SumOfTwoModel(LatentVariableModel):
-    """Test-only model that states q, its weights and their theta gradient,
-    nothing more, and builds that gradient in an array of its own:
-
-        z ~ Normal(0, I_2),  x | z ~ Normal(z_0 + z_1 + theta, 1),
-        q(z|x) = Normal(phi[:2] + x / 3, diag(exp(2 phi[2:]))),
-
-    so p(x) = Normal(x; theta, 3)."""
-
-    x_dim = 1
-    z_dim = 2
-    theta_dim = 1
-    phi_dim = 4
-
-    def q_loc_log_scale(self, x, phi):
-        return phi[:2] + x / 3, phi[2:]
-
-    def log_weight_batch(self, x, z, theta, phi, grads=(), grad_theta_out=None):
-        assert "phi" not in grads, "this model has no phi gradient"
-        loc, log_scale = self.q_loc_log_scale(x, phi)
-        resid = x[..., 0] - z.sum(axis=1) - theta[0]
-        log_p = -0.5 * ((z * z).sum(axis=1) + resid * resid + 3 * math.log(2 * math.pi))
-        std = (z - loc) / np.exp(log_scale)
-        log_q = -0.5 * ((std * std).sum(axis=1) + 2 * math.log(2 * math.pi)) - log_scale.sum()
-        grad_theta = resid[:, None] if "theta" in grads else None
-        return WeightBatch(log_p - log_q, grad_theta, None)
-
-    def generate_data(self, theta, n, rng):
-        z = rng.standard_normal((n, 2))
-        return Dataset.from_rows(z.sum(axis=1, keepdims=True) + theta[0] + rng.standard_normal((n, 1)))
-
-
 class TestLocationScaleInterface:
-    """A model that states only q's location and log scale gets the one
-    base-class sampler and runs through the estimator."""
+    """A model that states only its joint density, q's location and log
+    scale and q's chain rule gets the base class's sampler and weighing,
+    and runs through the estimator."""
 
     MODEL = SumOfTwoModel()
     PHI = np.array([-0.15, -0.2, 0.0, 0.1])  # wider than the posterior at theta = 0.5
@@ -367,9 +367,9 @@ class TestLocationScaleInterface:
         assert abs(est.value - oracle) < 5 * est.std_error
 
     def test_chunk_after_chunk_gives_what_one_chunk_gives(self, monkeypatch):
-        # the model ignores the array lent for its theta gradient, so a
-        # draw of many chunks sharing one workspace must not read that
-        # array; chunks of at most 16 draws give what one chunk per call gives
+        # each chunk's theta gradient is built in rows lent from one block
+        # that every chunk of the draw reuses; chunks of at most 16 draws
+        # give what one chunk per call gives
         theta = np.array([0.5])
         data = self.MODEL.generate_data(theta, 10, substream(18, 4))
         cfg = EstimatorConfig(n0=4, batch_size=64)

@@ -21,7 +21,7 @@ def test_one_seed_twice_prints_equal_nonempty_families():
     first = fingerprint()
     assert fingerprint() == first
     lines = [line.split() for line in first.splitlines()]
-    assert len(lines) == 15
+    assert len(lines) == 15 * 3  # family/model
     for family, count, digest in lines:
         assert int(count) > 0, family
         assert len(digest) == 64

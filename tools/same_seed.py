@@ -1,15 +1,17 @@
 """Same-seed fingerprint of the mlmc_evidence package on the import path.
 
-Runs a fixed set of seeded cases and prints one line per case family:
+Runs a fixed set of seeded cases and prints one line per case family and
+model:
 
-    family count sha256
+    family/model count sha256
 
-where the hash covers every output bit of the family's cases, in order
-(floats by repr, arrays by dtype, shape and bytes, a raised error by type
-and message). Run it on two checkouts and compare the lines: a family whose
-hash differs changed some output of some case. Nothing is stored or read
-back. Each family covers three models (Gaussian dim 1, Gaussian dim 3,
-Bernoulli) times the seeds:
+where the hash covers every output bit of the cases of that family and
+model, in order (floats by repr, arrays by dtype, shape and bytes, a raised
+error by type and message). Run it on two checkouts and compare the lines:
+a line whose hash differs changed some output of some case of that model.
+Nothing is stored or read back. The models are gaussian1, gaussian3
+(Gaussian dim 1 and 3) and bernoulli1; each family covers each model times
+the seeds:
 
 - evidence and gradients at (n0, batch) in (1, 1), (4, 8), (8, 64), (32, 4),
   at the library's chunk byte budget and at a budget of 64 draws' rows;
@@ -144,11 +146,12 @@ def cli_case(argv: list[str]) -> list:
 def fingerprint(seeds: int) -> dict[str, Family]:
     families: dict[str, Family] = {}
 
-    def family(name: str) -> Family:
-        return families.setdefault(name, Family())
-
     for seed in range(seeds):
         for name, dim in MODELS:
+
+            def family(kind: str) -> Family:
+                return families.setdefault(f"{kind}/{name}{dim}", Family())
+
             model, data, theta, phi = setting(name, dim, seed)
             tag = f"{name}{dim} seed {seed}"
             for draws, suffix in [(None, ""), (SMALL_BUDGET, "-budget64")]:
