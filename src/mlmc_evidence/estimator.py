@@ -10,18 +10,20 @@ bias at any finite cost.
 
 A batch is drawn in chunks of consecutive members (`draw_chunks`,
 `LevelDraws`): member i owns a contiguous slice of n0 * 2^level_i draws,
-and the model draws and weighs a chunk in one call with the observations
-repeated as one row per draw. A chunk's per-draw rows take at most
-CHUNK_BYTES, so its memory stays bounded at any dimension, and every chunk of
-one draw cuts its theta-gradient rows and the reducers' per-draw rows from
-the start of one block allocated per draw, so only the first maps fresh
-pages for them.
+and the model draws and weighs a chunk in one call (`draw_weighed`) with
+the observations repeated as one row per draw, from standard normals drawn
+into rows the chunk lends. A chunk's per-draw rows take at most
+CHUNK_BYTES, so its memory stays bounded at any dimension, and every chunk
+of one draw cuts its standard normals, its theta-gradient rows and the
+reducers' per-draw rows from the start of one block allocated per draw, so
+only the first maps fresh pages for them. Theta rows are component-major:
+each component's values over the chunk's draws are one contiguous row.
 `run_batch` reduces the batch chunk by chunk as it is drawn
 (`reduce_chunks`), by segment with no loop over members, to one row per
 member of each quantity its caller names, so no buffer spans the batch.
 Each chunk is cut once into its members' halves and exponentiated once
 (`Halves`), and every level reducer is a formula of that record.
-`log_weight_batch` builds only the gradient arrays the reducers read. The
+The model builds only the gradient arrays the reducers read. The
 evidence estimate folds the level values here and builds no gradient
 arrays, and `gradients.estimate_gradients` folds the level gradients of the
 same draws.
@@ -51,8 +53,11 @@ DEFAULT_LEVEL_CAP = 40
 #: Most bytes of per-draw rows (`row_bytes`) one chunk holds when a batch
 #: is drawn: consecutive members share a model call up to this many bytes,
 #: and a member larger than it is drawn alone. Of 0.5, 1, 1.5, 2, 3 and
-#: 4 MiB, 4 MiB drew the most latents per second in level profiles: fewer
-#: chunks pay fewer model calls' fixed costs.
+#: 4 MiB, 4 MiB drew the most latents per second in level profiles while
+#: every chunk still mapped fresh pages, before the one block per draw and
+#: component-major theta rows. With them, an in-process sweep of profile
+#: calls read 1 to 3 MiB 3-7 % faster than 4 MiB; that is not yet shown by
+#: benchmark runs, so 4 MiB stays.
 CHUNK_BYTES = 1 << 22
 
 
@@ -133,11 +138,14 @@ class Halves(NamedTuple):
     b: np.ndarray  # (M,) its second segment; a at level 0
     d: np.ndarray  # (M,) log_sums[a] - log_sums[b]; 0 at level 0
     split: np.ndarray  # (M,) True where the member is cut in halves
-    weighted: np.ndarray  # (n, theta_dim) rows `average` writes its products into
+    weighted: np.ndarray  # (n, theta_dim) component-major rows `average` writes its products into
 
     def average(self, rows: np.ndarray) -> np.ndarray:
         """The softmax(log f)-weighted average of `rows` within each
-        segment, sum_i exp(log f_i) rows_i / sum_i exp(log f_i), (S, k)."""
+        segment, sum_i exp(log f_i) rows_i / sum_i exp(log f_i), (S, k).
+        `rows` and `weighted` are component-major (n, k) views, so each
+        product runs along the draws of one component; the segment sums
+        add in the same order in any layout."""
         weighted = np.multiply(self.shifted[:, None], rows, out=self.weighted)
         return np.add.reduceat(weighted, self.starts, axis=0) / self.total[:, None]
 
@@ -156,15 +164,16 @@ class LevelDraws:
     A gradient array the chunk was not drawn with is None. Its theta-gradient
     rows, `exp_row` and `weighted_rows` are cut from its draw's one block,
     which the next chunk of the same draw overwrites, so a chunk is valid
-    until the next one is drawn."""
+    until the next one is drawn; both sets of theta rows are component-major
+    (n, theta_dim) views, each component one contiguous row."""
 
     levels: np.ndarray  # (M,)
     n0: int
     log_f: np.ndarray  # (n,)
-    grad_theta_log_f: np.ndarray | None  # (n, theta_dim)
+    grad_theta_log_f: np.ndarray | None  # (n, theta_dim) component-major
     grad_phi_log_q: np.ndarray | None  # (n, phi_dim)
     exp_row: np.ndarray  # (n,) where `halves` writes the segment exp of log_f
-    weighted_rows: np.ndarray  # (n, theta_dim), or (n, 0) with no theta gradient
+    weighted_rows: np.ndarray  # (n, theta_dim) component-major, or (n, 0) with no theta gradient
 
     @property
     def n(self) -> int:
@@ -199,13 +208,14 @@ class LevelDraws:
 
 def row_bytes(model: LatentVariableModel, grads) -> int:
     """Bytes per draw of a chunk drawn with the gradient arrays `grads`:
-    the rows cut from its draw's block (the segment exp of log f and, with
-    the theta gradient, its rows and their weighted product in
-    `Halves.average`) and the fresh x row, z row, log f and phi-gradient
-    row. The model's own temporaries are not counted."""
+    the rows cut from its draw's block (the standard normals, the segment
+    exp of log f and, with the theta gradient, its rows and their weighted
+    product in `Halves.average`) and the fresh x row, z row, log f and
+    phi-gradient row; 88 B at Gaussian dim 1 with the theta gradient. The
+    model's own temporaries are not counted."""
     theta = 2 * model.theta_dim if "theta" in grads else 0
     phi = model.phi_dim if "phi" in grads else 0
-    return 8 * (1 + theta + model.x_dim + model.z_dim + 1 + phi)
+    return 8 * (model.z_dim + 1 + theta + model.x_dim + model.z_dim + 1 + phi)
 
 
 def draw_chunks(
@@ -221,18 +231,22 @@ def draw_chunks(
     """Draw the members (observation x_rows[i], level levels[i]) in order
     from `rng`, as flat buffers of consecutive members.
 
-    Each chunk holds at most CHUNK_BYTES // `row_bytes` draws, or one
-    member that alone exceeds it, and costs one `sample_q` and one
-    `log_weight_batch` call with the member's observation repeated per
-    draw. The latents come from `rng` in member order whatever the
-    chunking, so chunk boundaries change no value. `grads` names the
-    gradient arrays the chunks carry, a subset of {"theta", "phi"}; the
-    others are None, and no value read from the chunks depends on it.
+    Each chunk holds at most CHUNK_BYTES // `row_bytes` draws (47 662 at
+    Gaussian dim 1 with the theta gradient), or one member that alone
+    exceeds it, and costs one `draw_weighed` call with the member's
+    observation repeated per draw. The latents come from `rng` in member
+    order whatever the chunking, so chunk boundaries change no value.
+    `grads` names the gradient arrays the chunks carry, a subset of
+    {"theta", "phi"}; the others are None, and no value read from the
+    chunks depends on it.
 
     A call allocates one block, sized for its largest chunk, and each
-    chunk cuts from its start, in this order, its theta-gradient rows (if
-    drawn), its exp row and `Halves.average`'s weighted rows: a chunk is
-    valid until the next one is drawn.
+    chunk cuts from its start, in this order, its standard normals, its
+    theta-gradient rows (if drawn), its exp row and `Halves.average`'s
+    weighted rows: a chunk is valid until the next one is drawn. Theta
+    rows are component-major, one contiguous length-n row per component
+    lent as the transposed (n, theta_dim) view, so the model's column
+    writes and the average's products run along the draws.
     """
     levels = np.asarray(levels, dtype=np.int64)
     if not levels.size:
@@ -255,18 +269,21 @@ def draw_chunks(
     ends = sizes.cumsum()
     budget = CHUNK_BYTES // per_draw  # draws per chunk
     k = model.theta_dim if "theta" in grads else 0
+    d = model.z_dim
     # one allocation: as three arrays per call the rows mapped fresh pages
     # on every level profile (about 3900 minor faults per profile call)
-    block = np.empty(min(int(ends[-1]), max(budget, int(cfg.n0) << top)) * (1 + 2 * k))
+    block = np.empty(min(int(ends[-1]), max(budget, int(cfg.n0) << top)) * (d + 1 + 2 * k))
     lo = 0
     while lo < levels.size:
         base = ends[lo] - sizes[lo]
         hi = max(lo + 1, int(ends.searchsorted(base + budget, side="right")))
         x = x_rows[lo:hi].repeat(sizes[lo:hi], axis=0)
         n = int(ends[hi - 1] - base)
-        z = model.sample_q(x, phi, rng, n)
-        gt = block[: n * k].reshape(n, k) if k else None
-        batch = model.log_weight_batch(x, z, theta, phi, grads=grads, grad_theta_out=gt)
+        rows = block[n * d : n * (d + 1 + 2 * k)]
+        gt = rows[: n * k].reshape(k, n).T if k else None
+        z, batch = model.draw_weighed(
+            x, theta, phi, rng, block[: n * d].reshape(n, d), grads=grads, grad_theta_out=gt
+        )
         if not np.isfinite(batch.log_f).all():
             i = int(np.flatnonzero(~np.isfinite(batch.log_f))[0])
             member = lo + int(np.searchsorted(ends[lo:hi] - base, i, side="right"))
@@ -279,8 +296,8 @@ def draw_chunks(
             log_f=batch.log_f,
             grad_theta_log_f=batch.grad_theta_log_f,
             grad_phi_log_q=batch.grad_phi_log_q,
-            exp_row=block[n * k : n * (k + 1)],
-            weighted_rows=block[n * (k + 1) : n * (2 * k + 1)].reshape(n, k),
+            exp_row=rows[n * k : n * (k + 1)],
+            weighted_rows=rows[n * (k + 1) :].reshape(k, n).T,
         )
         lo = hi
 

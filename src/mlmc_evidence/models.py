@@ -4,17 +4,22 @@ closed-form gradients of the log importance weight, and ground-truth oracles.
 A model states its joint density log p(x|z) + log p(z) with the theta
 gradient (`log_joint`), q(z|x, phi) as a diagonal Gaussian's location and
 log scale (`q_loc_log_scale`), and q's chain rule to phi (`q_grad_phi`).
-The base class's `sample_q` draws every model's latents from q, and its
-`log_weight_batch` weighs them under that same q:
+The base class draws and weighs every model's latents under that q:
 
     log f(x, z) = log p(x|z) + log p(z) - log q(z|x)
 
-with d(log f)/d(theta) and d(log q)/d(phi) per draw. A caller names the
-gradient arrays it reads, a subset of {"theta", "phi"} (both by default),
-and only those are built: an unrequested field of the returned
-`WeightBatch` is None, and log f is the same whichever are asked for. The
-evidence estimate asks for none. A caller may lend an array to build the
-theta gradient in (`grad_theta_out`). The observation x is either one
+with d(log f)/d(theta) and d(log q)/d(phi) per draw. `draw_weighed`, the
+estimator's one call per chunk, draws standard normals eps into an array
+the caller lends and weighs the latents z = loc + scale * eps from eps
+(the location-scale form of Kingma and Welling, "Auto-Encoding Variational
+Bayes", 2014). `log_weight_batch` weighs latents a caller holds by
+recovering eps = (z - loc) / scale, and `sample_q` draws latents alone.
+A caller names the gradient arrays it reads, a subset of
+{"theta", "phi"} (both by default), and only those are built: an
+unrequested field of the returned `WeightBatch` is None, and log f is the
+same whichever are asked for. The evidence estimate asks for none. A
+caller may lend an array to build the theta gradient in
+(`grad_theta_out`). The observation x is either one
 observation (x_dim,) shared by every draw or one row per draw (n, x_dim),
 so a chunk of batch members, each with its own observation, is drawn and
 weighted in one call. Everything is parameterized so that theta and phi
@@ -81,8 +86,9 @@ class LatentVariableModel(abc.ABC):
     """Interface every model implements.
 
     A model states q(z|x, phi) as a location and a log scale; it neither
-    samples nor evaluates it. `sample_q` is the one sampler and
-    `log_weight_batch` the one weighing of draws, shared by every model.
+    samples nor evaluates it. `draw_weighed`, `sample_q` and
+    `log_weight_batch` are shared by every model, and the two that weigh
+    share one weighing from the standard normals (`_weigh`).
     Implementations are immutable after construction; all operations are
     pure given an explicit generator, so concurrent calls with independent
     streams are safe.
@@ -103,7 +109,9 @@ class LatentVariableModel(abc.ABC):
     def log_joint(self, x, z, theta, grad_theta) -> np.ndarray:
         """log p(x|z) + log p(z), a fresh (n,) array, for z (n, z_dim) and x
         checked by `_check_x`; writes d(log p(x, z))/d(theta) into
-        `grad_theta`, an (n, theta_dim) float64 array, unless it is None."""
+        `grad_theta`, an (n, theta_dim) float64 array, unless it is None.
+        A chunk lends it component-major, as the transposed view of a
+        (theta_dim, n) array, so writes by column run along the draws."""
 
     @abc.abstractmethod
     def q_grad_phi(self, x, dloc, dlog_scale) -> np.ndarray:
@@ -124,6 +132,30 @@ class LatentVariableModel(abc.ABC):
         z += loc
         return z
 
+    def draw_weighed(
+        self, x, theta, phi, rng: np.random.Generator, eps: np.ndarray,
+        grads=ALL_GRADS, grad_theta_out=None,
+    ) -> tuple[np.ndarray, WeightBatch]:
+        """Draw n = len(eps) latents z, (n, z_dim), from q(z|x, phi) and
+        weigh them, checking x and evaluating q once: (z, `WeightBatch`).
+
+        The standard normals are drawn into `eps`, a C-contiguous
+        (n, z_dim) float64 array, which the weighing overwrites. z is what
+        `sample_q` draws from the same stream, bit for bit, and the weights
+        are those of `log_weight_batch`, up to rounding. x, `grads` and
+        `grad_theta_out` are as there.
+        """
+        _check_grads(grads)
+        if eps.ndim != 2 or eps.shape[1] != self.z_dim:
+            raise ContractViolation(f"eps must have shape (n, {self.z_dim}), got {eps.shape}")
+        x = _check_x(x, self.x_dim, eps.shape[0])
+        loc, log_scale = self.q_loc_log_scale(x, phi)
+        scale = np.exp(log_scale)
+        rng.standard_normal(out=eps)
+        z = eps * scale
+        z += loc
+        return z, self._weigh(x, z, eps, scale, log_scale, theta, grads, grad_theta_out)
+
     def log_weight_batch(
         self, x, z, theta, phi, grads=ALL_GRADS, grad_theta_out=None
     ) -> WeightBatch:
@@ -135,37 +167,39 @@ class LatentVariableModel(abc.ABC):
         "theta" builds d(log f)/d(theta), "phi" builds d(log q)/d(phi), and
         each gradient not named is None in the result. log f does not
         depend on `grads`. `grad_theta_out` is None or, when "theta" is
-        named, an (n, theta_dim) float64 array the theta gradient is built
-        in; no value depends on it.
+        named, an (n, theta_dim) float64 array, or a transposed view of a
+        (theta_dim, n) one, the theta gradient is built in; no value
+        depends on it.
         """
-        unknown = set(grads) - ALL_GRADS
-        if unknown:
-            raise ContractViolation(f"unknown gradients {sorted(unknown)}; choose from theta, phi")
+        _check_grads(grads)
         z = np.asarray(z, dtype=np.float64)
-        n = z.shape[0]
-        x = _check_x(x, self.x_dim, n)
+        x = _check_x(x, self.x_dim, z.shape[0])
+        loc, log_scale = self.q_loc_log_scale(x, phi)
+        scale = np.exp(log_scale)
+        eps = np.subtract(z, loc, out=loc if loc.shape == z.shape else None)
+        eps /= scale
+        return self._weigh(x, z, eps, scale, log_scale, theta, grads, grad_theta_out)
+
+    def _weigh(self, x, z, eps, scale, log_scale, theta, grads, grad_theta_out) -> WeightBatch:
+        """The `WeightBatch` of the latents z = loc + scale * eps, weighed
+        from the standard normals eps, which it overwrites:
+
+            log q = -1/2 sum_j eps_j^2 - sum_j log scale_j - (z_dim / 2) log 2pi,
+            d(log q)/d(loc) = eps / scale,  d(log q)/d(log scale) = eps^2 - 1.
+        """
         gt = None
         if "theta" in grads:
-            gt = np.empty((n, self.theta_dim)) if grad_theta_out is None else grad_theta_out
+            gt = np.empty((z.shape[0], self.theta_dim)) if grad_theta_out is None else grad_theta_out
         log_f = self.log_joint(x, z, theta, gt)
-
-        # log q = -0.5 (sum_j r_j^2 + z_dim log 2pi) - sum_j log_scale_j for
-        # the standardized residual r = (z - loc) / scale; `r` holds z - loc,
-        # then r^2, then (for one coordinate) log q
-        loc, log_scale = self.q_loc_log_scale(x, phi)
-        r = np.subtract(z, loc, out=loc if loc.shape == z.shape else None)
-        vq = np.exp(2.0 * log_scale)
-        dloc = r / vq if "phi" in grads else None
-        r *= r
-        r /= vq
+        dloc = eps / scale if "phi" in grads else None
+        eps *= eps
         gq = None
         if "phi" in grads:
-            gq = self.q_grad_phi(x, dloc, r - 1.0)
-        log_q = _coordinate_sum(r)
-        log_q += self.z_dim * _LOG_2PI
-        log_q *= -0.5
-        log_q -= _coordinate_sum(log_scale)
-        log_f -= log_q
+            gq = self.q_grad_phi(x, dloc, eps - 1.0)
+        half = _coordinate_sum(eps)  # for one coordinate, a view of eps
+        half *= 0.5
+        log_f += half
+        log_f += _coordinate_sum(log_scale) + 0.5 * self.z_dim * _LOG_2PI
         return WeightBatch(log_f, gt, gq)
 
     @abc.abstractmethod
@@ -200,6 +234,12 @@ def _coordinate_sum(a: np.ndarray) -> np.ndarray:
     """`a` summed over its last axis, the latent coordinates: for one, a view
     of `a`, so in-place arithmetic on the sum writes into `a`."""
     return a[..., 0] if a.shape[-1] == 1 else a.sum(axis=-1)
+
+
+def _check_grads(grads) -> None:
+    unknown = set(grads) - ALL_GRADS
+    if unknown:
+        raise ContractViolation(f"unknown gradients {sorted(unknown)}; choose from theta, phi")
 
 
 def _check_size(n) -> None:

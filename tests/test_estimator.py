@@ -493,17 +493,17 @@ def chunk_draws(monkeypatch, draws, model, grads):
 
 
 class RowCountingModel(GaussianConjugateModel):
-    """The Gaussian model, recording each weight call's row count with the
-    most draws the byte budget allows a chunk drawn with its gradients."""
+    """The Gaussian model, recording each chunk's row count with the most
+    draws the byte budget allows a chunk drawn with its gradients."""
 
     def __init__(self, dim):
         super().__init__(dim)
         self.calls = []
 
-    def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS, grad_theta_out=None):
+    def draw_weighed(self, x, theta, phi, rng, eps, grads=ALL_GRADS, grad_theta_out=None):
         allowed = estimator_module.CHUNK_BYTES // row_bytes(self, grads)
-        self.calls.append((z.shape[0], allowed))
-        return super().log_weight_batch(x, z, theta, phi, grads, grad_theta_out)
+        self.calls.append((eps.shape[0], allowed))
+        return super().draw_weighed(x, theta, phi, rng, eps, grads, grad_theta_out)
 
 
 class TestDrawBudget:
@@ -583,6 +583,45 @@ class TestWorkspace:
         for got in (together, alone):
             for row, want in zip(got, one_chunk, strict=True):
                 np.testing.assert_array_equal(row, want)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_component_major_rows_reduce_as_c_ordered_copies(self, monkeypatch, dim):
+        # each chunk draws its normals into its block and lends the model and
+        # Halves.average one contiguous row per theta component; both theta
+        # reducers give, bit for bit, what they give on C-ordered copies
+        model = GaussianConjugateModel(dim)
+        theta = np.zeros(model.theta_dim)
+        phi = np.repeat([0.0, 0.0, 0.5 * math.log(2.0)], dim)
+        data = model.generate_data(theta, 20, substream(129, 0))
+        normals = []
+        draw_weighed = model.draw_weighed
+
+        def recording_draw(*args, **kwargs):
+            normals.append(args[4])
+            return draw_weighed(*args, **kwargs)
+
+        model.draw_weighed = recording_draw
+        chunk_draws(monkeypatch, 48, model, ("theta",))
+        levels = np.array([0, 3, 1, 2, 0, 4, 1, 2])
+        chunks = 0
+        for draws in draw_chunks(
+            model, data.x[:8], levels, theta, phi, EstimatorConfig(n0=8), substream(129, 1),
+            grads=("theta",),
+        ):
+            assert normals[-1].base is draws.exp_row.base is draws.grad_theta_log_f.base
+            for rows in (draws.grad_theta_log_f, draws.weighted_rows):
+                assert rows.shape == (draws.n, model.theta_dim)
+                assert all(rows[:, j].flags.c_contiguous for j in range(model.theta_dim))
+            copy = dataclasses.replace(
+                draws,
+                grad_theta_log_f=np.ascontiguousarray(draws.grad_theta_log_f),
+                exp_row=np.empty(draws.n),
+                weighted_rows=np.empty((draws.n, model.theta_dim)),
+            )
+            for reduce in (grad_theta_level, naive_grad_theta):
+                assert reduce(draws).tobytes() == reduce(copy).tobytes(), reduce.__name__
+            chunks += 1
+        assert chunks > 1
 
     def test_chunks_reuse_one_workspace_and_results_never_alias_it(self, monkeypatch):
         # every chunk of a draw writes its theta-gradient and exp rows into

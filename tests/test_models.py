@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from mlmc_evidence import estimator as estimator_module
+from mlmc_evidence import models as models_module
 from mlmc_evidence.diagnostics import variance_profile
 from mlmc_evidence.errors import ContractViolation, UnsupportedOperation
-from mlmc_evidence.estimator import EstimatorConfig, estimate_log_evidence, row_bytes
+from mlmc_evidence.estimator import EstimatorConfig, draw_chunks, estimate_log_evidence, row_bytes
 from mlmc_evidence.models import (
+    ALL_GRADS,
     BernoulliGaussianModel,
     Dataset,
     GaussianConjugateModel,
@@ -483,6 +485,64 @@ class TestRequestedGradients:
         x, z, theta, phi = self.inputs(GAUSSIAN, False, 17)
         with pytest.raises(ContractViolation, match="unknown gradients"):
             GAUSSIAN.log_weight_batch(x, z, theta, phi, grads=grads)
+
+
+class TestDrawWeighed:
+    """A chunk is drawn and weighed in one call from the standard normals
+    that draw it: the latents of `sample_q` and, up to rounding, the
+    weights of `log_weight_batch`."""
+
+    @pytest.mark.parametrize("rows", [False, True], ids=["one-observation", "rows"])
+    @pytest.mark.parametrize(
+        "model", [GAUSSIAN, GaussianConjugateModel(3), BERNOULLI, SumOfTwoModel()],
+        ids=["gaussian-1", "gaussian-3", "bernoulli", "sum-of-two"],
+    )
+    def test_matches_sample_q_then_log_weight_batch(self, model, rows):
+        x, _, theta, phi = TestRequestedGradients.inputs(model, rows, 19)
+        n = 48
+        z = model.sample_q(x, phi, substream(19, 1), n)
+        eps = np.empty((n, model.z_dim))
+        drawn, batch = model.draw_weighed(x, theta, phi, substream(19, 1), eps)
+        assert drawn.shape == z.shape and drawn.tobytes() == z.tobytes()
+        want = model.log_weight_batch(x, z, theta, phi)
+        for got, ref in zip(batch, want, strict=True):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("cls", [GaussianConjugateModel, BernoulliGaussianModel],
+                             ids=["gaussian", "bernoulli"])
+    def test_each_chunk_checks_x_and_evaluates_q_once(self, monkeypatch, cls):
+        model = cls()
+        theta = np.full(model.theta_dim, 0.3)
+        phi = np.full(model.phi_dim, 0.2)
+        data = model.generate_data(theta, 20, substream(20, 0))
+        checks, evaluations = [], []
+        check_x, q_loc_log_scale = models_module._check_x, model.q_loc_log_scale
+
+        def counted_check(*args):
+            checks.append(args)
+            return check_x(*args)
+
+        def counted_q(*args):
+            evaluations.append(args)
+            return q_loc_log_scale(*args)
+
+        monkeypatch.setattr(models_module, "_check_x", counted_check)
+        model.q_loc_log_scale = counted_q
+        cfg = EstimatorConfig(n0=8)
+        for grads in [(), ALL_GRADS]:
+            monkeypatch.setattr(estimator_module, "CHUNK_BYTES", 64 * row_bytes(model, grads))
+            del checks[:], evaluations[:]
+            chunks = sum(1 for _ in draw_chunks(
+                model, data.x[:12], np.arange(12) % 4, theta, phi, cfg, substream(20, 1), grads
+            ))
+            assert chunks > 1
+            assert len(checks) == len(evaluations) == chunks, grads
+
+    def test_eps_must_hold_one_normal_per_latent(self):
+        with pytest.raises(ContractViolation, match="eps"):
+            SumOfTwoModel().draw_weighed(
+                np.array([0.7]), np.zeros(1), np.zeros(4), substream(21, 0), np.empty((3, 1))
+            )
 
 
 class TestDataset:

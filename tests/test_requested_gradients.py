@@ -24,11 +24,16 @@ NONE = frozenset()
 
 
 class RecordingModel(GaussianConjugateModel):
-    """The Gaussian model, recording the gradients each weight call asks for."""
+    """The Gaussian model, recording the gradients each weight call asks
+    for: a chunk's draw or a weighing of latents the caller holds."""
 
     def __init__(self, dim=1):
         super().__init__(dim)
         self.asked = []
+
+    def draw_weighed(self, x, theta, phi, rng, eps, grads=ALL_GRADS, grad_theta_out=None):
+        self.asked.append(frozenset(grads))
+        return super().draw_weighed(x, theta, phi, rng, eps, grads, grad_theta_out)
 
     def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS, grad_theta_out=None):
         self.asked.append(frozenset(grads))
@@ -91,13 +96,13 @@ def test_finite_differences_ask_for_none():
 
 
 class ChunkCountingModel(GaussianConjugateModel):
-    """The Gaussian model, counting its weight calls: one per chunk."""
+    """The Gaussian model, counting its draws: one per chunk."""
 
     chunks = 0
 
-    def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS, grad_theta_out=None):
+    def draw_weighed(self, x, theta, phi, rng, eps, grads=ALL_GRADS, grad_theta_out=None):
         self.chunks += 1
-        return super().log_weight_batch(x, z, theta, phi, grads, grad_theta_out)
+        return super().draw_weighed(x, theta, phi, rng, eps, grads, grad_theta_out)
 
 
 @pytest.mark.parametrize("antithetic", [True, False], ids=["antithetic", "naive"])

@@ -6,10 +6,22 @@ model:
     family/model count sha256
 
 where the hash covers every output bit of the cases of that family and
-model, in order (floats by repr, arrays by dtype, shape and bytes, a raised
+model, in order: each output in its raw JSON form (integers exact, floats
+by their shortest round-trip repr, arrays with dtype and shape, a raised
 error by type and message). Run it on two checkouts and compare the lines:
 a line whose hash differs changed some output of some case of that model.
-Nothing is stored or read back. The models are gaussian1, gaussian3
+
+Where a change moves floats by rounding, compare with a tolerance instead:
+`--dump PATH` writes every case's raw outputs as JSON, and a run on the
+other checkout with `--against PATH --rtol R` compares its outputs with
+them. Integers (costs, per-level counts, levels, exit codes and integers in
+CLI text) must be equal and every other text and structure identical;
+floats, numbers in CLI text included, may differ by R relative to the
+larger magnitude. It prints one line per family and model,
+
+    family/model count max-relative-difference mismatches
+
+and exits 1 if any case mismatches. The models are gaussian1, gaussian3
 (Gaussian dim 1 and 3) and bernoulli1; each family covers each model times
 the seeds:
 
@@ -22,7 +34,8 @@ the seeds:
 
 Usage:
 
-    PYTHONPATH=src python tools/same_seed.py [--seeds N]
+    PYTHONPATH=src python tools/same_seed.py [--seeds N] [--dump PATH]
+    PYTHONPATH=src python tools/same_seed.py [--seeds N] --against PATH --rtol R
 """
 from __future__ import annotations
 
@@ -31,6 +44,10 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import json
+import math
+import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -62,37 +79,99 @@ CLI_CASES = [
 ]
 
 
-def canon(obj) -> str:
-    """An exact text form of a result: equal texts mean equal bits."""
+def raw(obj):
+    """A JSON form of a result that keeps integers exact and floats to the
+    bit (JSON writes a float by its shortest round-trip repr): equal forms
+    mean equal outputs."""
     if isinstance(obj, np.ndarray):
-        return f"array({obj.dtype.str},{obj.shape},{obj.tobytes().hex()})"
+        return {"dtype": obj.dtype.str, "shape": list(obj.shape), "values": obj.ravel().tolist()}
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return repr(float(obj))
-    if isinstance(obj, (bool, int, str, bytes, type(None), np.integer, np.bool_)):
-        return repr(obj)
+        return float(obj)
+    if isinstance(obj, (str, type(None))):
+        return obj
+    if isinstance(obj, bytes):
+        return {"bytes": obj.decode("utf-8", "backslashreplace")}
     if dataclasses.is_dataclass(obj):
-        fields = [f"{f.name}={canon(getattr(obj, f.name))}" for f in dataclasses.fields(obj)]
-        return f"{type(obj).__name__}({','.join(fields)})"
+        fields = {f.name: raw(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        return {"type": type(obj).__name__, "fields": fields}
     if isinstance(obj, dict):
-        return "{" + ",".join(f"{canon(k)}:{canon(obj[k])}" for k in sorted(obj)) + "}"
+        return {"items": [[raw(k), raw(obj[k])] for k in sorted(obj)]}
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(canon(v) for v in obj) + "]"
-    raise TypeError(f"no canonical form for {type(obj).__name__}")
+        return [raw(v) for v in obj]
+    raise TypeError(f"no raw form for {type(obj).__name__}")
 
 
 class Family:
-    def __init__(self):
+    def __init__(self, keep: bool = False):
         self.count = 0
         self.hash = hashlib.sha256()
+        self.cases: list | None = [] if keep else None
 
     def add(self, case: str, run) -> None:
-        """Run one case and fold its output, or the error it raised."""
+        """Run one case and fold its output, or the error it raised; keep
+        its raw form too if the family keeps its cases."""
         try:
-            text = canon(run())
+            result = raw(run())
         except Exception as exc:  # an error is an output too
-            text = f"raised {type(exc).__name__}: {exc}"
-        self.hash.update(f"{case}\n{text}\n".encode())
+            result = f"raised {type(exc).__name__}: {exc}"
+        self.hash.update(f"{case}\n{json.dumps(result)}\n".encode())
         self.count += 1
+        if self.cases is not None:
+            self.cases.append([case, result])
+
+
+# a number in text: an optional sign, digits with an optional point and
+# exponent, or inf/nan
+NUMBER = re.compile(r"([-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan))")
+INTEGER = re.compile(r"[-+]?\d+")
+
+
+def rel_diff(a: float, b: float) -> float:
+    """|a - b| relative to the larger magnitude; 0 for equal values (NaNs
+    included) and inf where exactly one is NaN or the infinities differ."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def compare(got, want, path: str, rtol: float, found: list[str]) -> float:
+    """The largest relative difference of a float of `got` from `want`;
+    appends to `found` every place where they differ by more than rtol or
+    differ at all in an integer, a text or their structure."""
+    if isinstance(want, float) and isinstance(got, float):
+        d = rel_diff(got, want)
+        if d > rtol:
+            found.append(f"{path}: {got!r} vs {want!r}")
+        return d
+    if isinstance(want, str) and isinstance(got, str):
+        g, w = NUMBER.split(got), NUMBER.split(want)
+        if len(g) != len(w):
+            found.append(f"{path}: text {got[:80]!r} vs {want[:80]!r}")
+            return 0.0
+        worst = 0.0
+        for j, (gt, wt) in enumerate(zip(g, w)):
+            # the text between numbers, or an integer
+            if j % 2 == 0 or INTEGER.fullmatch(gt) or INTEGER.fullmatch(wt):
+                if gt != wt:
+                    found.append(f"{path}: text {gt[:80]!r} vs {wt[:80]!r}")
+            else:
+                worst = max(worst, compare(float(gt), float(wt), path, rtol, found))
+        return worst
+    if isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
+        return max((compare(g, w, f"{path}[{j}]", rtol, found)
+                    for j, (g, w) in enumerate(zip(got, want))), default=0.0)
+    if isinstance(want, dict) and isinstance(got, dict) and got.keys() == want.keys():
+        return max((compare(got[k], want[k], f"{path}.{k}", rtol, found) for k in want),
+                   default=0.0)
+    if type(got) is not type(want) or got != want:  # ints, bools, None, structure
+        found.append(f"{path}: {str(got)[:80]} vs {str(want)[:80]}")
+    return 0.0
 
 
 def setting(name: str, dim: int, seed: int):
@@ -143,14 +222,16 @@ def cli_case(argv: list[str]) -> list:
         return run_cli(["rerun", "--manifest", str(tmp / "first" / "manifest.json")], tmp / "out")
 
 
-def fingerprint(seeds: int) -> dict[str, Family]:
+def fingerprint(seeds: int, keep: bool = False) -> dict[str, Family]:
+    """Every family's fingerprint; with `keep`, each keeps its cases' raw
+    outputs as well."""
     families: dict[str, Family] = {}
 
     for seed in range(seeds):
         for name, dim in MODELS:
 
             def family(kind: str) -> Family:
-                return families.setdefault(f"{kind}/{name}{dim}", Family())
+                return families.setdefault(f"{kind}/{name}{dim}", Family(keep))
 
             model, data, theta, phi = setting(name, dim, seed)
             tag = f"{name}{dim} seed {seed}"
@@ -184,14 +265,40 @@ def fingerprint(seeds: int) -> dict[str, Family]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, default=50, help="seeds per model (default 50)")
+    parser.add_argument("--dump", metavar="PATH", help="write every case's raw outputs to PATH")
+    parser.add_argument("--against", metavar="PATH",
+                        help="compare with the raw outputs a --dump run wrote to PATH")
+    parser.add_argument("--rtol", type=float, default=0.0,
+                        help="relative tolerance on floats with --against (default 0)")
     args = parser.parse_args(argv)
     if args.seeds < 1:
         parser.error(f"--seeds must be >= 1, got {args.seeds}")
+    if not args.rtol >= 0.0:
+        parser.error(f"--rtol must be >= 0, got {args.rtol}")
+    want = None
+    if args.against:
+        with open(args.against) as fh:
+            want = json.load(fh)
+    keep = bool(args.dump or args.against)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        families = fingerprint(args.seeds)
-    for name, fam in families.items():
-        print(name, fam.count, fam.hash.hexdigest())
-    return 0
+        families = fingerprint(args.seeds, keep)
+    if args.dump:
+        with open(args.dump, "w") as fh:
+            json.dump({name: fam.cases for name, fam in families.items()}, fh)
+    if want is None:
+        for name, fam in families.items():
+            print(name, fam.count, fam.hash.hexdigest())
+        return 0
+    bad = 0
+    for name in [*families, *(n for n in want if n not in families)]:
+        found: list[str] = []
+        got = families[name].cases if name in families else None
+        worst = compare(got, want.get(name), name, args.rtol, found)
+        print(name, len(got or ()), format(worst, ".3g"), len(found))
+        for place in found[:5]:
+            print("  mismatch", place, file=sys.stderr)
+        bad += len(found)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
