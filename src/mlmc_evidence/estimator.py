@@ -55,9 +55,12 @@ DEFAULT_LEVEL_CAP = 40
 #: and a member larger than it is drawn alone. Of 0.5, 1, 1.5, 2, 3 and
 #: 4 MiB, 4 MiB drew the most latents per second in level profiles while
 #: every chunk still mapped fresh pages, before the one block per draw and
-#: component-major theta rows. With them, an in-process sweep of profile
-#: calls read 1 to 3 MiB 3-7 % faster than 4 MiB; that is not yet shown by
-#: benchmark runs, so 4 MiB stays.
+#: component-major theta rows. With them, a paired sweep of 1, 2 and 4 MiB
+#: showed no reliable gain on one thread. With a profile's levels on two
+#: pool threads (2 CPUs), a profile at levels 1..8 took 0.79x the
+#: one-thread time per call at 4 MiB, 0.88x at 2 MiB and 1.13x at 1 MiB;
+#: in one process, against one worker at 4 MiB, two workers read 0.72x at
+#: 4 MiB, 0.74-0.78x at 2 MiB and 0.97-0.98x at 1 MiB. So 4 MiB stays.
 CHUNK_BYTES = 1 << 22
 
 

@@ -63,19 +63,19 @@ class RunRecord:
     cumulative_cost: int
 
 
-def _oracle_metrics(model, data, theta, phi):
+def _oracle_metrics(model, rows, counts, theta, phi):
     # The oracles depend on an observation only through its value, so each
-    # distinct row is evaluated once and weighted by how often it occurs
-    # (binary data has at most two distinct rows). Parameters that overflow
-    # an oracle are a contract error, not a record.
-    rows, counts = np.unique(data.x, axis=0, return_counts=True)
+    # distinct row of the data, `rows`, is evaluated once and weighted by
+    # how often it occurs, `counts` (binary data has at most two distinct
+    # rows). Parameters that overflow an oracle are a contract error, not a
+    # record.
     try:
         evidence = float(counts @ np.array([model.oracle_log_evidence(x, theta) for x in rows]))
     except UnsupportedOperation:
         return None, None
     try:
         kl = counts @ np.array([model.oracle_posterior_kl(x, theta, phi) for x in rows])
-        kl = float(kl / data.n_total)
+        kl = float(kl / counts.sum())
     except UnsupportedOperation:
         kl = None
     if not (math.isfinite(evidence) and (kl is None or math.isfinite(kl))):
@@ -110,6 +110,8 @@ def train(
         raise ContractViolation("initial parameters must be finite")
 
     train_rng, eval_rng = _rng.spawn(rng, 2)
+    # the data are fixed, so their distinct rows are found once per run
+    rows, counts = np.unique(data.x, axis=0, return_counts=True)
     vel_theta = np.zeros_like(theta)
     vel_phi = np.zeros_like(phi)
     cumulative_cost = 0
@@ -120,7 +122,7 @@ def train(
             estimate_log_evidence(model, data, theta, phi, cfg.estimator, stream).value
             for stream in _rng.streams(eval_rng, cfg.eval_replications)
         ]
-        evidence_oracle, kl_oracle = _oracle_metrics(model, data, theta, phi)
+        evidence_oracle, kl_oracle = _oracle_metrics(model, rows, counts, theta, phi)
         return RunRecord(
             step=step,
             theta=theta.copy(),

@@ -1,6 +1,7 @@
 """CLI contracts: manifest-driven byte-exact reruns, deterministic printed
 summaries, lossless CSV round trips, and the exit-code mapping."""
 
+import csv
 import json
 import math
 import shlex
@@ -166,12 +167,17 @@ class TestVarianceProfileCommand:
         assert fit["slope_var_z"] < 0
 
     def test_csv_parses_back_losslessly(self, tmp_path, capsys):
-        from mlmc_evidence.diagnostics import read_level_stats_csv, write_level_stats_csv
+        from mlmc_evidence.diagnostics import LevelStats, write_level_stats_csv
 
         out = tmp_path / "vp"
         run_cli(capsys, "variance-profile", "--levels", "1..3", "--reps", "120",
                 "--seed", "3", "--out", str(out))
-        stats = read_level_stats_csv(out / "profile.csv")
+        with (out / "profile.csv").open(newline="") as fh:
+            stats = [
+                LevelStats(**{k: (int if k in ("level", "replications") else float)(v)
+                              for k, v in row.items()})
+                for row in csv.DictReader(fh)
+            ]
         rewritten = tmp_path / "again.csv"
         write_level_stats_csv(stats, rewritten)
         assert rewritten.read_bytes() == (out / "profile.csv").read_bytes()

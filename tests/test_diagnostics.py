@@ -1,8 +1,13 @@
 """Diagnostics contracts: exact decay-rate fits on synthetic inputs,
-variance profiles at the zero-variance fixed point, reproducibility,
-moment estimates with the analytic divergence flag, and CSV round trips."""
+variance profiles at the zero-variance fixed point, reproducibility, the
+concurrent profile against a sequential loop, moment estimates with the
+analytic divergence flag, and CSV round trips."""
 
+import contextvars
+import csv
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,13 +16,24 @@ from mlmc_evidence.diagnostics import (
     LevelStats,
     estimate_moments,
     fit_decay_rate,
-    read_level_stats_csv,
+    naive_difference,
+    naive_grad_theta,
     variance_profile,
     write_level_stats_csv,
 )
 from mlmc_evidence.errors import ContractViolation, UnsupportedOperation
-from mlmc_evidence.estimator import EstimatorConfig
-from mlmc_evidence.models import GaussianConjugateModel, LatentVariableModel
+from mlmc_evidence.estimator import (
+    EstimatorConfig,
+    antithetic_difference,
+    draw_chunks,
+    reduce_chunks,
+)
+from mlmc_evidence.gradients import grad_theta_level
+from mlmc_evidence.models import (
+    BernoulliGaussianModel,
+    GaussianConjugateModel,
+    LatentVariableModel,
+)
 from mlmc_evidence.rng import substream
 
 MODEL = GaussianConjugateModel(1)
@@ -135,6 +151,144 @@ class TestVarianceProfile:
         assert slope_naive - slope_anti > 0.5
 
 
+def bounded(fn, *args, timeout=120.0, **kwargs):
+    """fn(*args, **kwargs), run on a daemon thread that must return within
+    `timeout` seconds, so a pool that never finishes fails the test instead
+    of hanging the suite."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = fn(*args, **kwargs)
+        except BaseException as exc:  # re-raised on the test's thread
+            outcome["error"] = exc
+
+    # in a copy of the caller's context, as the profile runs its levels
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(run,), daemon=True)
+    worker.start()
+    worker.join(timeout)
+    assert not worker.is_alive(), f"no result within {timeout} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+def sequential_profile(model, data, theta, phi, levels, replications, cfg, rng, antithetic=True):
+    """The profile as a plain loop over the levels in order, one spawned
+    child stream each, on the calling thread."""
+    value_fn, grad_fn = (
+        (antithetic_difference, grad_theta_level) if antithetic
+        else (naive_difference, naive_grad_theta)
+    )
+    stats = []
+    for lvl, stream in zip(levels, rng.spawn(len(levels))):
+        indices = stream.integers(0, data.n_total, size=replications)
+        chunks = draw_chunks(
+            model, data.x[indices], np.full(replications, lvl), theta, phi, cfg, stream,
+            grads=("theta",),
+        )
+        values, grads = reduce_chunks(chunks, [value_fn, grad_fn])
+        stats.append(LevelStats(
+            level=lvl,
+            mean_z=float(values.mean()),
+            var_z=float(values.var(ddof=1)),
+            var_grad_theta_max=float(np.max(grads.var(axis=0, ddof=1))),
+            mean_cost=float(cfg.n0 << lvl),
+            replications=replications,
+        ))
+    return stats
+
+
+def setting(name, dim):
+    model = GaussianConjugateModel(dim) if name == "gaussian" else BernoulliGaussianModel()
+    gen = substream(420, dim)
+    theta = 0.3 * gen.standard_normal(model.theta_dim)
+    data = model.generate_data(theta, 20, gen)
+    return model, data, theta, 0.3 * gen.standard_normal(model.phi_dim)
+
+
+class FailsAtDraws(GaussianConjugateModel):
+    """Gaussian dim 1 whose chunks of the given draw counts fail."""
+
+    def __init__(self, failing):
+        super().__init__(1)
+        self.failing = failing
+
+    def draw_weighed(self, x, *args, **kwargs):
+        if x.shape[0] in self.failing:
+            raise ContractViolation(f"chunk of {x.shape[0]} draws failed")
+        return super().draw_weighed(x, *args, **kwargs)
+
+
+class TestConcurrentProfile:
+    """The levels run on a thread pool, costliest first; every value must
+    equal a sequential loop's, bit for bit, under any schedule."""
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    @pytest.mark.parametrize("name, dim", [("gaussian", 1), ("gaussian", 3), ("bernoulli", 1)])
+    def test_equals_a_sequential_loop(self, name, dim, antithetic):
+        model, data, theta, phi = setting(name, dim)
+        levels = [5, 0, 3, 3, 1]  # unsorted, with a duplicate
+        want = sequential_profile(
+            model, data, theta, phi, levels, 100, CFG, substream(421, dim), antithetic
+        )
+        got = bounded(
+            variance_profile, model, data, theta, phi, levels, 100, CFG, substream(421, dim),
+            antithetic=antithetic,
+        )
+        assert [s.level for s in got] == levels
+        assert got == want
+
+    def test_no_levels(self):
+        assert bounded(
+            variance_profile, MODEL, DATA, THETA, PHI_WIDE, [], 100, CFG, substream(422, 0)
+        ) == []
+
+    def test_levels_run_under_the_callers_numpy_error_state(self):
+        seen = []
+
+        class Recording(GaussianConjugateModel):
+            def draw_weighed(self, *args, **kwargs):
+                seen.append(np.geterr()["over"])
+                return super().draw_weighed(*args, **kwargs)
+
+        with np.errstate(over="raise"):
+            bounded(
+                variance_profile, Recording(1), DATA, THETA, PHI_WIDE, [3, 1, 2], 100, CFG,
+                substream(425, 0),
+            )
+        assert seen == ["raise"] * 3
+
+    def test_first_failing_level_in_caller_order_is_raised(self):
+        # levels 2 and 5 fail (one chunk of 100 * 8 * 2^level draws each);
+        # level 5 is submitted first, but level 2 comes first in `levels`
+        model = FailsAtDraws({800 << 2, 800 << 5})
+        before = threading.active_count()
+        with pytest.raises(ContractViolation, match=f"chunk of {800 << 2} draws failed"):
+            bounded(
+                variance_profile, model, DATA, THETA, PHI_WIDE, [2, 5, 4], 100, CFG,
+                substream(423, 0),
+            )
+        assert threading.active_count() == before
+
+    def test_many_levels_under_frequent_thread_switches(self):
+        levels = [3, 0, 5, 1, 4, 2, 2, 5, 0, 3, 1, 4]  # more levels than CPUs
+        want = sequential_profile(
+            MODEL, DATA, THETA, PHI_WIDE, levels, 100, CFG, substream(424, 0)
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                got = bounded(
+                    variance_profile, MODEL, DATA, THETA, PHI_WIDE, levels, 100, CFG,
+                    substream(424, 0),
+                )
+                assert got == want
+        finally:
+            sys.setswitchinterval(interval)
+
+
 class TestEstimateMoments:
     def test_posterior_q_is_unit_weight(self):
         d = estimate_moments(
@@ -210,6 +364,16 @@ class TestEstimateMoments:
             estimate_moments(MODEL, DATA.x[0], THETA, PHI_WIDE, s, t, 10_000, substream(414, 0))
 
 
+def read_level_stats(path) -> list[LevelStats]:
+    """The rows of a profile CSV as `LevelStats`."""
+    with open(path, newline="") as fh:
+        return [
+            LevelStats(**{k: (int if k in ("level", "replications") else float)(v)
+                          for k, v in row.items()})
+            for row in csv.DictReader(fh)
+        ]
+
+
 class TestCsv:
     def test_round_trip(self, tmp_path):
         stats = variance_profile(
@@ -217,7 +381,7 @@ class TestCsv:
         )
         path = tmp_path / "profile.csv"
         write_level_stats_csv(stats, path)
-        loaded = read_level_stats_csv(path)
+        loaded = read_level_stats(path)
         assert loaded == stats
         text = path.read_text()
         assert text.splitlines()[0] == (

@@ -27,7 +27,9 @@ the seeds:
 
 - evidence and gradients at (n0, batch) in (1, 1), (4, 8), (8, 64), (32, 4),
   at the library's chunk byte budget and at a budget of 64 draws' rows;
-- variance profiles at levels 0..5, antithetic and naive;
+- variance profiles at levels 0..5, and at twelve unsorted levels with
+  duplicates (more levels than most hosts' CPUs, so the profile's pool
+  queues some), antithetic and naive;
 - tail moments;
 - 20-step training records;
 - exit code, stdout, stderr and artifacts of each CLI command at small sizes.
@@ -64,6 +66,8 @@ from mlmc_evidence.trainer import TrainConfig, train
 MODELS = [("gaussian", 1), ("gaussian", 3), ("bernoulli", 1)]
 SHAPES = [(1, 1), (4, 8), (8, 64), (32, 4)]
 SMALL_BUDGET = 64
+# unsorted, with duplicates, and more levels than most hosts' CPUs
+PROFILE_LEVELS = [5, 0, 3, 3, 1, 4, 2, 5, 0, 1, 4, 2]
 
 # CLI cases, each run with --model, --dim and --seed appended; a rerun case
 # runs the command after "rerun", then replays its manifest
@@ -249,6 +253,9 @@ def fingerprint(seeds: int, keep: bool = False) -> dict[str, Family]:
                 family("profile-" + variant).add(tag, lambda: variance_profile(
                     model, data, theta, phi, range(0, 6), 100, EstimatorConfig(),
                     substream(seed, 3), antithetic=antithetic))
+                family("profile-" + variant).add(f"{tag} levels {PROFILE_LEVELS}", lambda: (
+                    variance_profile(model, data, theta, phi, PROFILE_LEVELS, 100,
+                                     EstimatorConfig(), substream(seed, 5), antithetic=antithetic)))
             family("moments").add(tag, lambda: estimate_moments(
                 model, data.x[0], theta, phi, 4.5, 3.0, 10_000, substream(seed, 3)))
             family("train").add(tag, lambda: train(
