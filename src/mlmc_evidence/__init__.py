@@ -17,7 +17,7 @@ from .estimator import (
     sample_levels,
 )
 from .gradients import GradientEstimate, estimate_gradients
-from .logspace import StreamingMoments, log_mean_exp, softmax_weights
+from .logspace import StreamingMoments
 from .models import (
     BernoulliGaussianModel,
     Dataset,
@@ -51,9 +51,7 @@ __all__ = [
     "estimate_log_evidence",
     "level_estimate",
     "load_dataset",
-    "log_mean_exp",
     "sample_levels",
     "save_dataset",
-    "softmax_weights",
     "train",
 ]

@@ -19,6 +19,7 @@ and nothing before it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -227,16 +228,7 @@ def run_moments(params: dict, out: RunDir) -> str:
     diag = estimate_moments(
         model, x, theta, phi, params["s"], params["t"], params["draws"], rng
     )
-    _write_json(
-        out.artifact("moments.json"),
-        {
-            "s_exponent": diag.s_exponent,
-            "t_exponent": diag.t_exponent,
-            "log_s_moment_estimate": diag.log_s_moment_estimate,
-            "t_moment_estimate": diag.t_moment_estimate,
-            "tail_warning": diag.tail_warning,
-        },
-    )
+    _write_json(out.artifact("moments.json"), dataclasses.asdict(diag))
     flag = "TAIL-WARNING" if diag.tail_warning else "ok"
     return (
         f"log s-moment {_fmt(diag.log_s_moment_estimate)}"
@@ -245,6 +237,9 @@ def run_moments(params: dict, out: RunDir) -> str:
 
 
 def run_grad_check(params: dict, out: RunDir) -> str:
+    # checked before any draw: the replication spread needs two replications
+    if params["reps"] < 2:
+        raise ContractViolation(f"reps must be >= 2, got {params['reps']}")
     model, theta, phi = _resolve_model_params(params)
     data = _resolve_data(params, model)
     cfg = _estimator_config(params)
@@ -286,8 +281,7 @@ def finite_difference_check(model, data: Dataset, points: int, step: float, rng)
         x = data.x[rng.integers(data.n_total)]
         theta = 0.5 * rng.standard_normal(model.theta_dim)
         phi = 0.5 * rng.standard_normal(model.phi_dim)
-        z = model.sample_q(x, phi, rng, 1)
-        sample = model.log_weight_batch(x, z, theta, phi)
+        z, sample = model.draw_weighed(x, theta, phi, rng, np.empty((1, model.z_dim)))
 
         def log_f_at(theta_v, phi_v):
             return float(model.log_weight_batch(x, z, theta_v, phi_v, grads=()).log_f[0])

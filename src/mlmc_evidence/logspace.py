@@ -13,37 +13,10 @@ import numpy as np
 from .errors import ContractViolation
 
 
-def as_log_values(values) -> np.ndarray:
-    """Validate a buffer of log-domain values.
-
-    Rejects empty buffers and any non-finite element. A -inf log weight
-    (a zero density) signals a support mismatch between the sampler and the
-    target and would invalidate the estimator, so it is an error rather
-    than something to absorb silently.
-    """
-    buf = np.asarray(values, dtype=np.float64)
-    if buf.ndim != 1:
-        buf = buf.reshape(-1)
-    if buf.size == 0:
-        raise ContractViolation("empty log-value buffer")
-    if not np.isfinite(buf).all():
-        bad = buf[~np.isfinite(buf)][0]
-        raise ContractViolation(f"non-finite log value {bad!r} in buffer")
-    return buf
-
-
 def log_mean_exp_unchecked(buf: np.ndarray) -> float:
-    """log_mean_exp for buffers already validated by as_log_values."""
+    """log-mean-exp of a nonempty finite buffer, kept only for perfbench/tracer.py to wrap."""
     m = buf.max()
     return float(m + np.log(np.exp(buf - m).mean()))
-
-
-def log_mean_exp(values) -> float:
-    """log((1/n) sum_i exp(v_i)) without leaving log space.
-
-    The result lies in [min(v), max(v)] exactly as for any mean.
-    """
-    return log_mean_exp_unchecked(as_log_values(values))
 
 
 def segment_exp(
@@ -63,20 +36,9 @@ def segment_exp(
 
 
 def softmax_weights_unchecked(buf: np.ndarray) -> np.ndarray:
-    """softmax_weights for buffers already validated by as_log_values."""
+    """Softmax weights of a nonempty finite buffer, kept only for perfbench/tracer.py to wrap."""
     e = np.exp(buf - buf.max())
     return e / e.sum()
-
-
-def softmax_weights(values) -> np.ndarray:
-    """Normalized weights w_i = exp(v_i) / sum_j exp(v_j).
-
-    Invariant under adding a constant to every v_i. Dotting the weights
-    with per-sample gradients of log f reproduces the self-normalized
-    ratio of the gradient mean to the weight mean, which is how gradient
-    ratios are computed without ever exponentiating a raw log weight.
-    """
-    return softmax_weights_unchecked(as_log_values(values))
 
 
 @dataclass

@@ -8,18 +8,17 @@ The base class draws and weighs every model's latents under that q:
 
     log f(x, z) = log p(x|z) + log p(z) - log q(z|x)
 
-with d(log f)/d(theta) and d(log q)/d(phi) per draw. `draw_weighed`, the
-estimator's one call per chunk, draws standard normals eps into an array
-the caller lends and weighs the latents z = loc + scale * eps from eps
-(the location-scale form of Kingma and Welling, "Auto-Encoding Variational
-Bayes", 2014). `log_weight_batch` weighs latents a caller holds by
-recovering eps = (z - loc) / scale, and `sample_q` draws latents alone.
-A caller names the gradient arrays it reads, a subset of
-{"theta", "phi"} (both by default), and only those are built: an
-unrequested field of the returned `WeightBatch` is None, and log f is the
-same whichever are asked for. The evidence estimate asks for none. A
-caller may lend an array to build the theta gradient in
-(`grad_theta_out`). The observation x is either one
+with d(log f)/d(theta) and d(log q)/d(phi) per draw. `draw_weighed` is
+the one way the library draws fresh latents: it draws standard normals eps
+into an array the caller lends and weighs the latents z = loc + scale * eps
+from eps (the location-scale form of Kingma and Welling, "Auto-Encoding
+Variational Bayes", 2014), and may build the theta gradient in rows the
+caller lends (`grad_theta_out`). `log_weight_batch` weighs latents a caller
+holds at fixed z by recovering eps = (z - loc) / scale. A caller names the
+gradient arrays it reads, a subset of {"theta", "phi"} (both by default),
+and only those are built: an unrequested field of the returned
+`WeightBatch` is None, and log f is the same whichever are asked for. The
+evidence estimate asks for none. The observation x is either one
 observation (x_dim,) shared by every draw or one row per draw (n, x_dim),
 so a chunk of batch members, each with its own observation, is drawn and
 weighted in one call. Everything is parameterized so that theta and phi
@@ -123,7 +122,7 @@ class LatentVariableModel(abc.ABC):
         """Draw n latents from q(z|x, phi); returns (n, z_dim).
 
         x is one observation (x_dim,) for every draw, or one row per draw
-        (n, x_dim).
+        (n, x_dim). Kept only for perfbench/tracer.py to wrap.
         """
         x = _check_x(x, self.x_dim, n)
         loc, log_scale = self.q_loc_log_scale(x, phi)
@@ -142,8 +141,11 @@ class LatentVariableModel(abc.ABC):
         The standard normals are drawn into `eps`, a C-contiguous
         (n, z_dim) float64 array, which the weighing overwrites. z is what
         `sample_q` draws from the same stream, bit for bit, and the weights
-        are those of `log_weight_batch`, up to rounding. x, `grads` and
-        `grad_theta_out` are as there.
+        are those of `log_weight_batch`, up to rounding; x and `grads` are
+        as there. `grad_theta_out` is None or, when "theta" is named, an
+        (n, theta_dim) float64 array, or a transposed view of a
+        (theta_dim, n) one, the theta gradient is built in; no value
+        depends on it.
         """
         _check_grads(grads)
         if eps.ndim != 2 or eps.shape[1] != self.z_dim:
@@ -156,20 +158,15 @@ class LatentVariableModel(abc.ABC):
         z += loc
         return z, self._weigh(x, z, eps, scale, log_scale, theta, grads, grad_theta_out)
 
-    def log_weight_batch(
-        self, x, z, theta, phi, grads=ALL_GRADS, grad_theta_out=None
-    ) -> WeightBatch:
+    def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS) -> WeightBatch:
         """log f and the gradients named in `grads` for every row of z,
-        shape (n, z_dim).
+        shape (n, z_dim), at latents the caller holds.
 
         x is one observation (x_dim,) for every row of z, or one row per
         row of z (n, x_dim). `grads` is a subset of {"theta", "phi"}:
         "theta" builds d(log f)/d(theta), "phi" builds d(log q)/d(phi), and
         each gradient not named is None in the result. log f does not
-        depend on `grads`. `grad_theta_out` is None or, when "theta" is
-        named, an (n, theta_dim) float64 array, or a transposed view of a
-        (theta_dim, n) one, the theta gradient is built in; no value
-        depends on it.
+        depend on `grads`.
         """
         _check_grads(grads)
         z = np.asarray(z, dtype=np.float64)
@@ -178,7 +175,7 @@ class LatentVariableModel(abc.ABC):
         scale = np.exp(log_scale)
         eps = np.subtract(z, loc, out=loc if loc.shape == z.shape else None)
         eps /= scale
-        return self._weigh(x, z, eps, scale, log_scale, theta, grads, grad_theta_out)
+        return self._weigh(x, z, eps, scale, log_scale, theta, grads, None)
 
     def _weigh(self, x, z, eps, scale, log_scale, theta, grads, grad_theta_out) -> WeightBatch:
         """The `WeightBatch` of the latents z = loc + scale * eps, weighed

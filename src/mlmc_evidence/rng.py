@@ -13,10 +13,9 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
-# Stream ids for the top-level substreams of a run.
+# Stream ids for the top-level substreams of a run; seeded outputs depend on each value.
 STREAM_DATA = 0  # synthetic dataset generation
 STREAM_BATCH = 1  # batch-level randomness: (data index, level) pairs and latents
-STREAM_EVAL = 2  # evaluation metrics during training
 STREAM_DIAG = 3  # diagnostics replications
 STREAM_CHECK = 4  # gradient-check points
 

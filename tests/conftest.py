@@ -1,4 +1,4 @@
-"""Session-level guards shared by the whole suite."""
+"""Session-level guards and reference arithmetic shared by the whole suite."""
 
 import numpy as np
 import pytest
@@ -20,3 +20,11 @@ def quadrature_nodes_are_sufficient():
                 - model.oracle_log_evidence(x, theta, n_nodes=128)
             )
             assert drift < 1e-10, f"quadrature drift {drift} at theta={theta}, x={xv}"
+
+
+def log_mean_exp(values) -> float:
+    """log((1/n) sum_i exp(v_i)) by one max shift, in raw numpy: the
+    reference the level values are checked against."""
+    v = np.asarray(values, dtype=np.float64)
+    m = v.max()
+    return float(m + np.log(np.exp(v - m).mean()))

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import log_mean_exp
 from mlmc_evidence.cli import finite_difference_check, main
 from mlmc_evidence.diagnostics import fit_decay_rate, variance_profile
 from mlmc_evidence.estimator import (
@@ -25,7 +26,6 @@ from mlmc_evidence.estimator import (
     sample_levels,
 )
 from mlmc_evidence.gradients import estimate_gradients
-from mlmc_evidence.logspace import log_mean_exp
 from mlmc_evidence.models import BernoulliGaussianModel, GaussianConjugateModel
 from mlmc_evidence.rng import substream
 from mlmc_evidence.trainer import TrainConfig, train

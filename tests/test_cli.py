@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mlmc_evidence import cli as cli_module
 from mlmc_evidence.cli import (
     _max_zscore,
     build_parser,
@@ -320,6 +321,21 @@ class TestGradCheckCommand:
         assert code == 1
         assert err.startswith("error: points")
         assert not (out / "gradcheck.json").exists()
+
+    @pytest.mark.parametrize("reps", ["0", "1"])
+    def test_fewer_than_two_reps_rejected_before_any_draw(self, tmp_path, capsys, monkeypatch,
+                                                          reps):
+        # the replication spread needs two replications; no point is checked first
+        def no_draw(*args):
+            raise AssertionError("finite-difference check ran")
+
+        monkeypatch.setattr(cli_module, "finite_difference_check", no_draw)
+        out = tmp_path / "gc"
+        code, stdout, err = run_cli(
+            capsys, "grad-check", "--reps", reps, "--points", "2", "--out", str(out),
+        )
+        assert (code, stdout, err) == (1, "", f"error: reps must be >= 2, got {reps}\n")
+        assert not (out / "manifest.json").exists()
 
 
 class TestTrainCommand:

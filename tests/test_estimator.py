@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import log_mean_exp
 from mlmc_evidence import diagnostics as diagnostics_module
 from mlmc_evidence import estimator as estimator_module
 from mlmc_evidence import gradients
@@ -29,7 +30,6 @@ from mlmc_evidence.estimator import (
     sample_levels,
 )
 from mlmc_evidence.gradients import estimate_gradients, grad_phi_elbo_level, grad_theta_level
-from mlmc_evidence.logspace import log_mean_exp
 from mlmc_evidence.models import ALL_GRADS, BernoulliGaussianModel, GaussianConjugateModel
 from mlmc_evidence.rng import substream
 

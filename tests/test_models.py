@@ -9,7 +9,8 @@ import pytest
 
 from mlmc_evidence import estimator as estimator_module
 from mlmc_evidence import models as models_module
-from mlmc_evidence.diagnostics import variance_profile
+from mlmc_evidence.cli import finite_difference_check
+from mlmc_evidence.diagnostics import estimate_moments, variance_profile
 from mlmc_evidence.errors import ContractViolation, UnsupportedOperation
 from mlmc_evidence.estimator import EstimatorConfig, draw_chunks, estimate_log_evidence, row_bytes
 from mlmc_evidence.models import (
@@ -537,6 +538,15 @@ class TestDrawWeighed:
             ))
             assert chunks > 1
             assert len(checks) == len(evaluations) == chunks, grads
+        # the moments' one draw, then each finite-difference point's base draw
+        # and its two re-weighings at fixed z per parameter component
+        del checks[:], evaluations[:]
+        estimate_moments(model, data.x[0], theta, phi, 2.0, 3.0, 10_000, substream(20, 2))
+        assert len(checks) == len(evaluations) == 1
+        del checks[:], evaluations[:]
+        finite_difference_check(model, data, 3, 1e-5, substream(20, 3))
+        per_point = 1 + 2 * (model.theta_dim + model.phi_dim)
+        assert len(checks) == len(evaluations) == 3 * per_point
 
     def test_eps_must_hold_one_normal_per_latent(self):
         with pytest.raises(ContractViolation, match="eps"):

@@ -35,9 +35,9 @@ class RecordingModel(GaussianConjugateModel):
         self.asked.append(frozenset(grads))
         return super().draw_weighed(x, theta, phi, rng, eps, grads, grad_theta_out)
 
-    def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS, grad_theta_out=None):
+    def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS):
         self.asked.append(frozenset(grads))
-        return super().log_weight_batch(x, z, theta, phi, grads, grad_theta_out)
+        return super().log_weight_batch(x, z, theta, phi, grads)
 
 
 def test_evidence_asks_for_none():
