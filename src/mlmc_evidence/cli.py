@@ -177,6 +177,10 @@ def run_estimate(params: dict, out: RunDir) -> str:
     cfg = _estimator_config(params)
     rng = _rng.substream(params["seed"], _rng.STREAM_BATCH)
     result = estimate_log_evidence(model, data, theta, phi, cfg, rng)
+    if not (math.isfinite(result.value) and math.isfinite(result.std_error)):
+        raise ContractViolation(
+            f"estimate overflows: value {result.value}, std error {result.std_error}"
+        )
     levels = sorted(result.per_level_counts)
     _write_json(
         out.artifact("estimate.json"),

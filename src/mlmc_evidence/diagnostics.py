@@ -7,8 +7,8 @@ buffers (`estimator.draw_chunks`), with the theta-gradient array only, and
 reduces them by segment as they are drawn (`estimator.reduce_chunks`, the
 batch's own loop), one row per replication, with no loop over
 replications. The level value and its theta-gradient are formulas of the
-chunk's one half-segment record (`estimator.Halves`), so they share one
-exponentiation of each chunk.
+chunk's one record (`estimator.LevelDraws`), so they share its one
+exponentiation.
 
 A profile's levels run concurrently, one task per level on up to one pool
 thread per CPU, the costliest level first. Each level draws only from its
@@ -63,18 +63,16 @@ def naive_difference(draws) -> np.ndarray:
     minus the first-half log-mean only. Decays one order slower in
     variance; kept as the contrast case the profile can instrument. With
     the halves' log-sums differing by d, the value is log((1 + e^-d) / 2)."""
-    h = draws.halves
     # level-0 members hold n0 draws
-    return h.merge(h.log_sums - math.log(draws.n0), np.logaddexp(0.0, -h.d) - _LOG2)
+    return draws.merge(draws.log_sums - math.log(draws.n0), np.logaddexp(0.0, -draws.d) - _LOG2)
 
 
 def naive_grad_theta(draws) -> np.ndarray:
     """Theta-gradient of `naive_difference`, (M, theta_dim): the full-buffer
     ratio minus the first half's, which is the second half's weight share
     times R_b - R_a."""
-    h = draws.halves
-    r = h.average(draws.grad_theta_log_f)
-    return h.merge(r, (0.5 - 0.5 * np.tanh(0.5 * h.d))[:, None] * (r[h.b] - r[h.a]))
+    r = draws.average(draws.grad_theta_log_f)
+    return draws.merge(r, (0.5 - 0.5 * np.tanh(0.5 * draws.d))[:, None] * (r[draws.b] - r[draws.a]))
 
 
 def _cpu_count() -> int:

@@ -18,11 +18,11 @@ of one draw cuts its standard normals, its theta-gradient rows and the
 reducers' per-draw rows from the start of one block allocated per draw, so
 only the first maps fresh pages for them. Theta rows are component-major:
 each component's values over the chunk's draws are one contiguous row.
+Each chunk is cut once into its members' halves and exponentiated once
+where it is drawn, and every level reducer is a formula of its one record.
 `run_batch` reduces the batch chunk by chunk as it is drawn
 (`reduce_chunks`), by segment with no loop over members, to one row per
 member of each quantity its caller names, so no buffer spans the batch.
-Each chunk is cut once into its members' halves and exponentiated once
-(`Halves`), and every level reducer is a formula of that record.
 The model builds only the gradient arrays the reducers read. The
 evidence estimate folds the level values here and builds no gradient
 arrays, and `gradients.estimate_gradients` folds the level gradients of the
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -127,12 +127,23 @@ class EstimatorConfig:
         return self._distribution
 
 
-class Halves(NamedTuple):
-    """A chunk cut into the segments the level reducers read, a level-0
-    member as one segment and a deeper member as its two contiguous halves,
-    with the one peak/exp/sum pass over them. Every level value is a
-    function of d, the difference of a member's halves' log-sums."""
+class LevelDraws(NamedTuple):
+    """One chunk of M consecutive batch members: member i owns the
+    contiguous slice of n0 * 2^levels[i] draws, in batch order, cut into
+    the segments the level reducers read (a level-0 member as one segment,
+    a deeper member as its two contiguous halves) with the one
+    peak/exp/sum pass over them. Every level value is a function of d, the
+    difference of a member's halves' log-sums. A gradient array the chunk
+    was not drawn with is None. The theta-gradient rows, `shifted` and
+    `weighted` are cut from the draw's one block, which the next chunk
+    overwrites, so a chunk is valid until the next one is drawn; both sets
+    of theta rows are component-major (n, theta_dim) views."""
 
+    levels: np.ndarray  # (M,)
+    n0: int
+    log_f: np.ndarray  # (n,)
+    grad_theta_log_f: np.ndarray | None  # (n, theta_dim) component-major
+    grad_phi_log_q: np.ndarray | None  # (n, phi_dim)
     starts: np.ndarray  # (S,) segment offsets, in buffer order
     shifted: np.ndarray  # (n,) each draw's exp, shifted by its segment's peak
     total: np.ndarray  # (S,) per-segment sum of `shifted`
@@ -141,7 +152,11 @@ class Halves(NamedTuple):
     b: np.ndarray  # (M,) its second segment; a at level 0
     d: np.ndarray  # (M,) log_sums[a] - log_sums[b]; 0 at level 0
     split: np.ndarray  # (M,) True where the member is cut in halves
-    weighted: np.ndarray  # (n, theta_dim) component-major rows `average` writes its products into
+    weighted: np.ndarray  # (n, theta_dim) component-major rows for `average`'s products
+
+    @property
+    def n(self) -> int:
+        return self.log_f.shape[0]
 
     def average(self, rows: np.ndarray) -> np.ndarray:
         """The softmax(log f)-weighted average of `rows` within each
@@ -159,61 +174,11 @@ class Halves(NamedTuple):
         return np.where(split, split_rows, level_zero[self.a])
 
 
-@dataclass
-class LevelDraws:
-    """Shared latent draws of M consecutive batch members, one chunk: member
-    i owns the contiguous slice of n0 * 2^levels[i] draws, members in batch
-    order. Level values and both gradient estimates are reductions of it.
-    A gradient array the chunk was not drawn with is None. Its theta-gradient
-    rows, `exp_row` and `weighted_rows` are cut from its draw's one block,
-    which the next chunk of the same draw overwrites, so a chunk is valid
-    until the next one is drawn; both sets of theta rows are component-major
-    (n, theta_dim) views, each component one contiguous row."""
-
-    levels: np.ndarray  # (M,)
-    n0: int
-    log_f: np.ndarray  # (n,)
-    grad_theta_log_f: np.ndarray | None  # (n, theta_dim) component-major
-    grad_phi_log_q: np.ndarray | None  # (n, phi_dim)
-    exp_row: np.ndarray  # (n,) where `halves` writes the segment exp of log_f
-    weighted_rows: np.ndarray  # (n, theta_dim) component-major, or (n, 0) with no theta gradient
-
-    @property
-    def n(self) -> int:
-        return self.log_f.shape[0]
-
-    @cached_property
-    def sizes(self) -> np.ndarray:
-        """Draws per member, (M,)."""
-        return self.n0 << self.levels
-
-    @cached_property
-    def starts(self) -> np.ndarray:
-        """Offset of each member's slice in the buffer, (M,)."""
-        sizes = self.sizes
-        return sizes.cumsum() - sizes
-
-    @cached_property
-    def halves(self) -> Halves:
-        """The half segments and their one peak/exp/sum pass over log_f,
-        made by whichever level reducer reads them first and shared by the
-        rest, so a chunk is exponentiated once."""
-        split = self.levels > 0
-        per_member = 1 + split
-        sizes = (self.sizes >> split).repeat(per_member)  # a split member's halves are equal
-        starts = sizes.cumsum() - sizes
-        a = per_member.cumsum() - per_member
-        shifted, total, log_sums = segment_exp(self.log_f, starts, sizes, self.exp_row)
-        b = a + split
-        d = log_sums[a] - log_sums[b]
-        return Halves(starts, shifted, total, log_sums, a, b, d, split, self.weighted_rows)
-
-
 def row_bytes(model: LatentVariableModel, grads) -> int:
     """Bytes per draw of a chunk drawn with the gradient arrays `grads`:
     the rows cut from its draw's block (the standard normals, the segment
     exp of log f and, with the theta gradient, its rows and their weighted
-    product in `Halves.average`) and the fresh x row, z row, log f and
+    product in `LevelDraws.average`) and the fresh x row, z row, log f and
     phi-gradient row; 88 B at Gaussian dim 1 with the theta gradient. The
     model's own temporaries are not counted."""
     theta = 2 * model.theta_dim if "theta" in grads else 0
@@ -245,11 +210,12 @@ def draw_chunks(
 
     A call allocates one block, sized for its largest chunk, and each
     chunk cuts from its start, in this order, its standard normals, its
-    theta-gradient rows (if drawn), its exp row and `Halves.average`'s
-    weighted rows: a chunk is valid until the next one is drawn. Theta
-    rows are component-major, one contiguous length-n row per component
-    lent as the transposed (n, theta_dim) view, so the model's column
-    writes and the average's products run along the draws.
+    theta-gradient rows (if drawn), its exp row and `LevelDraws.average`'s
+    weighted rows: a chunk is valid until the next one is drawn. Its
+    segments are cut, and exponentiated once into the exp row, before it
+    is yielded. Theta rows are component-major, one contiguous length-n
+    row per component lent as the transposed (n, theta_dim) view, so the
+    model's column writes and the average's products run along the draws.
     """
     levels = np.asarray(levels, dtype=np.int64)
     if not levels.size:
@@ -293,14 +259,17 @@ def draw_chunks(
             raise ContractViolation(
                 f"non-finite log weight at x={x[i]!r}, z={z[i]!r} (level {levels[member]})"
             )
+        split = levels[lo:hi] > 0
+        per_member = 1 + split
+        seg = (sizes[lo:hi] >> split).repeat(per_member)  # a split member's halves are equal
+        starts = seg.cumsum() - seg
+        shifted, total, log_sums = segment_exp(batch.log_f, starts, seg, rows[n * k : n * (k + 1)])
+        a = per_member.cumsum() - per_member
+        b = a + split
         yield LevelDraws(
-            levels=levels[lo:hi],
-            n0=cfg.n0,
-            log_f=batch.log_f,
-            grad_theta_log_f=batch.grad_theta_log_f,
-            grad_phi_log_q=batch.grad_phi_log_q,
-            exp_row=rows[n * k : n * (k + 1)],
-            weighted_rows=rows[n * (k + 1) :].reshape(k, n).T,
+            levels[lo:hi], cfg.n0, batch.log_f, batch.grad_theta_log_f, batch.grad_phi_log_q,
+            starts, shifted, total, log_sums, a, b, log_sums[a] - log_sums[b], split,
+            rows[n * (k + 1) :].reshape(k, n).T,
         )
         lo = hi
 
@@ -340,9 +309,8 @@ def antithetic_difference(draws: LevelDraws) -> np.ndarray:
     so each half is reduced once and the full buffer never again. Draw
     buffers were validated when drawn, so the raw reduction applies.
     """
-    h = draws.halves
     # level-0 members hold n0 draws
-    return h.merge(h.log_sums - math.log(draws.n0), _log_cosh(0.5 * h.d))
+    return draws.merge(draws.log_sums - math.log(draws.n0), _log_cosh(0.5 * draws.d))
 
 
 @dataclass

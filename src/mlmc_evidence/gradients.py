@@ -4,9 +4,10 @@ theta, and the single-level score-function estimator for the lower-bound
 gradient in phi.
 
 A batch is reduced chunk by chunk as it is drawn (`estimator.run_batch`):
-both level gradients reduce each chunk (`estimator.LevelDraws`) by segment
-to one row per member, with no loop over members, and `estimate_gradients`
-folds those rows.
+both level gradients are formulas of each chunk's one record
+(`estimator.LevelDraws`), whose segments were cut and exponentiated where
+the chunk was drawn, reduced to one row per member with no loop over
+members, and `estimate_gradients` folds those rows.
 """
 from __future__ import annotations
 
@@ -30,9 +31,8 @@ def grad_theta_level(draws) -> np.ndarray:
     by d that leaves tanh(d / 2) / 2 * (R_a - R_b), from the identical
     draws and with each half reduced once.
     """
-    h = draws.halves
-    r = h.average(draws.grad_theta_log_f)
-    return h.merge(r, 0.5 * np.tanh(0.5 * h.d)[:, None] * (r[h.a] - r[h.b]))
+    r = draws.average(draws.grad_theta_log_f)
+    return draws.merge(r, 0.5 * np.tanh(0.5 * draws.d)[:, None] * (r[draws.a] - r[draws.b]))
 
 
 def grad_phi_elbo_level(draws) -> np.ndarray:
@@ -46,7 +46,9 @@ def grad_phi_elbo_level(draws) -> np.ndarray:
     unbiased for the lower-bound gradient, so no level reweighting applies.
     """
     terms = (draws.log_f - 1.0)[:, None] * draws.grad_phi_log_q
-    return np.add.reduceat(terms, draws.starts, axis=0) / draws.sizes[:, None]
+    # a member's draws start at its first segment
+    starts = draws.starts[draws.a]
+    return np.add.reduceat(terms, starts, axis=0) / (draws.n0 << draws.levels)[:, None]
 
 
 @dataclass

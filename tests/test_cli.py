@@ -112,6 +112,18 @@ class TestEstimate:
         j2 = (tmp_path / "r2" / "estimate.json").read_bytes()
         assert j1 == j2
 
+    def test_overflowing_std_error_is_contract_error(self, tmp_path, capsys):
+        # the value is finite (about -2.9e201) but the squared deviations
+        # overflow, and Infinity in estimate.json would not be strict JSON
+        out = tmp_path / "e"
+        code, stdout, err = run_cli(
+            capsys, "estimate", "--phi", "0,1e100,0", "--batch", "8", "--out", str(out)
+        )
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: estimate overflows") and err.count("\n") == 1
+        assert not (out / "estimate.json").exists()
+        assert not (out / "manifest.json").exists()
+
     def test_replayed_manifest_replays_identically(self, tmp_path, capsys):
         # a replay's own manifest is the original's, so replays chain
         outs = [tmp_path / "r0"]

@@ -587,7 +587,7 @@ class TestWorkspace:
     @pytest.mark.parametrize("dim", [1, 3])
     def test_component_major_rows_reduce_as_c_ordered_copies(self, monkeypatch, dim):
         # each chunk draws its normals into its block and lends the model and
-        # Halves.average one contiguous row per theta component; both theta
+        # LevelDraws.average one contiguous row per theta component; both theta
         # reducers give, bit for bit, what they give on C-ordered copies
         model = GaussianConjugateModel(dim)
         theta = np.zeros(model.theta_dim)
@@ -608,15 +608,13 @@ class TestWorkspace:
             model, data.x[:8], levels, theta, phi, EstimatorConfig(n0=8), substream(129, 1),
             grads=("theta",),
         ):
-            assert normals[-1].base is draws.exp_row.base is draws.grad_theta_log_f.base
-            for rows in (draws.grad_theta_log_f, draws.weighted_rows):
+            assert normals[-1].base is draws.shifted.base is draws.grad_theta_log_f.base
+            for rows in (draws.grad_theta_log_f, draws.weighted):
                 assert rows.shape == (draws.n, model.theta_dim)
                 assert all(rows[:, j].flags.c_contiguous for j in range(model.theta_dim))
-            copy = dataclasses.replace(
-                draws,
+            copy = draws._replace(
                 grad_theta_log_f=np.ascontiguousarray(draws.grad_theta_log_f),
-                exp_row=np.empty(draws.n),
-                weighted_rows=np.empty((draws.n, model.theta_dim)),
+                weighted=np.empty((draws.n, model.theta_dim)),
             )
             for reduce in (grad_theta_level, naive_grad_theta):
                 assert reduce(draws).tobytes() == reduce(copy).tobytes(), reduce.__name__
@@ -656,12 +654,12 @@ class TestWorkspace:
         first, second = chunks[:2]
         block = first.grad_theta_log_f.base
         assert block is not None and block.nbytes >= first.grad_theta_log_f.nbytes
-        for row in (second.grad_theta_log_f, second.halves.shifted):
+        for row in (second.grad_theta_log_f, second.shifted):
             assert row.base is block
 
         results = [levels, *reduced, grads.grad_theta, grads.grad_phi]
         for draws in chunks:
-            rows = [draws.log_f, draws.grad_theta_log_f, draws.grad_phi_log_q, draws.halves.shifted]
+            rows = [draws.log_f, draws.grad_theta_log_f, draws.grad_phi_log_q, draws.shifted]
             for row in (r for r in rows if r is not None):
                 for result in results:
                     assert not np.shares_memory(row, result)
@@ -761,7 +759,10 @@ class TestSegmentReducers:
         m = levels.size
         assert [g.shape for g in got] == [
             (m,), (m, model.theta_dim), (m, model.phi_dim), (m,), (m, model.theta_dim)]
-        for i, (start, size) in enumerate(zip(draws.starts, draws.sizes)):
+        # the member layout, from the levels alone
+        sizes = cfg.n0 << levels
+        starts = sizes.cumsum() - sizes
+        for i, (start, size) in enumerate(zip(starts, sizes)):
             member = slice(start, start + size)
             want = raw_level_route(
                 draws.log_f[member], draws.grad_theta_log_f[member],
@@ -789,7 +790,7 @@ class TestSegmentReducers:
         "levels", [np.array([0, 0, 0]), np.array([1, 2, 3, 1])], ids=["none-split", "all-split"]
     )
     def test_chunk_of_one_kind(self, levels):
-        # every member takes the same branch of Halves.merge: no split
+        # every member takes the same branch of LevelDraws.merge: no split
         # member, or no level-0 member, in the chunk
         model = GaussianConjugateModel(3)
         theta = np.array([0.2, -0.1, 0.4, 0.1, 0.0, -0.2, -0.5, -0.4, -0.6])
@@ -798,19 +799,18 @@ class TestSegmentReducers:
         self.check_against_raw_route(model, data.x, theta, phi, 129, levels)
         cfg = EstimatorConfig(n0=4)
         (draws,) = draw_chunks(model, data.x, levels, theta, phi, cfg, substream(129, 0))
-        h = draws.halves
-        np.testing.assert_array_equal(h.split, levels > 0)
+        np.testing.assert_array_equal(draws.split, levels > 0)
         want = np.concatenate([
             [size] if level == 0 else [size // 2, size // 2]
             for level, size in zip(levels, 4 << levels)
         ])
-        np.testing.assert_array_equal(np.diff(h.starts, append=draws.n), want)
-        assert h.log_sums.shape == want.shape
+        np.testing.assert_array_equal(np.diff(draws.starts, append=draws.n), want)
+        assert draws.log_sums.shape == want.shape
         # a level-0 member is its own second half, with d exactly 0; a
         # split member's halves are consecutive segments
         whole = levels == 0
-        np.testing.assert_array_equal(h.a[whole], h.b[whole])
-        assert (h.d[whole] == 0.0).all()
-        np.testing.assert_array_equal(h.b[~whole], h.a[~whole] + 1)
-        np.testing.assert_array_equal(h.d, h.log_sums[h.a] - h.log_sums[h.b])
-        assert len(h.starts) == levels.size + h.split.sum()
+        np.testing.assert_array_equal(draws.a[whole], draws.b[whole])
+        assert (draws.d[whole] == 0.0).all()
+        np.testing.assert_array_equal(draws.b[~whole], draws.a[~whole] + 1)
+        np.testing.assert_array_equal(draws.d, draws.log_sums[draws.a] - draws.log_sums[draws.b])
+        assert len(draws.starts) == levels.size + draws.split.sum()

@@ -27,6 +27,8 @@ the seeds:
 
 - evidence and gradients at (n0, batch) in (1, 1), (4, 8), (8, 64), (32, 4),
   at the library's chunk byte budget and at a budget of 64 draws' rows;
+- one-member level estimates (`level_estimate`) at levels 0..4 for the
+  first observation, drawn in turn from one stream;
 - variance profiles at levels 0..5, and at twelve unsorted levels with
   duplicates (more levels than most hosts' CPUs, so the profile's pool
   queues some), antithetic and naive;
@@ -57,7 +59,7 @@ import numpy as np
 
 from mlmc_evidence import cli, estimator
 from mlmc_evidence.diagnostics import estimate_moments, variance_profile
-from mlmc_evidence.estimator import EstimatorConfig, estimate_log_evidence
+from mlmc_evidence.estimator import EstimatorConfig, estimate_log_evidence, level_estimate
 from mlmc_evidence.gradients import estimate_gradients
 from mlmc_evidence.models import ALL_GRADS, BernoulliGaussianModel, GaussianConjugateModel
 from mlmc_evidence.rng import substream
@@ -249,6 +251,9 @@ def fingerprint(seeds: int, keep: bool = False) -> dict[str, Family]:
                     with chunk_draws(draws, model, ALL_GRADS):
                         family("gradients" + suffix).add(case, lambda: estimate_gradients(
                             model, data, theta, phi, cfg, substream(seed, 1)))
+            family("level-estimate").add(tag, lambda: [
+                level_estimate(model, data.x[0], theta, phi, level, EstimatorConfig(), rng)
+                for rng in [substream(seed, 9)] for level in range(5)])
             for antithetic, variant in [(True, "antithetic"), (False, "naive")]:
                 family("profile-" + variant).add(tag, lambda: variance_profile(
                     model, data, theta, phi, range(0, 6), 100, EstimatorConfig(),
