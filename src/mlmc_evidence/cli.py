@@ -4,11 +4,11 @@ training as reproducible runs with file outputs.
 Each command's parser is its only schema and holds every default. A run
 writes ``manifest.json`` with its first artifact (`RunDir`): the command
 plus the parsed value of each of its flags except ``--out``, and nothing
-else. ``rerun --manifest`` replays it
-bit-exactly. It first rejects a manifest that lacks one of those keys,
-holds any other key, or holds a value the flag could not have parsed to.
-The output location is an execution detail and stays out of the
-manifest, so a replay into any directory writes byte-identical artifacts.
+else. ``rerun --manifest`` replays it bit-exactly. It first rejects a
+manifest that lacks one of those keys, holds any other key, or holds a
+value that its flag's own type does not parse back to itself from the
+text the flag reads (counts must fit in int64), then runs on what the
+type parsed. A replay into any directory writes byte-identical artifacts.
 
 Exit codes: 0 success, 1 usage or contract error, 2 divergence, resource
 guard or an allocation that cannot be made. Commands run with numpy's
@@ -70,6 +70,14 @@ def parse_vector(text: str) -> list[float]:
     if not all(math.isfinite(v) for v in values):
         raise ContractViolation(f"cannot parse vector {text!r}: non-finite entry")
     return values
+
+
+def parse_int64(text: str) -> int:
+    """An integer within int64, as every count numpy sizes by must be."""
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ContractViolation(f"{text!r} does not fit in int64")
+    return value
 
 
 # no EstimatorConfig admits a deeper level: n0.bit_length() + level_cap <= 63
@@ -147,6 +155,7 @@ class RunDir:
     the manifest that replays the failure."""
 
     def __init__(self, path: Path, command: str, params: dict):
+        path.mkdir(parents=True, exist_ok=True)
         self._path = path
         self._manifest = (command, params)
 
@@ -244,6 +253,8 @@ def run_grad_check(params: dict, out: RunDir) -> str:
     # checked before any draw: the replication spread needs two replications
     if params["reps"] < 2:
         raise ContractViolation(f"reps must be >= 2, got {params['reps']}")
+    if not math.isfinite(params["fd_tol"]):  # gradcheck.json could not hold it as JSON
+        raise ContractViolation(f"fd-tol must be finite, got {params['fd_tol']}")
     model, theta, phi = _resolve_model_params(params)
     data = _resolve_data(params, model)
     cfg = _estimator_config(params)
@@ -319,8 +330,14 @@ def _max_zscore(moments: StreamingMoments, oracle) -> float:
 
 def estimator_mean_check(model, data, theta, phi, cfg, reps, rng) -> tuple[float, float]:
     """Replication z-scores of both gradient estimators against the oracles."""
-    oracle_theta = sum(model.oracle_evidence_grad_theta(x, theta) for x in data.x)
-    oracle_phi = sum(model.oracle_elbo_grad_phi(x, theta, phi) for x in data.x)
+    try:
+        oracle_theta = sum(model.oracle_evidence_grad_theta(x, theta) for x in data.x)
+        oracle_phi = sum(model.oracle_elbo_grad_phi(x, theta, phi) for x in data.x)
+        finite = np.isfinite(oracle_theta).all() and np.isfinite(oracle_phi).all()
+    except OverflowError:  # math.exp of q's log scale in a quadrature oracle
+        finite = False
+    if not finite:
+        raise ContractViolation("the gradient oracles are not finite at this theta and phi")
     mom_t = StreamingMoments()
     mom_p = StreamingMoments()
     for stream in _rng.streams(rng, reps):
@@ -365,11 +382,6 @@ _RUNNERS = {
 }
 
 
-def dispatch(command: str, params: dict, out: Path) -> str:
-    out.mkdir(parents=True, exist_ok=True)
-    return _RUNNERS[command](params, RunDir(out, command, params))
-
-
 def manifest_flags(command: str) -> dict[str, argparse.Action]:
     """A manifest's keys, in parser order, with their flags: every dest of
     `command`'s parser except help and out."""
@@ -380,57 +392,46 @@ def manifest_flags(command: str) -> dict[str, argparse.Action]:
 def _read_manifest(path) -> tuple[str, dict]:
     try:
         manifest = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # also an int too long or nesting too deep
         raise ContractViolation(f"manifest {path} is not valid JSON: {exc}") from None
     if not isinstance(manifest, dict):
         raise ContractViolation(f"manifest {path} is not a JSON object")
     command = manifest.pop("command", None)
     if not isinstance(command, str) or command not in _RUNNERS:
         raise ContractViolation(f"manifest names unknown command {command!r}")
-    flags = manifest_flags(command)
-    for key, action in flags.items():
+    params = {}
+    for key, action in manifest_flags(command).items():
         if key not in manifest:
             raise ContractViolation(f"manifest has no {key!r}")
-        expected = _unparsable_as(action, manifest[key])
-        if expected:
-            raise ContractViolation(f"manifest value {key}={manifest[key]!r} is not {expected}")
-    unknown = [key for key in manifest if key not in flags]
-    if unknown:
-        raise ContractViolation(f"manifest has unknown key {unknown[0]!r}")
-    return command, manifest
+        value = manifest.pop(key)
+        try:
+            params[key] = _manifest_value(action, value)
+        except ValueError:
+            raise ContractViolation(f"manifest value {key}={value!r} is not "
+                                    f"a {action.option_strings[0]} value") from None
+    if manifest:  # a key no flag took
+        raise ContractViolation(f"manifest has unknown key {next(iter(manifest))!r}")
+    return command, params
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    return _is_int(v) or isinstance(v, float)
-
-
-def _unparsable_as(action: argparse.Action, value) -> str | None:
-    """What a manifest value should be, if it is not what the flag of
-    `action` parses to; None if it is."""
+def _manifest_value(action: argparse.Action, value):
+    """What the flag of `action` parses the text of `value` to, as from the
+    command line: the flag's type is its one grammar. A ValueError unless
+    that equals `value` and is among the flag's choices."""
     if value is None and action.default is None and not action.required:
         return None
-    if action.choices is not None:
-        return None if value in action.choices else f"one of {list(action.choices)}"
     if action.nargs == 0:  # a switch
-        return None if isinstance(value, bool) else "true or false"
-    if action.type is int:
-        return None if _is_int(value) else "an integer"
-    if action.type is float:
-        return None if _is_real(value) else "a number"
-    if action.type is parse_vector:
-        ok = isinstance(value, list) and value
-        ok = ok and all(_is_real(v) and math.isfinite(v) for v in value)
-        return None if ok else "a nonempty list of finite numbers"
-    if action.type is parse_level_range:
-        ok = isinstance(value, list) and value and all(_is_int(v) for v in value)
-        ok = ok and 0 <= value[0] and value[-1] <= _DEEPEST_LEVEL
-        ok = ok and all(b == a + 1 for a, b in zip(value, value[1:]))
-        return None if ok else f"a range of levels a..b with 0 <= a <= b <= {_DEEPEST_LEVEL}"
-    return None if isinstance(value, str) else "a string"
+        if isinstance(value, bool):
+            return value
+        raise ValueError(value)
+    if action.type is parse_level_range and isinstance(value, list) and value:
+        text = f"{value[0]}..{value[-1]}"
+    else:
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+    parsed = (action.type or str)(text)
+    if parsed != value or action.choices is not None and parsed not in action.choices:
+        raise ValueError(value)
+    return parsed
 
 
 class _Parser(argparse.ArgumentParser):
@@ -442,7 +443,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _model_flags(p):
     p.add_argument("--model", choices=["gaussian", "bernoulli"], default="gaussian")
-    p.add_argument("--dim", type=int, default=1, help="latent dimension (gaussian only)")
+    p.add_argument("--dim", type=parse_int64, default=1, help="latent dimension (gaussian only)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--theta", type=parse_vector, default=None)
@@ -452,16 +453,16 @@ def _common_flags(p):
     _model_flags(p)
     p.add_argument("--phi", type=parse_vector, default=None)
     p.add_argument("--data", default=None, help="dataset file (with sidecar header)")
-    p.add_argument("--n", type=int, default=50, help="synthetic dataset size")
+    p.add_argument("--n", type=parse_int64, default=50, help="synthetic dataset size")
     p.add_argument("--true-theta", type=parse_vector, default=None,
                    help="generating parameters for synthetic data")
 
 
 def _estimator_flags(p):
-    p.add_argument("--n0", type=int, default=8)
-    p.add_argument("--batch", type=int, default=8)
+    p.add_argument("--n0", type=parse_int64, default=8)
+    p.add_argument("--batch", type=parse_int64, default=8)
     p.add_argument("--ratio-log2", type=float, default=-1.5)
-    p.add_argument("--level-cap", type=int, default=40)
+    p.add_argument("--level-cap", type=parse_int64, default=40)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -470,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="write a synthetic dataset with sidecar header")
     _model_flags(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=parse_int64, required=True)
 
     p = sub.add_parser("estimate", help="unbiased log-evidence estimate")
     _common_flags(p)
@@ -481,34 +482,34 @@ def build_parser() -> argparse.ArgumentParser:
     _estimator_flags(p)
     p.add_argument("--levels", type=parse_level_range, default=list(range(1, 8)),
                    help="inclusive range a..b")
-    p.add_argument("--reps", type=int, default=10_000)
+    p.add_argument("--reps", type=parse_int64, default=10_000)
     p.add_argument("--naive", action="store_true",
                    help="profile the non-antithetic difference instead")
 
     p = sub.add_parser("grad-check", help="finite-difference and estimator-mean validation")
     _common_flags(p)
     _estimator_flags(p)
-    p.add_argument("--points", type=int, default=100)
+    p.add_argument("--points", type=parse_int64, default=100)
     p.add_argument("--fd-step", type=float, default=1e-5)
     p.add_argument("--fd-tol", type=float, default=1e-6)
-    p.add_argument("--reps", type=int, default=2000)
+    p.add_argument("--reps", type=parse_int64, default=2000)
 
     p = sub.add_parser("moments", help="importance-weight tail moment diagnostics")
     _common_flags(p)
     p.add_argument("--s", type=float, default=4.5)
     p.add_argument("--t", type=float, default=3.0)
-    p.add_argument("--draws", type=int, default=100_000)
-    p.add_argument("--x-index", type=int, default=0)
+    p.add_argument("--draws", type=parse_int64, default=100_000)
+    p.add_argument("--x-index", type=parse_int64, default=0)
 
     p = sub.add_parser("train", help="two-objective ascent with shared sample batches")
     _common_flags(p)
     _estimator_flags(p)
-    p.add_argument("--steps", type=int, default=2000)
+    p.add_argument("--steps", type=parse_int64, default=2000)
     p.add_argument("--lr-theta", type=float, default=1e-3)
     p.add_argument("--lr-phi", type=float, default=1e-3)
     p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--eval-every", type=int, default=100)
-    p.add_argument("--eval-reps", type=int, default=8)
+    p.add_argument("--eval-every", type=parse_int64, default=100)
+    p.add_argument("--eval-reps", type=parse_int64, default=8)
 
     p = sub.add_parser("rerun", help="replay a run from its manifest")
     p.add_argument("--manifest", required=True)
@@ -518,24 +519,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _params_from_args(args: argparse.Namespace) -> dict:
-    return {key: getattr(args, key) for key in manifest_flags(args.command)}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "rerun":
             command, params = _read_manifest(args.manifest)
         else:
-            command, params = args.command, _params_from_args(args)
+            command = args.command
+            params = {key: getattr(args, key) for key in manifest_flags(command)}
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            summary = dispatch(command, params, Path(args.out))
+            summary = _RUNNERS[command](params, RunDir(Path(args.out), command, params))
     except (ContractViolation, UnsupportedOperation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DivergenceError, ResourceGuardExceeded, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (DivergenceError, ResourceGuardExceeded, MemoryError, OverflowError) as exc:
+        # a MemoryError of a size Python refuses outright has no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     print(summary)
     return 0

@@ -567,11 +567,18 @@ class TestExitCodes:
     (["variance-profile", "--levels", "1..3", "--reps", "100"], "levels", [3, 1, 2]),
     (["variance-profile", "--levels", "1..3", "--reps", "100"], "levels", [1, 1, 2]),
     (["variance-profile", "--levels", "1..3", "--reps", "100"], "levels", [0, 10**12]),
+    # integers no float can hold, and a count beyond int64: tracebacks once
+    (["estimate", "--batch", "4"], "ratio_log2", 10**400),
+    (["grad-check", "--points", "2", "--reps", "100", "--batch", "4", "--n", "12"],
+     "fd_step", 10**400),
+    (["moments", "--draws", "10000"], "s", 10**400),
+    (["estimate", "--batch", "4"], "batch", 10**20),
     ], ids=["moments-x-index-string", "estimate-seed-string", "int-given-float",
             "int-given-bool", "float-given-string", "vector-with-string", "empty-vector",
             "not-a-choice",
             "switch-given-string", "levels-out-of-order", "levels-repeated",
-            "levels-beyond-62"])
+            "levels-beyond-62", "ratio-beyond-float", "fd-step-beyond-float",
+            "s-beyond-float", "batch-beyond-int64"])
     def test_manifest_value_of_wrong_type_rejected(self, tmp_path, capsys, argv, key, value):
         first = tmp_path / "first"
         code, _, _ = run_cli(capsys, *argv, "--out", str(first))
@@ -597,6 +604,88 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "rerun", "--manifest", str(first / "manifest.json"),
                              "--out", str(tmp_path / "replay"))
         assert code == 0
+
+    @pytest.mark.parametrize("argv, key, value, text", [
+        (["estimate", "--batch", "4"], "ratio_log2", -2, ["--ratio-log2", "-2"]),
+        (["variance-profile", "--reps", "100"], "levels", [1, 2.0, 3], ["--levels", "1..3"]),
+    ], ids=["integer-for-real", "float-inside-levels"])
+    def test_manifest_value_replays_as_its_flag_parses_it(self, tmp_path, capsys, argv, key,
+                                                          value, text):
+        # the run gets what the flag's type makes of the value's text, as
+        # on the command line, down to the manifest it writes
+        cli_run, first = tmp_path / "cli", tmp_path / "first"
+        assert run_cli(capsys, *argv, *text, "--out", str(cli_run))[0] == 0
+        assert run_cli(capsys, *argv, "--out", str(first))[0] == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        manifest[key] = value
+        (first / "manifest.json").write_text(json.dumps(manifest))
+        replay = tmp_path / "replay"
+        code, _, err = run_cli(capsys, "rerun", "--manifest", str(first / "manifest.json"),
+                               "--out", str(replay))
+        assert code == 0, err
+        for path in cli_run.iterdir():
+            assert (replay / path.name).read_bytes() == path.read_bytes(), path.name
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_fd_tolerance_rejected_before_any_artifact(self, tmp_path, capsys,
+                                                                   value):
+        # gradcheck.json and the manifest once held it as NaN or Infinity,
+        # which is not JSON
+        out = tmp_path / "x"
+        code, stdout, err = run_cli(capsys, "grad-check", "--fd-tol", value, "--points", "2",
+                                    "--reps", "100", "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err == f"error: fd-tol must be finite, got {value}\n"
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["estimate", "--batch", str(10**20)], "--batch"),
+        (["estimate", "--n", str(10**20)], "--n"),
+        (["gen-data", "--n", str(10**20)], "--n"),
+        (["variance-profile", "--levels", "1..3", "--reps", str(10**20)], "--reps"),
+        (["moments", "--draws", str(10**20)], "--draws"),
+    ], ids=["estimate-batch", "estimate-n", "gen-data-n", "variance-profile-reps",
+            "moments-draws"])
+    def test_count_beyond_int64_is_usage_error(self, tmp_path, capsys, argv, flag):
+        # numpy once refused the size in a ValueError traceback
+        out = tmp_path / "x"
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert f"error: argument {flag}: invalid parse_int64 value" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dim, message", [
+        (2**61, "error: MemoryError"),
+        (2**62, "error: cannot fit 'int' into an index-sized integer"),
+    ], ids=["memory-error", "overflow-error"])
+    def test_size_beyond_any_allocation_exit_two(self, tmp_path, dim, message):
+        # each size's byte count exceeds 2^63, which Python refuses before
+        # asking any allocator; the first once printed a bare "error: ",
+        # the second an OverflowError traceback
+        proc = subprocess.run(
+            [sys.executable, "-m", "mlmc_evidence.cli", "estimate", "--dim", str(dim),
+             "--out", str(tmp_path / "x")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [message]
+
+    @pytest.mark.parametrize("theta, phi", [
+        ("0,0", "0,800,0,0"),
+        ("1,0", "0,-800,0,0"),
+    ], ids=["oracle-overflows", "oracle-nan"])
+    def test_non_finite_gradient_oracle_rejected_before_any_artifact(self, tmp_path, capsys,
+                                                                      theta, phi):
+        # the quadrature oracle's exp of q's log scale once overflowed in a
+        # traceback, and a NaN oracle wrote a NaN z-score to gradcheck.json
+        out = tmp_path / "x"
+        code, stdout, err = run_cli(
+            capsys, "grad-check", "--model", "bernoulli", "--theta", theta, "--phi", phi,
+            "--points", "1", "--reps", "2", "--batch", "2", "--n", "4", "--out", str(out),
+        )
+        assert (code, stdout) == (1, "")
+        assert err == "error: the gradient oracles are not finite at this theta and phi\n"
+        assert not list(out.iterdir())
 
     @pytest.mark.parametrize("argv", [
         ["estimate", "--theta", "", "--phi", ","],

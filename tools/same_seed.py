@@ -34,7 +34,8 @@ the seeds:
   queues some), antithetic and naive;
 - tail moments;
 - 20-step training records;
-- exit code, stdout, stderr and artifacts of each CLI command at small sizes.
+- exit code, stdout, stderr and artifacts of each CLI command at small sizes,
+  and of manifest reruns of estimate, a naive variance profile and grad-check.
 
 Usage:
 
@@ -72,7 +73,8 @@ SMALL_BUDGET = 64
 PROFILE_LEVELS = [5, 0, 3, 3, 1, 4, 2, 5, 0, 1, 4, 2]
 
 # CLI cases, each run with --model, --dim and --seed appended; a rerun case
-# runs the command after "rerun", then replays its manifest
+# runs the command after "rerun", then replays its manifest (between them,
+# the reruns hold counts, reals, a level range, a switch and a choice)
 CLI_CASES = [
     ["gen-data", "--n", "20"],
     ["estimate", "--n", "20", "--batch", "16"],
@@ -82,6 +84,9 @@ CLI_CASES = [
     ["moments", "--n", "20", "--draws", "10000"],
     ["train", "--n", "20", "--steps", "5", "--eval-every", "5", "--eval-reps", "2"],
     ["rerun", "estimate", "--n", "20", "--batch", "16"],
+    ["rerun", "variance-profile", "--n", "20", "--levels", "0..3", "--reps", "100", "--naive"],
+    ["rerun", "grad-check", "--n", "20", "--points", "2", "--reps", "20", "--batch", "4",
+     "--fd-tol", "1e-5"],
 ]
 
 
