@@ -10,7 +10,6 @@ from .errors import (
 from .estimator import (
     EstimatorConfig,
     EvidenceEstimate,
-    LevelDistribution,
     LevelEstimate,
     estimate_log_evidence,
     level_estimate,
@@ -40,7 +39,6 @@ __all__ = [
     "GaussianConjugateModel",
     "GradientEstimate",
     "LatentVariableModel",
-    "LevelDistribution",
     "LevelEstimate",
     "ResourceGuardExceeded",
     "RunRecord",

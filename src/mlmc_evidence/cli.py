@@ -57,26 +57,34 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+class FlagValueError(ContractViolation, argparse.ArgumentTypeError):
+    """Text a flag's type rejects: argparse prints this error's reason (for a
+    plain ValueError it names the type), and a manifest check catches it."""
+
+
 def parse_vector(text: str) -> list[float]:
     """Comma-separated finite reals; an empty vector or entry is an error,
     not the default, and so is nan or inf, which no manifest may hold."""
     tokens = text.split(",")
     if not all(tok.strip() for tok in tokens):
-        raise ContractViolation(f"cannot parse vector {text!r}: empty entry")
+        raise FlagValueError(f"cannot parse vector {text!r}: empty entry")
     try:
         values = [float(tok) for tok in tokens]
     except ValueError as exc:
-        raise ContractViolation(f"cannot parse vector {text!r}: {exc}") from None
+        raise FlagValueError(f"cannot parse vector {text!r}: {exc}") from None
     if not all(math.isfinite(v) for v in values):
-        raise ContractViolation(f"cannot parse vector {text!r}: non-finite entry")
+        raise FlagValueError(f"cannot parse vector {text!r}: non-finite entry")
     return values
 
 
 def parse_int64(text: str) -> int:
     """An integer within int64, as every count numpy sizes by must be."""
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise FlagValueError(f"{text!r} is not an integer") from None
     if not -(2**63) <= value < 2**63:
-        raise ContractViolation(f"{text!r} does not fit in int64")
+        raise FlagValueError(f"{text!r} does not fit in int64")
     return value
 
 
@@ -87,11 +95,10 @@ _DEEPEST_LEVEL = 62
 def parse_level_range(text: str) -> list[int]:
     """Inclusive 'a..b' range, or a single level, within 0..62."""
     lo, hi = text.split("..", 1) if ".." in text else (text, text)
-    lo, hi = int(lo), int(hi)
     # checked before the list is built, which past 62 could be any size
-    if not 0 <= lo <= hi <= _DEEPEST_LEVEL:
-        raise ContractViolation(f"bad level range {text!r}")
-    return list(range(lo, hi + 1))
+    if not (lo.isdecimal() and hi.isdecimal() and int(lo) <= int(hi) <= _DEEPEST_LEVEL):
+        raise FlagValueError(f"bad level range {text!r}")
+    return list(range(int(lo), int(hi) + 1))
 
 
 def build_model(name: str, dim: int):
@@ -144,7 +151,13 @@ def _estimator_config(params: dict) -> EstimatorConfig:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write `payload` as strict JSON: a NaN or an infinity in it is an error."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        bad = [k for k, v in payload.items() if isinstance(v, float) and not math.isfinite(v)]
+        raise ContractViolation(f"cannot write {path.name}: non-finite {bad or 'value'}") from None
+    path.write_text(text + "\n")
 
 
 class RunDir:
@@ -270,8 +283,9 @@ def run_grad_check(params: dict, out: RunDir) -> str:
         {
             "fd_max_rel_err": fd_max,
             "fd_tolerance": params["fd_tol"],
-            "max_zscore_grad_theta": z_theta,
-            "max_zscore_grad_phi": z_phi,
+            # null: a component never varied and its mean is not the oracle's
+            "max_zscore_grad_theta": None if z_theta == math.inf else z_theta,
+            "max_zscore_grad_phi": None if z_phi == math.inf else z_phi,
             "passed": ok,
         },
     )
@@ -286,35 +300,38 @@ def run_grad_check(params: dict, out: RunDir) -> str:
 
 def finite_difference_check(model, data: Dataset, points: int, step: float, rng) -> float:
     """Worst guarded relative error between closed-form and central-difference
-    gradients of log f (theta side) and log q (phi side, via -dlog f/dphi)."""
+    gradients of log f (theta side) and log q (phi side, via -dlog f/dphi).
+    A point whose log weight, closed-form gradient or central difference is
+    not finite fails the check, since no error can be read there."""
     if points < 1:
         raise ContractViolation(f"points must be >= 1, got {points}")
     if not 0.0 < step < math.inf:
         raise ContractViolation(f"fd-step must be finite and positive, got {step}")
     worst = 0.0
-    for _ in range(points):
+    k = model.theta_dim
+    for point in range(points):
         x = data.x[rng.integers(data.n_total)]
-        theta = 0.5 * rng.standard_normal(model.theta_dim)
+        theta = 0.5 * rng.standard_normal(k)
         phi = 0.5 * rng.standard_normal(model.phi_dim)
         z, sample = model.draw_weighed(x, theta, phi, rng, np.empty((1, model.z_dim)))
 
         def log_f_at(theta_v, phi_v):
             return float(model.log_weight_batch(x, z, theta_v, phi_v, grads=()).log_f[0])
 
-        for j in range(model.theta_dim):
-            e = np.zeros(model.theta_dim)
-            e[j] = step
-            fd = (log_f_at(theta + e, phi) - log_f_at(theta - e, phi)) / (2 * step)
-            g = sample.grad_theta_log_f[0, j]
-            worst = max(worst, abs(fd - g) / max(1.0, abs(g)))
-        for j in range(model.phi_dim):
-            e = np.zeros(model.phi_dim)
-            e[j] = step
-            # f depends on phi only through the q denominator
-            fd = -(log_f_at(theta, phi + e) - log_f_at(theta, phi - e)) / (2 * step)
-            g = sample.grad_phi_log_q[0, j]
-            worst = max(worst, abs(fd - g) / max(1.0, abs(g)))
-    return float(worst)  # a numpy scalar here makes `passed` a numpy bool, which JSON rejects
+        g = np.concatenate((sample.grad_theta_log_f[0], sample.grad_phi_log_q[0]))
+        fd = np.array([
+            log_f_at(theta + e[:k], phi + e[k:]) - log_f_at(theta - e[:k], phi - e[k:])
+            for e in step * np.eye(g.size)
+        ]) / (2 * step)
+        fd[k:] *= -1.0  # f depends on phi only through the q denominator
+        if not (np.isfinite(sample.log_f[0]) and np.isfinite(g).all() and np.isfinite(fd).all()):
+            raise ContractViolation(
+                f"finite-difference point {point}: log weight or gradient is not finite"
+                f" at x={x!r}, theta={theta!r}, phi={phi!r}"
+            )
+        # a numpy scalar here makes `passed` a numpy bool, which JSON rejects
+        worst = max(worst, float((np.abs(fd - g) / np.maximum(1.0, np.abs(g))).max()))
+    return worst
 
 
 def _max_zscore(moments: StreamingMoments, oracle) -> float:
@@ -344,6 +361,9 @@ def estimator_mean_check(model, data, theta, phi, cfg, reps, rng) -> tuple[float
         est = estimate_gradients(model, data, theta, phi, cfg, stream)
         mom_t.push(est.grad_theta)
         mom_p.push(est.grad_phi)
+    for name, mom in (("theta", mom_t), ("phi", mom_p)):
+        if not (np.isfinite(mom.mean).all() and np.isfinite(mom.variance()).all()):
+            raise ContractViolation(f"the {name}-gradient estimates or their spread are not finite")
     return _max_zscore(mom_t, oracle_theta), _max_zscore(mom_p, oracle_phi)
 
 
@@ -459,10 +479,11 @@ def _common_flags(p):
 
 
 def _estimator_flags(p):
-    p.add_argument("--n0", type=parse_int64, default=8)
+    defaults = EstimatorConfig()
+    p.add_argument("--n0", type=parse_int64, default=defaults.n0)
     p.add_argument("--batch", type=parse_int64, default=8)
-    p.add_argument("--ratio-log2", type=float, default=-1.5)
-    p.add_argument("--level-cap", type=parse_int64, default=40)
+    p.add_argument("--ratio-log2", type=float, default=defaults.level_ratio_log2)
+    p.add_argument("--level-cap", type=parse_int64, default=defaults.level_cap)
 
 
 def build_parser() -> argparse.ArgumentParser:

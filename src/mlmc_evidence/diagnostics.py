@@ -101,11 +101,10 @@ def variance_profile(
     Each level gets one stream spawned from `rng`. It draws the level's
     replication data indices, then every replication's latents in order,
     in the batch draw's chunks of at most `estimator.CHUNK_BYTES` of rows.
-    Replications get no streams of their own, so a seed gives other
-    profile values than the stream-per-replication schedule of earlier
-    versions. The draw schedule depends only on the generator state, never
-    on the `antithetic` flag, so profiling both variants from identically
-    constructed generators compares them on the same latent draws.
+    Replications get no streams of their own. The draw schedule depends
+    only on the generator state, never on the `antithetic` flag, so
+    profiling both variants from identically constructed generators
+    compares them on the same latent draws.
 
     The levels run as tasks on min(len(levels), CPUs) pool threads, the
     costliest (deepest) submitted first, each in a copy of the caller's

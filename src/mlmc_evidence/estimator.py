@@ -43,13 +43,6 @@ from .logspace import log_mean_exp_unchecked  # noqa: F401  perfbench/tracer.py 
 from .logspace import segment_exp
 from .models import ALL_GRADS, Dataset, LatentVariableModel
 
-#: Geometric ratio 2^(-3/2): level mass decays fast enough for finite
-#: variance (weight 1/mass grows slower than the difference variance decays)
-#: and slow enough for finite expected cost (mass decays faster than 2^-l).
-DEFAULT_LEVEL_RATIO = 2.0 ** -1.5
-
-DEFAULT_LEVEL_CAP = 40
-
 #: Most bytes of per-draw rows (`row_bytes`) one chunk holds when a batch
 #: is drawn: consecutive members share a model call up to this many bytes,
 #: and a member larger than it is drawn alone. Of 0.5, 1, 1.5, 2, 3 and
@@ -65,46 +58,24 @@ CHUNK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
-class LevelDistribution:
-    """Geometric distribution over levels: mass(l) = (1 - r) * r^l.
-
-    Normalizing the geometric family keeps the support unbounded (no
-    truncation bias) and makes inverse-CDF sampling exact.
-    """
-
-    ratio: float = DEFAULT_LEVEL_RATIO
-
-    def __post_init__(self):
-        if not (0.0 < self.ratio < 0.5):
-            raise ContractViolation(
-                f"level ratio must lie in (0, 1/2) for finite expected cost, got {self.ratio}"
-            )
-
-    def mass(self, level):
-        """mass(level) for one level, or elementwise for an array of levels."""
-        level = np.asarray(level)
-        if (level < 0).any():
-            raise ContractViolation(f"level must be >= 0, got {level}")
-        return (1.0 - self.ratio) * self.ratio**level
-
-    @property
-    def expected_cost_factor(self) -> float:
-        """E[2^level] = (1 - r) / (1 - 2r), the per-draw cost multiplier."""
-        return (1.0 - self.ratio) / (1.0 - 2.0 * self.ratio)
-
-
-@dataclass(frozen=True)
 class EstimatorConfig:
-    """Knobs of the randomized multilevel estimator.
+    """Knobs of the randomized multilevel estimator, and its level law.
 
     n0 is the latent count at level 0 (level l uses n0 * 2^l); batch_size
-    is the number of (data point, level) terms averaged per estimate.
+    is the number of (data point, level) terms averaged per estimate. A
+    member's level is geometric, mass(l) = (1 - r) * r^l with
+    r = 2^level_ratio_log2: normalizing the geometric family keeps the
+    support unbounded (no truncation bias) and makes inverse-CDF sampling
+    exact (`sample_levels`).
     """
 
     n0: int = 8
     batch_size: int = 1
+    #: r = 2^(-3/2): level mass decays fast enough for finite variance
+    #: (weight 1/mass grows slower than the difference variance decays)
+    #: and slow enough for finite expected cost (mass decays faster than 2^-l).
     level_ratio_log2: float = -1.5
-    level_cap: int = DEFAULT_LEVEL_CAP
+    level_cap: int = 40
 
     def __post_init__(self):
         if self.n0 < 1:
@@ -117,14 +88,26 @@ class EstimatorConfig:
             raise ContractViolation(
                 f"n0 * 2^level_cap = {self.n0} * 2^{self.level_cap} draws does not fit in int64"
             )
-        # Built once (it validates the ratio); not a field, so equality,
-        # hashing, repr and `dataclasses.replace` see only the four knobs.
-        object.__setattr__(
-            self, "_distribution", LevelDistribution(ratio=2.0**self.level_ratio_log2)
-        )
+        if not (0.0 < self.ratio < 0.5):
+            raise ContractViolation(
+                f"level ratio must lie in (0, 1/2) for finite expected cost, got {self.ratio}"
+            )
 
-    def distribution(self) -> LevelDistribution:
-        return self._distribution
+    @property
+    def ratio(self) -> float:
+        return 2.0**self.level_ratio_log2
+
+    def mass(self, level):
+        """mass(level) for one level, or elementwise for an array of levels."""
+        level = np.asarray(level)
+        if (level < 0).any():
+            raise ContractViolation(f"level must be >= 0, got {level}")
+        return (1.0 - self.ratio) * self.ratio**level
+
+    @property
+    def expected_cost_factor(self) -> float:
+        """E[2^level] = (1 - r) / (1 - 2r), the per-draw cost multiplier."""
+        return (1.0 - self.ratio) / (1.0 - 2.0 * self.ratio)
 
 
 class LevelDraws(NamedTuple):
@@ -354,26 +337,24 @@ def _level_bounds(ratio: float, level_cap: int) -> np.ndarray:
     return bounds
 
 
-def sample_levels(
-    dist: LevelDistribution, u: np.ndarray, level_cap: int = DEFAULT_LEVEL_CAP
-) -> np.ndarray:
+def sample_levels(cfg: EstimatorConfig, u: np.ndarray) -> np.ndarray:
     """Exact inverse-CDF levels of uniforms u in (0, 1]: level l where
     r^(l+1) < u <= r^l, so P(level >= l) = r^l.
 
-    Each level is the count of thresholds r^1, ..., r^(level_cap + 1) that
-    u does not exceed. Exceeding `level_cap` raises instead of clamping,
-    which preserves the no-truncation-bias property; at the default ratio
-    the cap sits at probability r^40 ~ 1e-18, so a trip means
-    misconfiguration, not bad luck.
+    Each level is the count of thresholds r^1, ..., r^(level_cap + 1) of
+    `cfg` that u does not exceed. Exceeding `level_cap` raises instead of
+    clamping, which preserves the no-truncation-bias property; at the
+    default ratio the cap sits at probability r^40 ~ 1e-18, so a trip
+    means misconfiguration, not bad luck.
     """
     u = np.asarray(u, dtype=np.float64)
     ok = (u > 0.0) & (u <= 1.0)
     if not ok.all():
         raise ContractViolation(f"uniform variate must lie in (0, 1], got {u[~ok][0]}")
-    bounds = _level_bounds(dist.ratio, level_cap)
+    bounds = _level_bounds(cfg.ratio, cfg.level_cap)
     levels = bounds.size - bounds.searchsorted(u)
-    if levels.size and levels.max() > level_cap:
-        raise ResourceGuardExceeded(f"sampled level exceeds level cap {level_cap}")
+    if levels.size and levels.max() > cfg.level_cap:
+        raise ResourceGuardExceeded(f"sampled level exceeds level cap {cfg.level_cap}")
     return levels
 
 
@@ -388,7 +369,7 @@ def draw_batch_indices(
         raise ContractViolation("dataset is empty")
     indices = rng.integers(0, data.n_total, size=cfg.batch_size)
     u = rng.random(cfg.batch_size)
-    levels = sample_levels(cfg.distribution(), np.where(u == 0.0, 1.0, u), cfg.level_cap)
+    levels = sample_levels(cfg, np.where(u == 0.0, 1.0, u))
     return indices, levels
 
 
@@ -464,7 +445,7 @@ def estimate_log_evidence(
     levels, (values,) = run_batch(
         model, data, theta, phi, cfg, rng, reducers=[antithetic_difference], grads=()
     )
-    terms = values / cfg.distribution().mass(levels)
+    terms = values / cfg.mass(levels)
     n = data.n_total
     m = len(terms)
     # terms.mean() and terms.std(ddof=1) in numpy's own operand order

@@ -80,7 +80,7 @@ def estimate_gradients(
         model, data, theta, phi, cfg, rng,
         reducers=[grad_theta_level, grad_phi_elbo_level], grads=("theta", "phi"),
     )
-    masses = cfg.distribution().mass(levels)
+    masses = cfg.mass(levels)
     scale = data.n_total / levels.size
     total_cost, counts = _estimator.batch_cost(levels, cfg.n0)
     return GradientEstimate(

@@ -18,7 +18,6 @@ from mlmc_evidence.cli import finite_difference_check, main
 from mlmc_evidence.diagnostics import fit_decay_rate, variance_profile
 from mlmc_evidence.estimator import (
     EstimatorConfig,
-    LevelDistribution,
     antithetic_difference,
     draw_level_samples,
     estimate_log_evidence,
@@ -146,10 +145,9 @@ def test_criterion_5_antithetic_identity():
     # log-mean on every one of 1e4 random level draws to 1e-12 relative
     t0 = time.perf_counter()
     rng = substream(904, 0)
-    dist = CFG.distribution()
     worst = 0.0
     for r in range(10_000):
-        level = 1 + int(sample_levels(dist, rng.random(1))[0])  # levels >= 1
+        level = 1 + int(sample_levels(CFG, rng.random(1))[0])  # levels >= 1
         x = DATA.x[rng.integers(DATA.n_total)]
         draws = draw_level_samples(MODEL, x, THETA, PHI_MISMATCHED, level, CFG, rng)
         half = draws.n // 2
@@ -187,7 +185,7 @@ def test_criterion_7_expected_cost_and_frequencies():
     # window holds for roughly half of all seeds; the fixed substream below
     # is one deterministic passing run (the target itself is exact)
     t0 = time.perf_counter()
-    dist = LevelDistribution()
+    dist = EstimatorConfig()
     rng = substream(6, 0)
     n = 1_000_000
     levels = sample_levels(dist, rng.random(n))

@@ -16,13 +16,17 @@ from mlmc_evidence import cli as cli_module
 from mlmc_evidence.cli import (
     _max_zscore,
     build_parser,
+    finite_difference_check,
     main,
     manifest_flags,
     parse_level_range,
     parse_vector,
 )
 from mlmc_evidence.errors import ContractViolation
+from mlmc_evidence.gradients import GradientEstimate
 from mlmc_evidence.logspace import StreamingMoments
+from mlmc_evidence.models import Dataset, GaussianConjugateModel
+from mlmc_evidence.rng import substream
 
 
 def run_cli(capsys, *argv):
@@ -323,6 +327,60 @@ class TestGradCheckCommand:
             moments.push(np.array(row))
         assert _max_zscore(moments, np.array([2.0, 0.0, 2.0])) == 0.0
         assert _max_zscore(moments, np.array([2.0, 0.0, 1.0])) == math.inf
+
+    def test_non_finite_point_fails_the_check(self):
+        # the NaN error of an overflowing log weight once left the worst
+        # error at 0.0, a perfect pass
+        data = Dataset([[1e200]])
+        with np.errstate(all="ignore"), pytest.raises(ContractViolation,
+                                                      match="finite-difference point 0: "):
+            finite_difference_check(GaussianConjugateModel(1), data, 3, 1e-5, substream(1, 0))
+
+    def test_non_finite_point_fails_before_any_artifact(self, tmp_path, capsys):
+        # these rows once wrote "max_zscore_grad_phi": Infinity into gradcheck.json
+        (tmp_path / "d.txt").write_text("1e154\n0.5\n")
+        (tmp_path / "d.txt.json").write_text('{"dim": 1, "n_total": 2}')
+        out = tmp_path / "gc"
+        code, stdout, err = run_cli(capsys, "grad-check", "--data", str(tmp_path / "d.txt"),
+                                    "--points", "20", "--reps", "20", "--batch", "4",
+                                    "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: finite-difference point ") and err.count("\n") == 1
+        assert not list(out.iterdir())
+
+    def test_infinite_zscore_is_written_as_null(self, tmp_path, capsys, monkeypatch):
+        # a component that never varies off the oracle scores inf, once
+        # written as Infinity, which strict JSON readers reject
+        monkeypatch.setattr(cli_module, "estimator_mean_check", lambda *args: (math.inf, 0.5))
+        out = tmp_path / "gc"
+        code, stdout, err = run_cli(capsys, "grad-check", "--points", "2", "--reps", "100",
+                                    "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: gradient check failed: FAIL")
+        for path in out.iterdir():  # every artifact is strict JSON
+            json.loads(path.read_text(), parse_constant=_reject)
+        payload = json.loads((out / "gradcheck.json").read_text(), parse_constant=_reject)
+        assert payload["max_zscore_grad_theta"] is None
+        assert payload["max_zscore_grad_phi"] == 0.5
+        assert payload["passed"] is False
+
+    @pytest.mark.parametrize("patch, message", [
+        ({"finite_difference_check": lambda *args: math.nan},
+         "error: cannot write gradcheck.json: non-finite ['fd_max_rel_err']\n"),
+        ({"estimate_gradients": lambda *args: GradientEstimate(np.full(3, math.nan),
+                                                                np.zeros(3), 0)},
+         "error: the theta-gradient estimates or their spread are not finite\n"),
+    ], ids=["nan-in-artifact", "nan-estimates"])
+    def test_other_non_finite_value_is_an_error(self, tmp_path, capsys, monkeypatch, patch,
+                                                message):
+        # neither may reach gradcheck.json, as NaN or as the null of a zero spread
+        for name, stub in patch.items():
+            monkeypatch.setattr(cli_module, name, stub)
+        out = tmp_path / "gc"
+        code, stdout, err = run_cli(capsys, "grad-check", "--points", "2", "--reps", "100",
+                                    "--out", str(out))
+        assert (code, stdout, err) == (1, "", message)
+        assert not (out / "gradcheck.json").exists()
 
     def test_zero_points_rejected(self, tmp_path, capsys):
         # no point checked must not read as a passed check
@@ -651,8 +709,42 @@ class TestExitCodes:
         out = tmp_path / "x"
         code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
         assert (code, stdout) == (1, "")
-        assert f"error: argument {flag}: invalid parse_int64 value" in err
+        assert f"error: argument {flag}: '{10**20}' does not fit in int64" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["estimate", "--batch", str(10**20)], f"--batch: '{10**20}' does not fit in int64"),
+        (["variance-profile", "--levels", "0..99"], "--levels: bad level range '0..99'"),
+        (["estimate", "--theta", "1,nan,0"],
+         "--theta: cannot parse vector '1,nan,0': non-finite entry"),
+    ], ids=["int64", "level-range", "vector"])
+    def test_usage_error_names_its_reason(self, tmp_path, capsys, argv, reason):
+        # argparse once named the parsing function instead of the reason
+        out = tmp_path / "x"
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err.splitlines()[-1].endswith(f": error: argument {reason}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, flag", [
+        ("batch", 10**20, "--batch"),
+        ("levels", [0, 99], "--levels"),
+        ("theta", [1.0, math.nan, 0.0], "--theta"),
+    ], ids=["int64", "level-range", "vector"])
+    def test_manifest_value_keeps_its_own_line(self, tmp_path, capsys, key, value, flag):
+        # a type's reason is a usage line's; a manifest names its key
+        first = tmp_path / "first"
+        argv = ["variance-profile", "--levels", "1..3", "--reps", "100", "--batch", "4"]
+        assert run_cli(capsys, *argv, "--out", str(first))[0] == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        manifest[key] = value
+        (first / "manifest.json").write_text(json.dumps(manifest))
+        replay = tmp_path / "replay"
+        code, stdout, err = run_cli(capsys, "rerun", "--manifest", str(first / "manifest.json"),
+                                    "--out", str(replay))
+        assert (code, stdout) == (1, "")
+        assert err == f"error: manifest value {key}={value!r} is not a {flag} value\n"
+        assert not replay.exists()
 
     @pytest.mark.parametrize("dim, message", [
         (2**61, "error: MemoryError"),

@@ -1,4 +1,4 @@
-"""Estimator core contracts: exact level-distribution arithmetic, the
+"""Estimator core contracts: exact level-law arithmetic, the
 antithetic cancellation at the zero-variance fixed point, the telescoping
 identity against an independent vectorized oracle, and determinism."""
 
@@ -18,7 +18,6 @@ from mlmc_evidence.diagnostics import naive_difference, naive_grad_theta, varian
 from mlmc_evidence.errors import ContractViolation, ResourceGuardExceeded
 from mlmc_evidence.estimator import (
     EstimatorConfig,
-    LevelDistribution,
     antithetic_difference,
     draw_batch_indices,
     draw_chunks,
@@ -46,51 +45,52 @@ def sample_level(ratio: float, u: float) -> int:
     return math.floor(math.log(u) / math.log(ratio))
 
 
-class TestLevelDistribution:
+class TestLevelLaw:
     def test_default_masses(self):
-        dist = LevelDistribution()
+        dist = EstimatorConfig()
         assert dist.mass(0) == pytest.approx(0.6464466094067263, abs=1e-12)
         assert dist.mass(1) == pytest.approx(0.2285533905932738, abs=1e-12)
 
     def test_masses_sum_to_one(self):
-        dist = LevelDistribution()
+        dist = EstimatorConfig()
         total = sum(dist.mass(l) for l in range(61))
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_expected_cost_factor(self):
-        assert LevelDistribution().expected_cost_factor == pytest.approx(
+        assert EstimatorConfig().expected_cost_factor == pytest.approx(
             2.2071067811865475, abs=1e-12
         )
 
     def test_ratio_must_allow_finite_cost(self):
-        for bad in (0.0, 0.5, 0.7, -0.1):
-            with pytest.raises(ContractViolation):
-                LevelDistribution(ratio=bad)
+        # ratios 0, 1/2, 0.7, nan and inf
+        for bad in (-math.inf, -1.0, math.log2(0.7), math.nan, math.inf):
+            with pytest.raises(ContractViolation, match="level ratio"):
+                EstimatorConfig(level_ratio_log2=bad)
 
     def test_mass_rejects_negative_level(self):
         with pytest.raises(ContractViolation):
-            LevelDistribution().mass(-1)
+            EstimatorConfig().mass(-1)
 
 
 class TestSampleLevel:
     @pytest.mark.parametrize("u,expected", [(0.5, 0), (0.3, 1), (0.1, 2), (1.0, 0)])
     def test_inverse_cdf_values(self, u, expected):
-        assert sample_levels(LevelDistribution(), [u])[0] == expected
+        assert sample_levels(EstimatorConfig(), [u])[0] == expected
 
     @pytest.mark.parametrize("u", [0.0, float(np.nextafter(1.0, 2.0)), -0.2, 1.5, math.nan])
     def test_rejects_bad_uniforms(self, u):
         with pytest.raises(ContractViolation):
-            sample_levels(LevelDistribution(), [0.5, u])
+            sample_levels(EstimatorConfig(), [0.5, u])
 
     def test_level_cap_guard(self):
-        dist = LevelDistribution()
+        dist = EstimatorConfig(level_cap=10)
         deep = dist.ratio**12  # survival at level 12
         with pytest.raises(ResourceGuardExceeded):
-            sample_levels(dist, [deep * 0.9], level_cap=10)
+            sample_levels(dist, [deep * 0.9])
 
     def test_survival_matches_masses(self):
         # empirical frequencies against (1-r) r^l within 3 standard errors
-        dist = LevelDistribution()
+        dist = EstimatorConfig()
         rng = substream(102, 0)
         n = 200_000
         levels = sample_levels(dist, rng.random(n))
@@ -104,7 +104,7 @@ class TestSampleLevel:
         # 2^level has finite mean but infinite variance under the geometric
         # law (4r > 1), so sample means wander; the seed fixes a run whose
         # 200k-draw mean sits inside the 1% window
-        dist = LevelDistribution()
+        dist = EstimatorConfig()
         rng = substream(120, 0)
         n = 200_000
         cost = 2.0 ** sample_levels(dist, rng.random(n))
@@ -123,7 +123,7 @@ class TestEstimatorConfig:
             EstimatorConfig(level_ratio_log2=-0.5)  # ratio 2^-0.5 > 1/2
 
     def test_distribution_ratio(self):
-        assert EstimatorConfig().distribution().ratio == pytest.approx(2.0**-1.5)
+        assert EstimatorConfig().ratio == pytest.approx(2.0**-1.5)
 
     @pytest.mark.parametrize("n0, level_cap", [(8, 59), (1, 62), (3, 61)])
     def test_deepest_draw_count_fits_int64(self, n0, level_cap):
@@ -138,7 +138,6 @@ class TestEstimatorConfig:
 
     def test_distribution_is_built_once_and_is_no_field(self):
         cfg = EstimatorConfig(n0=4, batch_size=3)
-        assert cfg.distribution() is cfg.distribution()
         assert [f.name for f in dataclasses.fields(cfg)] == [
             "n0", "batch_size", "level_ratio_log2", "level_cap"]
         assert repr(cfg) == (
@@ -148,8 +147,8 @@ class TestEstimatorConfig:
         assert cfg != EstimatorConfig(n0=4, batch_size=3, level_ratio_log2=-2.0)
         moved = dataclasses.replace(cfg, level_ratio_log2=-2.0)
         assert moved == EstimatorConfig(n0=4, batch_size=3, level_ratio_log2=-2.0)
-        assert moved.distribution().ratio == 0.25
-        assert cfg.distribution().ratio == 2.0**-1.5
+        assert moved.ratio == 0.25
+        assert cfg.ratio == 2.0**-1.5
 
 
 class TestLevelEstimate:
@@ -416,7 +415,7 @@ class TestEstimateLogEvidence:
                 MODEL, DATA, THETA, PHI_WIDE, cfg, substream(127, seed),
                 reducers=[antithetic_difference], grads=(),
             )
-            terms = values / cfg.distribution().mass(levels)
+            terms = values / cfg.mass(levels)
             n = DATA.n_total
             assert est.value == n * np.mean(terms)
             if m == 1:
@@ -454,7 +453,7 @@ class TestBatchLevels:
         indices, levels = draw_batch_indices(DATA, cfg, substream(121, 0))
         rng = substream(121, 0)
         np.testing.assert_array_equal(indices, rng.integers(0, DATA.n_total, size=cfg.batch_size))
-        ratio = cfg.distribution().ratio
+        ratio = cfg.ratio
         expected = [sample_level(ratio, float(u)) for u in rng.random(cfg.batch_size)]
         np.testing.assert_array_equal(levels, expected)
 
@@ -479,9 +478,8 @@ class TestBatchLevels:
         np.testing.assert_array_equal(levels, [0, 0])
 
     def test_level_above_cap_raises(self):
-        dist = LevelDistribution()
         cfg = EstimatorConfig(batch_size=3, level_cap=10)
-        u = [0.5, dist.ratio**12 * 0.9, 0.5]
+        u = [0.5, cfg.ratio**12 * 0.9, 0.5]
         with pytest.raises(ResourceGuardExceeded):
             draw_batch_indices(DATA, cfg, FixedUniforms(u))
 

@@ -180,7 +180,7 @@ class TestEstimateGradients:
         levels, (values, rows_t, rows_p) = run_batch(
             MODEL, DATA, THETA, PHI_WIDE, CFG, substream(212, 0), reducers=reducers
         )
-        masses = CFG.distribution().mass(levels)
+        masses = CFG.mass(levels)
         n, m = DATA.n_total, CFG.batch_size
         assert rows_t.shape == (m, MODEL.theta_dim) and rows_p.shape == (m, MODEL.phi_dim)
         rng = substream(212, 0)
