@@ -19,21 +19,18 @@ and nothing before it.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import rng as _rng
-from .diagnostics import (
-    estimate_moments,
-    fit_decay_rate,
-    variance_profile,
-    write_level_stats_csv,
-)
+from .diagnostics import estimate_moments, fit_decay_rate, variance_profile
 from .errors import (
     ContractViolation,
     DivergenceError,
@@ -50,11 +47,13 @@ from .models import (
     load_dataset,
     save_dataset,
 )
-from .trainer import TrainConfig, train, write_run_records_csv, write_summary_json
+from .trainer import TrainConfig, train
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _fmt(x: float | None) -> str:
+    """A real as every artifact and summary line writes it: 17 significant
+    digits, and None as the empty string."""
+    return "" if x is None else format(float(x), ".17g")
 
 
 class FlagValueError(ContractViolation, argparse.ArgumentTypeError):
@@ -79,8 +78,11 @@ def parse_vector(text: str) -> list[float]:
 
 def parse_int64(text: str) -> int:
     """An integer within int64, as every count numpy sizes by must be."""
+    # int() reads the sign and at most 20 significant digits: 20 are past
+    # int64 already, and past 4300 digits int() fails with no reason
+    m = re.fullmatch(r"\s*([+-]?)(?:0_?)*([0-9](?:_?[0-9])*)\s*", text)
     try:
-        value = int(text)
+        value = int(m[1] + m[2].replace("_", "")[:20] if m else text)
     except ValueError:
         raise FlagValueError(f"{text!r} is not an integer") from None
     if not -(2**63) <= value < 2**63:
@@ -94,11 +96,11 @@ _DEEPEST_LEVEL = 62
 
 def parse_level_range(text: str) -> list[int]:
     """Inclusive 'a..b' range, or a single level, within 0..62."""
-    lo, hi = text.split("..", 1) if ".." in text else (text, text)
+    m = re.fullmatch(r"0*(\d{1,2})(?:\.\.0*(\d{1,2}))?", text)  # int() is given 2 digits at most
     # checked before the list is built, which past 62 could be any size
-    if not (lo.isdecimal() and hi.isdecimal() and int(lo) <= int(hi) <= _DEEPEST_LEVEL):
+    if not (m and int(m[1]) <= int(m[2] or m[1]) <= _DEEPEST_LEVEL):
         raise FlagValueError(f"bad level range {text!r}")
-    return list(range(int(lo), int(hi) + 1))
+    return list(range(int(m[1]), int(m[2] or m[1]) + 1))
 
 
 def build_model(name: str, dim: int):
@@ -158,6 +160,13 @@ def _write_json(path: Path, payload: dict) -> None:
         bad = [k for k, v in payload.items() if isinstance(v, float) and not math.isfinite(v)]
         raise ContractViolation(f"cannot write {path.name}: non-finite {bad or 'value'}") from None
     path.write_text(text + "\n")
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 class RunDir:
@@ -227,7 +236,12 @@ def run_variance_profile(params: dict, out: RunDir) -> str:
         model, data, theta, phi, levels, params["reps"], cfg, rng,
         antithetic=not params["naive"],
     )
-    write_level_stats_csv(stats, out.artifact("profile.csv"))
+    _write_csv(
+        out.artifact("profile.csv"),
+        ["level", "replications", "mean_z", "var_z", "var_grad_theta_max", "mean_cost"],
+        [[s.level, s.replications, _fmt(s.mean_z), _fmt(s.var_z), _fmt(s.var_grad_theta_max),
+          _fmt(s.mean_cost)] for s in stats],
+    )
     fit = fit_decay_rate(stats, "var_z")
     fit_grad = fit_decay_rate(stats, "var_grad_theta_max")
     _write_json(
@@ -381,9 +395,27 @@ def run_train(params: dict, out: RunDir) -> str:
     )
     rng = _rng.substream(params["seed"], _rng.STREAM_BATCH)
     records = train(model, data, theta0, phi0, cfg, rng)
-    write_run_records_csv(records, out.artifact("records.csv"))
-    write_summary_json(records, out.artifact("summary.json"), params["seed"])
+    _write_csv(
+        out.artifact("records.csv"),
+        ["step", "evidence_estimate", "evidence_oracle", "kl_oracle", "grad_norm_theta",
+         "grad_norm_phi", "cumulative_cost"]
+        + [f"theta_{i}" for i in range(model.theta_dim)]
+        + [f"phi_{i}" for i in range(model.phi_dim)],
+        [[r.step, _fmt(r.evidence_estimate), _fmt(r.evidence_oracle), _fmt(r.kl_oracle),
+          _fmt(r.grad_norms[0]), _fmt(r.grad_norms[1]), r.cumulative_cost]
+         + [_fmt(v) for v in (*r.theta, *r.phi)] for r in records],
+    )
     final = records[-1]
+    _write_json(
+        out.artifact("summary.json"),
+        {
+            "final_theta": final.theta.tolist(),
+            "final_phi": final.phi.tolist(),
+            "final_evidence": final.evidence_estimate,
+            "total_cost": final.cumulative_cost,
+            "seed": params["seed"],
+        },
+    )
     oracle = "" if final.evidence_oracle is None else f" oracle {_fmt(final.evidence_oracle)}"
     kl = "" if final.kl_oracle is None else f" kl {_fmt(final.kl_oracle)}"
     return (

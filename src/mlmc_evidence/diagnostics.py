@@ -22,12 +22,10 @@ wall clock is not asserted on anywhere.
 from __future__ import annotations
 
 import contextvars
-import csv
 import logging
 import math
 import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -262,25 +260,3 @@ def estimate_moments(
         t_moment_estimate=t_moment,
         tail_warning=tail_share > 0.5,
     )
-
-
-def write_level_stats_csv(stats: list[LevelStats], path) -> None:
-    """One row per level: level, replications, mean_z, var_z,
-    var_grad_theta_max, mean_cost. Reals at 17 significant digits."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["level", "replications", "mean_z", "var_z", "var_grad_theta_max", "mean_cost"]
-        )
-        for s in stats:
-            writer.writerow(
-                [
-                    s.level,
-                    s.replications,
-                    format(s.mean_z, ".17g"),
-                    format(s.var_z, ".17g"),
-                    format(s.var_grad_theta_max, ".17g"),
-                    format(s.mean_cost, ".17g"),
-                ]
-            )
-

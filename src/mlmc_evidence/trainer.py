@@ -10,11 +10,8 @@ rate divergent once N is large.
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -83,6 +80,16 @@ def _oracle_metrics(model, rows, counts, theta, phi):
     return evidence, kl
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of `v`: numpy's, except where the squares of finite
+    components overflow it, where `v` is first scaled by its largest |entry|."""
+    norm = float(np.linalg.norm(v))
+    if norm == math.inf and np.isfinite(v).all():
+        scale = float(np.abs(v).max())
+        norm = scale * float(np.linalg.norm(v / scale))
+    return norm
+
+
 def train(
     model: LatentVariableModel,
     data: Dataset,
@@ -145,7 +152,7 @@ def train(
         cumulative_cost += grads.total_cost
         g_theta = grads.grad_theta / data.n_total
         g_phi = grads.grad_phi / data.n_total
-        last_norms = (float(np.linalg.norm(g_theta)), float(np.linalg.norm(g_phi)))
+        last_norms = (_norm(g_theta), _norm(g_phi))
         vel_theta = cfg.momentum * vel_theta + g_theta
         vel_phi = cfg.momentum * vel_phi + g_phi
         theta = theta + cfg.lr_theta * vel_theta
@@ -155,45 +162,3 @@ def train(
         if step % cfg.eval_every == 0 or step == cfg.steps:
             records.append(evaluate(step))
     return records
-
-
-def write_run_records_csv(records: list[RunRecord], path) -> None:
-    """One CSV row per record; parameter vectors inline, 17 digits."""
-    if not records:
-        raise ContractViolation("no records to write")
-    d_theta = records[0].theta.shape[0]
-    d_phi = records[0].phi.shape[0]
-    header = (
-        ["step", "evidence_estimate", "evidence_oracle", "kl_oracle",
-         "grad_norm_theta", "grad_norm_phi", "cumulative_cost"]
-        + [f"theta_{i}" for i in range(d_theta)]
-        + [f"phi_{i}" for i in range(d_phi)]
-    )
-
-    def fmt(v):
-        return "" if v is None else format(float(v), ".17g")
-
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for r in records:
-            writer.writerow(
-                [r.step, fmt(r.evidence_estimate), fmt(r.evidence_oracle), fmt(r.kl_oracle),
-                 fmt(r.grad_norms[0]), fmt(r.grad_norms[1]), r.cumulative_cost]
-                + [fmt(v) for v in r.theta]
-                + [fmt(v) for v in r.phi]
-            )
-
-
-def write_summary_json(records: list[RunRecord], path, seed: int) -> None:
-    if not records:
-        raise ContractViolation("no records to summarize")
-    final = records[-1]
-    summary = {
-        "final_theta": [float(v) for v in final.theta],
-        "final_phi": [float(v) for v in final.phi],
-        "final_evidence": final.evidence_estimate,
-        "total_cost": final.cumulative_cost,
-        "seed": int(seed),
-    }
-    Path(path).write_text(json.dumps(summary, indent=2) + "\n")

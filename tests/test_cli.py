@@ -1,5 +1,6 @@
 """CLI contracts: manifest-driven byte-exact reruns, deterministic printed
-summaries, lossless CSV round trips, and the exit-code mapping."""
+summaries, lossless CSV round trips, strict sorted JSON artifacts, and the
+exit-code mapping."""
 
 import csv
 import json
@@ -16,17 +17,22 @@ from mlmc_evidence import cli as cli_module
 from mlmc_evidence.cli import (
     _max_zscore,
     build_parser,
+    default_true_theta,
     finite_difference_check,
     main,
     manifest_flags,
+    parse_int64,
     parse_level_range,
     parse_vector,
 )
+from mlmc_evidence.diagnostics import LevelStats, variance_profile
 from mlmc_evidence.errors import ContractViolation
+from mlmc_evidence.estimator import EstimatorConfig
 from mlmc_evidence.gradients import GradientEstimate
 from mlmc_evidence.logspace import StreamingMoments
-from mlmc_evidence.models import Dataset, GaussianConjugateModel
-from mlmc_evidence.rng import substream
+from mlmc_evidence.models import Dataset, GaussianConjugateModel, save_dataset
+from mlmc_evidence.rng import STREAM_BATCH, STREAM_DATA, STREAM_DIAG, substream
+from mlmc_evidence.trainer import TrainConfig, train
 
 
 def run_cli(capsys, *argv):
@@ -40,6 +46,22 @@ def run_cli(capsys, *argv):
 
 def _reject(token):
     raise ValueError(f"non-standard JSON constant {token}")
+
+
+def _sorted_object(pairs):
+    keys = [key for key, _ in pairs]
+    assert keys == sorted(keys), keys
+    return dict(pairs)
+
+
+def read_level_stats(path) -> list[LevelStats]:
+    """The rows of a profile CSV as `LevelStats`."""
+    with open(path, newline="") as fh:
+        return [
+            LevelStats(**{k: (int if k in ("level", "replications") else float)(v)
+                          for k, v in row.items()})
+            for row in csv.DictReader(fh)
+        ]
 
 
 class TestParsers:
@@ -57,11 +79,26 @@ class TestParsers:
             with pytest.raises(ContractViolation, match="non-finite entry"):
                 parse_vector(text)
 
+    def test_int64(self):
+        # int()'s grammar, without its 4300-digit limit
+        for text, value in [("7", 7), (" +0_1_2 ", 12), ("0" * 5000 + "7", 7),
+                            ("-0_0", 0), (str(-(2**63)), -(2**63)), (str(2**63 - 1), 2**63 - 1)]:
+            assert parse_int64(text) == value
+        for text in [str(2**63), str(-(2**63) - 1), "1" + "0" * 19, "9" * 5000, "-" + "9" * 5000]:
+            with pytest.raises(ContractViolation, match="does not fit in int64"):
+                parse_int64(text)
+        for text in ["", "x", "1.5", "_1", "1_", "0__1", "+-5", "1e3", "9" * 5000 + "x"]:
+            with pytest.raises(ContractViolation, match="is not an integer"):
+                parse_int64(text)
+
     def test_level_range(self):
         assert parse_level_range("1..7") == [1, 2, 3, 4, 5, 6, 7]
         assert parse_level_range("3") == [3]
         assert parse_level_range("62..62") == [62]
-        for text in ["2..1", "-1..2", "0..63", "63"]:
+        assert parse_level_range("007..0010") == [7, 8, 9, 10]
+        assert parse_level_range("0" * 5000 + "1..2") == [1, 2]
+        for text in ["2..1", "-1..2", "0..63", "63", "0.." + "9" * 5000, "..3", "1..2..3",
+                     " 1..2"]:
             with pytest.raises(ContractViolation, match="bad level range"):
                 parse_level_range(text)
 
@@ -184,20 +221,37 @@ class TestVarianceProfileCommand:
         assert fit["slope_var_z"] < 0
 
     def test_csv_parses_back_losslessly(self, tmp_path, capsys):
-        from mlmc_evidence.diagnostics import LevelStats, write_level_stats_csv
-
         out = tmp_path / "vp"
         run_cli(capsys, "variance-profile", "--levels", "1..3", "--reps", "120",
                 "--seed", "3", "--out", str(out))
-        with (out / "profile.csv").open(newline="") as fh:
-            stats = [
-                LevelStats(**{k: (int if k in ("level", "replications") else float)(v)
-                              for k, v in row.items()})
-                for row in csv.DictReader(fh)
-            ]
-        rewritten = tmp_path / "again.csv"
-        write_level_stats_csv(stats, rewritten)
-        assert rewritten.read_bytes() == (out / "profile.csv").read_bytes()
+        # the command's synthetic data and estimator at their defaults
+        model = GaussianConjugateModel(1)
+        data = model.generate_data(np.array(default_true_theta("gaussian", 1)), 50,
+                                   substream(3, STREAM_DATA))
+        stats = variance_profile(model, data, np.zeros(3), np.zeros(3), [1, 2, 3], 120,
+                                 EstimatorConfig(batch_size=8), substream(3, STREAM_DIAG))
+        assert read_level_stats(out / "profile.csv") == stats
+
+    def test_csv_round_trip(self, tmp_path, capsys):
+        model = GaussianConjugateModel(1)
+        data = model.generate_data(np.zeros(3), 20, substream(401, 0))
+        save_dataset(tmp_path / "data.txt", data, 401, np.zeros(3))
+        phi_wide = np.array([0.0, 0.0, 0.5 * math.log(2.0)])
+        out = tmp_path / "vp"
+        code, _, err = run_cli(
+            capsys, "variance-profile", "--data", str(tmp_path / "data.txt"),
+            "--phi", ",".join(map(str, phi_wide.tolist())), "--n0", "8", "--levels", "1..3",
+            "--reps", "150", "--seed", "414", "--out", str(out),
+        )
+        assert code == 0, err
+        stats = variance_profile(model, data, np.zeros(3), phi_wide, range(1, 4), 150,
+                                 EstimatorConfig(n0=8, batch_size=8), substream(414, STREAM_DIAG))
+        assert read_level_stats(out / "profile.csv") == stats
+        text = (out / "profile.csv").read_text()
+        assert text.splitlines()[0] == (
+            "level,replications,mean_z,var_z,var_grad_theta_max,mean_cost"
+        )
+        assert "\r" not in text
 
     def test_failed_fit_prints_only_the_error_line(self, tmp_path):
         # a fresh interpreter, whose logging has no handler of its own, so a
@@ -424,6 +478,31 @@ class TestTrainCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["seed"] == 8
         assert summary["total_cost"] > 0
+
+    def test_csv_and_summary(self, tmp_path, capsys):
+        model = GaussianConjugateModel(1)
+        true_theta = np.array([1.0, 0.0, math.log(0.5)])
+        data = model.generate_data(true_theta, 60, substream(501, 0))
+        save_dataset(tmp_path / "data.txt", data, 501, true_theta)
+        out = tmp_path / "t"
+        code, _, err = run_cli(
+            capsys, "train", "--data", str(tmp_path / "data.txt"), "--steps", "30",
+            "--eval-every", "15", "--eval-reps", "2", "--n0", "8", "--batch", "4",
+            "--seed", "510", "--out", str(out),
+        )
+        assert code == 0, err
+        cfg = TrainConfig(steps=30, lr_theta=1e-3, lr_phi=1e-3, momentum=0.9, eval_every=15,
+                          eval_replications=2, estimator=EstimatorConfig(n0=8, batch_size=4))
+        records = train(model, data, np.zeros(3), np.zeros(3), cfg,
+                        substream(510, STREAM_BATCH))
+
+        lines = (out / "records.csv").read_text().splitlines()
+        assert len(lines) == 1 + len(records)
+        assert lines[0].startswith("step,evidence_estimate,")
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["seed"] == 510
+        np.testing.assert_allclose(summary["final_theta"], records[-1].theta)
+        assert summary["total_cost"] == records[-1].cumulative_cost
 
     @pytest.mark.parametrize("flag", ["--lr-theta", "--lr-phi"])
     def test_nan_learning_rate_rejected(self, tmp_path, capsys, flag):
@@ -717,9 +796,13 @@ class TestExitCodes:
         (["variance-profile", "--levels", "0..99"], "--levels: bad level range '0..99'"),
         (["estimate", "--theta", "1,nan,0"],
          "--theta: cannot parse vector '1,nan,0': non-finite entry"),
-    ], ids=["int64", "level-range", "vector"])
+        (["estimate", "--batch", "9" * 5000], f"--batch: '{'9' * 5000}' does not fit in int64"),
+        (["variance-profile", "--levels", "0.." + "9" * 5000],
+         f"--levels: bad level range '0..{'9' * 5000}'"),
+    ], ids=["int64", "level-range", "vector", "int64-5000-digits", "level-range-5000-digits"])
     def test_usage_error_names_its_reason(self, tmp_path, capsys, argv, reason):
-        # argparse once named the parsing function instead of the reason
+        # argparse once named the parsing function instead of the reason; past
+        # Python's 4300-digit limit, int() once raised with no reason or a wrong one
         out = tmp_path / "x"
         code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
         assert (code, stdout) == (1, "")
@@ -861,14 +944,18 @@ class TestExitCodes:
         assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [
+# one small run of each command
+SMALL_RUNS = [
     ["gen-data", "--n", "5"],
     ["estimate", "--batch", "2"],
     ["variance-profile", "--levels", "1..3", "--reps", "100"],
     ["grad-check", "--points", "2", "--reps", "100", "--batch", "4", "--n", "12"],
     ["moments", "--draws", "10000"],
     ["train", "--steps", "2", "--batch", "2", "--eval-reps", "1", "--n", "10"],
-], ids=lambda argv: argv[0])
+]
+
+
+@pytest.mark.parametrize("argv", SMALL_RUNS, ids=lambda argv: argv[0])
 def test_written_manifest_holds_exactly_the_flags(tmp_path, capsys, argv):
     # the writer and the reader of manifests share one schema
     code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path))
@@ -876,3 +963,14 @@ def test_written_manifest_holds_exactly_the_flags(tmp_path, capsys, argv):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest.pop("command") == argv[0]
     assert sorted(manifest) == sorted(manifest_flags(argv[0]))
+
+
+@pytest.mark.parametrize("argv", SMALL_RUNS, ids=lambda argv: argv[0])
+def test_json_artifacts_are_strict_with_sorted_keys(tmp_path, capsys, argv):
+    # summary.json once had its keys in insertion order
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 0, err
+    paths = sorted(tmp_path.glob("*.json"))
+    assert "manifest.json" in [path.name for path in paths] and len(paths) == 2
+    for path in paths:
+        json.loads(path.read_text(), parse_constant=_reject, object_pairs_hook=_sorted_object)

@@ -1,10 +1,9 @@
 """Diagnostics contracts: exact decay-rate fits on synthetic inputs,
 variance profiles at the zero-variance fixed point, reproducibility, the
-concurrent profile against a sequential loop, moment estimates with the
-analytic divergence flag, and CSV round trips."""
+concurrent profile against a sequential loop, and moment estimates with
+the analytic divergence flag."""
 
 import contextvars
-import csv
 import math
 import sys
 import threading
@@ -19,7 +18,6 @@ from mlmc_evidence.diagnostics import (
     naive_difference,
     naive_grad_theta,
     variance_profile,
-    write_level_stats_csv,
 )
 from mlmc_evidence.errors import ContractViolation, UnsupportedOperation
 from mlmc_evidence.estimator import (
@@ -362,29 +360,3 @@ class TestEstimateMoments:
     def test_nonfinite_exponents_rejected(self, s, t):
         with pytest.raises(ContractViolation, match="finite and positive"):
             estimate_moments(MODEL, DATA.x[0], THETA, PHI_WIDE, s, t, 10_000, substream(414, 0))
-
-
-def read_level_stats(path) -> list[LevelStats]:
-    """The rows of a profile CSV as `LevelStats`."""
-    with open(path, newline="") as fh:
-        return [
-            LevelStats(**{k: (int if k in ("level", "replications") else float)(v)
-                          for k, v in row.items()})
-            for row in csv.DictReader(fh)
-        ]
-
-
-class TestCsv:
-    def test_round_trip(self, tmp_path):
-        stats = variance_profile(
-            MODEL, DATA, THETA, PHI_WIDE, range(1, 4), 150, CFG, substream(414, 0)
-        )
-        path = tmp_path / "profile.csv"
-        write_level_stats_csv(stats, path)
-        loaded = read_level_stats(path)
-        assert loaded == stats
-        text = path.read_text()
-        assert text.splitlines()[0] == (
-            "level,replications,mean_z,var_z,var_grad_theta_max,mean_cost"
-        )
-        assert "\r" not in text

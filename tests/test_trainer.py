@@ -1,6 +1,7 @@
 """Trainer contracts: frozen parameters under zero learning rates, seeded
 determinism, stationarity of the variational side at the exact posterior,
-ascent behaviour across seeds, and the divergence guard."""
+ascent behaviour across seeds, gradient norms past float64's squares, and
+the divergence guard."""
 
 import math
 
@@ -11,12 +12,7 @@ from mlmc_evidence.errors import ContractViolation, DivergenceError
 from mlmc_evidence.estimator import EstimatorConfig
 from mlmc_evidence.models import GaussianConjugateModel
 from mlmc_evidence.rng import substream
-from mlmc_evidence.trainer import (
-    TrainConfig,
-    train,
-    write_run_records_csv,
-    write_summary_json,
-)
+from mlmc_evidence.trainer import TrainConfig, _norm, train
 
 MODEL = GaussianConjugateModel(1)
 TRUE_THETA = np.array([1.0, 0.0, math.log(0.5)])
@@ -136,6 +132,21 @@ class TestTrain:
         with pytest.raises(DivergenceError):
             train(MODEL, DATA, np.zeros(3), np.zeros(3), cfg, substream(508, 0))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_grad_norm_of_finite_components_is_finite(self):
+        # at phi_1 = 1e100 the gradients' components are finite (about 1e200)
+        # but their squares overflow: numpy's norm read inf
+        cfg = quick_config(steps=2, eval_every=1, lr_theta=0.0, lr_phi=0.0)
+        records = train(
+            MODEL, DATA, np.zeros(3), np.array([0.0, 1e100, 0.0]), cfg, substream(512, 0)
+        )
+        for norm in (n for r in records[1:] for n in r.grad_norms):
+            assert 1e154 < norm < math.inf  # sqrt(float max) < norm
+        assert _norm(np.array([3e200, -4e200])) == pytest.approx(5e200, rel=1e-15)
+        v = np.array([3.0, -4.0, 1e-300])
+        assert _norm(v) == float(np.linalg.norm(v))
+        assert _norm(np.array([math.inf, 1.0])) == math.inf
+
     def test_initial_parameter_validation(self):
         cfg = quick_config()
         with pytest.raises(ContractViolation):
@@ -174,26 +185,3 @@ class TestTrain:
         asked = self.spawn_sizes(monkeypatch, cfg, 511)
         assert max(asked) <= 64  # one block
         assert sum(asked) == 2 + 2 + 2 * 70  # branches, steps, two evaluations
-
-
-class TestArtifacts:
-    def test_csv_and_summary(self, tmp_path):
-        records = train(
-            MODEL, DATA, np.zeros(3), np.zeros(3), quick_config(steps=30, eval_every=15),
-            substream(510, 0),
-        )
-        csv_path = tmp_path / "records.csv"
-        json_path = tmp_path / "summary.json"
-        write_run_records_csv(records, csv_path)
-        write_summary_json(records, json_path, seed=510)
-
-        lines = csv_path.read_text().splitlines()
-        assert len(lines) == 1 + len(records)
-        assert lines[0].startswith("step,evidence_estimate,")
-
-        import json
-
-        summary = json.loads(json_path.read_text())
-        assert summary["seed"] == 510
-        np.testing.assert_allclose(summary["final_theta"], records[-1].theta)
-        assert summary["total_cost"] == records[-1].cumulative_cost
