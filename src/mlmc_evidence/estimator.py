@@ -14,9 +14,9 @@ and the model draws and weighs a chunk in one call (`draw_weighed`) with
 the observations repeated as one row per draw, from standard normals drawn
 into rows the chunk lends. A chunk's per-draw rows take at most
 CHUNK_BYTES, so its memory stays bounded at any dimension, and every chunk
-of one draw cuts its standard normals, its theta-gradient rows and the
-reducers' per-draw rows from the start of one block allocated per draw, so
-only the first maps fresh pages for them. Theta rows are component-major:
+of one draw cuts its standard normals, its gradient rows and the reducers'
+per-draw rows from the start of one block allocated per draw, so only the
+first maps fresh pages for them. Theta and phi rows are component-major:
 each component's values over the chunk's draws are one contiguous row.
 Each chunk is cut once into its members' halves and exponentiated once
 where it is drawn, and every level reducer is a formula of its one record.
@@ -26,7 +26,8 @@ member of each quantity its caller names, so no buffer spans the batch.
 The model builds only the gradient arrays the reducers read. The
 evidence estimate folds the level values here and builds no gradient
 arrays, and `gradients.estimate_gradients` folds the level gradients of the
-same draws.
+same draws; both read the level masses from one read-only table per level
+law (`EstimatorConfig.mass_table`).
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ from . import gradients as _gradients
 from .errors import ContractViolation, ResourceGuardExceeded
 from .logspace import log_mean_exp_unchecked  # noqa: F401  perfbench/tracer.py wraps this name here
 from .logspace import segment_exp
-from .models import ALL_GRADS, Dataset, LatentVariableModel
+from .models import ALL_GRADS, Dataset, LatentVariableModel, _all_finite
 
 #: Most bytes of per-draw rows (`row_bytes`) one chunk holds when a batch
 #: is drawn: consecutive members share a model call up to this many bytes,
@@ -105,9 +106,27 @@ class EstimatorConfig:
         return (1.0 - self.ratio) * self.ratio**level
 
     @property
+    def mass_table(self) -> np.ndarray:
+        """mass(0), ..., mass(level_cap), read-only: indexed by an array of
+        levels, the values `mass` gives that array, bit for bit."""
+        return _level_law(self.ratio, self.level_cap)[1]
+
+    @property
     def expected_cost_factor(self) -> float:
         """E[2^level] = (1 - r) / (1 - 2r), the per-draw cost multiplier."""
         return (1.0 - self.ratio) / (1.0 - 2.0 * self.ratio)
+
+
+@lru_cache(maxsize=16)
+def _level_law(ratio: float, level_cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """The level law's two read-only tables, made once per (ratio,
+    level_cap) and shared by every batch: the thresholds r^(level_cap + 1),
+    ..., r^1 in ascending order, and the masses (1 - r) * r^l of levels
+    0..level_cap, by `EstimatorConfig.mass`'s own array expression."""
+    bounds = ratio ** np.arange(level_cap + 1, 0, -1)
+    mass = (1.0 - ratio) * ratio ** np.arange(level_cap + 1)
+    bounds.flags.writeable = mass.flags.writeable = False
+    return bounds, mass
 
 
 class LevelDraws(NamedTuple):
@@ -117,16 +136,18 @@ class LevelDraws(NamedTuple):
     a deeper member as its two contiguous halves) with the one
     peak/exp/sum pass over them. Every level value is a function of d, the
     difference of a member's halves' log-sums. A gradient array the chunk
-    was not drawn with is None. The theta-gradient rows, `shifted` and
+    was not drawn with is None. The gradient rows, `shifted` and
     `weighted` are cut from the draw's one block, which the next chunk
-    overwrites, so a chunk is valid until the next one is drawn; both sets
-    of theta rows are component-major (n, theta_dim) views."""
+    overwrites, so a chunk is valid until the next one is drawn; the theta
+    rows, the phi rows and `weighted` are component-major (n, k) views.
+    Reducers read the record and never write into it, except `average`
+    into `weighted`."""
 
     levels: np.ndarray  # (M,)
     n0: int
     log_f: np.ndarray  # (n,)
     grad_theta_log_f: np.ndarray | None  # (n, theta_dim) component-major
-    grad_phi_log_q: np.ndarray | None  # (n, phi_dim)
+    grad_phi_log_q: np.ndarray | None  # (n, phi_dim) component-major
     starts: np.ndarray  # (S,) segment offsets, in buffer order
     shifted: np.ndarray  # (n,) each draw's exp, shifted by its segment's peak
     total: np.ndarray  # (S,) per-segment sum of `shifted`
@@ -145,25 +166,27 @@ class LevelDraws(NamedTuple):
         """The softmax(log f)-weighted average of `rows` within each
         segment, sum_i exp(log f_i) rows_i / sum_i exp(log f_i), (S, k).
         `rows` and `weighted` are component-major (n, k) views, so each
-        product runs along the draws of one component; the segment sums
-        add in the same order in any layout."""
-        weighted = np.multiply(self.shifted[:, None], rows, out=self.weighted)
-        return np.add.reduceat(weighted, self.starts, axis=0) / self.total[:, None]
+        product and each segment sum runs along the contiguous (k, n) rows
+        of the draws of one component; the segment sums add in the same
+        order in any layout."""
+        weighted = np.multiply(rows.T, self.shifted, out=self.weighted.T)
+        return (np.add.reduceat(weighted, self.starts, axis=1) / self.total).T
 
     def merge(self, level_zero: np.ndarray, split_rows: np.ndarray) -> np.ndarray:
         """One row per member: `split_rows` where the member is split, its
         only segment's `level_zero` row where it is not."""
         split = self.split.reshape(self.split.shape + (1,) * (split_rows.ndim - 1))
-        return np.where(split, split_rows, level_zero[self.a])
+        return np.where(split, split_rows, level_zero.take(self.a, axis=0))
 
 
 def row_bytes(model: LatentVariableModel, grads) -> int:
     """Bytes per draw of a chunk drawn with the gradient arrays `grads`:
     the rows cut from its draw's block (the standard normals, the segment
     exp of log f and, with the theta gradient, its rows and their weighted
-    product in `LevelDraws.average`) and the fresh x row, z row, log f and
-    phi-gradient row; 88 B at Gaussian dim 1 with the theta gradient. The
-    model's own temporaries are not counted."""
+    product in `LevelDraws.average`, and, with the phi gradient, its rows)
+    and the fresh x row, z row and log f; 88 B at Gaussian dim 1 with the
+    theta gradient. The model's and the reducers' own temporaries are not
+    counted."""
     theta = 2 * model.theta_dim if "theta" in grads else 0
     phi = model.phi_dim if "phi" in grads else 0
     return 8 * (model.z_dim + 1 + theta + model.x_dim + model.z_dim + 1 + phi)
@@ -193,19 +216,21 @@ def draw_chunks(
 
     A call allocates one block, sized for its largest chunk, and each
     chunk cuts from its start, in this order, its standard normals, its
-    theta-gradient rows (if drawn), its exp row and `LevelDraws.average`'s
-    weighted rows: a chunk is valid until the next one is drawn. Its
-    segments are cut, and exponentiated once into the exp row, before it
-    is yielded. Theta rows are component-major, one contiguous length-n
-    row per component lent as the transposed (n, theta_dim) view, so the
-    model's column writes and the average's products run along the draws.
+    theta-gradient rows (if drawn), its exp row, `LevelDraws.average`'s
+    weighted rows and its phi-gradient rows (if drawn): a chunk is valid
+    until the next one is drawn. Its segments are cut, and exponentiated
+    once into the exp row, before it is yielded. Gradient rows are
+    component-major, one contiguous length-n row per component lent as the
+    transposed (n, k) view, so the model's column writes and the reducers'
+    products and sums run along the draws.
     """
     levels = np.asarray(levels, dtype=np.int64)
     if not levels.size:
         return
-    if levels.min() < 0:
-        raise ContractViolation(f"level must be >= 0, got {int(levels.min())}")
-    top = int(levels.max())
+    low = int(np.minimum.reduce(levels))
+    if low < 0:
+        raise ContractViolation(f"level must be >= 0, got {low}")
+    top = int(np.maximum.reduce(levels))
     if top > cfg.level_cap:
         raise ResourceGuardExceeded(f"level {top} exceeds level cap {cfg.level_cap}")
     # the widest per-draw row a chunk holds, or all its rows, in bytes;
@@ -221,22 +246,24 @@ def draw_chunks(
     ends = sizes.cumsum()
     budget = CHUNK_BYTES // per_draw  # draws per chunk
     k = model.theta_dim if "theta" in grads else 0
+    p = model.phi_dim if "phi" in grads else 0
     d = model.z_dim
     # one allocation: as three arrays per call the rows mapped fresh pages
     # on every level profile (about 3900 minor faults per profile call)
-    block = np.empty(min(int(ends[-1]), max(budget, int(cfg.n0) << top)) * (d + 1 + 2 * k))
+    block = np.empty(min(int(ends[-1]), max(budget, int(cfg.n0) << top)) * (d + 1 + 2 * k + p))
     lo = 0
     while lo < levels.size:
         base = ends[lo] - sizes[lo]
         hi = max(lo + 1, int(ends.searchsorted(base + budget, side="right")))
         x = x_rows[lo:hi].repeat(sizes[lo:hi], axis=0)
         n = int(ends[hi - 1] - base)
-        rows = block[n * d : n * (d + 1 + 2 * k)]
-        gt = rows[: n * k].reshape(k, n).T if k else None
+        rows = block[n * d : n * (d + 1 + 2 * k + p)]
         z, batch = model.draw_weighed(
-            x, theta, phi, rng, block[: n * d].reshape(n, d), grads=grads, grad_theta_out=gt
+            x, theta, phi, rng, block[: n * d].reshape(n, d), grads=grads,
+            grad_theta_out=rows[: n * k].reshape(k, n).T if k else None,
+            grad_phi_out=rows[n * (2 * k + 1) :].reshape(p, n).T if p else None,
         )
-        if not np.isfinite(batch.log_f).all():
+        if not _all_finite(batch.log_f):
             i = int(np.flatnonzero(~np.isfinite(batch.log_f))[0])
             member = lo + int(np.searchsorted(ends[lo:hi] - base, i, side="right"))
             raise ContractViolation(
@@ -252,7 +279,7 @@ def draw_chunks(
         yield LevelDraws(
             levels[lo:hi], cfg.n0, batch.log_f, batch.grad_theta_log_f, batch.grad_phi_log_q,
             starts, shifted, total, log_sums, a, b, log_sums[a] - log_sums[b], split,
-            rows[n * (k + 1) :].reshape(k, n).T,
+            rows[n * (k + 1) : n * (2 * k + 1)].reshape(k, n).T,
         )
         lo = hi
 
@@ -328,15 +355,6 @@ def level_estimate(
     )
 
 
-@lru_cache(maxsize=16)
-def _level_bounds(ratio: float, level_cap: int) -> np.ndarray:
-    """The thresholds r^(level_cap + 1), ..., r^1 in ascending order, made
-    once per (ratio, level_cap) and shared read-only by every batch."""
-    bounds = ratio ** np.arange(level_cap + 1, 0, -1)
-    bounds.flags.writeable = False
-    return bounds
-
-
 def sample_levels(cfg: EstimatorConfig, u: np.ndarray) -> np.ndarray:
     """Exact inverse-CDF levels of uniforms u in (0, 1]: level l where
     r^(l+1) < u <= r^l, so P(level >= l) = r^l.
@@ -348,14 +366,17 @@ def sample_levels(cfg: EstimatorConfig, u: np.ndarray) -> np.ndarray:
     means misconfiguration, not bad luck.
     """
     u = np.asarray(u, dtype=np.float64)
-    ok = (u > 0.0) & (u <= 1.0)
-    if not ok.all():
-        raise ContractViolation(f"uniform variate must lie in (0, 1], got {u[~ok][0]}")
-    bounds = _level_bounds(cfg.ratio, cfg.level_cap)
-    levels = bounds.size - bounds.searchsorted(u)
-    if levels.size and levels.max() > cfg.level_cap:
-        raise ResourceGuardExceeded(f"sampled level exceeds level cap {cfg.level_cap}")
-    return levels
+    bounds = _level_law(cfg.ratio, cfg.level_cap)[0]
+    if u.size:
+        # a NaN makes both extremes NaN, so it fails the range test; a
+        # variate at or below bounds[0] = r^(level_cap + 1) is level_cap + 1
+        low = np.minimum.reduce(u, axis=None)
+        if not (low > 0.0 and np.maximum.reduce(u, axis=None) <= 1.0):
+            ok = (u > 0.0) & (u <= 1.0)
+            raise ContractViolation(f"uniform variate must lie in (0, 1], got {u[~ok][0]}")
+        if low <= bounds[0]:
+            raise ResourceGuardExceeded(f"sampled level exceeds level cap {cfg.level_cap}")
+    return bounds.size - bounds.searchsorted(u)
 
 
 def draw_batch_indices(
@@ -369,8 +390,8 @@ def draw_batch_indices(
         raise ContractViolation("dataset is empty")
     indices = rng.integers(0, data.n_total, size=cfg.batch_size)
     u = rng.random(cfg.batch_size)
-    levels = sample_levels(cfg, np.where(u == 0.0, 1.0, u))
-    return indices, levels
+    u[u == 0.0] = 1.0
+    return indices, sample_levels(cfg, u)
 
 
 def run_batch(
@@ -394,7 +415,7 @@ def run_batch(
     reducers read.
     """
     indices, levels = draw_batch_indices(data, cfg, rng)
-    chunks = draw_chunks(model, data.x[indices], levels, theta, phi, cfg, rng, grads)
+    chunks = draw_chunks(model, data.x.take(indices, axis=0), levels, theta, phi, cfg, rng, grads)
     return levels, reduce_chunks(chunks, reducers)
 
 
@@ -405,14 +426,18 @@ def reduce_chunks(chunks: Iterator[LevelDraws], reducers) -> list[np.ndarray]:
     for draws in chunks:
         for out, reduce in zip(rows, reducers):
             out.append(reduce(draws))
-    return [np.concatenate(r) for r in rows]
+    return [r[0] if len(r) == 1 else np.concatenate(r) for r in rows]
 
 
 def batch_cost(levels: np.ndarray, n0: int) -> tuple[int, dict[int, int]]:
     """Latent draws and per-level member counts of a batch, from its levels
     alone: the batch is reduced chunk by chunk as drawn and keeps no draws."""
-    counts = {l: c for l, c in enumerate(np.bincount(levels).tolist()) if c}
-    return sum(c * (n0 << l) for l, c in counts.items()), counts
+    total, counts = 0, {}
+    for l, c in enumerate(np.bincount(levels).tolist()):
+        if c:
+            counts[l] = c
+            total += c * (n0 << l)
+    return total, counts
 
 
 @dataclass
@@ -445,18 +470,18 @@ def estimate_log_evidence(
     levels, (values,) = run_batch(
         model, data, theta, phi, cfg, rng, reducers=[antithetic_difference], grads=()
     )
-    terms = values / cfg.mass(levels)
+    terms = values / cfg.mass_table[levels]
     n = data.n_total
     m = len(terms)
     # terms.mean() and terms.std(ddof=1) in numpy's own operand order
-    mean = terms.sum() / m
+    mean = np.add.reduce(terms) / m
     value = n * float(mean)
     if m < 2:
         std_error = 0.0
     else:
         terms -= mean
         terms *= terms
-        std_error = n * math.sqrt(terms.sum() / (m - 1)) / math.sqrt(m)
+        std_error = n * math.sqrt(np.add.reduce(terms) / (m - 1)) / math.sqrt(m)
     total_cost, counts = batch_cost(levels, cfg.n0)
     return EvidenceEstimate(
         value=value,

@@ -32,7 +32,8 @@ def grad_theta_level(draws) -> np.ndarray:
     draws and with each half reduced once.
     """
     r = draws.average(draws.grad_theta_log_f)
-    return draws.merge(r, 0.5 * np.tanh(0.5 * draws.d)[:, None] * (r[draws.a] - r[draws.b]))
+    diff = r.take(draws.a, axis=0) - r.take(draws.b, axis=0)
+    return draws.merge(r, 0.5 * np.tanh(0.5 * draws.d)[:, None] * diff)
 
 
 def grad_phi_elbo_level(draws) -> np.ndarray:
@@ -44,11 +45,14 @@ def grad_phi_elbo_level(draws) -> np.ndarray:
     zero, the log f * score part is the likelihood-ratio gradient of the
     expected log weight. A plain (unweighted) average at any level is
     unbiased for the lower-bound gradient, so no level reweighting applies.
+    The products and sums run along the contiguous (phi_dim, n) rows of
+    the component-major phi rows, in an array of this reducer's own.
     """
-    terms = (draws.log_f - 1.0)[:, None] * draws.grad_phi_log_q
+    terms = np.multiply(draws.grad_phi_log_q.T, draws.log_f - 1.0)
     # a member's draws start at its first segment
-    starts = draws.starts[draws.a]
-    return np.add.reduceat(terms, starts, axis=0) / (draws.n0 << draws.levels)[:, None]
+    sums = np.add.reduceat(terms, draws.starts[draws.a], axis=1)
+    # row-major rows, as the batch fold and the concatenation of chunks sum them
+    return np.divide(sums.T, (draws.n0 << draws.levels)[:, None], order="C")
 
 
 @dataclass
@@ -80,12 +84,12 @@ def estimate_gradients(
         model, data, theta, phi, cfg, rng,
         reducers=[grad_theta_level, grad_phi_elbo_level], grads=("theta", "phi"),
     )
-    masses = cfg.mass(levels)
+    masses = cfg.mass_table[levels]
     scale = data.n_total / levels.size
     total_cost, counts = _estimator.batch_cost(levels, cfg.n0)
     return GradientEstimate(
-        grad_theta=scale * (rows_theta / masses[:, None]).sum(axis=0),
-        grad_phi=scale * rows_phi.sum(axis=0),
+        grad_theta=scale * np.add.reduce(rows_theta / masses[:, None], axis=0),
+        grad_phi=scale * np.add.reduce(rows_phi, axis=0),
         total_cost=total_cost,
         per_level_counts=counts,
     )

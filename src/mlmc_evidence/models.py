@@ -12,13 +12,14 @@ with d(log f)/d(theta) and d(log q)/d(phi) per draw. `draw_weighed` is
 the one way the library draws fresh latents: it draws standard normals eps
 into an array the caller lends and weighs the latents z = loc + scale * eps
 from eps (the location-scale form of Kingma and Welling, "Auto-Encoding
-Variational Bayes", 2014), and may build the theta gradient in rows the
-caller lends (`grad_theta_out`). `log_weight_batch` weighs latents a caller
-holds at fixed z by recovering eps = (z - loc) / scale. A caller names the
-gradient arrays it reads, a subset of {"theta", "phi"} (both by default),
-and only those are built: an unrequested field of the returned
-`WeightBatch` is None, and log f is the same whichever are asked for. The
-evidence estimate asks for none. The observation x is either one
+Variational Bayes", 2014), and builds the gradients in rows the caller
+lends (`grad_theta_out`, `grad_phi_out`: a chunk cuts both from its
+block, component-major, so they hold until its next chunk).
+`log_weight_batch` weighs latents a caller holds at fixed z by recovering
+eps = (z - loc) / scale. A caller names the gradient arrays it reads, a
+subset of {"theta", "phi"} (both by default), and only those are built: an
+unrequested field of the returned `WeightBatch` is None, and log f is the
+same whichever are asked for. The evidence estimate asks for none. The observation x is either one
 observation (x_dim,) shared by every draw or one row per draw (n, x_dim),
 so a chunk of batch members, each with its own observation, is drawn and
 weighted in one call. Everything is parameterized so that theta and phi
@@ -113,10 +114,13 @@ class LatentVariableModel(abc.ABC):
         (theta_dim, n) array, so writes by column run along the draws."""
 
     @abc.abstractmethod
-    def q_grad_phi(self, x, dloc, dlog_scale) -> np.ndarray:
-        """d(log q)/d(phi), (n, phi_dim), by the chain rule from
-        d(log q)/d(location) and d(log q)/d(log scale), each (n, z_dim),
-        for x checked by `_check_x`."""
+    def q_grad_phi(self, x, dloc, dlog_scale, out) -> None:
+        """Writes d(log q)/d(phi) into `out`, an (n, phi_dim) float64 array,
+        by the chain rule from d(log q)/d(location) and d(log q)/d(log
+        scale), each (n, z_dim), for x checked by `_check_x`. Every entry
+        of `out` must be written. A chunk lends it component-major, as the
+        transposed view of a (phi_dim, n) array, so writes by column run
+        along the draws."""
 
     def sample_q(self, x, phi, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n latents from q(z|x, phi); returns (n, z_dim).
@@ -133,7 +137,7 @@ class LatentVariableModel(abc.ABC):
 
     def draw_weighed(
         self, x, theta, phi, rng: np.random.Generator, eps: np.ndarray,
-        grads=ALL_GRADS, grad_theta_out=None,
+        grads=ALL_GRADS, grad_theta_out=None, grad_phi_out=None,
     ) -> tuple[np.ndarray, WeightBatch]:
         """Draw n = len(eps) latents z, (n, z_dim), from q(z|x, phi) and
         weigh them, checking x and evaluating q once: (z, `WeightBatch`).
@@ -144,8 +148,9 @@ class LatentVariableModel(abc.ABC):
         are those of `log_weight_batch`, up to rounding; x and `grads` are
         as there. `grad_theta_out` is None or, when "theta" is named, an
         (n, theta_dim) float64 array, or a transposed view of a
-        (theta_dim, n) one, the theta gradient is built in; no value
-        depends on it.
+        (theta_dim, n) one, the theta gradient is built in;
+        `grad_phi_out` is the same for "phi" and (n, phi_dim). No value
+        depends on them.
         """
         _check_grads(grads)
         if eps.ndim != 2 or eps.shape[1] != self.z_dim:
@@ -156,7 +161,9 @@ class LatentVariableModel(abc.ABC):
         rng.standard_normal(out=eps)
         z = eps * scale
         z += loc
-        return z, self._weigh(x, z, eps, scale, log_scale, theta, grads, grad_theta_out)
+        return z, self._weigh(
+            x, z, eps, scale, log_scale, theta, grads, grad_theta_out, grad_phi_out
+        )
 
     def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS) -> WeightBatch:
         """log f and the gradients named in `grads` for every row of z,
@@ -175,24 +182,26 @@ class LatentVariableModel(abc.ABC):
         scale = np.exp(log_scale)
         eps = np.subtract(z, loc, out=loc if loc.shape == z.shape else None)
         eps /= scale
-        return self._weigh(x, z, eps, scale, log_scale, theta, grads, None)
+        return self._weigh(x, z, eps, scale, log_scale, theta, grads, None, None)
 
-    def _weigh(self, x, z, eps, scale, log_scale, theta, grads, grad_theta_out) -> WeightBatch:
+    def _weigh(
+        self, x, z, eps, scale, log_scale, theta, grads, grad_theta_out, grad_phi_out
+    ) -> WeightBatch:
         """The `WeightBatch` of the latents z = loc + scale * eps, weighed
         from the standard normals eps, which it overwrites:
 
             log q = -1/2 sum_j eps_j^2 - sum_j log scale_j - (z_dim / 2) log 2pi,
             d(log q)/d(loc) = eps / scale,  d(log q)/d(log scale) = eps^2 - 1.
         """
-        gt = None
+        gt = gq = None
         if "theta" in grads:
             gt = np.empty((z.shape[0], self.theta_dim)) if grad_theta_out is None else grad_theta_out
         log_f = self.log_joint(x, z, theta, gt)
         dloc = eps / scale if "phi" in grads else None
         eps *= eps
-        gq = None
         if "phi" in grads:
-            gq = self.q_grad_phi(x, dloc, eps - 1.0)
+            gq = np.empty((z.shape[0], self.phi_dim)) if grad_phi_out is None else grad_phi_out
+            self.q_grad_phi(x, dloc, eps - 1.0, gq)
         half = _coordinate_sum(eps)  # for one coordinate, a view of eps
         half *= 0.5
         log_f += half
@@ -218,11 +227,18 @@ class LatentVariableModel(abc.ABC):
         raise UnsupportedOperation(f"{type(self).__name__} has no analytic posterior")
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of the float array `a` is finite. A finite sum
+    proves it (an infinite or NaN entry makes the sum infinite or NaN), so
+    the entrywise test runs only where the sum is not finite."""
+    return math.isfinite(np.add.reduce(a, axis=None)) or bool(np.isfinite(a).all())
+
+
 def _check_vector(name: str, v, length: int) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64).reshape(-1)
     if v.shape[0] != length:
         raise ContractViolation(f"{name} must have length {length}, got {v.shape[0]}")
-    if not np.isfinite(v).all():
+    if not _all_finite(v):
         raise ContractViolation(f"{name} contains non-finite entries")
     return v
 
@@ -251,7 +267,7 @@ def _check_x(x, x_dim: int, n: int) -> np.ndarray:
         return _check_vector("x", x, x_dim)
     if x.shape != (n, x_dim):
         raise ContractViolation(f"x rows must have shape {(n, x_dim)}, got {x.shape}")
-    if not np.isfinite(x).all():
+    if not _all_finite(x):
         raise ContractViolation("x contains non-finite entries")
     return x
 
@@ -317,12 +333,15 @@ class GaussianConjugateModel(LatentVariableModel):
 
         log_p = _coordinate_sum(q)
         log_p *= -0.5
-        log_p -= log_s0.sum() + log_sx.sum() + d * _LOG_2PI
+        log_p -= float(np.add.reduce(log_s0) + np.add.reduce(log_sx)) + d * _LOG_2PI
         return log_p
 
-    def q_grad_phi(self, x, dloc, dlog_scale):
+    def q_grad_phi(self, x, dloc, dlog_scale, out):
         # location a x + b, log scale log s
-        return np.concatenate([dloc * x, dloc, dlog_scale], axis=1)
+        d = self.dim
+        np.multiply(dloc, x, out=out[:, :d])
+        out[:, d : 2 * d] = dloc
+        out[:, 2 * d :] = dlog_scale
 
     def generate_data(self, theta, n, rng):
         _check_size(n)
@@ -424,16 +443,16 @@ class BernoulliGaussianModel(LatentVariableModel):
     phi_dim = 4
 
     def q_loc_log_scale(self, x, phi):
-        # the parameters of each observation's class k: 0 for x = 0, else 1
-        phi = _check_vector("phi", phi, self.phi_dim)
-        k = (x[..., :1] != 0.0).astype(np.intp)
-        return phi[2 * k], phi[2 * k + 1]
+        # the parameters of each observation's class: 0 for x = 0, else 1
+        m0, log_s0, m1, log_s1 = _check_vector("phi", phi, self.phi_dim).tolist()
+        one = x[..., :1] != 0.0
+        return np.where(one, m1, m0), np.where(one, log_s1, log_s0)
 
     def log_joint(self, x, z, theta, grad_theta):
-        w, c = _check_vector("theta", theta, self.theta_dim)
+        w, c = _check_vector("theta", theta, self.theta_dim).tolist()
         xv = x[..., 0]
         bad = (xv != 0.0) & (xv != 1.0)
-        if bad.any():
+        if np.logical_or.reduce(bad, axis=None):
             raise ContractViolation(f"observation must be 0 or 1, got {xv[bad].flat[0]}")
         zs = z[:, 0]
         eta = w * zs
@@ -455,15 +474,14 @@ class BernoulliGaussianModel(LatentVariableModel):
             np.multiply(zs, resid, out=grad_theta[:, 0])
         return log_p
 
-    def q_grad_phi(self, x, dloc, dlog_scale):
+    def q_grad_phi(self, x, dloc, dlog_scale, out):
         # only the observed class's q parameters move log q; the other
-        # class's columns stay +0.0
-        one = x[..., :1] != 0.0
-        gq = np.zeros((dloc.shape[0], self.phi_dim))
+        # class's entries stay +0.0
+        one = x[..., 0] != 0.0
+        out.fill(0.0)
         for cls, on in enumerate((~one, one)):
-            np.copyto(gq[:, 2 * cls : 2 * cls + 1], dloc, where=on)
-            np.copyto(gq[:, 2 * cls + 1 : 2 * cls + 2], dlog_scale, where=on)
-        return gq
+            np.copyto(out[:, 2 * cls], dloc[:, 0], where=on)
+            np.copyto(out[:, 2 * cls + 1], dlog_scale[:, 0], where=on)
 
     def generate_data(self, theta, n, rng):
         _check_size(n)

@@ -19,7 +19,7 @@ from . import rng as _rng
 from .errors import ContractViolation, DivergenceError, UnsupportedOperation
 from .estimator import EstimatorConfig, estimate_log_evidence
 from .gradients import estimate_gradients
-from .models import Dataset, LatentVariableModel
+from .models import Dataset, LatentVariableModel, _all_finite
 
 
 @dataclass(frozen=True)
@@ -81,12 +81,14 @@ def _oracle_metrics(model, rows, counts, theta, phi):
 
 
 def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of `v`: numpy's, except where the squares of finite
-    components overflow it, where `v` is first scaled by its largest |entry|."""
-    norm = float(np.linalg.norm(v))
+    """Euclidean norm of the vector `v`, sqrt(v @ v) as numpy's norm forms
+    it, except where the squares of finite components overflow it, where
+    `v` is first scaled by its largest |entry|."""
+    norm = math.sqrt(v @ v)
     if norm == math.inf and np.isfinite(v).all():
         scale = float(np.abs(v).max())
-        norm = scale * float(np.linalg.norm(v / scale))
+        v = v / scale
+        norm = scale * math.sqrt(v @ v)
     return norm
 
 
@@ -109,18 +111,23 @@ def train(
     parameter aborts with a divergence error rather than clamping:
     heavy-tailed weights are a failure mode that must surface.
     """
-    theta = np.array(theta0, dtype=np.float64)
-    phi = np.array(phi0, dtype=np.float64)
-    if theta.shape != (model.theta_dim,) or phi.shape != (model.phi_dim,):
+    theta0 = np.asarray(theta0, dtype=np.float64)
+    phi0 = np.asarray(phi0, dtype=np.float64)
+    if theta0.shape != (model.theta_dim,) or phi0.shape != (model.phi_dim,):
         raise ContractViolation("initial parameters have wrong dimensions")
-    if not (np.isfinite(theta).all() and np.isfinite(phi).all()):
+    # one stacked (theta, phi) vector, its velocity and its learning rates,
+    # so a step updates both with one operation each; theta and phi are views
+    params = np.concatenate([theta0, phi0])
+    if not _all_finite(params):
         raise ContractViolation("initial parameters must be finite")
+    k = model.theta_dim
+    theta, phi = params[:k], params[k:]
+    velocity = np.zeros_like(params)
+    lr = np.repeat([cfg.lr_theta, cfg.lr_phi], [k, model.phi_dim])
 
     train_rng, eval_rng = _rng.spawn(rng, 2)
     # the data are fixed, so their distinct rows are found once per run
     rows, counts = np.unique(data.x, axis=0, return_counts=True)
-    vel_theta = np.zeros_like(theta)
-    vel_phi = np.zeros_like(phi)
     cumulative_cost = 0
     last_norms = (0.0, 0.0)
 
@@ -150,14 +157,14 @@ def train(
             # mid-training means the parameters ran away
             raise DivergenceError(step, *last_norms) from exc
         cumulative_cost += grads.total_cost
-        g_theta = grads.grad_theta / data.n_total
-        g_phi = grads.grad_phi / data.n_total
-        last_norms = (_norm(g_theta), _norm(g_phi))
-        vel_theta = cfg.momentum * vel_theta + g_theta
-        vel_phi = cfg.momentum * vel_phi + g_phi
-        theta = theta + cfg.lr_theta * vel_theta
-        phi = phi + cfg.lr_phi * vel_phi
-        if not (np.isfinite(theta).all() and np.isfinite(phi).all()):
+        g = np.concatenate([grads.grad_theta, grads.grad_phi])
+        g /= data.n_total
+        last_norms = (_norm(g[:k]), _norm(g[k:]))
+        velocity *= cfg.momentum
+        velocity += g
+        g = np.multiply(lr, velocity, out=g)
+        params += g
+        if not _all_finite(params):
             raise DivergenceError(step, *last_norms)
         if step % cfg.eval_every == 0 or step == cfg.steps:
             records.append(evaluate(step))

@@ -207,6 +207,23 @@ class TestEstimate:
 
 
 class TestVarianceProfileCommand:
+    @pytest.mark.parametrize("naive", [False, True], ids=["antithetic", "naive"])
+    def test_rounding_noise_fails_alike_on_every_seed(self, tmp_path, capsys, naive):
+        # the Bernoulli defaults put q at the exact posterior, so every
+        # level value is rounding noise: every seed reads var_z 0 at every
+        # level and ends in the same error line, where a fit to the noise
+        # exited 0 on some seeds and 1 on others
+        errors = set()
+        for seed in range(40):
+            code, _, err = run_cli(
+                capsys, "variance-profile", "--model", "bernoulli", "--levels", "0..5",
+                "--reps", "100", "--seed", str(seed), "--out", str(tmp_path / str(seed)),
+                *(["--naive"] if naive else []),
+            )
+            assert code == 1, seed
+            errors.add(err)
+        assert errors == {"error: decay fit needs >= 3 positive values, have 0 for field 'var_z'\n"}
+
     def test_writes_profile_and_fit(self, tmp_path, capsys):
         out = tmp_path / "vp"
         code, line, _ = run_cli(

@@ -32,7 +32,7 @@ from mlmc_evidence.models import (
     GaussianConjugateModel,
     LatentVariableModel,
 )
-from mlmc_evidence.rng import substream
+from mlmc_evidence.rng import spawn, substream
 
 MODEL = GaussianConjugateModel(1)
 THETA = np.zeros(3)
@@ -95,6 +95,34 @@ class TestVarianceProfile:
         for s in stats:
             assert s.var_z < 1e-20
             assert s.var_grad_theta_max < 1e-20
+
+    @pytest.mark.parametrize("antithetic", [True, False], ids=["antithetic", "naive"])
+    def test_rounding_level_variance_reads_zero(self, antithetic):
+        # q at the exact posterior (Bernoulli at theta = 0, phi = 0): the
+        # level values' spread is rounding noise and var_z reads 0, while the
+        # level-0 theta-gradient variance, a real spread, stays
+        model = BernoulliGaussianModel()
+        data = model.generate_data(np.zeros(2), 30, substream(407, 0))
+        for seed in range(5):
+            stats = variance_profile(
+                model, data, np.zeros(2), np.zeros(4), range(0, 6), 100, CFG,
+                substream(407, 1 + seed), antithetic=antithetic,
+            )
+            assert [s.var_z for s in stats] == [0.0] * 6
+            assert stats[0].var_grad_theta_max > 1e-3
+
+    def test_real_spread_is_kept_bit_for_bit(self):
+        # a spread far above rounding level is the replications' own ddof-1
+        # variance, as reduced from the same draws
+        stats = variance_profile(MODEL, DATA, THETA, PHI_WIDE, [0, 3], 100, CFG, substream(408, 0))
+        for s, stream in zip(stats, spawn(substream(408, 0), 2)):
+            indices = stream.integers(0, DATA.n_total, size=100)
+            chunks = draw_chunks(
+                MODEL, DATA.x[indices], np.full(100, s.level), THETA, PHI_WIDE, CFG, stream,
+                grads=("theta",),
+            )
+            (values,) = reduce_chunks(chunks, [antithetic_difference])
+            assert s.var_z == float(values.var(ddof=1)) > 0.0
 
     def test_cost_accounting_exact(self):
         stats = variance_profile(
@@ -332,7 +360,7 @@ class TestEstimateMoments:
             def log_joint(self, x, z, theta, grad_theta):
                 raise NotImplementedError
 
-            def q_grad_phi(self, x, dloc, dlog_scale):
+            def q_grad_phi(self, x, dloc, dlog_scale, out):
                 raise NotImplementedError
 
             def generate_data(self, theta, n, rng):

@@ -70,6 +70,26 @@ class TestLevelLaw:
     def test_mass_rejects_negative_level(self):
         with pytest.raises(ContractViolation):
             EstimatorConfig().mass(-1)
+        with pytest.raises(ContractViolation):
+            EstimatorConfig().mass(np.array([0, 3, -1]))
+
+    @pytest.mark.parametrize("ratio", [2**-1.5, 0.1, 0.3, 0.49])
+    def test_mass_table_is_the_mass_expression_bit_for_bit(self, ratio):
+        # the folds index the table where they evaluated (1 - r) * r**levels
+        # on the batch's level array, so each level, alone or in a batch,
+        # reads the same bits from both
+        cfg = EstimatorConfig(level_ratio_log2=math.log2(ratio), level_cap=40)
+        r = cfg.ratio
+        table = cfg.mass_table
+        levels = np.arange(cfg.level_cap + 1)
+        assert table.shape == levels.shape and not table.flags.writeable
+        assert table.tobytes() == ((1.0 - r) * r**levels).tobytes()
+        for level in levels:
+            one = levels[level : level + 1]
+            assert table[one].tobytes() == ((1.0 - r) * r**one).tobytes(), level
+        batch = substream(130, 0).integers(0, cfg.level_cap + 1, 64)
+        assert table[batch].tobytes() == cfg.mass(batch).tobytes()
+        assert cfg.mass_table is table  # built once per law
 
 
 class TestSampleLevel:
@@ -498,10 +518,12 @@ class RowCountingModel(GaussianConjugateModel):
         super().__init__(dim)
         self.calls = []
 
-    def draw_weighed(self, x, theta, phi, rng, eps, grads=ALL_GRADS, grad_theta_out=None):
+    def draw_weighed(
+        self, x, theta, phi, rng, eps, grads=ALL_GRADS, grad_theta_out=None, grad_phi_out=None
+    ):
         allowed = estimator_module.CHUNK_BYTES // row_bytes(self, grads)
         self.calls.append((eps.shape[0], allowed))
-        return super().draw_weighed(x, theta, phi, rng, eps, grads, grad_theta_out)
+        return super().draw_weighed(x, theta, phi, rng, eps, grads, grad_theta_out, grad_phi_out)
 
 
 class TestDrawBudget:
@@ -661,6 +683,63 @@ class TestWorkspace:
             for row in (r for r in rows if r is not None):
                 for result in results:
                     assert not np.shares_memory(row, result)
+
+
+    @pytest.mark.parametrize("grads", [(), ("theta",), ALL_GRADS], ids=["none", "theta", "both"])
+    @pytest.mark.parametrize("model", [GaussianConjugateModel(3), BernoulliGaussianModel()],
+                             ids=["gaussian-3", "bernoulli"])
+    def test_reducers_leave_the_chunk_unchanged(self, monkeypatch, model, grads):
+        # a reducer reads its chunk and writes only arrays of its own, but
+        # for LevelDraws.average's products in `weighted`
+        reducers = [antithetic_difference, naive_difference]
+        if "theta" in grads:
+            reducers += [grad_theta_level, naive_grad_theta]
+        if "phi" in grads:
+            reducers.append(grad_phi_elbo_level)
+        theta = np.full(model.theta_dim, 0.3)
+        phi = np.full(model.phi_dim, 0.2)
+        data = model.generate_data(theta, 12, substream(131, 0))
+        chunk_draws(monkeypatch, 48, model, grads)
+        chunks = 0
+        for draws in draw_chunks(
+            model, data.x, np.arange(12) % 4, theta, phi, EstimatorConfig(n0=4),
+            substream(131, 1), grads,
+        ):
+            before = {
+                name: value.copy() for name, value in draws._asdict().items()
+                if isinstance(value, np.ndarray) and name != "weighted"
+            }
+            for reduce in reducers:
+                reduce(draws)
+            for name, value in before.items():
+                assert getattr(draws, name).tobytes() == value.tobytes(), name
+            chunks += 1
+        assert chunks > 1
+
+    @pytest.mark.parametrize("model", [GaussianConjugateModel(3), BernoulliGaussianModel()],
+                             ids=["gaussian-3", "bernoulli"])
+    def test_phi_rows_are_rows_of_the_block(self, monkeypatch, model):
+        # each chunk lends the model one contiguous row of its block per phi
+        # component, and the phi reducer gives the row-major formula's values
+        theta = np.full(model.theta_dim, 0.3)
+        phi = np.full(model.phi_dim, 0.2)
+        data = model.generate_data(theta, 12, substream(132, 0))
+        chunk_draws(monkeypatch, 48, model, ALL_GRADS)
+        chunks = 0
+        for draws in draw_chunks(
+            model, data.x, np.arange(12) % 4, theta, phi, EstimatorConfig(n0=4),
+            substream(132, 1),
+        ):
+            rows = draws.grad_phi_log_q
+            assert rows.shape == (draws.n, model.phi_dim)
+            assert rows.T.flags.c_contiguous
+            assert rows.base is draws.shifted.base is draws.grad_theta_log_f.base
+            terms = (draws.log_f - 1.0)[:, None] * np.ascontiguousarray(rows)
+            want = np.add.reduceat(terms, draws.starts[draws.a], axis=0)
+            want /= (draws.n0 << draws.levels)[:, None]
+            np.testing.assert_allclose(grad_phi_elbo_level(draws), want, rtol=1e-12, atol=0.0)
+            chunks += 1
+        assert chunks > 1
 
 
 def traced_peak(call) -> int:

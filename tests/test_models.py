@@ -241,8 +241,9 @@ class SumOfTwoModel(LatentVariableModel):
             grad_theta[:, 0] = resid
         return -0.5 * ((z * z).sum(axis=1) + resid * resid + 3 * math.log(2 * math.pi))
 
-    def q_grad_phi(self, x, dloc, dlog_scale):
-        return np.concatenate([dloc, dlog_scale], axis=1)
+    def q_grad_phi(self, x, dloc, dlog_scale, out):
+        out[:, :2] = dloc
+        out[:, 2:] = dlog_scale
 
     def generate_data(self, theta, n, rng):
         z = rng.standard_normal((n, 2))
@@ -508,6 +509,27 @@ class TestDrawWeighed:
         want = model.log_weight_batch(x, z, theta, phi)
         for got, ref in zip(batch, want, strict=True):
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("rows", [False, True], ids=["one-observation", "rows"])
+    @pytest.mark.parametrize(
+        "model", [GAUSSIAN, GaussianConjugateModel(3), BERNOULLI, SumOfTwoModel()],
+        ids=["gaussian-1", "gaussian-3", "bernoulli", "sum-of-two"],
+    )
+    def test_gradients_fill_lent_component_major_rows(self, model, rows):
+        # lent as transposed views of (k, n) blocks, each gradient is built
+        # in its block, every entry written, with the bits it has when the
+        # model allocates it
+        x, _, theta, phi = TestRequestedGradients.inputs(model, rows, 22)
+        n = 48
+        _, fresh = model.draw_weighed(x, theta, phi, substream(22, 1), np.empty((n, model.z_dim)))
+        lent = [np.full((k, n), np.nan).T for k in (model.theta_dim, model.phi_dim)]
+        _, batch = model.draw_weighed(
+            x, theta, phi, substream(22, 1), np.empty((n, model.z_dim)),
+            grad_theta_out=lent[0], grad_phi_out=lent[1],
+        )
+        assert batch.grad_theta_log_f is lent[0] and batch.grad_phi_log_q is lent[1]
+        for got, want in zip(batch, fresh, strict=True):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("cls", [GaussianConjugateModel, BernoulliGaussianModel],
                              ids=["gaussian", "bernoulli"])

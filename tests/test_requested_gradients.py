@@ -31,9 +31,11 @@ class RecordingModel(GaussianConjugateModel):
         super().__init__(dim)
         self.asked = []
 
-    def draw_weighed(self, x, theta, phi, rng, eps, grads=ALL_GRADS, grad_theta_out=None):
+    def draw_weighed(
+        self, x, theta, phi, rng, eps, grads=ALL_GRADS, grad_theta_out=None, grad_phi_out=None
+    ):
         self.asked.append(frozenset(grads))
-        return super().draw_weighed(x, theta, phi, rng, eps, grads, grad_theta_out)
+        return super().draw_weighed(x, theta, phi, rng, eps, grads, grad_theta_out, grad_phi_out)
 
     def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS):
         self.asked.append(frozenset(grads))
@@ -100,9 +102,11 @@ class ChunkCountingModel(GaussianConjugateModel):
 
     chunks = 0
 
-    def draw_weighed(self, x, theta, phi, rng, eps, grads=ALL_GRADS, grad_theta_out=None):
+    def draw_weighed(
+        self, x, theta, phi, rng, eps, grads=ALL_GRADS, grad_theta_out=None, grad_phi_out=None
+    ):
         self.chunks += 1
-        return super().draw_weighed(x, theta, phi, rng, eps, grads, grad_theta_out)
+        return super().draw_weighed(x, theta, phi, rng, eps, grads, grad_theta_out, grad_phi_out)
 
 
 @pytest.mark.parametrize("antithetic", [True, False], ids=["antithetic", "naive"])
