@@ -327,18 +327,20 @@ def finite_difference_check(model, data: Dataset, points: int, step: float, rng)
         x = data.x[rng.integers(data.n_total)]
         theta = 0.5 * rng.standard_normal(k)
         phi = 0.5 * rng.standard_normal(model.phi_dim)
-        z, sample = model.draw_weighed(x, theta, phi, rng, np.empty((1, model.z_dim)))
+        g = np.empty(k + model.phi_dim)  # d(log f)/d(theta), then d(log q)/d(phi)
+        z, log_f = model.draw_weighed(
+            x, theta, phi, rng, np.empty((1, model.z_dim)), g[None, :k], g[None, k:]
+        )
 
         def log_f_at(theta_v, phi_v):
             return float(model.log_weight_batch(x, z, theta_v, phi_v, grads=()).log_f[0])
 
-        g = np.concatenate((sample.grad_theta_log_f[0], sample.grad_phi_log_q[0]))
         fd = np.array([
             log_f_at(theta + e[:k], phi + e[k:]) - log_f_at(theta - e[:k], phi - e[k:])
             for e in step * np.eye(g.size)
         ]) / (2 * step)
         fd[k:] *= -1.0  # f depends on phi only through the q denominator
-        if not (np.isfinite(sample.log_f[0]) and np.isfinite(g).all() and np.isfinite(fd).all()):
+        if not (np.isfinite(log_f[0]) and np.isfinite(g).all() and np.isfinite(fd).all()):
             raise ContractViolation(
                 f"finite-difference point {point}: log weight or gradient is not finite"
                 f" at x={x!r}, theta={theta!r}, phi={phi!r}"

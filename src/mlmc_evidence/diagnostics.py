@@ -250,8 +250,7 @@ def estimate_moments(
     log_p = model.oracle_log_evidence(x, theta)  # raises if no oracle
     if not math.isfinite(log_p):
         raise ContractViolation(f"oracle log evidence {log_p!r} is not finite")
-    z, batch = model.draw_weighed(x, theta, phi, rng, np.empty((n_draws, model.z_dim)), grads=())
-    log_f = batch.log_f
+    z, log_f = model.draw_weighed(x, theta, phi, rng, np.empty((n_draws, model.z_dim)))
     if not np.isfinite(log_f).all():
         i = int(np.flatnonzero(~np.isfinite(log_f))[0])
         raise ContractViolation(f"non-finite log weight at z={z[i]!r}")

@@ -23,9 +23,9 @@ where it is drawn, and every level reducer is a formula of its one record.
 `run_batch` reduces the batch chunk by chunk as it is drawn
 (`reduce_chunks`), by segment with no loop over members, to one row per
 member of each quantity its caller names, so no buffer spans the batch.
-The model builds only the gradient arrays the reducers read. The
-evidence estimate folds the level values here and builds no gradient
-arrays, and `gradients.estimate_gradients` folds the level gradients of the
+A chunk lends the model rows for only the gradients the reducers read.
+The evidence estimate folds the level values here and lends no gradient
+rows, and `gradients.estimate_gradients` folds the level gradients of the
 same draws; both read the level masses from one read-only table per level
 law (`EstimatorConfig.mass_table`).
 """
@@ -42,7 +42,7 @@ from . import gradients as _gradients
 from .errors import ContractViolation, ResourceGuardExceeded
 from .logspace import log_mean_exp_unchecked  # noqa: F401  perfbench/tracer.py wraps this name here
 from .logspace import segment_exp
-from .models import ALL_GRADS, Dataset, LatentVariableModel, _all_finite
+from .models import ALL_GRADS, Dataset, LatentVariableModel, _all_finite, _check_grads
 
 #: Most bytes of per-draw rows (`row_bytes`) one chunk holds when a batch
 #: is drawn: consecutive members share a model call up to this many bytes,
@@ -89,9 +89,10 @@ class EstimatorConfig:
             raise ContractViolation(
                 f"n0 * 2^level_cap = {self.n0} * 2^{self.level_cap} draws does not fit in int64"
             )
-        if not (0.0 < self.ratio < 0.5):
+        ratio = math.inf if self.level_ratio_log2 >= 1024.0 else self.ratio  # 2.0**1024 overflows
+        if not (0.0 < ratio < 0.5):
             raise ContractViolation(
-                f"level ratio must lie in (0, 1/2) for finite expected cost, got {self.ratio}"
+                f"level ratio must lie in (0, 1/2) for finite expected cost, got {ratio}"
             )
 
     @property
@@ -211,8 +212,8 @@ def draw_chunks(
     observation repeated per draw. The latents come from `rng` in member
     order whatever the chunking, so chunk boundaries change no value.
     `grads` names the gradient arrays the chunks carry, a subset of
-    {"theta", "phi"}; the others are None, and no value read from the
-    chunks depends on it.
+    {"theta", "phi"} checked here; the model is lent rows for those alone,
+    the others are None, and no value read from the chunks depends on it.
 
     A call allocates one block, sized for its largest chunk, and each
     chunk cuts from its start, in this order, its standard normals, its
@@ -224,6 +225,7 @@ def draw_chunks(
     transposed (n, k) view, so the model's column writes and the reducers'
     products and sums run along the draws.
     """
+    _check_grads(grads)
     levels = np.asarray(levels, dtype=np.int64)
     if not levels.size:
         return
@@ -258,13 +260,11 @@ def draw_chunks(
         x = x_rows[lo:hi].repeat(sizes[lo:hi], axis=0)
         n = int(ends[hi - 1] - base)
         rows = block[n * d : n * (d + 1 + 2 * k + p)]
-        z, batch = model.draw_weighed(
-            x, theta, phi, rng, block[: n * d].reshape(n, d), grads=grads,
-            grad_theta_out=rows[: n * k].reshape(k, n).T if k else None,
-            grad_phi_out=rows[n * (2 * k + 1) :].reshape(p, n).T if p else None,
-        )
-        if not _all_finite(batch.log_f):
-            i = int(np.flatnonzero(~np.isfinite(batch.log_f))[0])
+        gt = rows[: n * k].reshape(k, n).T if k else None
+        gq = rows[n * (2 * k + 1) :].reshape(p, n).T if p else None
+        z, log_f = model.draw_weighed(x, theta, phi, rng, block[: n * d].reshape(n, d), gt, gq)
+        if not _all_finite(log_f):
+            i = int(np.flatnonzero(~np.isfinite(log_f))[0])
             member = lo + int(np.searchsorted(ends[lo:hi] - base, i, side="right"))
             raise ContractViolation(
                 f"non-finite log weight at x={x[i]!r}, z={z[i]!r} (level {levels[member]})"
@@ -273,13 +273,12 @@ def draw_chunks(
         per_member = 1 + split
         seg = (sizes[lo:hi] >> split).repeat(per_member)  # a split member's halves are equal
         starts = seg.cumsum() - seg
-        shifted, total, log_sums = segment_exp(batch.log_f, starts, seg, rows[n * k : n * (k + 1)])
+        shifted, total, log_sums = segment_exp(log_f, starts, seg, rows[n * k : n * (k + 1)])
         a = per_member.cumsum() - per_member
         b = a + split
         yield LevelDraws(
-            levels[lo:hi], cfg.n0, batch.log_f, batch.grad_theta_log_f, batch.grad_phi_log_q,
-            starts, shifted, total, log_sums, a, b, log_sums[a] - log_sums[b], split,
-            rows[n * (k + 1) : n * (2 * k + 1)].reshape(k, n).T,
+            levels[lo:hi], cfg.n0, log_f, gt, gq, starts, shifted, total, log_sums, a, b,
+            log_sums[a] - log_sums[b], split, rows[n * (k + 1) : n * (2 * k + 1)].reshape(k, n).T,
         )
         lo = hi
 

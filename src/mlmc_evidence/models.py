@@ -12,14 +12,14 @@ with d(log f)/d(theta) and d(log q)/d(phi) per draw. `draw_weighed` is
 the one way the library draws fresh latents: it draws standard normals eps
 into an array the caller lends and weighs the latents z = loc + scale * eps
 from eps (the location-scale form of Kingma and Welling, "Auto-Encoding
-Variational Bayes", 2014), and builds the gradients in rows the caller
-lends (`grad_theta_out`, `grad_phi_out`: a chunk cuts both from its
-block, component-major, so they hold until its next chunk).
-`log_weight_batch` weighs latents a caller holds at fixed z by recovering
-eps = (z - loc) / scale. A caller names the gradient arrays it reads, a
-subset of {"theta", "phi"} (both by default), and only those are built: an
-unrequested field of the returned `WeightBatch` is None, and log f is the
-same whichever are asked for. The evidence estimate asks for none. The observation x is either one
+Variational Bayes", 2014), returning z and log f, and builds exactly the
+gradients whose rows the caller lends (`grad_theta_out`, `grad_phi_out`: a
+chunk cuts both from its block, component-major, so they hold until its
+next chunk). `log_weight_batch` weighs latents a caller holds at fixed z
+by recovering eps = (z - loc) / scale; its caller holds no rows, so it
+names the gradient arrays to build, a subset of {"theta", "phi"} (both by
+default), and the others are None in the returned `WeightBatch`. log f is
+the same whichever gradients are built. The observation x is either one
 observation (x_dim,) shared by every draw or one row per draw (n, x_dim),
 so a chunk of batch members, each with its own observation, is drawn and
 weighted in one call. Everything is parameterized so that theta and phi
@@ -49,7 +49,7 @@ from .errors import ContractViolation, UnsupportedOperation
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-#: Every gradient array `log_weight_batch` can build, by name.
+#: Every gradient array a caller can name.
 ALL_GRADS = frozenset({"theta", "phi"})
 
 
@@ -137,22 +137,20 @@ class LatentVariableModel(abc.ABC):
 
     def draw_weighed(
         self, x, theta, phi, rng: np.random.Generator, eps: np.ndarray,
-        grads=ALL_GRADS, grad_theta_out=None, grad_phi_out=None,
-    ) -> tuple[np.ndarray, WeightBatch]:
+        grad_theta_out=None, grad_phi_out=None,
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Draw n = len(eps) latents z, (n, z_dim), from q(z|x, phi) and
-        weigh them, checking x and evaluating q once: (z, `WeightBatch`).
+        weigh them, checking x and evaluating q once: (z, log f (n,)).
 
         The standard normals are drawn into `eps`, a C-contiguous
         (n, z_dim) float64 array, which the weighing overwrites. z is what
-        `sample_q` draws from the same stream, bit for bit, and the weights
-        are those of `log_weight_batch`, up to rounding; x and `grads` are
-        as there. `grad_theta_out` is None or, when "theta" is named, an
-        (n, theta_dim) float64 array, or a transposed view of a
-        (theta_dim, n) one, the theta gradient is built in;
-        `grad_phi_out` is the same for "phi" and (n, phi_dim). No value
-        depends on them.
+        `sample_q` draws from the same stream, bit for bit, and the values
+        are those of `log_weight_batch`, up to rounding; x is as there.
+        Exactly the gradients whose rows are lent are built: d(log f)/d(theta)
+        in `grad_theta_out`, an (n, theta_dim) float64 array or a transposed
+        view of a (theta_dim, n) one, and d(log q)/d(phi) in `grad_phi_out`,
+        likewise (n, phi_dim). No value depends on which are lent.
         """
-        _check_grads(grads)
         if eps.ndim != 2 or eps.shape[1] != self.z_dim:
             raise ContractViolation(f"eps must have shape (n, {self.z_dim}), got {eps.shape}")
         x = _check_x(x, self.x_dim, eps.shape[0])
@@ -161,9 +159,7 @@ class LatentVariableModel(abc.ABC):
         rng.standard_normal(out=eps)
         z = eps * scale
         z += loc
-        return z, self._weigh(
-            x, z, eps, scale, log_scale, theta, grads, grad_theta_out, grad_phi_out
-        )
+        return z, self._weigh(x, z, eps, scale, log_scale, theta, grad_theta_out, grad_phi_out)
 
     def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS) -> WeightBatch:
         """log f and the gradients named in `grads` for every row of z,
@@ -182,31 +178,28 @@ class LatentVariableModel(abc.ABC):
         scale = np.exp(log_scale)
         eps = np.subtract(z, loc, out=loc if loc.shape == z.shape else None)
         eps /= scale
-        return self._weigh(x, z, eps, scale, log_scale, theta, grads, None, None)
+        gt = np.empty((z.shape[0], self.theta_dim)) if "theta" in grads else None
+        gq = np.empty((z.shape[0], self.phi_dim)) if "phi" in grads else None
+        return WeightBatch(self._weigh(x, z, eps, scale, log_scale, theta, gt, gq), gt, gq)
 
-    def _weigh(
-        self, x, z, eps, scale, log_scale, theta, grads, grad_theta_out, grad_phi_out
-    ) -> WeightBatch:
-        """The `WeightBatch` of the latents z = loc + scale * eps, weighed
-        from the standard normals eps, which it overwrites:
+    def _weigh(self, x, z, eps, scale, log_scale, theta, grad_theta, grad_phi) -> np.ndarray:
+        """log f of the latents z = loc + scale * eps, weighed from the
+        standard normals eps, which it overwrites, and the gradients whose
+        rows are given (`grad_theta`, `grad_phi`: not None) built in them:
 
             log q = -1/2 sum_j eps_j^2 - sum_j log scale_j - (z_dim / 2) log 2pi,
             d(log q)/d(loc) = eps / scale,  d(log q)/d(log scale) = eps^2 - 1.
         """
-        gt = gq = None
-        if "theta" in grads:
-            gt = np.empty((z.shape[0], self.theta_dim)) if grad_theta_out is None else grad_theta_out
-        log_f = self.log_joint(x, z, theta, gt)
-        dloc = eps / scale if "phi" in grads else None
+        log_f = self.log_joint(x, z, theta, grad_theta)
+        dloc = None if grad_phi is None else eps / scale
         eps *= eps
-        if "phi" in grads:
-            gq = np.empty((z.shape[0], self.phi_dim)) if grad_phi_out is None else grad_phi_out
-            self.q_grad_phi(x, dloc, eps - 1.0, gq)
+        if grad_phi is not None:
+            self.q_grad_phi(x, dloc, eps - 1.0, grad_phi)
         half = _coordinate_sum(eps)  # for one coordinate, a view of eps
         half *= 0.5
         log_f += half
         log_f += _coordinate_sum(log_scale) + 0.5 * self.z_dim * _LOG_2PI
-        return WeightBatch(log_f, gt, gq)
+        return log_f
 
     @abc.abstractmethod
     def generate_data(self, theta, n: int, rng: np.random.Generator) -> Dataset:

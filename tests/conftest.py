@@ -28,3 +28,11 @@ def log_mean_exp(values) -> float:
     v = np.asarray(values, dtype=np.float64)
     m = v.max()
     return float(m + np.log(np.exp(v - m).mean()))
+
+
+def lent_grads(grad_theta_out, grad_phi_out) -> frozenset:
+    """The names of the gradients a `draw_weighed` call is lent rows for."""
+    return frozenset(
+        name for name, out in (("theta", grad_theta_out), ("phi", grad_phi_out))
+        if out is not None
+    )

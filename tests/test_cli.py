@@ -576,6 +576,17 @@ class TestExitCodes:
         assert err.splitlines() == ["error: n0 must be >= 1, got 0"]
         assert not (out / "manifest.json").exists()
 
+    def test_ratio_past_the_largest_float_is_contract_error(self, tmp_path, capsys):
+        # 2^1100 overflows a float: the OverflowError once exited 2 with
+        # "(34, 'Numerical result out of range')"
+        out = tmp_path / "r"
+        code, stdout, err = run_cli(capsys, "estimate", "--ratio-log2", "1100", "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err.splitlines() == [
+            "error: level ratio must lie in (0, 1/2) for finite expected cost, got inf"
+        ]
+        assert not (out / "manifest.json").exists()
+
     def test_failure_after_an_artifact_can_be_replayed(self, tmp_path, capsys):
         # a failed grad check writes its gradcheck.json, then fails: the
         # manifest written with that artifact replays the same failure

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import log_mean_exp
+from conftest import lent_grads, log_mean_exp
 from mlmc_evidence import diagnostics as diagnostics_module
 from mlmc_evidence import estimator as estimator_module
 from mlmc_evidence import gradients
@@ -62,8 +62,8 @@ class TestLevelLaw:
         )
 
     def test_ratio_must_allow_finite_cost(self):
-        # ratios 0, 1/2, 0.7, nan and inf
-        for bad in (-math.inf, -1.0, math.log2(0.7), math.nan, math.inf):
+        # ratios 0, 1/2, 0.7, nan, inf and 2^1100, past the largest float
+        for bad in (-math.inf, -1.0, math.log2(0.7), math.nan, math.inf, 1100.0):
             with pytest.raises(ContractViolation, match="level ratio"):
                 EstimatorConfig(level_ratio_log2=bad)
 
@@ -233,6 +233,26 @@ class TestLevelEstimate:
         x_rows = DATA.x[: len(levels)]
         with pytest.raises(ResourceGuardExceeded, match=f"{len(levels)} members up to level"):
             next(draw_chunks(MODEL, x_rows, levels, THETA, PHI_WIDE, cfg, substream(108, 1)))
+
+    @pytest.mark.parametrize("grads", [("psi",), "theta"], ids=["unknown", "string"])
+    def test_unknown_gradient_rejected(self, grads):
+        # the names are checked where they enter the draw path, before any
+        # draw; a bare string is a set of letters, not one name
+        class NoDrawModel(GaussianConjugateModel):
+            def draw_weighed(self, *args):
+                raise AssertionError("drew before checking the gradient names")
+
+        cfg = EstimatorConfig(n0=8, batch_size=4)
+        with pytest.raises(ContractViolation, match="unknown gradients"):
+            next(draw_chunks(
+                NoDrawModel(1), DATA.x[:2], [0, 1], THETA, PHI_WIDE, cfg, substream(110, 0),
+                grads,
+            ))
+        with pytest.raises(ContractViolation, match="unknown gradients"):
+            run_batch(
+                NoDrawModel(1), DATA, THETA, PHI_WIDE, cfg, substream(110, 1),
+                reducers=[antithetic_difference], grads=grads,
+            )
 
     def test_nonfinite_weight_identified(self):
         class BrokenModel(GaussianConjugateModel):
@@ -512,18 +532,18 @@ def chunk_draws(monkeypatch, draws, model, grads):
 
 class RowCountingModel(GaussianConjugateModel):
     """The Gaussian model, recording each chunk's row count with the most
-    draws the byte budget allows a chunk drawn with its gradients."""
+    draws the byte budget allows a chunk drawn with the gradients it is
+    lent rows for."""
 
     def __init__(self, dim):
         super().__init__(dim)
         self.calls = []
 
-    def draw_weighed(
-        self, x, theta, phi, rng, eps, grads=ALL_GRADS, grad_theta_out=None, grad_phi_out=None
-    ):
+    def draw_weighed(self, x, theta, phi, rng, eps, grad_theta_out=None, grad_phi_out=None):
+        grads = lent_grads(grad_theta_out, grad_phi_out)
         allowed = estimator_module.CHUNK_BYTES // row_bytes(self, grads)
         self.calls.append((eps.shape[0], allowed))
-        return super().draw_weighed(x, theta, phi, rng, eps, grads, grad_theta_out, grad_phi_out)
+        return super().draw_weighed(x, theta, phi, rng, eps, grad_theta_out, grad_phi_out)
 
 
 class TestDrawBudget:

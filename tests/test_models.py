@@ -504,10 +504,11 @@ class TestDrawWeighed:
         n = 48
         z = model.sample_q(x, phi, substream(19, 1), n)
         eps = np.empty((n, model.z_dim))
-        drawn, batch = model.draw_weighed(x, theta, phi, substream(19, 1), eps)
+        lent = [np.empty((n, k)) for k in (model.theta_dim, model.phi_dim)]
+        drawn, log_f = model.draw_weighed(x, theta, phi, substream(19, 1), eps, *lent)
         assert drawn.shape == z.shape and drawn.tobytes() == z.tobytes()
         want = model.log_weight_batch(x, z, theta, phi)
-        for got, ref in zip(batch, want, strict=True):
+        for got, ref in zip([log_f, *lent], want, strict=True):
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("rows", [False, True], ids=["one-observation", "rows"])
@@ -517,19 +518,68 @@ class TestDrawWeighed:
     )
     def test_gradients_fill_lent_component_major_rows(self, model, rows):
         # lent as transposed views of (k, n) blocks, each gradient is built
-        # in its block, every entry written, with the bits it has when the
-        # model allocates it
+        # in its block, every entry written, with the bits it has in
+        # C-ordered (n, k) rows
         x, _, theta, phi = TestRequestedGradients.inputs(model, rows, 22)
         n = 48
-        _, fresh = model.draw_weighed(x, theta, phi, substream(22, 1), np.empty((n, model.z_dim)))
-        lent = [np.full((k, n), np.nan).T for k in (model.theta_dim, model.phi_dim)]
-        _, batch = model.draw_weighed(
+        dims = (model.theta_dim, model.phi_dim)
+        c_ordered = [np.empty((n, k)) for k in dims]
+        _, log_f = model.draw_weighed(
+            x, theta, phi, substream(22, 1), np.empty((n, model.z_dim)), *c_ordered
+        )
+        lent = [np.full((k, n), np.nan).T for k in dims]
+        _, lent_log_f = model.draw_weighed(
             x, theta, phi, substream(22, 1), np.empty((n, model.z_dim)),
             grad_theta_out=lent[0], grad_phi_out=lent[1],
         )
-        assert batch.grad_theta_log_f is lent[0] and batch.grad_phi_log_q is lent[1]
-        for got, want in zip(batch, fresh, strict=True):
+        for got, want in zip([lent_log_f, *lent], [log_f, *c_ordered], strict=True):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("lend", [("theta",), ("phi",), (), ("theta", "phi")],
+                             ids=["theta", "phi", "none", "both"])
+    @pytest.mark.parametrize("rows", [False, True], ids=["one-observation", "rows"])
+    @pytest.mark.parametrize(
+        "model", [GAUSSIAN, GaussianConjugateModel(3), BERNOULLI, SumOfTwoModel()],
+        ids=["gaussian-1", "gaussian-3", "bernoulli", "sum-of-two"],
+    )
+    def test_builds_exactly_the_lent_gradients(self, monkeypatch, model, rows, lend):
+        # the model is handed the lent rows and no others: a gradient with
+        # no lent rows is not built, each lent one has every entry written
+        # with the bits of the both-lent call on the same stream, and z and
+        # log f do not depend on which rows are lent
+        x, _, theta, phi = TestRequestedGradients.inputs(model, rows, 23)
+        n = 48
+        dims = {"theta": model.theta_dim, "phi": model.phi_dim}
+        both = [np.empty((n, k)) for k in dims.values()]
+        want_z, want_log_f = model.draw_weighed(
+            x, theta, phi, substream(23, 1), np.empty((n, model.z_dim)), *both
+        )
+        handed = []
+        cls = type(model)
+        log_joint, q_grad_phi = cls.log_joint, cls.q_grad_phi
+
+        def recording_joint(self, x, z, theta, grad_theta):
+            handed.append(("theta", grad_theta))
+            return log_joint(self, x, z, theta, grad_theta)
+
+        def recording_grad_phi(self, x, dloc, dlog_scale, out):
+            handed.append(("phi", out))
+            return q_grad_phi(self, x, dloc, dlog_scale, out)
+
+        monkeypatch.setattr(cls, "log_joint", recording_joint)
+        monkeypatch.setattr(cls, "q_grad_phi", recording_grad_phi)
+        lent = {name: np.full((n, k), np.nan) if name in lend else None
+                for name, k in dims.items()}
+        z, log_f = model.draw_weighed(
+            x, theta, phi, substream(23, 1), np.empty((n, model.z_dim)),
+            lent["theta"], lent["phi"],
+        )
+        assert z.tobytes() == want_z.tobytes() and log_f.tobytes() == want_log_f.tobytes()
+        assert [name for name, _ in handed] == ["theta", "phi"][: 1 + ("phi" in lend)]
+        assert all(out is lent[name] for name, out in handed)
+        for name, full in zip(dims, both):
+            if lent[name] is not None:
+                assert lent[name].tobytes() == full.tobytes(), name
 
     @pytest.mark.parametrize("cls", [GaussianConjugateModel, BernoulliGaussianModel],
                              ids=["gaussian", "bernoulli"])

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import lent_grads
 from mlmc_evidence import estimator as estimator_module
 from mlmc_evidence import trainer as trainer_module
 from mlmc_evidence.cli import finite_difference_check
@@ -25,17 +26,16 @@ NONE = frozenset()
 
 class RecordingModel(GaussianConjugateModel):
     """The Gaussian model, recording the gradients each weight call asks
-    for: a chunk's draw or a weighing of latents the caller holds."""
+    for: those a chunk's draw is lent rows for, or those a weighing of
+    latents the caller holds names."""
 
     def __init__(self, dim=1):
         super().__init__(dim)
         self.asked = []
 
-    def draw_weighed(
-        self, x, theta, phi, rng, eps, grads=ALL_GRADS, grad_theta_out=None, grad_phi_out=None
-    ):
-        self.asked.append(frozenset(grads))
-        return super().draw_weighed(x, theta, phi, rng, eps, grads, grad_theta_out, grad_phi_out)
+    def draw_weighed(self, x, theta, phi, rng, eps, grad_theta_out=None, grad_phi_out=None):
+        self.asked.append(lent_grads(grad_theta_out, grad_phi_out))
+        return super().draw_weighed(x, theta, phi, rng, eps, grad_theta_out, grad_phi_out)
 
     def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS):
         self.asked.append(frozenset(grads))
@@ -102,11 +102,9 @@ class ChunkCountingModel(GaussianConjugateModel):
 
     chunks = 0
 
-    def draw_weighed(
-        self, x, theta, phi, rng, eps, grads=ALL_GRADS, grad_theta_out=None, grad_phi_out=None
-    ):
+    def draw_weighed(self, x, theta, phi, rng, eps, grad_theta_out=None, grad_phi_out=None):
         self.chunks += 1
-        return super().draw_weighed(x, theta, phi, rng, eps, grads, grad_theta_out, grad_phi_out)
+        return super().draw_weighed(x, theta, phi, rng, eps, grad_theta_out, grad_phi_out)
 
 
 @pytest.mark.parametrize("antithetic", [True, False], ids=["antithetic", "naive"])
