@@ -333,7 +333,7 @@ def finite_difference_check(model, data: Dataset, points: int, step: float, rng)
         )
 
         def log_f_at(theta_v, phi_v):
-            return float(model.log_weight_batch(x, z, theta_v, phi_v, grads=()).log_f[0])
+            return float(model.log_weight_batch(x, z, theta_v, phi_v)[0])
 
         fd = np.array([
             log_f_at(theta + e[:k], phi + e[k:]) - log_f_at(theta - e[:k], phi - e[k:])

@@ -42,7 +42,7 @@ from . import gradients as _gradients
 from .errors import ContractViolation, ResourceGuardExceeded
 from .logspace import log_mean_exp_unchecked  # noqa: F401  perfbench/tracer.py wraps this name here
 from .logspace import segment_exp
-from .models import ALL_GRADS, Dataset, LatentVariableModel, _all_finite, _check_grads
+from .models import Dataset, LatentVariableModel, _all_finite
 
 #: Most bytes of per-draw rows (`row_bytes`) one chunk holds when a batch
 #: is drawn: consecutive members share a model call up to this many bytes,
@@ -79,6 +79,7 @@ class EstimatorConfig:
     level_cap: int = 40
 
     def __post_init__(self):
+        _check_counts(self, "n0", "batch_size", "level_cap")
         if self.n0 < 1:
             raise ContractViolation(f"n0 must be >= 1, got {self.n0}")
         if self.batch_size < 1:
@@ -116,6 +117,16 @@ class EstimatorConfig:
     def expected_cost_factor(self) -> float:
         """E[2^level] = (1 - r) / (1 - 2r), the per-draw cost multiplier."""
         return (1.0 - self.ratio) / (1.0 - 2.0 * self.ratio)
+
+
+def _check_counts(cfg, *names) -> None:
+    """Store each named field of the frozen config `cfg` as a Python int;
+    raise unless it is an integer, Python or numpy, and not a bool."""
+    for name in names:
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ContractViolation(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(cfg, name, int(value))
 
 
 @lru_cache(maxsize=16)
@@ -180,6 +191,10 @@ class LevelDraws(NamedTuple):
         return np.where(split, split_rows, level_zero.take(self.a, axis=0))
 
 
+#: Every gradient a caller can name; `draw_chunks` lends the model its rows.
+ALL_GRADS = frozenset({"theta", "phi"})
+
+
 def row_bytes(model: LatentVariableModel, grads) -> int:
     """Bytes per draw of a chunk drawn with the gradient arrays `grads`:
     the rows cut from its draw's block (the standard normals, the segment
@@ -225,7 +240,9 @@ def draw_chunks(
     transposed (n, k) view, so the model's column writes and the reducers'
     products and sums run along the draws.
     """
-    _check_grads(grads)
+    unknown = set(grads) - ALL_GRADS
+    if unknown:
+        raise ContractViolation(f"unknown gradients {sorted(unknown)}; choose from theta, phi")
     levels = np.asarray(levels, dtype=np.int64)
     if not levels.size:
         return

@@ -12,19 +12,18 @@ with d(log f)/d(theta) and d(log q)/d(phi) per draw. `draw_weighed` is
 the one way the library draws fresh latents: it draws standard normals eps
 into an array the caller lends and weighs the latents z = loc + scale * eps
 from eps (the location-scale form of Kingma and Welling, "Auto-Encoding
-Variational Bayes", 2014), returning z and log f, and builds exactly the
-gradients whose rows the caller lends (`grad_theta_out`, `grad_phi_out`: a
-chunk cuts both from its block, component-major, so they hold until its
-next chunk). `log_weight_batch` weighs latents a caller holds at fixed z
-by recovering eps = (z - loc) / scale; its caller holds no rows, so it
-names the gradient arrays to build, a subset of {"theta", "phi"} (both by
-default), and the others are None in the returned `WeightBatch`. log f is
-the same whichever gradients are built. The observation x is either one
-observation (x_dim,) shared by every draw or one row per draw (n, x_dim),
-so a chunk of batch members, each with its own observation, is drawn and
-weighted in one call. Everything is parameterized so that theta and phi
-are unconstrained real vectors: standard deviations enter as their
-logarithms and gradients are taken with respect to the log-parameters.
+Variational Bayes", 2014), returning z and log f. `log_weight_batch` weighs
+latents a caller holds at fixed z by recovering eps = (z - loc) / scale and
+returns log f. Both build exactly the gradients whose rows the caller lends
+(`grad_theta_out`, `grad_phi_out`: a chunk cuts both from its block,
+component-major, so they hold until its next chunk), and log f is the same
+whichever are lent; a model sees rows or None, never gradient names. The
+observation x is either one observation (x_dim,) shared by every draw or
+one row per draw (n, x_dim), so a chunk of batch members, each with its own
+observation, is drawn and weighted in one call. Everything is
+parameterized so that theta and phi are unconstrained real vectors:
+standard deviations enter as their logarithms and gradients are taken with
+respect to the log-parameters.
 
 Two concrete models are provided. The conjugate Gaussian model has closed
 forms for the evidence, the posterior and the KL term, which makes it the
@@ -40,26 +39,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ContractViolation, UnsupportedOperation
 
 _LOG_2PI = math.log(2.0 * math.pi)
-
-
-#: Every gradient array a caller can name.
-ALL_GRADS = frozenset({"theta", "phi"})
-
-
-class WeightBatch(NamedTuple):
-    """Per-draw log weights and the requested gradients at one (theta, phi);
-    a gradient the caller did not ask for is None."""
-
-    log_f: np.ndarray  # (n,)
-    grad_theta_log_f: np.ndarray | None  # (n, theta_dim)
-    grad_phi_log_q: np.ndarray | None  # (n, phi_dim)
 
 
 @dataclass(frozen=True)
@@ -87,8 +72,9 @@ class LatentVariableModel(abc.ABC):
 
     A model states q(z|x, phi) as a location and a log scale; it neither
     samples nor evaluates it. `draw_weighed`, `sample_q` and
-    `log_weight_batch` are shared by every model, and the two that weigh
-    share one weighing from the standard normals (`_weigh`).
+    `log_weight_batch` are shared by every model; the two that weigh share
+    one weighing from the standard normals (`_weigh`) and build exactly the
+    gradients whose rows the caller lends.
     Implementations are immutable after construction; all operations are
     pure given an explicit generator, so concurrent calls with independent
     streams are safe.
@@ -161,26 +147,18 @@ class LatentVariableModel(abc.ABC):
         z += loc
         return z, self._weigh(x, z, eps, scale, log_scale, theta, grad_theta_out, grad_phi_out)
 
-    def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS) -> WeightBatch:
-        """log f and the gradients named in `grads` for every row of z,
-        shape (n, z_dim), at latents the caller holds.
-
+    def log_weight_batch(self, x, z, theta, phi, grad_theta_out=None, grad_phi_out=None):
+        """log f (n,) of the rows of z, (n, z_dim), latents the caller holds.
         x is one observation (x_dim,) for every row of z, or one row per
-        row of z (n, x_dim). `grads` is a subset of {"theta", "phi"}:
-        "theta" builds d(log f)/d(theta), "phi" builds d(log q)/d(phi), and
-        each gradient not named is None in the result. log f does not
-        depend on `grads`.
-        """
-        _check_grads(grads)
+        row of z (n, x_dim). The gradients whose rows are lent are built as
+        in `draw_weighed`, and log f does not depend on which are lent."""
         z = np.asarray(z, dtype=np.float64)
         x = _check_x(x, self.x_dim, z.shape[0])
         loc, log_scale = self.q_loc_log_scale(x, phi)
         scale = np.exp(log_scale)
         eps = np.subtract(z, loc, out=loc if loc.shape == z.shape else None)
         eps /= scale
-        gt = np.empty((z.shape[0], self.theta_dim)) if "theta" in grads else None
-        gq = np.empty((z.shape[0], self.phi_dim)) if "phi" in grads else None
-        return WeightBatch(self._weigh(x, z, eps, scale, log_scale, theta, gt, gq), gt, gq)
+        return self._weigh(x, z, eps, scale, log_scale, theta, grad_theta_out, grad_phi_out)
 
     def _weigh(self, x, z, eps, scale, log_scale, theta, grad_theta, grad_phi) -> np.ndarray:
         """log f of the latents z = loc + scale * eps, weighed from the
@@ -240,12 +218,6 @@ def _coordinate_sum(a: np.ndarray) -> np.ndarray:
     """`a` summed over its last axis, the latent coordinates: for one, a view
     of `a`, so in-place arithmetic on the sum writes into `a`."""
     return a[..., 0] if a.shape[-1] == 1 else a.sum(axis=-1)
-
-
-def _check_grads(grads) -> None:
-    unknown = set(grads) - ALL_GRADS
-    if unknown:
-        raise ContractViolation(f"unknown gradients {sorted(unknown)}; choose from theta, phi")
 
 
 def _check_size(n) -> None:
@@ -523,11 +495,12 @@ class BernoulliGaussianModel(LatentVariableModel):
         nodes, log_wts = _hermgauss(64)
         s = math.exp(log_s)
         z = (m + s * nodes).reshape(-1, 1)
-        batch = self.log_weight_batch(x, z, theta, phi)
+        gq = np.empty((nodes.size, self.phi_dim))
+        log_f = self.log_weight_batch(x, z, theta, phi, grad_phi_out=gq)
         wts = np.exp(log_wts)
         grad = np.zeros(self.phi_dim)
-        grad[2 * k] = wts @ (batch.log_f * batch.grad_phi_log_q[:, 2 * k])
-        grad[2 * k + 1] = wts @ (batch.log_f * batch.grad_phi_log_q[:, 2 * k + 1])
+        grad[2 * k] = wts @ (log_f * gq[:, 2 * k])
+        grad[2 * k + 1] = wts @ (log_f * gq[:, 2 * k + 1])
         return grad
 
 

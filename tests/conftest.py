@@ -31,7 +31,8 @@ def log_mean_exp(values) -> float:
 
 
 def lent_grads(grad_theta_out, grad_phi_out) -> frozenset:
-    """The names of the gradients a `draw_weighed` call is lent rows for."""
+    """The names of the gradients a `draw_weighed` or `log_weight_batch`
+    call is lent rows for."""
     return frozenset(
         name for name, out in (("theta", grad_theta_out), ("phi", grad_phi_out))
         if out is not None

@@ -17,6 +17,7 @@ from mlmc_evidence import rng as rng_module
 from mlmc_evidence.diagnostics import naive_difference, naive_grad_theta, variance_profile
 from mlmc_evidence.errors import ContractViolation, ResourceGuardExceeded
 from mlmc_evidence.estimator import (
+    ALL_GRADS,
     EstimatorConfig,
     antithetic_difference,
     draw_batch_indices,
@@ -29,7 +30,7 @@ from mlmc_evidence.estimator import (
     sample_levels,
 )
 from mlmc_evidence.gradients import estimate_gradients, grad_phi_elbo_level, grad_theta_level
-from mlmc_evidence.models import ALL_GRADS, BernoulliGaussianModel, GaussianConjugateModel
+from mlmc_evidence.models import BernoulliGaussianModel, GaussianConjugateModel
 from mlmc_evidence.rng import substream
 
 MODEL = GaussianConjugateModel(1)
@@ -141,6 +142,14 @@ class TestEstimatorConfig:
             EstimatorConfig(level_cap=0)
         with pytest.raises(ContractViolation):
             EstimatorConfig(level_ratio_log2=-0.5)  # ratio 2^-0.5 > 1/2
+        # a count that is no integer fails here, not at the first estimate
+        for field, value in [("n0", 8.0), ("batch_size", 4.0), ("level_cap", 10.5),
+                             ("n0", True), ("batch_size", "4")]:
+            with pytest.raises(ContractViolation, match=f"{field} must be an integer"):
+                EstimatorConfig(**{field: value})
+        cfg = EstimatorConfig(n0=np.uint64(8), batch_size=np.int32(4), level_cap=np.int64(30))
+        assert cfg == EstimatorConfig(n0=8, batch_size=4, level_cap=30)
+        assert {type(v) for v in (cfg.n0, cfg.batch_size, cfg.level_cap)} == {int}
 
     def test_distribution_ratio(self):
         assert EstimatorConfig().ratio == pytest.approx(2.0**-1.5)

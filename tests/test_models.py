@@ -12,9 +12,14 @@ from mlmc_evidence import models as models_module
 from mlmc_evidence.cli import finite_difference_check
 from mlmc_evidence.diagnostics import estimate_moments, variance_profile
 from mlmc_evidence.errors import ContractViolation, UnsupportedOperation
-from mlmc_evidence.estimator import EstimatorConfig, draw_chunks, estimate_log_evidence, row_bytes
-from mlmc_evidence.models import (
+from mlmc_evidence.estimator import (
     ALL_GRADS,
+    EstimatorConfig,
+    draw_chunks,
+    estimate_log_evidence,
+    row_bytes,
+)
+from mlmc_evidence.models import (
     BernoulliGaussianModel,
     Dataset,
     GaussianConjugateModel,
@@ -33,10 +38,17 @@ def trapezoid_log_evidence(model, x, theta, lo=-10.0, hi=10.0, points=100_000):
 
     Works for any scalar-latent model: log f + log q recovers the joint."""
     z = np.linspace(lo, hi, points).reshape(-1, 1)
-    log_f = model.log_weight_batch(x, z, theta, _unit_phi(model)).log_f
+    log_f = model.log_weight_batch(x, z, theta, _unit_phi(model))
     log_q = _unit_log_q(model, x, z)
     joint = np.exp(log_f + log_q)
     return math.log(np.trapezoid(joint[:, 0] if joint.ndim > 1 else joint, z[:, 0]))
+
+
+def weigh_lending_both(model, x, z, theta, phi):
+    """log f of the rows of z with both gradients, built in fresh lent rows:
+    (log f, d(log f)/d(theta), d(log q)/d(phi))."""
+    lent = [np.empty((len(z), k)) for k in (model.theta_dim, model.phi_dim)]
+    return model.log_weight_batch(x, z, theta, phi, *lent), *lent
 
 
 def _unit_phi(model):
@@ -72,7 +84,7 @@ class TestGaussianOracles:
         x = np.array([0.8])
         rng = substream(1, 0)
         z = GAUSSIAN.sample_q(x, phi, rng, 16)
-        log_f = GAUSSIAN.log_weight_batch(x, z, theta, phi).log_f
+        log_f = GAUSSIAN.log_weight_batch(x, z, theta, phi)
         np.testing.assert_allclose(
             log_f, GAUSSIAN.oracle_log_evidence(x, theta), rtol=1e-10
         )
@@ -82,7 +94,7 @@ class TestGaussianOracles:
         phi = GAUSSIAN.posterior_phi(theta)
         x = np.array([-1.4])
         z = GAUSSIAN.sample_q(x, phi, substream(2, 0), 10_000)
-        log_f = GAUSSIAN.log_weight_batch(x, z, theta, phi).log_f
+        log_f = GAUSSIAN.log_weight_batch(x, z, theta, phi)
         assert log_f.var() < 1e-20
 
     def test_evidence_gradient_matches_fd_of_oracle(self):
@@ -129,7 +141,7 @@ class TestGaussianKL:
         a, b, ls = phi
         mq, sq = a * x[0] + b, math.exp(ls)
         z = np.linspace(mq - 40 * sq, mq + 40 * sq, 200_001).reshape(-1, 1)
-        log_f = GAUSSIAN.log_weight_batch(x, z, theta, phi).log_f
+        log_f = GAUSSIAN.log_weight_batch(x, z, theta, phi)
         qz = np.exp(-0.5 * ((z[:, 0] - mq) / sq) ** 2) / (sq * math.sqrt(2 * math.pi))
         assert elbo == pytest.approx(np.trapezoid(qz * log_f, z[:, 0]), abs=1e-10)
 
@@ -209,7 +221,7 @@ class TestBernoulliOracles:
             m, ls = p[2], p[3]
             s = math.exp(ls)
             z = np.linspace(m - 40 * s, m + 40 * s, 400_001).reshape(-1, 1)
-            log_f = BERNOULLI.log_weight_batch(x, z, theta, p).log_f
+            log_f = BERNOULLI.log_weight_batch(x, z, theta, p)
             qz = np.exp(-0.5 * ((z[:, 0] - m) / s) ** 2) / (s * math.sqrt(2 * math.pi))
             return np.trapezoid(qz * log_f, z[:, 0])
 
@@ -265,21 +277,21 @@ class TestLogWeightGradients:
             else:
                 x = rng.standard_normal(model.x_dim)
             z = model.sample_q(x, phi, rng, 1)
-            sample = model.log_weight_batch(x, z, theta, phi)
+            _, grad_theta, grad_phi = weigh_lending_both(model, x, z, theta, phi)
 
             for j in range(model.theta_dim):
                 fd = central_difference(
-                    lambda t: model.log_weight_batch(x, z, t, phi).log_f[0], theta, j
+                    lambda t: model.log_weight_batch(x, z, t, phi)[0], theta, j
                 )
-                g = sample.grad_theta_log_f[0, j]
+                g = grad_theta[0, j]
                 assert abs(fd - g) <= 1e-6 * max(1.0, abs(g))
             for j in range(model.phi_dim):
                 # f carries phi only through the q denominator, so
                 # d(log f)/dphi = -d(log q)/dphi
                 fd = -central_difference(
-                    lambda p: model.log_weight_batch(x, z, theta, p).log_f[0], phi, j
+                    lambda p: model.log_weight_batch(x, z, theta, p)[0], phi, j
                 )
-                g = sample.grad_phi_log_q[0, j]
+                g = grad_phi[0, j]
                 assert abs(fd - g) <= 1e-6 * max(1.0, abs(g))
 
     def test_log_f_recomputes(self):
@@ -288,7 +300,7 @@ class TestLogWeightGradients:
         phi = np.array([0.4, -0.1, 0.25])
         x = np.array([0.7])
         z = np.array([[0.9]])
-        sample = GAUSSIAN.log_weight_batch(x, z, theta, phi)
+        log_f = GAUSSIAN.log_weight_batch(x, z, theta, phi)
         mu0, s0, sx = 0.3, math.exp(0.2), math.exp(-0.4)
         mq, sq = 0.4 * 0.7 - 0.1, math.exp(0.25)
 
@@ -298,7 +310,7 @@ class TestLogWeightGradients:
         expected = (
             norm_logpdf(0.7, 0.9, sx) + norm_logpdf(0.9, mu0, s0) - norm_logpdf(0.9, mq, sq)
         )
-        assert sample.log_f[0] == pytest.approx(expected, abs=1e-10)
+        assert log_f[0] == pytest.approx(expected, abs=1e-10)
 
 
 class TestSampler:
@@ -332,7 +344,7 @@ class TestSampler:
         x = np.array([1.0]) if model is BERNOULLI else rng.standard_normal(model.x_dim)
         n = 100_000
         z = model.sample_q(x, phi, rng, n)
-        scores = model.log_weight_batch(x, z, theta, phi).grad_phi_log_q
+        scores = weigh_lending_both(model, x, z, theta, phi)[2]
         mean = scores.mean(axis=0)
         se = scores.std(axis=0, ddof=1) / math.sqrt(n)
         live = se > 0  # components of the unobserved class never move
@@ -398,14 +410,14 @@ class TestRowsPerDraw:
     def check_rows(self, model, x_rows, theta, phi, sizes, seed):
         rows = np.repeat(x_rows, sizes, axis=0)
         z = model.sample_q(rows, phi, substream(seed, 0), rows.shape[0])
-        batch = model.log_weight_batch(rows, z, theta, phi)
+        batch = weigh_lending_both(model, rows, z, theta, phi)
         rng = substream(seed, 0)
         start = 0
         for x, size in zip(x_rows, sizes):
             member = slice(start, start + size)
             z_one = model.sample_q(x, phi, rng, size)
             np.testing.assert_array_equal(z[member], z_one)
-            one = model.log_weight_batch(x, z_one, theta, phi)
+            one = weigh_lending_both(model, x, z_one, theta, phi)
             for got, want in zip(batch, one):
                 np.testing.assert_allclose(got[member], want, rtol=1e-14, atol=1e-14)
             start += size
@@ -440,8 +452,9 @@ class TestRowsPerDraw:
 
 
 class TestRequestedGradients:
-    """A caller gets exactly the gradient arrays it names, each bit-identical
-    to the full call's, and log f does not depend on which it names."""
+    """A weighing at fixed z builds exactly the gradients whose rows it is
+    lent, each bit-identical to the both-lent call's, and log f does not
+    depend on which are lent."""
 
     @staticmethod
     def inputs(model, rows, seed):
@@ -455,38 +468,29 @@ class TestRequestedGradients:
             x = rng.standard_normal((n, model.x_dim) if rows else model.x_dim)
         return x, model.sample_q(x, phi, rng, n), theta, phi
 
-    @pytest.mark.parametrize("grads", [(), ("theta",), ("phi",), ("theta", "phi")],
+    @pytest.mark.parametrize("lend", [(), ("theta",), ("phi",), ("theta", "phi")],
                              ids=["none", "theta", "phi", "both"])
     @pytest.mark.parametrize("rows", [False, True], ids=["one-observation", "rows"])
     @pytest.mark.parametrize("model", [GaussianConjugateModel(3), BERNOULLI],
                              ids=["gaussian-3", "bernoulli"])
-    def test_subset_matches_full_call(self, model, rows, grads):
+    def test_subset_matches_full_call(self, model, rows, lend):
         x, z, theta, phi = self.inputs(model, rows, 14)
-        full = model.log_weight_batch(x, z, theta, phi)
-        part = model.log_weight_batch(x, z, theta, phi, grads=grads)
-        assert part.log_f.tobytes() == full.log_f.tobytes()
-        for name, got, want in [
-            ("theta", part.grad_theta_log_f, full.grad_theta_log_f),
-            ("phi", part.grad_phi_log_q, full.grad_phi_log_q),
-        ]:
-            if name in grads:
-                assert got.shape == want.shape and got.tobytes() == want.tobytes()
-            else:
-                assert got is None
+        full = weigh_lending_both(model, x, z, theta, phi)
+        lent = {name: np.full((len(z), k), np.nan) if name in lend else None
+                for name, k in [("theta", model.theta_dim), ("phi", model.phi_dim)]}
+        log_f = model.log_weight_batch(x, z, theta, phi, lent["theta"], lent["phi"])
+        assert log_f.tobytes() == full[0].tobytes()
+        for got, want in zip(lent.values(), full[1:]):
+            assert got is None or got.tobytes() == want.tobytes()
 
     def test_bernoulli_other_class_columns_are_positive_zero(self):
         x, z, theta, phi = self.inputs(BERNOULLI, True, 16)
-        gq = BERNOULLI.log_weight_batch(x, z, theta, phi, grads=("phi",)).grad_phi_log_q
+        gq = np.full((len(z), BERNOULLI.phi_dim), np.nan)
+        BERNOULLI.log_weight_batch(x, z, theta, phi, grad_phi_out=gq)
         one = x[:, 0] == 1.0
         assert 0 < one.sum() < one.size
         for off in (gq[one][:, :2], gq[~one][:, 2:]):
             assert np.all(off == 0.0) and not np.signbit(off).any()
-
-    @pytest.mark.parametrize("grads", [("psi",), "theta"], ids=["unknown", "string"])
-    def test_unknown_gradient_rejected(self, grads):
-        x, z, theta, phi = self.inputs(GAUSSIAN, False, 17)
-        with pytest.raises(ContractViolation, match="unknown gradients"):
-            GAUSSIAN.log_weight_batch(x, z, theta, phi, grads=grads)
 
 
 class TestDrawWeighed:
@@ -507,7 +511,7 @@ class TestDrawWeighed:
         lent = [np.empty((n, k)) for k in (model.theta_dim, model.phi_dim)]
         drawn, log_f = model.draw_weighed(x, theta, phi, substream(19, 1), eps, *lent)
         assert drawn.shape == z.shape and drawn.tobytes() == z.tobytes()
-        want = model.log_weight_batch(x, z, theta, phi)
+        want = weigh_lending_both(model, x, z, theta, phi)
         for got, ref in zip([log_f, *lent], want, strict=True):
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
@@ -535,6 +539,7 @@ class TestDrawWeighed:
         for got, want in zip([lent_log_f, *lent], [log_f, *c_ordered], strict=True):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("method", ["draw_weighed", "log_weight_batch"])
     @pytest.mark.parametrize("lend", [("theta",), ("phi",), (), ("theta", "phi")],
                              ids=["theta", "phi", "none", "both"])
     @pytest.mark.parametrize("rows", [False, True], ids=["one-observation", "rows"])
@@ -542,18 +547,27 @@ class TestDrawWeighed:
         "model", [GAUSSIAN, GaussianConjugateModel(3), BERNOULLI, SumOfTwoModel()],
         ids=["gaussian-1", "gaussian-3", "bernoulli", "sum-of-two"],
     )
-    def test_builds_exactly_the_lent_gradients(self, monkeypatch, model, rows, lend):
+    def test_builds_exactly_the_lent_gradients(self, monkeypatch, model, rows, lend, method):
         # the model is handed the lent rows and no others: a gradient with
         # no lent rows is not built, each lent one has every entry written
         # with the bits of the both-lent call on the same stream, and z and
-        # log f do not depend on which rows are lent
+        # log f do not depend on which rows are lent; the latents are drawn
+        # and weighed in one call, or drawn and then weighed at fixed z
         x, _, theta, phi = TestRequestedGradients.inputs(model, rows, 23)
         n = 48
+
+        def weigh(grad_theta_out, grad_phi_out):
+            if method == "draw_weighed":
+                return model.draw_weighed(
+                    x, theta, phi, substream(23, 1), np.empty((n, model.z_dim)),
+                    grad_theta_out, grad_phi_out,
+                )
+            z = model.sample_q(x, phi, substream(23, 1), n)
+            return z, model.log_weight_batch(x, z, theta, phi, grad_theta_out, grad_phi_out)
+
         dims = {"theta": model.theta_dim, "phi": model.phi_dim}
         both = [np.empty((n, k)) for k in dims.values()]
-        want_z, want_log_f = model.draw_weighed(
-            x, theta, phi, substream(23, 1), np.empty((n, model.z_dim)), *both
-        )
+        want_z, want_log_f = weigh(*both)
         handed = []
         cls = type(model)
         log_joint, q_grad_phi = cls.log_joint, cls.q_grad_phi
@@ -570,10 +584,7 @@ class TestDrawWeighed:
         monkeypatch.setattr(cls, "q_grad_phi", recording_grad_phi)
         lent = {name: np.full((n, k), np.nan) if name in lend else None
                 for name, k in dims.items()}
-        z, log_f = model.draw_weighed(
-            x, theta, phi, substream(23, 1), np.empty((n, model.z_dim)),
-            lent["theta"], lent["phi"],
-        )
+        z, log_f = weigh(lent["theta"], lent["phi"])
         assert z.tobytes() == want_z.tobytes() and log_f.tobytes() == want_log_f.tobytes()
         assert [name for name, _ in handed] == ["theta", "phi"][: 1 + ("phi" in lend)]
         assert all(out is lent[name] for name, out in handed)

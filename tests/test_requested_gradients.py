@@ -11,9 +11,9 @@ from mlmc_evidence import estimator as estimator_module
 from mlmc_evidence import trainer as trainer_module
 from mlmc_evidence.cli import finite_difference_check
 from mlmc_evidence.diagnostics import estimate_moments, variance_profile
-from mlmc_evidence.estimator import EstimatorConfig, estimate_log_evidence
+from mlmc_evidence.estimator import ALL_GRADS, EstimatorConfig, estimate_log_evidence
 from mlmc_evidence.gradients import estimate_gradients
-from mlmc_evidence.models import ALL_GRADS, GaussianConjugateModel
+from mlmc_evidence.models import BernoulliGaussianModel, GaussianConjugateModel
 from mlmc_evidence.rng import substream
 from mlmc_evidence.trainer import TrainConfig, train
 
@@ -24,22 +24,30 @@ CFG = EstimatorConfig(n0=8, batch_size=16)
 NONE = frozenset()
 
 
-class RecordingModel(GaussianConjugateModel):
-    """The Gaussian model, recording the gradients each weight call asks
-    for: those a chunk's draw is lent rows for, or those a weighing of
-    latents the caller holds names."""
+class Recording:
+    """Mixed into a model, records the gradients each weight call is lent
+    rows for: a chunk's draw, or a weighing of latents the caller holds."""
 
-    def __init__(self, dim=1):
-        super().__init__(dim)
+    def __init__(self, *args):
+        super().__init__(*args)
         self.asked = []
 
     def draw_weighed(self, x, theta, phi, rng, eps, grad_theta_out=None, grad_phi_out=None):
         self.asked.append(lent_grads(grad_theta_out, grad_phi_out))
         return super().draw_weighed(x, theta, phi, rng, eps, grad_theta_out, grad_phi_out)
 
-    def log_weight_batch(self, x, z, theta, phi, grads=ALL_GRADS):
-        self.asked.append(frozenset(grads))
-        return super().log_weight_batch(x, z, theta, phi, grads)
+    def log_weight_batch(self, x, z, theta, phi, grad_theta_out=None, grad_phi_out=None):
+        self.asked.append(lent_grads(grad_theta_out, grad_phi_out))
+        return super().log_weight_batch(x, z, theta, phi, grad_theta_out, grad_phi_out)
+
+
+class RecordingModel(Recording, GaussianConjugateModel):
+    """The Gaussian model, recording the gradients each weight call is lent."""
+
+
+class RecordingBernoulliModel(Recording, BernoulliGaussianModel):
+    """The Bernoulli-Gaussian model, recording the gradients each weight
+    call is lent."""
 
 
 def test_evidence_asks_for_none():
@@ -95,6 +103,13 @@ def test_finite_differences_ask_for_none():
     finite_difference_check(model, DATA, 2, 1e-5, substream(607, 0))
     per_point = [ALL_GRADS] + [NONE] * 2 * (model.theta_dim + model.phi_dim)
     assert model.asked == 2 * per_point
+
+
+@pytest.mark.parametrize("xv", [0.0, 1.0])
+def test_quadrature_lower_bound_gradient_asks_for_phi_only(xv):
+    model = RecordingBernoulliModel()
+    model.oracle_elbo_grad_phi(np.array([xv]), np.array([1.3, -0.4]), np.full(4, 0.2))
+    assert model.asked == [frozenset({"phi"})]
 
 
 class ChunkCountingModel(GaussianConjugateModel):

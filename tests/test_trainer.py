@@ -43,6 +43,13 @@ class TestConfigValidation:
             quick_config(momentum=1.0)
         with pytest.raises(ContractViolation):
             quick_config(eval_every=0)
+        for field, value in [("steps", 2.5), ("eval_every", 1.5), ("eval_replications", 2.0),
+                             ("steps", True)]:
+            with pytest.raises(ContractViolation, match=f"{field} must be an integer"):
+                quick_config(**{field: value})
+        cfg = quick_config(steps=np.int64(3), eval_every=np.uint8(2), eval_replications=np.int32(2))
+        assert (cfg.steps, cfg.eval_every, cfg.eval_replications) == (3, 2, 2)
+        assert {type(v) for v in (cfg.steps, cfg.eval_every, cfg.eval_replications)} == {int}
 
     @pytest.mark.parametrize("key", ["lr_theta", "lr_phi"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])

@@ -13,13 +13,18 @@ trees in turn, each on its own `workloads.stream(seed, workload, 0, i)`,
 the tree that goes first alternating with i, for R rounds of K operations.
 
 Pairing in one process puts both trees through the same slow and fast
-spells of the host, which separate runs cannot. A tree's time in a round is
-the sum of its operations' wall times. The tool prints, per workload, one
-line per round with both sums in milliseconds and their change/parent
-ratio, then the median ratio and the largest relative difference between
-the two trees' results (every float of every result; an integer or any
-other value that differs counts as a mismatch and is listed). It exits 1
-if any result mismatches in that way.
+spells of the host, which separate runs cannot. Short runs cannot resolve
+a few per cent: on two trees with the same hot path (2 CPUs), the
+per-round change/parent ratios at 6 rounds of 8 operations spanned
+0.96-1.03 on estimate-small and 0.85-1.13 on train-bernoulli (medians 1.02
+and 1.04), while at the defaults, 10 rounds of 60 operations, the medians
+read 0.99 and 1.00. A tree's time in a round is the sum of its operations'
+wall times. The tool prints, per workload, one line per round with both
+sums in milliseconds and their change/parent ratio, then the median ratio
+and the largest relative difference between the two trees' results (every
+float of every result; an integer or any other value that differs counts
+as a mismatch and is listed). It exits 1 if any result mismatches in that
+way.
 """
 from __future__ import annotations
 
@@ -158,7 +163,7 @@ def main(argv=None) -> int:
                     help="a workload of perfbench/workloads.py (repeatable; default all)")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--rounds", type=int, default=10)
-    ap.add_argument("--ops", type=int, default=8, help="operations per round")
+    ap.add_argument("--ops", type=int, default=60, help="operations per round")
     args = ap.parse_args(argv)
     if args.rounds < 1 or args.ops < 1:
         ap.error("--rounds and --ops must be >= 1")

@@ -60,9 +60,9 @@ import numpy as np
 
 from mlmc_evidence import cli, estimator
 from mlmc_evidence.diagnostics import estimate_moments, variance_profile
-from mlmc_evidence.estimator import EstimatorConfig, estimate_log_evidence, level_estimate
+from mlmc_evidence.estimator import ALL_GRADS, EstimatorConfig, estimate_log_evidence, level_estimate
 from mlmc_evidence.gradients import estimate_gradients
-from mlmc_evidence.models import ALL_GRADS, BernoulliGaussianModel, GaussianConjugateModel
+from mlmc_evidence.models import BernoulliGaussianModel, GaussianConjugateModel
 from mlmc_evidence.rng import substream
 from mlmc_evidence.trainer import TrainConfig, train
 
