@@ -7,8 +7,8 @@ buffers (`estimator.draw_chunks`), with the theta-gradient array only, and
 reduces them by segment as they are drawn (`estimator.reduce_chunks`, the
 batch's own loop), one row per replication, with no loop over
 replications. The level value and its theta-gradient are formulas of the
-chunk's one record (`estimator.LevelDraws`), so they share its one
-exponentiation.
+chunk's segment statistics (`estimator.LevelDraws`), so they share its one
+exponentiation and its one R per half.
 
 A profile's levels run concurrently, one task per level on up to one pool
 thread per CPU, the costliest level first. Each level draws only from its
@@ -79,7 +79,7 @@ def naive_grad_theta(draws) -> np.ndarray:
     """Theta-gradient of `naive_difference`, (M, theta_dim): the full-buffer
     ratio minus the first half's, which is the second half's weight share
     times R_b - R_a."""
-    r = draws.average(draws.grad_theta_log_f)
+    r = draws.theta_avg
     diff = r.take(draws.b, axis=0) - r.take(draws.a, axis=0)
     return draws.merge(r, (0.5 - 0.5 * np.tanh(0.5 * draws.d))[:, None] * diff)
 
@@ -134,6 +134,8 @@ def variance_profile(
     levels = list(levels)
     if any(l > cfg.level_cap for l in levels):
         raise ContractViolation(f"levels {levels} exceed level cap {cfg.level_cap}")
+    if data.n_total < 1:
+        raise ContractViolation("dataset is empty")
     level_streams = _rng.spawn(rng, len(levels))
     value_fn, grad_fn = (
         (antithetic_difference, grad_theta_level) if antithetic

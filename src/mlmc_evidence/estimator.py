@@ -8,26 +8,28 @@ so drawing the level from a geometric distribution and reweighting each
 difference by its level probability gives an estimator of log p(X) with no
 bias at any finite cost.
 
-A batch is drawn in chunks of consecutive members (`draw_chunks`,
-`LevelDraws`): member i owns a contiguous slice of n0 * 2^level_i draws,
-and the model draws and weighs a chunk in one call (`draw_weighed`) with
-the observations repeated as one row per draw, from standard normals drawn
+A batch is drawn in chunks of consecutive members (`draw_chunks`):
+member i owns a contiguous slice of n0 * 2^level_i draws, and the model
+draws and weighs a chunk in one call (`draw_weighed`) with the
+observations repeated as one row per draw, from standard normals drawn
 into rows the chunk lends. A chunk's per-draw rows take at most
 CHUNK_BYTES, so its memory stays bounded at any dimension, and every chunk
-of one draw cuts its standard normals, its gradient rows and the reducers'
-per-draw rows from the start of one block allocated per draw, so only the
-first maps fresh pages for them. Theta and phi rows are component-major:
-each component's values over the chunk's draws are one contiguous row.
-Each chunk is cut once into its members' halves and exponentiated once
-where it is drawn, and every level reducer is a formula of its one record.
-`run_batch` reduces the batch chunk by chunk as it is drawn
-(`reduce_chunks`), by segment with no loop over members, to one row per
-member of each quantity its caller names, so no buffer spans the batch.
-A chunk lends the model rows for only the gradients the reducers read.
-The evidence estimate folds the level values here and lends no gradient
-rows, and `gradients.estimate_gradients` folds the level gradients of the
-same draws; both read the level masses from one read-only table per level
-law (`EstimatorConfig.mass_table`).
+of one draw cuts them from the start of one block allocated per draw, so
+only the first maps fresh pages for them. Theta and phi rows are
+component-major: each component's values over the chunk's draws are one
+contiguous row. Where a chunk is drawn it is cut once into its members'
+halves, exponentiated once, and reduced to its segment statistics
+(`LevelDraws`): the halves' log-sums, the softmax-weighted theta-gradient
+average R of each half and each member's phi score sums. Every level
+reducer is a formula of those and reads no per-draw row. `run_batch`
+reduces the batch chunk by chunk as it is drawn (`reduce_chunks`), with no
+loop over members, to one row per member of each quantity its caller
+names, so no buffer spans the batch. A chunk lends the model rows for only
+the gradients the reducers read. The evidence estimate folds the level
+values here and lends no gradient rows, and
+`gradients.estimate_gradients` folds the level gradients of the same
+draws; both read the level masses from one read-only table per level law
+(`EstimatorConfig.mass_table`).
 """
 from __future__ import annotations
 
@@ -142,47 +144,27 @@ def _level_law(ratio: float, level_cap: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class LevelDraws(NamedTuple):
-    """One chunk of M consecutive batch members: member i owns the
-    contiguous slice of n0 * 2^levels[i] draws, in batch order, cut into
-    the segments the level reducers read (a level-0 member as one segment,
-    a deeper member as its two contiguous halves) with the one
-    peak/exp/sum pass over them. Every level value is a function of d, the
-    difference of a member's halves' log-sums. A gradient array the chunk
-    was not drawn with is None. The gradient rows, `shifted` and
-    `weighted` are cut from the draw's one block, which the next chunk
-    overwrites, so a chunk is valid until the next one is drawn; the theta
-    rows, the phi rows and `weighted` are component-major (n, k) views.
-    Reducers read the record and never write into it, except `average`
-    into `weighted`."""
+    """The segment statistics of one chunk of M consecutive batch members:
+    member i owns the contiguous slice of n0 * 2^levels[i] draws, in batch
+    order, cut into S segments (a level-0 member as one segment, a deeper
+    member as its two contiguous halves). Every level value is a formula
+    of these: d, the difference of a member's halves' log-sums, R of each
+    segment, and each member's phi sums. A statistic the chunk was not
+    drawn with is None. The record holds no per-draw array, and reducers
+    never write into it."""
 
     levels: np.ndarray  # (M,)
     n0: int
-    log_f: np.ndarray  # (n,)
-    grad_theta_log_f: np.ndarray | None  # (n, theta_dim) component-major
-    grad_phi_log_q: np.ndarray | None  # (n, phi_dim) component-major
-    starts: np.ndarray  # (S,) segment offsets, in buffer order
-    shifted: np.ndarray  # (n,) each draw's exp, shifted by its segment's peak
-    total: np.ndarray  # (S,) per-segment sum of `shifted`
     log_sums: np.ndarray  # (S,) per-segment log(sum_i exp(log f_i))
     a: np.ndarray  # (M,) each member's first segment
     b: np.ndarray  # (M,) its second segment; a at level 0
     d: np.ndarray  # (M,) log_sums[a] - log_sums[b]; 0 at level 0
     split: np.ndarray  # (M,) True where the member is cut in halves
-    weighted: np.ndarray  # (n, theta_dim) component-major rows for `average`'s products
-
-    @property
-    def n(self) -> int:
-        return self.log_f.shape[0]
-
-    def average(self, rows: np.ndarray) -> np.ndarray:
-        """The softmax(log f)-weighted average of `rows` within each
-        segment, sum_i exp(log f_i) rows_i / sum_i exp(log f_i), (S, k).
-        `rows` and `weighted` are component-major (n, k) views, so each
-        product and each segment sum runs along the contiguous (k, n) rows
-        of the draws of one component; the segment sums add in the same
-        order in any layout."""
-        weighted = np.multiply(rows.T, self.shifted, out=self.weighted.T)
-        return (np.add.reduceat(weighted, self.starts, axis=1) / self.total).T
+    #: (S, theta_dim) R, the softmax(log f)-weighted average of the
+    #: theta-gradient rows in each segment, sum_i f_i g_i / sum_i f_i
+    theta_avg: np.ndarray | None
+    #: (M, phi_dim) sum over each member's draws of (log f - 1) * dlog q/dphi
+    phi_sums: np.ndarray | None
 
     def merge(self, level_zero: np.ndarray, split_rows: np.ndarray) -> np.ndarray:
         """One row per member: `split_rows` where the member is split, its
@@ -198,11 +180,11 @@ ALL_GRADS = frozenset({"theta", "phi"})
 def row_bytes(model: LatentVariableModel, grads) -> int:
     """Bytes per draw of a chunk drawn with the gradient arrays `grads`:
     the rows cut from its draw's block (the standard normals, the segment
-    exp of log f and, with the theta gradient, its rows and their weighted
-    product in `LevelDraws.average`, and, with the phi gradient, its rows)
+    exp of log f and, with the theta gradient, its rows and the scratch
+    rows of their weighted products, and, with the phi gradient, its rows)
     and the fresh x row, z row and log f; 88 B at Gaussian dim 1 with the
-    theta gradient. The model's and the reducers' own temporaries are not
-    counted."""
+    theta gradient. The model's own temporaries and the phi products are
+    not counted."""
     theta = 2 * model.theta_dim if "theta" in grads else 0
     phi = model.phi_dim if "phi" in grads else 0
     return 8 * (model.z_dim + 1 + theta + model.x_dim + model.z_dim + 1 + phi)
@@ -219,26 +201,28 @@ def draw_chunks(
     grads=ALL_GRADS,
 ) -> Iterator[LevelDraws]:
     """Draw the members (observation x_rows[i], level levels[i]) in order
-    from `rng`, as flat buffers of consecutive members.
+    from `rng`, in chunks of consecutive members, and yield each chunk's
+    segment statistics.
 
     Each chunk holds at most CHUNK_BYTES // `row_bytes` draws (47 662 at
     Gaussian dim 1 with the theta gradient), or one member that alone
     exceeds it, and costs one `draw_weighed` call with the member's
     observation repeated per draw. The latents come from `rng` in member
     order whatever the chunking, so chunk boundaries change no value.
-    `grads` names the gradient arrays the chunks carry, a subset of
+    `grads` names the gradients the chunks are drawn with, a subset of
     {"theta", "phi"} checked here; the model is lent rows for those alone,
-    the others are None, and no value read from the chunks depends on it.
+    the record carries R only with "theta" and the phi sums only with
+    "phi", and no other statistic depends on it.
 
     A call allocates one block, sized for its largest chunk, and each
     chunk cuts from its start, in this order, its standard normals, its
-    theta-gradient rows (if drawn), its exp row, `LevelDraws.average`'s
-    weighted rows and its phi-gradient rows (if drawn): a chunk is valid
-    until the next one is drawn. Its segments are cut, and exponentiated
-    once into the exp row, before it is yielded. Gradient rows are
-    component-major, one contiguous length-n row per component lent as the
-    transposed (n, k) view, so the model's column writes and the reducers'
-    products and sums run along the draws.
+    theta-gradient rows (if drawn), its exp row, the scratch rows of the
+    theta products and its phi-gradient rows (if drawn). Its segments are
+    cut, exponentiated once into the exp row, and reduced to the
+    statistics before it is yielded, so the record holds no view of the
+    block. Gradient rows are component-major, one contiguous length-n row
+    per component lent as the transposed (n, k) view, so the model's
+    column writes and the products and segment sums run along the draws.
     """
     unknown = set(grads) - ALL_GRADS
     if unknown:
@@ -293,9 +277,18 @@ def draw_chunks(
         shifted, total, log_sums = segment_exp(log_f, starts, seg, rows[n * k : n * (k + 1)])
         a = per_member.cumsum() - per_member
         b = a + split
+        theta_avg = phi_sums = None
+        if k:
+            # the weighted products go to the block's scratch rows
+            weighted = rows[n * (k + 1) : n * (2 * k + 1)].reshape(k, n)
+            np.multiply(gt.T, shifted, out=weighted)
+            theta_avg = (np.add.reduceat(weighted, starts, axis=1) / total).T
+        if p:
+            # a member's draws start at its first segment
+            phi_sums = np.add.reduceat(np.multiply(gq.T, log_f - 1.0), starts[a], axis=1).T
         yield LevelDraws(
-            levels[lo:hi], cfg.n0, log_f, gt, gq, starts, shifted, total, log_sums, a, b,
-            log_sums[a] - log_sums[b], split, rows[n * (k + 1) : n * (2 * k + 1)].reshape(k, n).T,
+            levels[lo:hi], cfg.n0, log_sums, a, b, log_sums[a] - log_sums[b], split,
+            theta_avg, phi_sums,
         )
         lo = hi
 
@@ -367,7 +360,7 @@ def level_estimate(
         z_value=float(antithetic_difference(draws)[0]),
         grad_theta=_gradients.grad_theta_level(draws)[0],
         phi_grad_term=_gradients.grad_phi_elbo_level(draws)[0],
-        cost=draws.n,
+        cost=cfg.n0 << level,
     )
 
 

@@ -4,10 +4,11 @@ theta, and the single-level score-function estimator for the lower-bound
 gradient in phi.
 
 A batch is reduced chunk by chunk as it is drawn (`estimator.run_batch`):
-both level gradients are formulas of each chunk's one record
-(`estimator.LevelDraws`), whose segments were cut and exponentiated where
-the chunk was drawn, reduced to one row per member with no loop over
-members, and `estimate_gradients` folds those rows.
+both level gradients are formulas of each chunk's segment statistics
+(`estimator.LevelDraws`: the halves' log-sums, R of each half and each
+member's phi score sums, formed where the chunk was drawn), one row per
+member with no loop over members, and `estimate_gradients` folds those
+rows.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ def grad_theta_level(draws) -> np.ndarray:
     by d that leaves tanh(d / 2) / 2 * (R_a - R_b), from the identical
     draws and with each half reduced once.
     """
-    r = draws.average(draws.grad_theta_log_f)
+    r = draws.theta_avg
     diff = r.take(draws.a, axis=0) - r.take(draws.b, axis=0)
     return draws.merge(r, 0.5 * np.tanh(0.5 * draws.d)[:, None] * diff)
 
@@ -44,15 +45,11 @@ def grad_phi_elbo_level(draws) -> np.ndarray:
     the phi-dependence of f through the q denominator and has expectation
     zero, the log f * score part is the likelihood-ratio gradient of the
     expected log weight. A plain (unweighted) average at any level is
-    unbiased for the lower-bound gradient, so no level reweighting applies.
-    The products and sums run along the contiguous (phi_dim, n) rows of
-    the component-major phi rows, in an array of this reducer's own.
+    unbiased for the lower-bound gradient, so no level reweighting applies:
+    each member's sum of the integrand over its draws, divided by its size.
     """
-    terms = np.multiply(draws.grad_phi_log_q.T, draws.log_f - 1.0)
-    # a member's draws start at its first segment
-    sums = np.add.reduceat(terms, draws.starts[draws.a], axis=1)
     # row-major rows, as the batch fold and the concatenation of chunks sum them
-    return np.divide(sums.T, (draws.n0 << draws.levels)[:, None], order="C")
+    return np.divide(draws.phi_sums, (draws.n0 << draws.levels)[:, None], order="C")
 
 
 @dataclass

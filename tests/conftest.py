@@ -1,5 +1,8 @@
 """Session-level guards and reference arithmetic shared by the whole suite."""
 
+import contextlib
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -37,3 +40,41 @@ def lent_grads(grad_theta_out, grad_phi_out) -> frozenset:
         name for name, out in (("theta", grad_theta_out), ("phi", grad_phi_out))
         if out is not None
     )
+
+
+class Drawn(NamedTuple):
+    """One `draw_weighed` call: copies of the z and log f it returned and
+    of the gradient rows it was lent, as the call left them (None where no
+    row was lent), and the arrays it was lent, (eps, grad_theta_out,
+    grad_phi_out), themselves."""
+
+    z: np.ndarray
+    log_f: np.ndarray
+    grad_theta: np.ndarray | None  # (n, theta_dim), C-ordered
+    grad_phi: np.ndarray | None  # (n, phi_dim), C-ordered
+    lent: tuple
+
+
+@contextlib.contextmanager
+def recorded_draws(model):
+    """While open, wrap `model.draw_weighed` on the instance, and append
+    one `Drawn` per call to the list it yields: the per-draw values of
+    what the estimator draws, which its records no longer hold."""
+    calls = []
+    draw = model.draw_weighed
+
+    def recording(x, theta, phi, rng, eps, grad_theta_out=None, grad_phi_out=None):
+        z, log_f = draw(x, theta, phi, rng, eps, grad_theta_out, grad_phi_out)
+        grad_theta, grad_phi = (
+            None if out is None else np.array(out) for out in (grad_theta_out, grad_phi_out)
+        )
+        calls.append(Drawn(
+            z.copy(), log_f.copy(), grad_theta, grad_phi, (eps, grad_theta_out, grad_phi_out),
+        ))
+        return z, log_f
+
+    model.draw_weighed = recording
+    try:
+        yield calls
+    finally:
+        del model.draw_weighed

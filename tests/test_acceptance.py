@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import log_mean_exp
+from conftest import log_mean_exp, recorded_draws
 from mlmc_evidence.cli import finite_difference_check, main
 from mlmc_evidence.diagnostics import fit_decay_rate, variance_profile
 from mlmc_evidence.estimator import (
@@ -149,10 +149,12 @@ def test_criterion_5_antithetic_identity():
     for r in range(10_000):
         level = 1 + int(sample_levels(CFG, rng.random(1))[0])  # levels >= 1
         x = DATA.x[rng.integers(DATA.n_total)]
-        draws = draw_level_samples(MODEL, x, THETA, PHI_MISMATCHED, level, CFG, rng)
-        half = draws.n // 2
-        p_full = log_mean_exp(draws.log_f)
-        halves = (log_mean_exp(draws.log_f[:half]) + log_mean_exp(draws.log_f[half:])) / 2
+        with recorded_draws(MODEL) as calls:
+            draws = draw_level_samples(MODEL, x, THETA, PHI_MISMATCHED, level, CFG, rng)
+        ((_, log_f, *_),) = calls
+        half = log_f.size // 2
+        p_full = log_mean_exp(log_f)
+        halves = (log_mean_exp(log_f[:half]) + log_mean_exp(log_f[half:])) / 2
         combined = antithetic_difference(draws)[0] + halves
         worst = max(worst, abs(combined - p_full) / abs(p_full))
     report("5", worst < 1e-12, f"max relative deviation {worst:.3e}", time.perf_counter() - t0)

@@ -11,6 +11,7 @@ import threading
 import numpy as np
 import pytest
 
+from mlmc_evidence import rng as rng_module
 from mlmc_evidence.diagnostics import (
     LevelStats,
     estimate_moments,
@@ -29,6 +30,7 @@ from mlmc_evidence.estimator import (
 from mlmc_evidence.gradients import grad_theta_level
 from mlmc_evidence.models import (
     BernoulliGaussianModel,
+    Dataset,
     GaussianConjugateModel,
     LatentVariableModel,
 )
@@ -158,6 +160,19 @@ class TestVarianceProfile:
         with pytest.raises(ContractViolation):
             variance_profile(
                 MODEL, DATA, THETA, PHI_WIDE, range(1, 3), 99, CFG, substream(406, 0)
+            )
+
+    def test_empty_dataset_rejected(self, monkeypatch):
+        # the profile refuses an empty dataset as a batch does, before it
+        # spawns any level stream
+        def forbidden(rng, n):
+            raise AssertionError("profile spawned level streams")
+
+        monkeypatch.setattr(rng_module, "spawn", forbidden)
+        empty = Dataset(np.zeros((0, 1)))
+        with pytest.raises(ContractViolation, match="^dataset is empty$"):
+            variance_profile(
+                MODEL, empty, THETA, PHI_WIDE, range(1, 3), 100, CFG, substream(406, 1)
             )
 
     def test_moderate_slope_sanity(self):

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import lent_grads, log_mean_exp
+from conftest import lent_grads, log_mean_exp, recorded_draws
 from mlmc_evidence import diagnostics as diagnostics_module
 from mlmc_evidence import estimator as estimator_module
 from mlmc_evidence import gradients
@@ -30,6 +30,7 @@ from mlmc_evidence.estimator import (
     sample_levels,
 )
 from mlmc_evidence.gradients import estimate_gradients, grad_phi_elbo_level, grad_theta_level
+from mlmc_evidence.logspace import segment_exp
 from mlmc_evidence.models import BernoulliGaussianModel, GaussianConjugateModel
 from mlmc_evidence.rng import substream
 
@@ -215,13 +216,15 @@ class TestLevelEstimate:
         rng = substream(107, 0)
         for rep in range(300):
             level = 1 + rep % 5
-            draws = draw_level_samples(
-                MODEL, DATA.x[rep % DATA.n_total], THETA, PHI_WIDE, level, cfg, rng
-            )
-            half = draws.n // 2
-            p_a = log_mean_exp(draws.log_f[:half])
-            p_b = log_mean_exp(draws.log_f[half:])
-            p_full = log_mean_exp(draws.log_f)
+            with recorded_draws(MODEL) as calls:
+                draws = draw_level_samples(
+                    MODEL, DATA.x[rep % DATA.n_total], THETA, PHI_WIDE, level, cfg, rng
+                )
+            ((_, log_f, *_),) = calls
+            half = log_f.size // 2
+            p_a = log_mean_exp(log_f[:half])
+            p_b = log_mean_exp(log_f[half:])
+            p_full = log_mean_exp(log_f)
             recombined = antithetic_difference(draws)[0] + (p_a + p_b) / 2
             assert recombined == pytest.approx(p_full, rel=1e-12, abs=1e-12)
 
@@ -340,14 +343,16 @@ class TestTelescoping:
         x = np.array([0.9])
         for level in (0, 2, 3):
             rng = substream(111, level)
-            draws = draw_level_samples(MODEL, x, THETA, PHI_WIDE, level, cfg, rng)
-            p_full = log_mean_exp(draws.log_f)
+            with recorded_draws(MODEL) as calls:
+                draw_level_samples(MODEL, x, THETA, PHI_WIDE, level, cfg, rng)
+            ((_, log_f, *_),) = calls
+            p_full = log_mean_exp(log_f)
             if level == 0:
                 expected = p_full
             else:
-                half = draws.n // 2
+                half = log_f.size // 2
                 expected = p_full - 0.5 * (
-                    log_mean_exp(draws.log_f[:half]) + log_mean_exp(draws.log_f[half:])
+                    log_mean_exp(log_f[:half]) + log_mean_exp(log_f[half:])
                 )
             est = level_estimate(MODEL, x, THETA, PHI_WIDE, level, cfg, substream(111, level))
             assert est.z_value == pytest.approx(expected, abs=1e-14)
@@ -427,11 +432,13 @@ class TestEstimateLogEvidence:
 
         rng = substream(119, 0)
         indices, levels = draw_batch_indices(DATA, cfg, rng)
-        expected = [
-            draw_level_samples(MODEL, DATA.x[i], THETA, PHI_WIDE, level, cfg, rng)
-            for i, level in zip(indices, levels)
-        ]
-        assert est.total_cost == sum(want.n for want in expected) > 64
+        with recorded_draws(MODEL) as calls:
+            expected = [
+                draw_level_samples(MODEL, DATA.x[i], THETA, PHI_WIDE, level, cfg, rng)
+                for i, level in zip(indices, levels)
+            ]
+        assert len(calls) == len(expected)
+        assert est.total_cost == sum(call.log_f.size for call in calls) > 64
         reducers = [antithetic_difference, grad_theta_level, grad_phi_elbo_level]
         batch_levels, rows = run_batch(
             MODEL, DATA, THETA, PHI_WIDE, cfg, substream(119, 0), reducers=reducers
@@ -609,12 +616,22 @@ class TestDrawBudget:
         assert {allowed for _, allowed in wide.calls} == widths and len(widths) > 1
 
 
+def c_ordered_average(draws, drawn):
+    """R of each segment of the chunk `draws`, (S, theta_dim), formed from
+    the C-ordered copy of the theta rows `drawn` recorded: the products
+    and segment sums of `draw_chunks`' formula, run down the (n, k) rows."""
+    seg = ((draws.n0 << draws.levels) >> draws.split).repeat(1 + draws.split)
+    starts = seg.cumsum() - seg
+    shifted, total, _ = segment_exp(drawn.log_f, starts, seg, np.empty_like(drawn.log_f))
+    weighted = drawn.grad_theta * shifted[:, None]
+    return np.add.reduceat(weighted, starts, axis=0) / total[:, None]
+
+
 class TestWorkspace:
     def test_two_averages_of_each_chunk_give_what_each_gives_alone(self, monkeypatch):
-        # both reducers average each chunk's theta-gradient rows into the
-        # same weighted rows of the block; each average is reduced before the
-        # next one overwrites them, so together in chunks they give what each
-        # gives alone and what one chunk gives
+        # both reducers read each chunk's one R, formed in the block's
+        # scratch rows before the next chunk overwrites them, so together in
+        # chunks they give what each gives alone and what one chunk gives
         cfg = EstimatorConfig(n0=8, batch_size=16)
         reducers = [grad_theta_level, naive_grad_theta]
 
@@ -635,52 +652,36 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_component_major_rows_reduce_as_c_ordered_copies(self, monkeypatch, dim):
-        # each chunk draws its normals into its block and lends the model and
-        # LevelDraws.average one contiguous row per theta component; both theta
-        # reducers give, bit for bit, what they give on C-ordered copies
+        # each chunk draws its normals into its block and lends the model one
+        # contiguous row of it per theta component; both theta reducers give,
+        # bit for bit, what they give on R formed from C-ordered copies
         model = GaussianConjugateModel(dim)
         theta = np.zeros(model.theta_dim)
         phi = np.repeat([0.0, 0.0, 0.5 * math.log(2.0)], dim)
         data = model.generate_data(theta, 20, substream(129, 0))
-        normals = []
-        draw_weighed = model.draw_weighed
-
-        def recording_draw(*args, **kwargs):
-            normals.append(args[4])
-            return draw_weighed(*args, **kwargs)
-
-        model.draw_weighed = recording_draw
         chunk_draws(monkeypatch, 48, model, ("theta",))
         levels = np.array([0, 3, 1, 2, 0, 4, 1, 2])
-        chunks = 0
-        for draws in draw_chunks(
-            model, data.x[:8], levels, theta, phi, EstimatorConfig(n0=8), substream(129, 1),
-            grads=("theta",),
-        ):
-            assert normals[-1].base is draws.shifted.base is draws.grad_theta_log_f.base
-            for rows in (draws.grad_theta_log_f, draws.weighted):
-                assert rows.shape == (draws.n, model.theta_dim)
-                assert all(rows[:, j].flags.c_contiguous for j in range(model.theta_dim))
-            copy = draws._replace(
-                grad_theta_log_f=np.ascontiguousarray(draws.grad_theta_log_f),
-                weighted=np.empty((draws.n, model.theta_dim)),
-            )
+        with recorded_draws(model) as calls:
+            chunks = list(draw_chunks(
+                model, data.x[:8], levels, theta, phi, EstimatorConfig(n0=8), substream(129, 1),
+                grads=("theta",),
+            ))
+        for draws, drawn in zip(chunks, calls, strict=True):
+            normals, rows, _ = drawn.lent
+            assert normals.base is rows.base
+            assert rows.shape == (drawn.log_f.size, model.theta_dim)
+            assert all(rows[:, j].flags.c_contiguous for j in range(model.theta_dim))
+            copy = draws._replace(theta_avg=c_ordered_average(draws, drawn))
             for reduce in (grad_theta_level, naive_grad_theta):
                 assert reduce(draws).tobytes() == reduce(copy).tobytes(), reduce.__name__
-            chunks += 1
-        assert chunks > 1
+        assert len(chunks) > 1
 
     def test_chunks_reuse_one_workspace_and_results_never_alias_it(self, monkeypatch):
-        # every chunk of a draw writes its theta-gradient and exp rows into
-        # the same block, and no result of a batch, an estimate or a
-        # profile is a view of any chunk's rows
-        chunks, reduced = [], []
-        real_draw, real_reduce = estimator_module.draw_chunks, estimator_module.reduce_chunks
-
-        def recording_draw(*args, **kwargs):
-            for draws in real_draw(*args, **kwargs):
-                chunks.append(draws)
-                yield draws
+        # every chunk of a draw cuts the rows it lends the model from the
+        # same block, and no result of a batch, an estimate or a profile is
+        # a view of any lent row or of its block
+        reduced = []
+        real_reduce = estimator_module.reduce_chunks
 
         def recording_reduce(*args):
             rows = real_reduce(*args)
@@ -688,38 +689,38 @@ class TestWorkspace:
             return rows
 
         for module in (estimator_module, diagnostics_module):
-            monkeypatch.setattr(module, "draw_chunks", recording_draw)
             monkeypatch.setattr(module, "reduce_chunks", recording_reduce)
         chunk_draws(monkeypatch, 64, MODEL, ALL_GRADS)
         cfg = EstimatorConfig(n0=8, batch_size=16)
         reducers = [antithetic_difference, grad_theta_level, grad_phi_elbo_level]
-        levels, _ = run_batch(
-            MODEL, DATA, THETA, PHI_WIDE, cfg, substream(127, 0), reducers=reducers
-        )
-        batch_chunks = len(chunks)
-        grads = estimate_gradients(MODEL, DATA, THETA, PHI_WIDE, cfg, substream(127, 1))
-        variance_profile(MODEL, DATA, THETA, PHI_WIDE, range(0, 3), 100, cfg, substream(127, 2))
+        with recorded_draws(MODEL) as calls:
+            levels, _ = run_batch(
+                MODEL, DATA, THETA, PHI_WIDE, cfg, substream(127, 0), reducers=reducers
+            )
+            batch_chunks = len(calls)
+            grads = estimate_gradients(MODEL, DATA, THETA, PHI_WIDE, cfg, substream(127, 1))
+            variance_profile(
+                MODEL, DATA, THETA, PHI_WIDE, range(0, 3), 100, cfg, substream(127, 2)
+            )
         assert batch_chunks > 1
-        first, second = chunks[:2]
-        block = first.grad_theta_log_f.base
-        assert block is not None and block.nbytes >= first.grad_theta_log_f.nbytes
-        for row in (second.grad_theta_log_f, second.shifted):
+        first, second = calls[:2]
+        block = first.lent[1].base
+        assert block is not None and block.nbytes >= first.lent[1].nbytes
+        for row in second.lent:
             assert row.base is block
 
         results = [levels, *reduced, grads.grad_theta, grads.grad_phi]
-        for draws in chunks:
-            rows = [draws.log_f, draws.grad_theta_log_f, draws.grad_phi_log_q, draws.shifted]
-            for row in (r for r in rows if r is not None):
+        for drawn in calls:
+            rows = [row for row in drawn.lent if row is not None]
+            for row in rows + [row.base for row in rows]:
                 for result in results:
                     assert not np.shares_memory(row, result)
-
 
     @pytest.mark.parametrize("grads", [(), ("theta",), ALL_GRADS], ids=["none", "theta", "both"])
     @pytest.mark.parametrize("model", [GaussianConjugateModel(3), BernoulliGaussianModel()],
                              ids=["gaussian-3", "bernoulli"])
     def test_reducers_leave_the_chunk_unchanged(self, monkeypatch, model, grads):
-        # a reducer reads its chunk and writes only arrays of its own, but
-        # for LevelDraws.average's products in `weighted`
+        # a reducer reads its chunk and writes only arrays of its own
         reducers = [antithetic_difference, naive_difference]
         if "theta" in grads:
             reducers += [grad_theta_level, naive_grad_theta]
@@ -736,7 +737,7 @@ class TestWorkspace:
         ):
             before = {
                 name: value.copy() for name, value in draws._asdict().items()
-                if isinstance(value, np.ndarray) and name != "weighted"
+                if isinstance(value, np.ndarray)
             }
             for reduce in reducers:
                 reduce(draws)
@@ -744,6 +745,40 @@ class TestWorkspace:
                 assert getattr(draws, name).tobytes() == value.tobytes(), name
             chunks += 1
         assert chunks > 1
+
+    @pytest.mark.parametrize("grads", [(), ("theta",), ALL_GRADS], ids=["none", "theta", "both"])
+    @pytest.mark.parametrize("model", [GaussianConjugateModel(3), BernoulliGaussianModel()],
+                             ids=["gaussian-3", "bernoulli"])
+    def test_records_hold_only_segment_statistics(self, monkeypatch, model, grads):
+        # every array a chunk's record holds has one row per member (M) or
+        # per segment (S), never one per draw (n), and none is a view of a
+        # row the model was lent or of the block it was cut from
+        theta = np.full(model.theta_dim, 0.3)
+        phi = np.full(model.phi_dim, 0.2)
+        data = model.generate_data(theta, 12, substream(133, 0))
+        chunk_draws(monkeypatch, 48, model, grads)
+        with recorded_draws(model) as calls:
+            chunks = list(draw_chunks(
+                model, data.x, np.arange(12) % 4, theta, phi, EstimatorConfig(n0=4),
+                substream(133, 1), grads,
+            ))
+        assert len(chunks) == len(calls) > 1
+        for draws, drawn in zip(chunks, calls):
+            assert (draws.theta_avg is None) == ("theta" not in grads)
+            assert (draws.phi_sums is None) == ("phi" not in grads)
+            m = draws.levels.size
+            s = m + int(draws.split.sum())
+            assert drawn.log_f.size > s
+            arrays = {
+                name: value for name, value in draws._asdict().items()
+                if isinstance(value, np.ndarray)
+            }
+            for name, value in arrays.items():
+                assert value.shape[0] in (m, s), name
+            lent = [row for row in drawn.lent if row is not None]
+            for row in lent + [row.base for row in lent]:
+                for name, value in arrays.items():
+                    assert not np.shares_memory(value, row), name
 
     @pytest.mark.parametrize("model", [GaussianConjugateModel(3), BernoulliGaussianModel()],
                              ids=["gaussian-3", "bernoulli"])
@@ -754,21 +789,22 @@ class TestWorkspace:
         phi = np.full(model.phi_dim, 0.2)
         data = model.generate_data(theta, 12, substream(132, 0))
         chunk_draws(monkeypatch, 48, model, ALL_GRADS)
-        chunks = 0
-        for draws in draw_chunks(
-            model, data.x, np.arange(12) % 4, theta, phi, EstimatorConfig(n0=4),
-            substream(132, 1),
-        ):
-            rows = draws.grad_phi_log_q
-            assert rows.shape == (draws.n, model.phi_dim)
+        with recorded_draws(model) as calls:
+            chunks = list(draw_chunks(
+                model, data.x, np.arange(12) % 4, theta, phi, EstimatorConfig(n0=4),
+                substream(132, 1),
+            ))
+        for draws, drawn in zip(chunks, calls, strict=True):
+            normals, theta_rows, rows = drawn.lent
+            assert rows.shape == (drawn.log_f.size, model.phi_dim)
             assert rows.T.flags.c_contiguous
-            assert rows.base is draws.shifted.base is draws.grad_theta_log_f.base
-            terms = (draws.log_f - 1.0)[:, None] * np.ascontiguousarray(rows)
-            want = np.add.reduceat(terms, draws.starts[draws.a], axis=0)
-            want /= (draws.n0 << draws.levels)[:, None]
+            assert rows.base is normals.base is theta_rows.base
+            sizes = draws.n0 << draws.levels
+            terms = (drawn.log_f - 1.0)[:, None] * drawn.grad_phi
+            want = np.add.reduceat(terms, sizes.cumsum() - sizes, axis=0)
+            want /= sizes[:, None]
             np.testing.assert_allclose(grad_phi_elbo_level(draws), want, rtol=1e-12, atol=0.0)
-            chunks += 1
-        assert chunks > 1
+        assert len(chunks) > 1
 
 
 def traced_peak(call) -> int:
@@ -854,7 +890,9 @@ class TestSegmentReducers:
 
     def check_against_raw_route(self, model, x_rows, theta, phi, seed, levels=LEVELS):
         cfg = EstimatorConfig(n0=4)
-        (draws,) = draw_chunks(model, x_rows, levels, theta, phi, cfg, substream(seed, 0))
+        with recorded_draws(model) as calls:
+            (draws,) = draw_chunks(model, x_rows, levels, theta, phi, cfg, substream(seed, 0))
+        (drawn,) = calls
         got = [
             antithetic_difference(draws),
             grad_theta_level(draws),
@@ -871,8 +909,7 @@ class TestSegmentReducers:
         for i, (start, size) in enumerate(zip(starts, sizes)):
             member = slice(start, start + size)
             want = raw_level_route(
-                draws.log_f[member], draws.grad_theta_log_f[member],
-                draws.grad_phi_log_q[member], levels[i],
+                drawn.log_f[member], drawn.grad_theta[member], drawn.grad_phi[member], levels[i],
             )
             for g, w in zip(got, want):
                 np.testing.assert_allclose(g[i], w, rtol=1e-12, atol=1e-12)
@@ -904,13 +941,19 @@ class TestSegmentReducers:
         data = model.generate_data(theta, levels.size, substream(128, 0))
         self.check_against_raw_route(model, data.x, theta, phi, 129, levels)
         cfg = EstimatorConfig(n0=4)
-        (draws,) = draw_chunks(model, data.x, levels, theta, phi, cfg, substream(129, 0))
+        with recorded_draws(model) as calls:
+            (draws,) = draw_chunks(model, data.x, levels, theta, phi, cfg, substream(129, 0))
+        ((_, log_f, *_),) = calls
         np.testing.assert_array_equal(draws.split, levels > 0)
         want = np.concatenate([
             [size] if level == 0 else [size // 2, size // 2]
             for level, size in zip(levels, 4 << levels)
         ])
-        np.testing.assert_array_equal(np.diff(draws.starts, append=draws.n), want)
+        # the log-sums are those of consecutive segments of these sizes
+        assert want.sum() == log_f.size
+        starts = want.cumsum() - want
+        log_sums = segment_exp(log_f, starts, want, np.empty_like(log_f))[2]
+        np.testing.assert_array_equal(draws.log_sums, log_sums)
         assert draws.log_sums.shape == want.shape
         # a level-0 member is its own second half, with d exactly 0; a
         # split member's halves are consecutive segments
@@ -919,4 +962,4 @@ class TestSegmentReducers:
         assert (draws.d[whole] == 0.0).all()
         np.testing.assert_array_equal(draws.b[~whole], draws.a[~whole] + 1)
         np.testing.assert_array_equal(draws.d, draws.log_sums[draws.a] - draws.log_sums[draws.b])
-        assert len(draws.starts) == levels.size + draws.split.sum()
+        assert len(draws.log_sums) == levels.size + draws.split.sum()

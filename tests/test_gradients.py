@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 
+from conftest import recorded_draws
 from mlmc_evidence.estimator import (
     EstimatorConfig,
     antithetic_difference,
@@ -48,12 +49,14 @@ class TestGradThetaLevel:
         # must equal sum(f g) / sum(f)
         rng = substream(202, 0)
         for _ in range(50):
-            draws = draw_level_samples(
-                MODEL, DATA.x[0], THETA, PHI_WIDE, 0, CFG, rng
-            )
-            assert np.all(np.abs(draws.log_f) < 300)
-            f = np.exp(draws.log_f)
-            direct = (f[:, None] * draws.grad_theta_log_f).sum(0) / f.sum()
+            with recorded_draws(MODEL) as calls:
+                draws = draw_level_samples(
+                    MODEL, DATA.x[0], THETA, PHI_WIDE, 0, CFG, rng
+                )
+            (drawn,) = calls
+            assert np.all(np.abs(drawn.log_f) < 300)
+            f = np.exp(drawn.log_f)
+            direct = (f[:, None] * drawn.grad_theta).sum(0) / f.sum()
             np.testing.assert_allclose(
                 grad_theta_level(draws)[0], direct, rtol=1e-10, atol=1e-12
             )
@@ -96,11 +99,12 @@ class TestGradThetaLevel:
     def test_single_draw_collapse(self):
         # n0 = 1 at level 0: the ratio is the lone per-draw gradient
         cfg = EstimatorConfig(n0=1, batch_size=1)
-        draws = draw_level_samples(
-            MODEL, DATA.x[0], THETA, PHI_WIDE, 0, cfg, substream(206, 0)
-        )
+        with recorded_draws(MODEL) as calls:
+            draws = draw_level_samples(
+                MODEL, DATA.x[0], THETA, PHI_WIDE, 0, cfg, substream(206, 0)
+            )
         np.testing.assert_array_equal(
-            grad_theta_level(draws)[0], draws.grad_theta_log_f[0]
+            grad_theta_level(draws)[0], calls[0].grad_theta[0]
         )
 
 
@@ -108,11 +112,13 @@ class TestGradPhiLevel:
     def test_constant_log_f_form(self):
         # q = posterior makes log f constant c, so the average collapses to
         # (c - 1) * mean(score) exactly
-        draws = draw_level_samples(
-            MODEL, DATA.x[3], THETA, PHI_POSTERIOR, 1, CFG, substream(207, 0)
-        )
-        c = draws.log_f[0]
-        expected = (c - 1.0) * draws.grad_phi_log_q.mean(axis=0)
+        with recorded_draws(MODEL) as calls:
+            draws = draw_level_samples(
+                MODEL, DATA.x[3], THETA, PHI_POSTERIOR, 1, CFG, substream(207, 0)
+            )
+        (drawn,) = calls
+        c = drawn.log_f[0]
+        expected = (c - 1.0) * drawn.grad_phi.mean(axis=0)
         np.testing.assert_allclose(grad_phi_elbo_level(draws)[0], expected, atol=1e-12)
 
     def test_stationary_at_posterior(self):
@@ -120,22 +126,24 @@ class TestGradPhiLevel:
         # expectation of the term is zero; 1e5 draws at one level
         x = DATA.x[4]
         cfg = EstimatorConfig(n0=100_000, batch_size=1)
-        draws = draw_level_samples(
-            MODEL, x, THETA, PHI_POSTERIOR, 0, cfg, substream(208, 0)
-        )
-        per_draw = (draws.log_f - 1.0)[:, None] * draws.grad_phi_log_q
-        se = per_draw.std(axis=0, ddof=1) / math.sqrt(draws.n)
+        with recorded_draws(MODEL) as calls:
+            draw_level_samples(MODEL, x, THETA, PHI_POSTERIOR, 0, cfg, substream(208, 0))
+        (drawn,) = calls
+        per_draw = (drawn.log_f - 1.0)[:, None] * drawn.grad_phi
+        se = per_draw.std(axis=0, ddof=1) / math.sqrt(drawn.log_f.size)
         np.testing.assert_array_less(np.abs(per_draw.mean(axis=0)), 4 * se)
 
     def test_mean_matches_analytic_lower_bound_gradient(self):
         x = DATA.x[5]
         oracle = MODEL.oracle_elbo_grad_phi(x, THETA, PHI_WIDE)
         cfg = EstimatorConfig(n0=100_000, batch_size=1)
-        draws = draw_level_samples(
-            MODEL, x, THETA, PHI_WIDE, 0, cfg, substream(209, 0)
-        )
-        per_draw = (draws.log_f - 1.0)[:, None] * draws.grad_phi_log_q
-        se = per_draw.std(axis=0, ddof=1) / math.sqrt(draws.n)
+        with recorded_draws(MODEL) as calls:
+            draws = draw_level_samples(
+                MODEL, x, THETA, PHI_WIDE, 0, cfg, substream(209, 0)
+            )
+        (drawn,) = calls
+        per_draw = (drawn.log_f - 1.0)[:, None] * drawn.grad_phi
+        se = per_draw.std(axis=0, ddof=1) / math.sqrt(drawn.log_f.size)
         np.testing.assert_array_less(np.abs(per_draw.mean(axis=0) - oracle), 4 * se)
         np.testing.assert_allclose(
             grad_phi_elbo_level(draws)[0], per_draw.mean(axis=0), atol=1e-12
@@ -186,10 +194,11 @@ class TestEstimateGradients:
         rng = substream(212, 0)
         indices, member_levels = draw_batch_indices(DATA, CFG, rng)
         np.testing.assert_array_equal(member_levels, levels)
-        members = [
-            draw_level_samples(MODEL, DATA.x[i], THETA, PHI_WIDE, level, CFG, rng)
-            for i, level in zip(indices, levels)
-        ]
+        with recorded_draws(MODEL) as calls:
+            members = [
+                draw_level_samples(MODEL, DATA.x[i], THETA, PHI_WIDE, level, CFG, rng)
+                for i, level in zip(indices, levels)
+            ]
         for i, alone in enumerate(members):
             np.testing.assert_array_equal(grad_theta_level(alone)[0], rows_t[i])
             np.testing.assert_array_equal(grad_phi_elbo_level(alone)[0], rows_p[i])
@@ -198,7 +207,8 @@ class TestEstimateGradients:
         est = estimate_gradients(MODEL, DATA, THETA, PHI_WIDE, CFG, substream(212, 0))
         np.testing.assert_array_equal(est.grad_theta, n / m * (rows_t / masses[:, None]).sum(axis=0))
         np.testing.assert_array_equal(est.grad_phi, n / m * rows_p.sum(axis=0))
-        assert est.total_cost == sum(alone.n for alone in members) == (CFG.n0 << levels).sum()
+        assert len(calls) == len(members)
+        assert est.total_cost == sum(c.log_f.size for c in calls) == (CFG.n0 << levels).sum()
 
         ev = estimate_log_evidence(MODEL, DATA, THETA, PHI_WIDE, CFG, substream(212, 0))
         terms = values / masses
