@@ -10,28 +10,33 @@ replications. The level value and its theta-gradient are formulas of the
 chunk's segment statistics (`estimator.LevelDraws`), so they share its one
 exponentiation and its one R per half.
 
-A profile's levels run concurrently, one task per level on up to one pool
-thread per CPU, the costliest level first. Each level draws only from its
-own spawned stream, so no output depends on the schedule. Peak memory is up
-to one level's chunk block per worker, and where levels fail, the first
-failing level in the caller's order is the one raised.
+A profile's levels run concurrently, split by cost into one bin per CPU:
+the calling thread runs the bin holding the costliest level, and one
+persistent worker process per other CPU, forked on the first profile that
+needs it, runs each other bin. Each level draws only from its own spawned
+stream, so no output depends on the split. Peak memory is one level's chunk
+block per process, and where levels fail, the first failing level in the
+caller's order is the one raised. A worker runs the library as it was when
+forked, so module state patched later is not seen there; on one CPU, or on
+a platform without `fork`, the caller runs every level.
 
 Cost is counted in latent draws (the only quantity that doubles per level);
 wall clock is not asserted on anywhere.
 """
 from __future__ import annotations
 
-import contextvars
 import logging
 import math
 import os
+import pickle
+import threading
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from . import rng as _rng
-from .errors import ContractViolation
+from .errors import ContractViolation, ResourceGuardExceeded
 from .estimator import EstimatorConfig, antithetic_difference, draw_chunks, reduce_chunks
 from .estimator import draw_level_samples  # noqa: F401  perfbench/tracer.py wraps this name here
 from .gradients import grad_theta_level
@@ -98,6 +103,15 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+#: The profile's worker processes, (process, connection) pairs, forked on
+#: the first profile that needs them and kept for the life of the process:
+#: forking, a first exchange and a stop took 7-8 ms (2 CPUs) against about
+#: 19 ms for a whole profile-levels call. The lock gives one caller at a
+#: time their use.
+_workers: list = []
+_workers_lock = threading.Lock()
+
+
 def variance_profile(
     model: LatentVariableModel,
     data: Dataset,
@@ -122,12 +136,21 @@ def variance_profile(
     profiling both variants from identically constructed generators
     compares them on the same latent draws.
 
-    The levels run as tasks on min(len(levels), CPUs) pool threads, the
-    costliest (deepest) submitted first, each in a copy of the caller's
-    context (so numpy's error state applies). A level's values depend only
-    on its own stream, so they are the same bits under any schedule. Peak
-    memory is up to one level's chunk block per worker. If levels fail,
-    the first failing level in the order of `levels` is the one raised.
+    The levels are split by cost 2^level into min(len(levels), CPUs) bins,
+    the costliest level first onto the least-loaded bin. The calling thread
+    runs the first bin, which holds the costliest level, and one persistent
+    worker process per other bin runs that bin under the caller's numpy
+    error state (`_exchange`). A level's values depend only on its own
+    stream, so they are the same bits under any split. Peak memory is one
+    level's chunk block per process. If levels fail, the first failing
+    level in the order of `levels` is the one raised.
+
+    A worker runs the library as it was when forked, so module state
+    patched later is not seen there. The caller runs every level itself on
+    one CPU, on a platform without `fork`, under an error state that calls
+    back into the caller, while another thread's profile holds the workers,
+    and for a bin whose model or inputs cannot be sent to a worker or
+    loaded there, with the same values.
     """
     if replications < 100:
         raise ContractViolation(f"need at least 100 replications, got {replications}")
@@ -136,45 +159,217 @@ def variance_profile(
         raise ContractViolation(f"levels {levels} exceed level cap {cfg.level_cap}")
     if data.n_total < 1:
         raise ContractViolation("dataset is empty")
-    level_streams = _rng.spawn(rng, len(levels))
+    jobs = []
+    for lvl, stream in zip(levels, _rng.spawn(rng, len(levels))):
+        indices = stream.integers(0, data.n_total, size=replications)
+        jobs.append((lvl, data.x[indices], stream))
+    procs = min(len(levels), _cpu_count()) if hasattr(os, "fork") else 1
+    if {"call", "log"} & set(np.geterr().values()):
+        procs = 1  # the error callback lives in the caller
+    if procs > 1 and _workers_lock.acquire(blocking=False):
+        try:
+            outcomes = _exchange(model, theta, phi, cfg, antithetic, jobs, procs)
+        finally:
+            _workers_lock.release()
+    else:
+        outcomes = _run_levels(model, theta, phi, cfg, antithetic, jobs)
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
+
+
+def _level_stats(model, theta, phi, cfg, antithetic, lvl, x_rows, stream) -> LevelStats:
+    """One level's replications, one per row of `x_rows`, drawn from
+    `stream` after it drew their data indices."""
     value_fn, grad_fn = (
         (antithetic_difference, grad_theta_level) if antithetic
         else (naive_difference, naive_grad_theta)
     )
+    replications = len(x_rows)
+    chunks = draw_chunks(
+        model, x_rows, np.full(replications, lvl), theta, phi, cfg, stream, grads=("theta",),
+    )
+    values, grads, scale = reduce_chunks(chunks, [value_fn, grad_fn, _log_sum_scale])
+    var_z = float(values.var(ddof=1))
+    if math.sqrt(var_z) <= ROUNDING_ULPS * _EPS * float(np.maximum.reduce(scale)):
+        var_z = 0.0
+    return LevelStats(
+        level=lvl,
+        mean_z=float(values.mean()),
+        var_z=var_z,
+        var_grad_theta_max=float(np.max(grads.var(axis=0, ddof=1))),
+        mean_cost=float(cfg.n0 << lvl),
+        replications=replications,
+    )
 
-    def level_stats(lvl: int, stream: np.random.Generator) -> LevelStats:
-        indices = stream.integers(0, data.n_total, size=replications)
-        chunks = draw_chunks(
-            model, data.x[indices], np.full(replications, lvl), theta, phi, cfg, stream,
-            grads=("theta",),
-        )
-        values, grads, scale = reduce_chunks(chunks, [value_fn, grad_fn, _log_sum_scale])
-        var_z = float(values.var(ddof=1))
-        if math.sqrt(var_z) <= ROUNDING_ULPS * _EPS * float(np.maximum.reduce(scale)):
-            var_z = 0.0
-        return LevelStats(
-            level=lvl,
-            mean_z=float(values.mean()),
-            var_z=var_z,
-            var_grad_theta_max=float(np.max(grads.var(axis=0, ddof=1))),
-            mean_cost=float(cfg.n0 << lvl),
-            replications=replications,
-        )
 
-    if not levels:
-        return []
-    # imported here: at module level it would add 5-7 ms (2-CPU host) to the
-    # library import
-    from concurrent.futures import ThreadPoolExecutor
+def _run_levels(model, theta, phi, cfg, antithetic, jobs) -> list:
+    """Each (level, x rows, stream) job's `LevelStats`, or the exception
+    its level raised, to be raised in the caller's order."""
+    outcomes = []
+    for job in jobs:
+        try:
+            outcomes.append(_level_stats(model, theta, phi, cfg, antithetic, *job))
+        except Exception as exc:
+            outcomes.append(exc)
+    return outcomes
 
-    # a level's cost is n0 * 2^level; the stable sort keeps ties in caller order
-    costliest_first = sorted(range(len(levels)), key=lambda i: -levels[i])
-    with ThreadPoolExecutor(min(len(levels), _cpu_count())) as pool:
-        futures = {
-            i: pool.submit(contextvars.copy_context().run, level_stats, levels[i], level_streams[i])
-            for i in costliest_first
-        }
-        return [futures[i].result() for i in range(len(levels))]
+
+def _bins(levels: list, procs: int) -> list[list[int]]:
+    """The indices of `levels` split into `procs` bins by cost 2^level,
+    the costliest first onto the least-loaded bin, the earliest bin on a
+    tie: the first bin gets the costliest level."""
+    bins = [[] for _ in range(procs)]
+    loads = [0.0] * procs
+    # the stable sort keeps ties in caller order
+    for i in sorted(range(len(levels)), key=lambda i: -levels[i]):
+        b = loads.index(min(loads))
+        bins[b].append(i)
+        loads[b] += 2.0 ** levels[i]
+    return bins
+
+
+def _exchange(model, theta, phi, cfg, antithetic, jobs, procs) -> list:
+    """Every job's outcome, as `_run_levels` gives it, with the jobs split
+    into `procs` bins (`_bins`): the caller runs the first, and each other
+    bin goes to one worker, forked here if missing, as one message holding
+    the bin's jobs and the call's inputs. A bin that cannot be pickled here,
+    or whose message or reply cannot be loaded at the other end, is run by
+    the caller, as are the bins of workers that cannot be forked. A worker
+    that exits or is interrupted mid-exchange is discarded, and the call
+    raises. The caller holds `_workers_lock`."""
+    for worker in [w for w in _workers if not w[0].is_alive()]:
+        _discard(worker)
+    while len(_workers) < procs - 1:
+        try:
+            _workers.append(_fork_worker())
+        except OSError:  # no process to be had: fewer bins
+            procs = len(_workers) + 1
+    bins = _bins([lvl for lvl, _, _ in jobs], procs)
+    err = np.geterr()
+    local, sent = list(bins[0]), []
+    outcomes = [None] * len(jobs)
+    try:
+        for worker, part in zip(_workers, bins[1:]):
+            try:
+                message = pickle.dumps(
+                    (model, theta, phi, cfg, antithetic, err, [jobs[i] for i in part])
+                )
+            except Exception:  # a local class, an open file, ...
+                local += part
+                continue
+            sent.append((worker, part))
+            _send(worker, message)
+        mine = _run_levels(model, theta, phi, cfg, antithetic, [jobs[i] for i in local])
+        for i, outcome in zip(local, mine):
+            outcomes[i] = outcome
+        while sent:
+            worker, part = sent[0]
+            reply = _receive(worker)
+            del sent[0]
+            try:
+                theirs = pickle.loads(reply)
+            except Exception:  # an exception type that does not rebuild from its args
+                theirs = None
+            if theirs is None:
+                theirs = _run_levels(model, theta, phi, cfg, antithetic, [jobs[i] for i in part])
+            for i, outcome in zip(part, theirs):
+                outcomes[i] = outcome
+    except BaseException:
+        for worker, _ in sent:  # its reply may be half-read or still to come
+            _discard(worker)
+        raise
+    return outcomes
+
+
+def _send(worker, message: bytes) -> None:
+    try:
+        worker[1].send_bytes(message)
+    except OSError as exc:
+        raise ResourceGuardExceeded(
+            f"variance-profile worker process {worker[0].pid} exited"
+        ) from exc
+
+
+def _receive(worker) -> bytes:
+    try:
+        return worker[1].recv_bytes()
+    except (EOFError, OSError) as exc:
+        raise ResourceGuardExceeded(
+            f"variance-profile worker process {worker[0].pid} exited mid-call"
+        ) from exc
+
+
+def _fork_worker():
+    """A new worker process and the caller's end of its pipe."""
+    # imported here: at module level it would add about 20 ms (2-CPU host)
+    # to the library import
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    mine, theirs = ctx.Pipe()
+    process = ctx.Process(
+        target=_serve, args=(theirs, mine), name="variance-profile-worker", daemon=True
+    )
+    process.start()
+    theirs.close()  # so the caller reads EOF once the worker exits
+    return process, mine
+
+
+def _discard(worker) -> None:
+    """Stop a worker and forget it."""
+    process, conn = worker
+    _workers.remove(worker)
+    conn.close()
+    process.kill()
+    process.join()
+
+
+def _forget_workers() -> None:
+    """In a forked child, the workers are the parent's: close the child's
+    copies of the parent's pipe ends, so that each worker still reads EOF
+    once the parent exits, and give the child workers of its own."""
+    global _workers_lock
+    for _, conn in _workers:
+        conn.close()
+    _workers.clear()
+    _workers_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
+
+
+def _serve(conn, callers_end) -> None:
+    """A worker's loop: load a bin, run its levels under the caller's
+    numpy error state and reply with their outcomes, or with None where the
+    bin or its outcomes cannot be loaded or pickled, until the caller's end
+    of the pipe closes."""
+    import signal
+
+    callers_end.close()
+    # an interrupt is the caller's to handle; it discards this worker
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # held for good, so that a profile run here runs its levels itself
+    _workers_lock.acquire(blocking=False)
+    while True:
+        try:
+            message = conn.recv_bytes()
+        except EOFError:
+            return
+        try:
+            model, theta, phi, cfg, antithetic, err, jobs = pickle.loads(message)
+        except Exception:  # a class defined after the fork
+            outcomes = None
+        else:
+            with np.errstate(**err):
+                outcomes = _run_levels(model, theta, phi, cfg, antithetic, jobs)
+        try:
+            reply = pickle.dumps(outcomes)
+        except Exception:  # an exception holding what cannot be pickled
+            reply = pickle.dumps(None)
+        conn.send_bytes(reply)
 
 
 class DecayFit(NamedTuple):

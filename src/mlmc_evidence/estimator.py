@@ -52,11 +52,12 @@ from .models import Dataset, LatentVariableModel, _all_finite
 #: 4 MiB, 4 MiB drew the most latents per second in level profiles while
 #: every chunk still mapped fresh pages, before the one block per draw and
 #: component-major theta rows. With them, a paired sweep of 1, 2 and 4 MiB
-#: showed no reliable gain on one thread. With a profile's levels on two
-#: pool threads (2 CPUs), a profile at levels 1..8 took 0.79x the
-#: one-thread time per call at 4 MiB, 0.88x at 2 MiB and 1.13x at 1 MiB;
-#: in one process, against one worker at 4 MiB, two workers read 0.72x at
-#: 4 MiB, 0.74-0.78x at 2 MiB and 0.97-0.98x at 1 MiB. So 4 MiB stays.
+#: showed no reliable gain on one thread. With a profile's levels split
+#: between the caller and one forked worker process (2 CPUs), a profile at
+#: levels 1..8 took 0.68-0.69x the caller-only time at 4 MiB per call at
+#: 4 MiB, 0.64-0.72x at 2 MiB, 0.69-0.77x at 1 MiB and 0.91-1.00x at
+#: 0.5 MiB (three interleaved measurements of 60 calls each). So 4 MiB
+#: stays.
 CHUNK_BYTES = 1 << 22
 
 
@@ -183,8 +184,8 @@ def row_bytes(model: LatentVariableModel, grads) -> int:
     exp of log f and, with the theta gradient, its rows and the scratch
     rows of their weighted products, and, with the phi gradient, its rows)
     and the fresh x row, z row and log f; 88 B at Gaussian dim 1 with the
-    theta gradient. The model's own temporaries and the phi products are
-    not counted."""
+    theta gradient. The phi products are formed in the phi rows; the
+    model's own temporaries are not counted."""
     theta = 2 * model.theta_dim if "theta" in grads else 0
     phi = model.phi_dim if "phi" in grads else 0
     return 8 * (model.z_dim + 1 + theta + model.x_dim + model.z_dim + 1 + phi)
@@ -284,8 +285,10 @@ def draw_chunks(
             np.multiply(gt.T, shifted, out=weighted)
             theta_avg = (np.add.reduceat(weighted, starts, axis=1) / total).T
         if p:
-            # a member's draws start at its first segment
-            phi_sums = np.add.reduceat(np.multiply(gq.T, log_f - 1.0), starts[a], axis=1).T
+            # the products overwrite the phi rows; a member's draws start
+            # at its first segment
+            np.multiply(gq.T, np.subtract(log_f, 1.0, out=log_f), out=gq.T)
+            phi_sums = np.add.reduceat(gq.T, starts[a], axis=1).T
         yield LevelDraws(
             levels[lo:hi], cfg.n0, log_sums, a, b, log_sums[a] - log_sums[b], split,
             theta_avg, phi_sums,

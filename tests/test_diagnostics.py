@@ -1,16 +1,24 @@
 """Diagnostics contracts: exact decay-rate fits on synthetic inputs,
 variance profiles at the zero-variance fixed point, reproducibility, the
-concurrent profile against a sequential loop, and moment estimates with
-the analytic divergence flag."""
+concurrent profile against a sequential loop, the profile's worker process
+under failure, and moment estimates with the analytic divergence flag."""
 
 import contextvars
 import math
+import multiprocessing
+import os
+import re
+import subprocess
 import sys
 import threading
+import time
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mlmc_evidence import diagnostics
 from mlmc_evidence import rng as rng_module
 from mlmc_evidence.diagnostics import (
     LevelStats,
@@ -20,7 +28,12 @@ from mlmc_evidence.diagnostics import (
     naive_grad_theta,
     variance_profile,
 )
-from mlmc_evidence.errors import ContractViolation, UnsupportedOperation
+from mlmc_evidence.errors import (
+    ContractViolation,
+    DivergenceError,
+    ResourceGuardExceeded,
+    UnsupportedOperation,
+)
 from mlmc_evidence.estimator import (
     EstimatorConfig,
     antithetic_difference,
@@ -328,6 +341,255 @@ class TestConcurrentProfile:
                 assert got == want
         finally:
             sys.setswitchinterval(interval)
+
+
+#: the process that imported this module: the test's own, never a worker
+TEST_PID = os.getpid()
+
+
+class ReportsErrorState(GaussianConjugateModel):
+    """Gaussian dim 1 whose every chunk fails, naming numpy's overflow mode
+    and the process the chunk ran in."""
+
+    def __init__(self):
+        super().__init__(1)
+
+    def draw_weighed(self, *args, **kwargs):
+        raise ContractViolation(f"over={np.geterr()['over']} pid={os.getpid()}")
+
+
+class RaisesAtDraws(GaussianConjugateModel):
+    """Gaussian dim 1 whose chunks of `size` draws raise `error()`."""
+
+    def __init__(self, size, error):
+        super().__init__(1)
+        self.size, self.error = size, error
+
+    def draw_weighed(self, x, *args, **kwargs):
+        if x.shape[0] == self.size:
+            raise self.error()
+        return super().draw_weighed(x, *args, **kwargs)
+
+
+def diverge():
+    return DivergenceError(7, 1.0, 2.0)
+
+
+class Overflows(GaussianConjugateModel):
+    """The Gaussian model, overflowing once in numpy per chunk."""
+
+    def draw_weighed(self, *args, **kwargs):
+        np.exp(np.array([1000.0]))
+        return super().draw_weighed(*args, **kwargs)
+
+
+class ExitsAtDraws(GaussianConjugateModel):
+    """Gaussian dim 1 whose worker process exits on a chunk of `size` draws;
+    the test's own process draws it as the plain model does."""
+
+    def __init__(self, size):
+        super().__init__(1)
+        self.size = size
+
+    def draw_weighed(self, x, *args, **kwargs):
+        if x.shape[0] == self.size and os.getpid() != TEST_PID:
+            os._exit(3)
+        return super().draw_weighed(x, *args, **kwargs)
+
+
+def process_running(pid: int) -> bool:
+    """Whether process `pid` exists and has not exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="profiles fork no worker here")
+class TestWorkerProcess:
+    """With two CPUs, the caller runs the costliest level and one forked
+    worker process the others (levels [1, 4] or [5, 2]: the first level in
+    `levels` runs in the worker). Every model here is a module-level class,
+    so its levels are sent to the worker."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(diagnostics, "_cpu_count", lambda: 2)
+
+    def profile(self, model, levels, seed):
+        return bounded(
+            variance_profile, model, DATA, THETA, PHI_WIDE, levels, 100, CFG, substream(430, seed)
+        )
+
+    def test_a_level_in_the_worker_sees_the_callers_error_state(self):
+        for mode in ["raise", "ignore", "warn"]:
+            with np.errstate(over=mode):
+                with pytest.raises(ContractViolation) as raised:
+                    self.profile(ReportsErrorState(), [1, 4], 0)
+            over, pid = re.fullmatch(r"over=(\w+) pid=(\d+)", str(raised.value)).groups()
+            assert over == mode
+            assert int(pid) != os.getpid()
+
+    def test_a_worker_that_exits_mid_call_is_replaced(self):
+        with pytest.raises(ResourceGuardExceeded, match="exited mid-call"):
+            self.profile(ExitsAtDraws(800 << 2), [5, 2], 1)
+        want = sequential_profile(MODEL, DATA, THETA, PHI_WIDE, [5, 2], 100, CFG, substream(430, 2))
+        assert self.profile(MODEL, [5, 2], 2) == want
+
+    def test_an_interrupted_caller_discards_the_worker(self):
+        # the caller is interrupted while the worker draws level 2; the
+        # next call must not read that level's reply as its own
+        with pytest.raises(KeyboardInterrupt):
+            self.profile(RaisesAtDraws(800 << 5, KeyboardInterrupt), [5, 2], 3)
+        want = sequential_profile(MODEL, DATA, THETA, PHI_WIDE, [5, 2], 100, CFG, substream(430, 4))
+        assert self.profile(MODEL, [5, 2], 4) == want
+
+    def test_an_error_that_does_not_unpickle_is_raised_from_the_caller(self):
+        # DivergenceError pickles but does not rebuild from its args, so the
+        # caller runs the worker's bin again and raises it itself
+        with pytest.raises(DivergenceError) as raised:
+            self.profile(RaisesAtDraws(800 << 1, diverge), [1, 4], 5)
+        assert raised.value.step == 7
+        assert self.profile(MODEL, [1, 4], 6) == sequential_profile(
+            MODEL, DATA, THETA, PHI_WIDE, [1, 4], 100, CFG, substream(430, 6)
+        )
+
+    def test_a_model_the_worker_cannot_load_runs_in_the_caller(self, monkeypatch):
+        self.profile(MODEL, [1, 4], 7)  # the worker is forked before the class exists
+        late = types.ModuleType("defined_after_the_fork")
+
+        class Late(GaussianConjugateModel):
+            pids = []
+
+            def draw_weighed(self, *args, **kwargs):
+                self.pids.append(os.getpid())
+                return super().draw_weighed(*args, **kwargs)
+
+        Late.__module__, Late.__qualname__ = late.__name__, "Late"
+        late.Late = Late
+        monkeypatch.setitem(sys.modules, late.__name__, late)
+        got = self.profile(Late(1), [1, 4], 8)
+        assert got == sequential_profile(
+            MODEL, DATA, THETA, PHI_WIDE, [1, 4], 100, CFG, substream(430, 8)
+        )
+        assert Late.pids == [os.getpid()] * 2
+
+    def test_an_error_callback_runs_every_level_in_the_caller(self):
+        calls = []
+        with np.errstate(over="call"):
+            previous = np.seterrcall(lambda kind, flag: calls.append(os.getpid()))
+            try:
+                got = self.profile(Overflows(1), [1, 4], 9)
+            finally:
+                np.seterrcall(previous)
+        assert calls == [os.getpid()] * 2  # one chunk per level
+        assert got == sequential_profile(
+            MODEL, DATA, THETA, PHI_WIDE, [1, 4], 100, CFG, substream(430, 9)
+        )
+
+    def test_bins_whose_worker_cannot_be_forked_run_in_the_caller(self, monkeypatch):
+        def no_fork():
+            raise BlockingIOError("no process to be had")
+
+        monkeypatch.setattr(diagnostics, "_cpu_count", lambda: 8)
+        monkeypatch.setattr(diagnostics, "_fork_worker", no_fork)
+        levels = [3, 0, 5, 1, 4, 2, 2, 5]
+        assert self.profile(MODEL, levels, 10) == sequential_profile(
+            MODEL, DATA, THETA, PHI_WIDE, levels, 100, CFG, substream(430, 10)
+        )
+
+    def test_a_forked_child_profiles_with_workers_of_its_own(self):
+        self.profile(MODEL, [1, 4], 11)  # the parent's worker exists
+        ctx = multiprocessing.get_context("fork")
+        reader, writer = ctx.Pipe(duplex=False)
+
+        def child():
+            writer.send(variance_profile(
+                MODEL, DATA, THETA, PHI_WIDE, [1, 4], 100, CFG, substream(430, 12)
+            ))
+
+        process = ctx.Process(target=child)
+        process.start()
+        try:
+            got = bounded(reader.recv, timeout=60)
+        finally:
+            process.join(60)
+            reader.close()
+            writer.close()
+        assert process.exitcode == 0
+        for seed, profile in [(12, got), (13, self.profile(MODEL, [1, 4], 13))]:
+            assert profile == sequential_profile(
+                MODEL, DATA, THETA, PHI_WIDE, [1, 4], 100, CFG, substream(430, seed)
+            )
+
+    def test_two_threads_profiling_at_once_get_their_sequential_values(self):
+        # the first thread's own bin (level 7) is long and the second's
+        # (level 1) short, so a second thread that shared the worker would
+        # likely read the first thread's level-0 reply as its own
+        levels = [[7, 0], [1, 0]]
+        want = [
+            sequential_profile(
+                MODEL, DATA, THETA, PHI_WIDE, levels[k], 100, CFG, substream(431, k)
+            )
+            for k in range(2)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(10):
+                got = [None, None]
+
+                def run(k):
+                    got[k] = variance_profile(
+                        MODEL, DATA, THETA, PHI_WIDE, levels[k], 100, CFG, substream(431, k)
+                    )
+
+                threads = [threading.Thread(target=run, args=(k,), daemon=True) for k in range(2)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(120)
+                    assert not t.is_alive(), "no result within 120 s"
+                assert got == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="no /proc to read")
+    def test_no_worker_outlives_a_killed_parent(self):
+        script = (
+            "import multiprocessing, sys\n"
+            "import numpy as np\n"
+            "from mlmc_evidence import diagnostics\n"
+            "from mlmc_evidence.estimator import EstimatorConfig\n"
+            "from mlmc_evidence.models import GaussianConjugateModel\n"
+            "from mlmc_evidence.rng import substream\n"
+            "diagnostics._cpu_count = lambda: 2\n"
+            "model = GaussianConjugateModel(1)\n"
+            "data = model.generate_data(np.zeros(3), 20, substream(432, 0))\n"
+            "diagnostics.variance_profile(model, data, np.zeros(3), np.zeros(3), [1, 2], 100,\n"
+            "                             EstimatorConfig(), substream(432, 1))\n"
+            "print(*[p.pid for p in multiprocessing.active_children()], flush=True)\n"
+            "sys.stdin.read()\n"
+        )
+        src = Path(diagnostics.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        parent = subprocess.Popen(
+            [sys.executable, "-c", script], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            text=True, env=env,
+        )
+        try:
+            pids = [int(p) for p in bounded(parent.stdout.readline, timeout=60).split()]
+        finally:
+            parent.kill()
+            parent.wait(60)
+            parent.stdin.close()
+            parent.stdout.close()
+        assert len(pids) == 1
+        deadline = time.monotonic() + 30
+        while process_running(pids[0]) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not process_running(pids[0])
 
 
 class TestEstimateMoments:

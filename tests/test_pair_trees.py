@@ -20,10 +20,12 @@ def copy_src(dest: Path) -> Path:
     return src
 
 
-def pair(parent: Path, change: Path) -> subprocess.CompletedProcess:
+def pair(
+    parent: Path, change: Path, workload="estimate-small", ops=3
+) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, str(TOOL), str(parent), str(change), "--workload", "estimate-small",
-         "--rounds", "2", "--ops", "3"],
+        [sys.executable, str(TOOL), str(parent), str(change), "--workload", workload,
+         "--rounds", "2", "--ops", str(ops)],
         capture_output=True, text=True, timeout=300, cwd=parent.parent,
     )
 
@@ -59,3 +61,25 @@ def test_each_tree_runs_its_own_library(tmp_path):
     costly = pair(parent, change)
     assert costly.returncode == 1
     assert "6 other mismatches" in costly.stdout and "mismatch: operation 0:" in costly.stdout
+
+
+def test_each_tree_profiles_in_its_own_worker(tmp_path):
+    # a profile runs most of its levels in a worker process forked from
+    # its tree; two copies pair at difference 0, and a change to the
+    # level statistics shows on all 8 levels of both operations, not only
+    # on the caller's one level per operation
+    parent = copy_src(tmp_path / "a")
+    change = copy_src(tmp_path / "b")
+    same = pair(parent, change, workload="profile-levels", ops=1)
+    assert same.returncode == 0, same.stderr
+    assert "largest relative difference 0; 0 other mismatches" in same.stdout
+
+    diagnostics = change / "mlmc_evidence" / "diagnostics.py"
+    text = diagnostics.read_text()
+    assert text.count("replications=replications,") == 1
+    diagnostics.write_text(
+        text.replace("replications=replications,", "replications=replications + 1,")
+    )
+    moved = pair(parent, change, workload="profile-levels", ops=1)
+    assert moved.returncode == 1
+    assert "16 other mismatches" in moved.stdout

@@ -30,8 +30,8 @@ the seeds:
 - one-member level estimates (`level_estimate`) at levels 0..4 for the
   first observation, drawn in turn from one stream;
 - variance profiles at levels 0..5, and at twelve unsorted levels with
-  duplicates (more levels than most hosts' CPUs, so the profile's pool
-  queues some), antithetic and naive;
+  duplicates (more levels than most hosts' CPUs, so each of the profile's
+  processes runs several), antithetic and naive;
 - tail moments;
 - 20-step training records;
 - exit code, stdout, stderr and artifacts of each CLI command at small sizes,
