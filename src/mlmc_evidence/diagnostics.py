@@ -17,8 +17,9 @@ needs it, runs each other bin. Each level draws only from its own spawned
 stream, so no output depends on the split. Peak memory is one level's chunk
 block per process, and where levels fail, the first failing level in the
 caller's order is the one raised. A worker runs the library as it was when
-forked, so module state patched later is not seen there; on one CPU, or on
-a platform without `fork`, the caller runs every level.
+forked, so module state patched later is not seen there, except for the
+settings a level reads (`_settings`), which go with each bin; on one CPU,
+or on a platform without `fork`, the caller runs every level.
 
 Cost is counted in latent draws (the only quantity that doubles per level);
 wall clock is not asserted on anywhere.
@@ -35,6 +36,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from . import estimator as _estimator
 from . import rng as _rng
 from .errors import ContractViolation, ResourceGuardExceeded
 from .estimator import EstimatorConfig, antithetic_difference, draw_chunks, reduce_chunks
@@ -146,11 +148,12 @@ def variance_profile(
     level in the order of `levels` is the one raised.
 
     A worker runs the library as it was when forked, so module state
-    patched later is not seen there. The caller runs every level itself on
-    one CPU, on a platform without `fork`, under an error state that calls
-    back into the caller, while another thread's profile holds the workers,
-    and for a bin whose model or inputs cannot be sent to a worker or
-    loaded there, with the same values.
+    patched later is not seen there, except for `estimator.CHUNK_BYTES` and
+    `ROUNDING_ULPS`, which go with each bin. The caller runs every level
+    itself on one CPU, on a platform without `fork`, under an error state
+    that calls back into the caller, while another thread's profile holds
+    the workers, and for a bin whose model or inputs cannot be sent to a
+    worker or loaded there, with the same values.
     """
     if replications < 100:
         raise ContractViolation(f"need at least 100 replications, got {replications}")
@@ -230,15 +233,21 @@ def _bins(levels: list, procs: int) -> list[list[int]]:
     return bins
 
 
+def _settings() -> tuple:
+    """The module settings a level reads, sent with each bin, since a
+    worker otherwise keeps those it was forked with."""
+    return _estimator.CHUNK_BYTES, ROUNDING_ULPS
+
+
 def _exchange(model, theta, phi, cfg, antithetic, jobs, procs) -> list:
     """Every job's outcome, as `_run_levels` gives it, with the jobs split
     into `procs` bins (`_bins`): the caller runs the first, and each other
     bin goes to one worker, forked here if missing, as one message holding
-    the bin's jobs and the call's inputs. A bin that cannot be pickled here,
-    or whose message or reply cannot be loaded at the other end, is run by
-    the caller, as are the bins of workers that cannot be forked. A worker
-    that exits or is interrupted mid-exchange is discarded, and the call
-    raises. The caller holds `_workers_lock`."""
+    the bin's jobs, the call's inputs and `_settings()`. A bin that cannot
+    be pickled here, or that the worker answers with None, is run by the
+    caller, as are the bins of workers that cannot be forked. A worker that
+    exits or is interrupted mid-exchange is discarded, and the call raises.
+    The caller holds `_workers_lock`."""
     for worker in [w for w in _workers if not w[0].is_alive()]:
         _discard(worker)
     while len(_workers) < procs - 1:
@@ -247,14 +256,14 @@ def _exchange(model, theta, phi, cfg, antithetic, jobs, procs) -> list:
         except OSError:  # no process to be had: fewer bins
             procs = len(_workers) + 1
     bins = _bins([lvl for lvl, _, _ in jobs], procs)
-    err = np.geterr()
+    err, settings = np.geterr(), _settings()
     local, sent = list(bins[0]), []
     outcomes = [None] * len(jobs)
     try:
         for worker, part in zip(_workers, bins[1:]):
             try:
                 message = pickle.dumps(
-                    (model, theta, phi, cfg, antithetic, err, [jobs[i] for i in part])
+                    (model, theta, phi, cfg, antithetic, err, settings, [jobs[i] for i in part])
                 )
             except Exception:  # a local class, an open file, ...
                 local += part
@@ -266,12 +275,8 @@ def _exchange(model, theta, phi, cfg, antithetic, jobs, procs) -> list:
             outcomes[i] = outcome
         while sent:
             worker, part = sent[0]
-            reply = _receive(worker)
+            theirs = pickle.loads(_receive(worker))
             del sent[0]
-            try:
-                theirs = pickle.loads(reply)
-            except Exception:  # an exception type that does not rebuild from its args
-                theirs = None
             if theirs is None:
                 theirs = _run_levels(model, theta, phi, cfg, antithetic, [jobs[i] for i in part])
             for i, outcome in zip(part, theirs):
@@ -343,9 +348,10 @@ if hasattr(os, "register_at_fork"):
 
 def _serve(conn, callers_end) -> None:
     """A worker's loop: load a bin, run its levels under the caller's
-    numpy error state and reply with their outcomes, or with None where the
-    bin or its outcomes cannot be loaded or pickled, until the caller's end
-    of the pipe closes."""
+    numpy error state and settings and reply with their outcomes, or with
+    None where the bin cannot be loaded or its outcomes cannot be pickled
+    and loaded back, until the caller's end of the pipe closes."""
+    global ROUNDING_ULPS
     import signal
 
     callers_end.close()
@@ -359,15 +365,17 @@ def _serve(conn, callers_end) -> None:
         except EOFError:
             return
         try:
-            model, theta, phi, cfg, antithetic, err, jobs = pickle.loads(message)
+            model, theta, phi, cfg, antithetic, err, settings, jobs = pickle.loads(message)
         except Exception:  # a class defined after the fork
             outcomes = None
         else:
+            _estimator.CHUNK_BYTES, ROUNDING_ULPS = settings
             with np.errstate(**err):
                 outcomes = _run_levels(model, theta, phi, cfg, antithetic, jobs)
         try:
             reply = pickle.dumps(outcomes)
-        except Exception:  # an exception holding what cannot be pickled
+            pickle.loads(reply)  # an exception that does not rebuild from its args
+        except Exception:  # or one holding what cannot be pickled
             reply = pickle.dumps(None)
         conn.send_bytes(reply)
 

@@ -36,3 +36,7 @@ class DivergenceError(RuntimeError):
             f"non-finite parameter after step {step} "
             f"(|grad_theta|={grad_norm_theta:.6g}, |grad_phi|={grad_norm_phi:.6g})"
         )
+
+    def __reduce__(self):
+        # rebuilt from its fields, not from the message a plain exception keeps
+        return type(self), (self.step, self.grad_norm_theta, self.grad_norm_phi)

@@ -54,7 +54,7 @@ from .models import Dataset, LatentVariableModel, _all_finite
 #: component-major theta rows. With them, a paired sweep of 1, 2 and 4 MiB
 #: showed no reliable gain on one thread. With a profile's levels split
 #: between the caller and one forked worker process (2 CPUs), a profile at
-#: levels 1..8 took 0.68-0.69x the caller-only time at 4 MiB per call at
+#: levels 1..8 took 0.68-0.69x the caller-only 4 MiB time per call at
 #: 4 MiB, 0.64-0.72x at 2 MiB, 0.69-0.77x at 1 MiB and 0.91-1.00x at
 #: 0.5 MiB (three interleaved measurements of 60 calls each). So 4 MiB
 #: stays.

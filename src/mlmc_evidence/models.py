@@ -34,6 +34,7 @@ likelihood against the prior by Gauss-Hermite quadrature.
 from __future__ import annotations
 
 import abc
+import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -510,8 +511,6 @@ def save_dataset(path, dataset: Dataset, seed: int, true_theta) -> None:
     generation seed and the true parameter vector. Reals are formatted at
     17 significant digits so a reload reproduces the array bit-exactly.
     """
-    import json  # here, not at module level: the library import skips it
-
     path = Path(path)
     lines = [" ".join(format(v, ".17g") for v in row) for row in dataset.x]
     path.write_text("\n".join(lines) + "\n")
@@ -531,8 +530,6 @@ def load_dataset(path) -> tuple[Dataset, dict]:
     UTF-8 rows of equally many numbers, or the sidecar is not a JSON
     object holding `dim` and `n_total`.
     """
-    import json  # here, not at module level: the library import skips it
-
     path = Path(path)
     sidecar = Path(str(path) + ".json")
     try:  # UnicodeDecodeError, a bad token and ragged rows are ValueErrors

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from mlmc_evidence import diagnostics
+from mlmc_evidence import estimator as estimator_module
 from mlmc_evidence import rng as rng_module
 from mlmc_evidence.diagnostics import (
     LevelStats,
@@ -39,6 +40,7 @@ from mlmc_evidence.estimator import (
     antithetic_difference,
     draw_chunks,
     reduce_chunks,
+    row_bytes,
 )
 from mlmc_evidence.gradients import grad_theta_level
 from mlmc_evidence.models import (
@@ -371,8 +373,31 @@ class RaisesAtDraws(GaussianConjugateModel):
         return super().draw_weighed(x, *args, **kwargs)
 
 
+class ReportsChunks(GaussianConjugateModel):
+    """Gaussian dim 1 whose every chunk fails, naming its draw count and
+    the process the chunk ran in."""
+
+    def __init__(self):
+        super().__init__(1)
+
+    def draw_weighed(self, x, *args, **kwargs):
+        raise ContractViolation(f"chunk of {x.shape[0]} draws pid={os.getpid()}")
+
+
+class Unrebuildable(Exception):
+    """An error that pickles but does not rebuild from its args."""
+
+    def __init__(self, pid, note):
+        super().__init__(f"{note} in process {pid}")
+        self.pid = pid
+
+
 def diverge():
-    return DivergenceError(7, 1.0, 2.0)
+    return DivergenceError(os.getpid(), 1.0, 2.0)
+
+
+def unrebuildable():
+    return Unrebuildable(os.getpid(), "failed")
 
 
 class Overflows(GaussianConjugateModel):
@@ -445,15 +470,38 @@ class TestWorkerProcess:
         want = sequential_profile(MODEL, DATA, THETA, PHI_WIDE, [5, 2], 100, CFG, substream(430, 4))
         assert self.profile(MODEL, [5, 2], 4) == want
 
-    def test_an_error_that_does_not_unpickle_is_raised_from_the_caller(self):
-        # DivergenceError pickles but does not rebuild from its args, so the
-        # caller runs the worker's bin again and raises it itself
+    def test_a_divergence_in_the_worker_is_raised_with_its_fields(self):
         with pytest.raises(DivergenceError) as raised:
             self.profile(RaisesAtDraws(800 << 1, diverge), [1, 4], 5)
-        assert raised.value.step == 7
+        error = raised.value
+        assert error.step != os.getpid()  # the worker's pid
+        assert (error.grad_norm_theta, error.grad_norm_phi) == (1.0, 2.0)
+        assert str(error) == str(DivergenceError(error.step, 1.0, 2.0))
+
+    def test_an_error_that_does_not_rebuild_is_raised_from_the_caller(self):
+        # the worker answers None, so the caller runs the bin itself
+        with pytest.raises(Unrebuildable) as raised:
+            self.profile(RaisesAtDraws(800 << 1, unrebuildable), [1, 4], 5)
+        assert raised.value.pid == os.getpid()
         assert self.profile(MODEL, [1, 4], 6) == sequential_profile(
             MODEL, DATA, THETA, PHI_WIDE, [1, 4], 100, CFG, substream(430, 6)
         )
+
+    def test_a_level_in_the_worker_draws_under_the_callers_chunk_budget(self, monkeypatch):
+        # the budget goes with each bin, so a worker forked under one
+        # budget draws under whichever the caller holds at each call
+        def chunk_of(seed):
+            with pytest.raises(ContractViolation) as raised:
+                self.profile(ReportsChunks(), [1, 4], seed)
+            draws, pid = re.fullmatch(r"chunk of (\d+) draws pid=(\d+)", str(raised.value)).groups()
+            assert int(pid) != os.getpid()
+            return int(draws)
+
+        default = estimator_module.CHUNK_BYTES
+        small = 16 * row_bytes(ReportsChunks(), ("theta",))
+        for budget, draws in [(small, 16), (default, 800 << 1), (small, 16)]:
+            monkeypatch.setattr(estimator_module, "CHUNK_BYTES", budget)
+            assert chunk_of(14) == draws
 
     def test_a_model_the_worker_cannot_load_runs_in_the_caller(self, monkeypatch):
         self.profile(MODEL, [1, 4], 7)  # the worker is forked before the class exists

@@ -597,7 +597,9 @@ class TestDrawBudget:
         # each model call draws at most the byte budget over its rows'
         # bytes, or one member: at dim 1 a budget of `budget` draws per
         # call, and at dim 32 with gradients one byte budget, `budget`
-        # draws of the widest rows, under which narrower rows draw more
+        # draws of the widest rows, under which narrower rows draw more;
+        # the profile runs every level here, where the model records its calls
+        monkeypatch.setattr(diagnostics_module, "_cpu_count", lambda: 1)
         narrow = RowCountingModel(1)
         runs = [(narrow, self.outputs(
             narrow, budget=lambda g: chunk_draws(monkeypatch, budget, narrow, g)))]

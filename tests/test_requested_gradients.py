@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import lent_grads
+from mlmc_evidence import diagnostics as diagnostics_module
 from mlmc_evidence import estimator as estimator_module
 from mlmc_evidence import trainer as trainer_module
 from mlmc_evidence.cli import finite_difference_check
@@ -63,7 +64,9 @@ def test_gradients_ask_for_both():
 
 
 @pytest.mark.parametrize("antithetic", [True, False], ids=["antithetic", "naive"])
-def test_profile_asks_for_theta_only(antithetic):
+def test_profile_asks_for_theta_only(monkeypatch, antithetic):
+    # every level runs here, where the model records its calls
+    monkeypatch.setattr(diagnostics_module, "_cpu_count", lambda: 1)
     model = RecordingModel()
     variance_profile(
         model, DATA, THETA, PHI_WIDE, range(0, 3), 100, CFG, substream(604, 0),
@@ -125,7 +128,9 @@ class ChunkCountingModel(GaussianConjugateModel):
 @pytest.mark.parametrize("antithetic", [True, False], ids=["antithetic", "naive"])
 def test_profile_exponentiates_each_chunk_once(monkeypatch, antithetic):
     # the level value and its theta-gradient both read the chunk's
-    # half-segment exp pass, which is made once per chunk
+    # half-segment exp pass, which is made once per chunk; every level
+    # runs here, where the pass and the model are counted
+    monkeypatch.setattr(diagnostics_module, "_cpu_count", lambda: 1)
     passes = []
     shared_pass = estimator_module.segment_exp
 
