@@ -13,13 +13,11 @@ exponentiation and its one R per half.
 A profile's levels run concurrently, split by cost into one bin per CPU:
 the calling thread runs the bin holding the costliest level, and one
 persistent worker process per other CPU, forked on the first profile that
-needs it, runs each other bin. Each level draws only from its own spawned
-stream, so no output depends on the split. Peak memory is one level's chunk
-block per process, and where levels fail, the first failing level in the
-caller's order is the one raised. A worker runs the library as it was when
-forked, so module state patched later is not seen there, except for the
-settings a level reads (`_settings`), which go with each bin; on one CPU,
-or on a platform without `fork`, the caller runs every level.
+needs it, runs each other bin; `_dispatch` lists where the caller runs a
+bin itself. Each level draws only from its own spawned stream, so no output
+depends on the split. Peak memory is one level's chunk block per process,
+and where levels fail, the first failing level in the caller's order is the
+one raised.
 
 Cost is counted in latent draws (the only quantity that doubles per level);
 wall clock is not asserted on anywhere.
@@ -39,7 +37,7 @@ import numpy as np
 from . import estimator as _estimator
 from . import rng as _rng
 from .errors import ContractViolation, ResourceGuardExceeded
-from .estimator import EstimatorConfig, antithetic_difference, draw_chunks, reduce_chunks
+from .estimator import EstimatorConfig, _count, antithetic_difference, draw_chunks, reduce_chunks
 from .estimator import draw_level_samples  # noqa: F401  perfbench/tracer.py wraps this name here
 from .gradients import grad_theta_level
 from .models import Dataset, LatentVariableModel
@@ -138,26 +136,19 @@ def variance_profile(
     profiling both variants from identically constructed generators
     compares them on the same latent draws.
 
-    The levels are split by cost 2^level into min(len(levels), CPUs) bins,
-    the costliest level first onto the least-loaded bin. The calling thread
-    runs the first bin, which holds the costliest level, and one persistent
-    worker process per other bin runs that bin under the caller's numpy
-    error state (`_exchange`). A level's values depend only on its own
-    stream, so they are the same bits under any split. Peak memory is one
-    level's chunk block per process. If levels fail, the first failing
-    level in the order of `levels` is the one raised.
-
-    A worker runs the library as it was when forked, so module state
-    patched later is not seen there, except for `estimator.CHUNK_BYTES` and
-    `ROUNDING_ULPS`, which go with each bin. The caller runs every level
-    itself on one CPU, on a platform without `fork`, under an error state
-    that calls back into the caller, while another thread's profile holds
-    the workers, and for a bin whose model or inputs cannot be sent to a
-    worker or loaded there, with the same values.
+    The levels are split by cost into bins run concurrently, the caller's
+    bin holding the costliest level; `_dispatch` lists where the caller runs
+    a bin itself. A level's values depend only on its own stream, so they
+    are the same bits under any split. Peak memory is one level's chunk
+    block per process. If levels fail, the first failing level in the order
+    of `levels` is the one raised.
     """
+    replications = _count("replications", replications)
+    levels = [_count(f"levels[{i}]", lvl) for i, lvl in enumerate(levels)]
     if replications < 100:
         raise ContractViolation(f"need at least 100 replications, got {replications}")
-    levels = list(levels)
+    if any(l < 0 for l in levels):
+        raise ContractViolation(f"levels must be >= 0, got {levels}")
     if any(l > cfg.level_cap for l in levels):
         raise ContractViolation(f"levels {levels} exceed level cap {cfg.level_cap}")
     if data.n_total < 1:
@@ -166,25 +157,18 @@ def variance_profile(
     for lvl, stream in zip(levels, _rng.spawn(rng, len(levels))):
         indices = stream.integers(0, data.n_total, size=replications)
         jobs.append((lvl, data.x[indices], stream))
-    procs = min(len(levels), _cpu_count()) if hasattr(os, "fork") else 1
-    if {"call", "log"} & set(np.geterr().values()):
-        procs = 1  # the error callback lives in the caller
-    if procs > 1 and _workers_lock.acquire(blocking=False):
-        try:
-            outcomes = _exchange(model, theta, phi, cfg, antithetic, jobs, procs)
-        finally:
-            _workers_lock.release()
-    else:
-        outcomes = _run_levels(model, theta, phi, cfg, antithetic, jobs)
+    outcomes = _dispatch((model, theta, phi, cfg, antithetic), jobs)
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome
     return outcomes
 
 
-def _level_stats(model, theta, phi, cfg, antithetic, lvl, x_rows, stream) -> LevelStats:
+def _level_stats(call: tuple, lvl, x_rows, stream) -> LevelStats:
     """One level's replications, one per row of `x_rows`, drawn from
-    `stream` after it drew their data indices."""
+    `stream` after it drew their data indices; `call` holds the profile's
+    (model, theta, phi, cfg, antithetic)."""
+    model, theta, phi, cfg, antithetic = call
     value_fn, grad_fn = (
         (antithetic_difference, grad_theta_level) if antithetic
         else (naive_difference, naive_grad_theta)
@@ -207,13 +191,13 @@ def _level_stats(model, theta, phi, cfg, antithetic, lvl, x_rows, stream) -> Lev
     )
 
 
-def _run_levels(model, theta, phi, cfg, antithetic, jobs) -> list:
+def _run_levels(call: tuple, jobs) -> list:
     """Each (level, x rows, stream) job's `LevelStats`, or the exception
     its level raised, to be raised in the caller's order."""
     outcomes = []
     for job in jobs:
         try:
-            outcomes.append(_level_stats(model, theta, phi, cfg, antithetic, *job))
+            outcomes.append(_level_stats(call, *job))
         except Exception as exc:
             outcomes.append(exc)
     return outcomes
@@ -233,76 +217,82 @@ def _bins(levels: list, procs: int) -> list[list[int]]:
     return bins
 
 
-def _settings() -> tuple:
-    """The module settings a level reads, sent with each bin, since a
-    worker otherwise keeps those it was forked with."""
-    return _estimator.CHUNK_BYTES, ROUNDING_ULPS
-
-
-def _exchange(model, theta, phi, cfg, antithetic, jobs, procs) -> list:
+def _dispatch(call: tuple, jobs: list) -> list:
     """Every job's outcome, as `_run_levels` gives it, with the jobs split
-    into `procs` bins (`_bins`): the caller runs the first, and each other
-    bin goes to one worker, forked here if missing, as one message holding
-    the bin's jobs, the call's inputs and `_settings()`. A bin that cannot
-    be pickled here, or that the worker answers with None, is run by the
-    caller, as are the bins of workers that cannot be forked. A worker that
-    exits or is interrupted mid-exchange is discarded, and the call raises.
-    The caller holds `_workers_lock`."""
-    for worker in [w for w in _workers if not w[0].is_alive()]:
-        _discard(worker)
-    while len(_workers) < procs - 1:
-        try:
-            _workers.append(_fork_worker())
-        except OSError:  # no process to be had: fewer bins
-            procs = len(_workers) + 1
-    bins = _bins([lvl for lvl, _, _ in jobs], procs)
-    err, settings = np.geterr(), _settings()
-    local, sent = list(bins[0]), []
-    outcomes = [None] * len(jobs)
+    into min(len(jobs), CPUs) bins (`_bins`): the caller runs the first, and
+    each other bin goes to one persistent worker process, forked here if
+    missing, as one message of `call`, the caller's numpy error state,
+    `estimator.CHUNK_BYTES`, `ROUNDING_ULPS` and the bin's jobs. A worker
+    runs the library as it was when forked, so other module state patched
+    later is not seen there. The caller runs, with the same values:
+    - every bin, on one CPU, on a platform without `fork`, under a numpy
+      error state of `call` or `log` (the callback lives in the caller), or
+      while another thread's profile holds the workers;
+    - the bins of workers that cannot be forked;
+    - a bin that cannot be pickled (a local class, an open file, ...);
+    - a bin its worker answers with None: the worker cannot load it (a class
+      defined after the fork), or its outcomes do not pickle and load back.
+    A worker that exits or is interrupted mid-call is discarded, and the
+    call raises."""
+    procs = min(len(jobs), _cpu_count()) if hasattr(os, "fork") else 1
+    held = (
+        procs > 1
+        and not {"call", "log"} & set(np.geterr().values())
+        and _workers_lock.acquire(blocking=False)
+    )
+    local = []
+    pending = [(None, local)]  # (worker, or None for the caller; job indices)
     try:
-        for worker, part in zip(_workers, bins[1:]):
+        if held:
+            for worker in [w for w in _workers if not w[0].is_alive()]:
+                _discard(worker)
+            while len(_workers) < procs - 1:
+                try:
+                    _workers.append(_fork_worker())
+                except OSError:  # no process to be had: fewer bins
+                    break
+        workers = _workers[: procs - 1] if held else []
+        bins = _bins([lvl for lvl, _, _ in jobs], len(workers) + 1)
+        local += bins[0]
+        for worker, part in zip(workers, bins[1:]):
+            bin_jobs = [jobs[i] for i in part]
             try:
                 message = pickle.dumps(
-                    (model, theta, phi, cfg, antithetic, err, settings, [jobs[i] for i in part])
+                    (call, np.geterr(), _estimator.CHUNK_BYTES, ROUNDING_ULPS, bin_jobs)
                 )
             except Exception:  # a local class, an open file, ...
                 local += part
                 continue
-            sent.append((worker, part))
-            _send(worker, message)
-        mine = _run_levels(model, theta, phi, cfg, antithetic, [jobs[i] for i in local])
-        for i, outcome in zip(local, mine):
-            outcomes[i] = outcome
-        while sent:
-            worker, part = sent[0]
-            theirs = pickle.loads(_receive(worker))
-            del sent[0]
+            pending.append((worker, part))
+            _pipe(worker, message)
+        outcomes = [None] * len(jobs)
+        while pending:
+            worker, part = pending[0]
+            theirs = pickle.loads(_pipe(worker)) if worker else None
+            del pending[0]
             if theirs is None:
-                theirs = _run_levels(model, theta, phi, cfg, antithetic, [jobs[i] for i in part])
+                theirs = _run_levels(call, [jobs[i] for i in part])
             for i, outcome in zip(part, theirs):
                 outcomes[i] = outcome
+        return outcomes
     except BaseException:
-        for worker, _ in sent:  # its reply may be half-read or still to come
+        for worker in [w for w, _ in pending if w]:  # a reply half-read or still to come
             _discard(worker)
         raise
-    return outcomes
+    finally:
+        if held:
+            _workers_lock.release()
 
 
-def _send(worker, message: bytes) -> None:
+def _pipe(worker, message: bytes | None = None):
+    """Send `message` to `worker`, or with none, receive its reply; a
+    worker that has exited raises `ResourceGuardExceeded`."""
+    process, conn = worker
     try:
-        worker[1].send_bytes(message)
-    except OSError as exc:
-        raise ResourceGuardExceeded(
-            f"variance-profile worker process {worker[0].pid} exited"
-        ) from exc
-
-
-def _receive(worker) -> bytes:
-    try:
-        return worker[1].recv_bytes()
+        return conn.recv_bytes() if message is None else conn.send_bytes(message)
     except (EOFError, OSError) as exc:
         raise ResourceGuardExceeded(
-            f"variance-profile worker process {worker[0].pid} exited mid-call"
+            f"variance-profile worker process {process.pid} exited mid-call"
         ) from exc
 
 
@@ -365,13 +355,12 @@ def _serve(conn, callers_end) -> None:
         except EOFError:
             return
         try:
-            model, theta, phi, cfg, antithetic, err, settings, jobs = pickle.loads(message)
+            call, err, _estimator.CHUNK_BYTES, ROUNDING_ULPS, jobs = pickle.loads(message)
         except Exception:  # a class defined after the fork
             outcomes = None
         else:
-            _estimator.CHUNK_BYTES, ROUNDING_ULPS = settings
             with np.errstate(**err):
-                outcomes = _run_levels(model, theta, phi, cfg, antithetic, jobs)
+                outcomes = _run_levels(call, jobs)
         try:
             reply = pickle.dumps(outcomes)
             pickle.loads(reply)  # an exception that does not rebuild from its args
@@ -393,6 +382,8 @@ def fit_decay_rate(stats: list[LevelStats], field: str = "var_z") -> DecayFit:
     reported and dropped, and the fit runs over the remainder (at least
     three points required).
     """
+    if field not in LevelStats.__dataclass_fields__:
+        raise ContractViolation(f"LevelStats has no field {field!r}")
     pairs = [(s.level, getattr(s, field)) for s in stats]
     kept = [(lvl, v) for lvl, v in pairs if v > 0.0]
     dropped = [lvl for lvl, v in pairs if v <= 0.0]
@@ -450,6 +441,7 @@ def estimate_moments(
         raise ContractViolation(
             f"moment exponents must be finite and positive, got s={s_exponent}, t={t_exponent}"
         )
+    n_draws = _count("n_draws", n_draws)
     if n_draws < 10_000:
         raise ContractViolation(f"need at least 1e4 draws, got {n_draws}")
     log_p = model.oracle_log_evidence(x, theta)  # raises if no oracle

@@ -34,6 +34,7 @@ draws; both read the level masses from one read-only table per level law
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, NamedTuple
@@ -82,7 +83,8 @@ class EstimatorConfig:
     level_cap: int = 40
 
     def __post_init__(self):
-        _check_counts(self, "n0", "batch_size", "level_cap")
+        _check_fields(self, _count, "n0", "batch_size", "level_cap")
+        _check_fields(self, _real, "level_ratio_log2")
         if self.n0 < 1:
             raise ContractViolation(f"n0 must be >= 1, got {self.n0}")
         if self.batch_size < 1:
@@ -122,14 +124,31 @@ class EstimatorConfig:
         return (1.0 - self.ratio) / (1.0 - 2.0 * self.ratio)
 
 
-def _check_counts(cfg, *names) -> None:
-    """Store each named field of the frozen config `cfg` as a Python int;
-    raise unless it is an integer, Python or numpy, and not a bool."""
+def _count(name: str, value) -> int:
+    """`value` as a Python int; raise unless it is an integer, Python or
+    numpy, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ContractViolation(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(name: str, value) -> float:
+    """`value` as a Python float, an integer past float's range as an
+    infinity; raise unless it is a real number, Python or numpy, and not a
+    bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ContractViolation(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _check_fields(cfg, check, *names) -> None:
+    """Store each named field of the frozen config `cfg` as `check` (`_count`
+    or `_real`) returns it."""
     for name in names:
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ContractViolation(f"{name} must be an integer, got {value!r}")
-        object.__setattr__(cfg, name, int(value))
+        object.__setattr__(cfg, name, check(name, getattr(cfg, name)))
 
 
 @lru_cache(maxsize=16)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import ContractViolation, DivergenceError, UnsupportedOperation
-from .estimator import EstimatorConfig, _check_counts, estimate_log_evidence
+from .estimator import EstimatorConfig, _check_fields, _count, _real, estimate_log_evidence
 from .gradients import estimate_gradients
 from .models import Dataset, LatentVariableModel, _all_finite
 
@@ -33,7 +33,8 @@ class TrainConfig:
     estimator: EstimatorConfig = EstimatorConfig()
 
     def __post_init__(self):
-        _check_counts(self, "steps", "eval_every", "eval_replications")
+        _check_fields(self, _count, "steps", "eval_every", "eval_replications")
+        _check_fields(self, _real, "lr_theta", "lr_phi", "momentum")
         if self.steps < 1:
             raise ContractViolation(f"steps must be >= 1, got {self.steps}")
         # Learning rates of exactly 0 are allowed so one side can be frozen.

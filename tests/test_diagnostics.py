@@ -103,6 +103,12 @@ class TestFitDecayRate:
         fit = fit_decay_rate(stats, "mean_cost")
         assert fit.slope == pytest.approx(1.0, abs=1e-12)  # cost doubles
 
+    @pytest.mark.parametrize("n", [0, 4])
+    def test_unknown_field_rejected(self, n):
+        # named as unknown whether or not there are values to fit
+        with pytest.raises(ContractViolation, match="^LevelStats has no field 'nope'$"):
+            fit_decay_rate(stats_from_values([1.0] * n, range(n)), "nope")
+
 
 class TestVarianceProfile:
     def test_zero_variance_at_posterior(self):
@@ -189,6 +195,35 @@ class TestVarianceProfile:
             variance_profile(
                 MODEL, empty, THETA, PHI_WIDE, range(1, 3), 100, CFG, substream(406, 1)
             )
+
+    @pytest.mark.parametrize("levels, replications, message", [
+        ([1.5, 2], 100, "levels[0] must be an integer, got 1.5"),
+        ([True, 2], 100, "levels[0] must be an integer, got True"),
+        ([2, np.float64(3.0)], 100, "levels[1] must be an integer, got np.float64(3.0)"),
+        ([-1, 2], 100, "levels must be >= 0, got [-1, 2]"),
+        ([1, 2], 100.0, "replications must be an integer, got 100.0"),
+        ([1, 2], True, "replications must be an integer, got True"),
+    ])
+    def test_counts_checked_before_any_stream_is_spawned(
+        self, monkeypatch, levels, replications, message
+    ):
+        def forbidden(rng, n):
+            raise AssertionError("profile spawned level streams")
+
+        monkeypatch.setattr(rng_module, "spawn", forbidden)
+        with pytest.raises(ContractViolation, match=f"^{re.escape(message)}$"):
+            variance_profile(
+                MODEL, DATA, THETA, PHI_WIDE, levels, replications, CFG, substream(409, 0)
+            )
+
+    def test_numpy_counts_are_stored_as_python_ints(self):
+        got = variance_profile(
+            MODEL, DATA, THETA, PHI_WIDE, np.array([2, 1]), np.int64(100), CFG, substream(409, 1)
+        )
+        assert got == variance_profile(
+            MODEL, DATA, THETA, PHI_WIDE, [2, 1], 100, CFG, substream(409, 1)
+        )
+        assert [type(s.level) for s in got] == [int, int]
 
     def test_moderate_slope_sanity(self):
         # desk-scale pre-check of the rate separation; the full-size run
@@ -536,6 +571,16 @@ class TestWorkerProcess:
             MODEL, DATA, THETA, PHI_WIDE, [1, 4], 100, CFG, substream(430, 9)
         )
 
+    def test_a_level_in_the_worker_reads_rounding_under_the_callers_ulps(self, monkeypatch):
+        # the rounding threshold goes with each bin, so a worker forked
+        # under the default reads a spread as rounding noise exactly when
+        # the caller's threshold at that call covers it
+        default = diagnostics.ROUNDING_ULPS
+        for ulps, seed in [(default, 15), (2.0**80, 16), (default, 17)]:
+            monkeypatch.setattr(diagnostics, "ROUNDING_ULPS", ulps)
+            worker_level = self.profile(MODEL, [1, 4], seed)[0]
+            assert (worker_level.var_z > 0.0) == (ulps == default)
+
     def test_bins_whose_worker_cannot_be_forked_run_in_the_caller(self, monkeypatch):
         def no_fork():
             raise BlockingIOError("no process to be had")
@@ -705,6 +750,13 @@ class TestEstimateMoments:
         with pytest.raises(ContractViolation):
             estimate_moments(
                 MODEL, DATA.x[0], THETA, PHI_WIDE, 4.5, 3.0, 999, substream(413, 0)
+            )
+
+    @pytest.mark.parametrize("n_draws", [1e4, True, "10000"])
+    def test_draw_count_must_be_an_integer(self, n_draws):
+        with pytest.raises(ContractViolation, match=f"^n_draws must be an integer, got {n_draws!r}$"):
+            estimate_moments(
+                MODEL, DATA.x[0], THETA, PHI_WIDE, 4.5, 3.0, n_draws, substream(415, 0)
             )
 
     @pytest.mark.parametrize(

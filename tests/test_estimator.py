@@ -152,6 +152,19 @@ class TestEstimatorConfig:
         assert cfg == EstimatorConfig(n0=8, batch_size=4, level_cap=30)
         assert {type(v) for v in (cfg.n0, cfg.batch_size, cfg.level_cap)} == {int}
 
+    def test_level_ratio_must_be_a_real_number(self):
+        for value in ["-1.5", True, None, np.array([-1.5])]:
+            with pytest.raises(ContractViolation, match="^level_ratio_log2 must be a real number"):
+                EstimatorConfig(level_ratio_log2=value)
+        for value in [np.float32(-1.5), np.int64(-2), -2]:
+            cfg = EstimatorConfig(level_ratio_log2=value)
+            assert type(cfg.level_ratio_log2) is float
+            assert cfg == EstimatorConfig(level_ratio_log2=float(value))
+        # an integer past float's range meets the ratio's own check
+        for value in [10**400, -(10**400)]:
+            with pytest.raises(ContractViolation, match="^level ratio must lie in"):
+                EstimatorConfig(level_ratio_log2=value)
+
     def test_distribution_ratio(self):
         assert EstimatorConfig().ratio == pytest.approx(2.0**-1.5)
 

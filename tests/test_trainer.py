@@ -57,6 +57,19 @@ class TestConfigValidation:
         with pytest.raises(ContractViolation, match="finite and nonnegative"):
             quick_config(**{key: value})
 
+    @pytest.mark.parametrize("key", ["lr_theta", "lr_phi", "momentum"])
+    def test_real_fields_must_be_real_numbers(self, key):
+        for value in ["a", True, np.bool_(False), None, 1j]:
+            with pytest.raises(ContractViolation, match=f"^{key} must be a real number, got"):
+                quick_config(**{key: value})
+        cfg = quick_config(**{key: np.float32(0.5)})
+        assert type(getattr(cfg, key)) is float and getattr(cfg, key) == 0.5
+        assert type(getattr(quick_config(**{key: 0}), key)) is float
+
+    def test_learning_rate_past_float_range_reads_as_infinite(self):
+        with pytest.raises(ContractViolation, match="finite and nonnegative"):
+            quick_config(lr_theta=10**400)
+
     def test_zero_learning_rates_allowed(self):
         quick_config(lr_theta=0.0, lr_phi=0.0)
 
