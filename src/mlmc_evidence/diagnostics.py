@@ -37,10 +37,10 @@ import numpy as np
 from . import estimator as _estimator
 from . import rng as _rng
 from .errors import ContractViolation, ResourceGuardExceeded
-from .estimator import EstimatorConfig, _count, antithetic_difference, draw_chunks, reduce_chunks
+from .estimator import EstimatorConfig, antithetic_difference, draw_chunks, reduce_chunks
 from .estimator import draw_level_samples  # noqa: F401  perfbench/tracer.py wraps this name here
 from .gradients import grad_theta_level
-from .models import Dataset, LatentVariableModel
+from .models import Dataset, LatentVariableModel, _count, _real
 
 log = logging.getLogger(__name__)
 # warnings reach stderr only where the application configures logging
@@ -437,6 +437,8 @@ def estimate_moments(
     The oracle's log evidence, every draw's log weight and both estimates
     must be finite; parameters that overflow any of them are a contract
     error."""
+    s_exponent = _real("s_exponent", s_exponent)
+    t_exponent = _real("t_exponent", t_exponent)
     if not (0.0 < s_exponent < math.inf and 0.0 < t_exponent < math.inf):
         raise ContractViolation(
             f"moment exponents must be finite and positive, got s={s_exponent}, t={t_exponent}"
@@ -471,8 +473,8 @@ def estimate_moments(
     tail_share = float(np.partition(shifted, n_draws - top)[-top:].sum() / total)
 
     return MomentDiagnostic(
-        s_exponent=float(s_exponent),
-        t_exponent=float(t_exponent),
+        s_exponent=s_exponent,
+        t_exponent=t_exponent,
         log_s_moment_estimate=log_s_moment,
         t_moment_estimate=t_moment,
         tail_warning=tail_share > 0.5,

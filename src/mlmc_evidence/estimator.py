@@ -34,7 +34,6 @@ draws; both read the level masses from one read-only table per level law
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, NamedTuple
@@ -45,7 +44,7 @@ from . import gradients as _gradients
 from .errors import ContractViolation, ResourceGuardExceeded
 from .logspace import log_mean_exp_unchecked  # noqa: F401  perfbench/tracer.py wraps this name here
 from .logspace import segment_exp
-from .models import Dataset, LatentVariableModel, _all_finite
+from .models import Dataset, LatentVariableModel, _all_finite, _check_fields, _count, _real
 
 #: Most bytes of per-draw rows (`row_bytes`) one chunk holds when a batch
 #: is drawn: consecutive members share a model call up to this many bytes,
@@ -122,33 +121,6 @@ class EstimatorConfig:
     def expected_cost_factor(self) -> float:
         """E[2^level] = (1 - r) / (1 - 2r), the per-draw cost multiplier."""
         return (1.0 - self.ratio) / (1.0 - 2.0 * self.ratio)
-
-
-def _count(name: str, value) -> int:
-    """`value` as a Python int; raise unless it is an integer, Python or
-    numpy, and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ContractViolation(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _real(name: str, value) -> float:
-    """`value` as a Python float, an integer past float's range as an
-    infinity; raise unless it is a real number, Python or numpy, and not a
-    bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ContractViolation(f"{name} must be a real number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
-def _check_fields(cfg, check, *names) -> None:
-    """Store each named field of the frozen config `cfg` as `check` (`_count`
-    or `_real`) returns it."""
-    for name in names:
-        object.__setattr__(cfg, name, check(name, getattr(cfg, name)))
 
 
 @lru_cache(maxsize=16)

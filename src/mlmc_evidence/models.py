@@ -36,6 +36,7 @@ from __future__ import annotations
 import abc
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -220,9 +221,38 @@ def _coordinate_sum(a: np.ndarray) -> np.ndarray:
     return a[..., 0] if a.shape[-1] == 1 else a.sum(axis=-1)
 
 
-def _check_size(n) -> None:
+def _count(name: str, value) -> int:
+    """`value` as a Python int; raise unless it is an integer, Python or
+    numpy, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ContractViolation(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(name: str, value) -> float:
+    """`value` as a Python float, an integer past float's range as an
+    infinity; raise unless it is a real number, Python or numpy, and not a
+    bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ContractViolation(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _check_fields(cfg, check, *names) -> None:
+    """Store each named field of the frozen config `cfg` as `check` (`_count`
+    or `_real`) returns it."""
+    for name in names:
+        object.__setattr__(cfg, name, check(name, getattr(cfg, name)))
+
+
+def _check_size(n) -> int:
+    n = _count("dataset size", n)
     if n < 1:
         raise ContractViolation(f"dataset size must be >= 1, got {n}")
+    return n
 
 
 def _check_x(x, x_dim: int, n: int) -> np.ndarray:
@@ -252,6 +282,7 @@ class GaussianConjugateModel(LatentVariableModel):
     """
 
     def __init__(self, dim: int = 1):
+        dim = _count("dim", dim)
         if dim < 1:
             raise ContractViolation(f"dim must be >= 1, got {dim}")
         self.dim = dim
@@ -309,7 +340,7 @@ class GaussianConjugateModel(LatentVariableModel):
         out[:, 2 * d :] = dlog_scale
 
     def generate_data(self, theta, n, rng):
-        _check_size(n)
+        n = _check_size(n)
         mu0, log_s0, log_sx = self.split_theta(theta)
         z = mu0 + np.exp(log_s0) * rng.standard_normal((n, self.dim))
         x = z + np.exp(log_sx) * rng.standard_normal((n, self.dim))
@@ -449,7 +480,7 @@ class BernoulliGaussianModel(LatentVariableModel):
             np.copyto(out[:, 2 * cls + 1], dlog_scale[:, 0], where=on)
 
     def generate_data(self, theta, n, rng):
-        _check_size(n)
+        n = _check_size(n)
         theta = _check_vector("theta", theta, self.theta_dim)
         z = rng.standard_normal(n)
         p1 = 1.0 / (1.0 + np.exp(-(theta[0] * z + theta[1])))
@@ -459,6 +490,7 @@ class BernoulliGaussianModel(LatentVariableModel):
     def oracle_log_evidence(self, x, theta, n_nodes: int = 64):
         theta = _check_vector("theta", theta, self.theta_dim)
         x = _check_vector("x", x, self.x_dim)
+        n_nodes = _count("n_nodes", n_nodes)
         if n_nodes < 64:
             raise ContractViolation("evidence quadrature needs at least 64 nodes")
         nodes, log_wts = _hermgauss(n_nodes)

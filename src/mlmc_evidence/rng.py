@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+from .errors import ContractViolation
+from .models import _count
+
+_SEED_MAX = (1 << 64) - 1  # a seed is one 64-bit word
 
 # Stream ids for the top-level substreams of a run; seeded outputs depend on each value.
 STREAM_DATA = 0  # synthetic dataset generation
@@ -24,9 +27,13 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     """Generator for the substream of `seed` addressed by `path`.
 
     Two calls with equal arguments yield generators producing identical
-    output; distinct paths are statistically independent.
+    output; distinct paths are statistically independent. `seed` must be
+    an integer in 0..2^64 - 1: no two seeds address the same streams.
     """
-    key = np.random.SeedSequence(int(seed) & _MASK64, spawn_key=tuple(int(p) for p in path))
+    seed = _count("seed", seed)
+    if not 0 <= seed <= _SEED_MAX:
+        raise ContractViolation(f"seed must lie in 0..2^64 - 1, got {seed}")
+    key = np.random.SeedSequence(seed, spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.Philox(key))
 
 

@@ -17,9 +17,9 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import ContractViolation, DivergenceError, UnsupportedOperation
-from .estimator import EstimatorConfig, _check_fields, _count, _real, estimate_log_evidence
+from .estimator import EstimatorConfig, estimate_log_evidence
 from .gradients import estimate_gradients
-from .models import Dataset, LatentVariableModel, _all_finite
+from .models import Dataset, LatentVariableModel, _all_finite, _check_fields, _count, _real
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,8 @@ class TrainConfig:
     def __post_init__(self):
         _check_fields(self, _count, "steps", "eval_every", "eval_replications")
         _check_fields(self, _real, "lr_theta", "lr_phi", "momentum")
+        if not isinstance(self.estimator, EstimatorConfig):
+            raise ContractViolation(f"estimator must be an EstimatorConfig, got {self.estimator!r}")
         if self.steps < 1:
             raise ContractViolation(f"steps must be >= 1, got {self.steps}")
         # Learning rates of exactly 0 are allowed so one side can be frozen.

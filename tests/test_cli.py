@@ -939,6 +939,19 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error: dataset size must be >= 1")
 
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--seed", "-1", "--n", "5"],
+        ["estimate", "--seed", str(2**64), "--n", "5"],
+        ["gen-data", "--seed", "-1", "--n", "5"],
+    ], ids=["estimate-negative", "estimate-2^64", "gen-data-negative"])
+    def test_seed_outside_64_bits_rejected(self, tmp_path, capsys, argv):
+        # -1 was once masked to 2^64 - 1 and printed that seed's estimate
+        out = tmp_path / "x"
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err == f"error: seed must lie in 0..2^64 - 1, got {argv[2]}\n"
+        assert not (out / "manifest.json").exists()
+
     def test_manifest_dataset_size_below_one_rejected(self, tmp_path, capsys):
         first = tmp_path / "first"
         code, _, _ = run_cli(capsys, "estimate", "--batch", "4", "--out", str(first))

@@ -752,12 +752,19 @@ class TestEstimateMoments:
                 MODEL, DATA.x[0], THETA, PHI_WIDE, 4.5, 3.0, 999, substream(413, 0)
             )
 
-    @pytest.mark.parametrize("n_draws", [1e4, True, "10000"])
-    def test_draw_count_must_be_an_integer(self, n_draws):
-        with pytest.raises(ContractViolation, match=f"^n_draws must be an integer, got {n_draws!r}$"):
-            estimate_moments(
-                MODEL, DATA.x[0], THETA, PHI_WIDE, 4.5, 3.0, n_draws, substream(415, 0)
-            )
+    @pytest.mark.parametrize("field, value", [
+        ("n_draws", 1e4), ("n_draws", True), ("n_draws", "10000"),
+        ("s_exponent", "4.5"), ("s_exponent", True), ("t_exponent", "3.0"),
+        ("t_exponent", np.bool_(True)),
+    ], ids=["10000.0", "True", "10000", "s_exponent-4.5", "s_exponent-True", "t_exponent-3.0",
+            "t_exponent-np.True_"])
+    def test_draw_count_must_be_an_integer(self, field, value):
+        # the exponents are real numbers by the same rule; a bool was once
+        # reported as 1.0 and a string raised a bare TypeError
+        args = {"s_exponent": 4.5, "t_exponent": 3.0, "n_draws": 10_000, field: value}
+        kind = "an integer" if field == "n_draws" else "a real number"
+        with pytest.raises(ContractViolation, match=f"^{field} must be {kind}, got {value!r}$"):
+            estimate_moments(MODEL, DATA.x[0], THETA, PHI_WIDE, **args, rng=substream(415, 0))
 
     @pytest.mark.parametrize(
         "s, t", [(math.nan, 3.0), (4.5, math.nan), (math.inf, 3.0), (4.5, math.inf)]

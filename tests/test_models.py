@@ -638,6 +638,33 @@ class TestDrawWeighed:
             )
 
 
+class TestCounts:
+    """A model's counts (dim, dataset size, quadrature nodes) are integers,
+    Python or numpy, and not bools, by the rule the configs use."""
+
+    @pytest.mark.parametrize("dim", [1.5, True, "2"])
+    def test_dim_must_be_an_integer(self, dim):
+        # 1.5 once built a model with theta_dim 4.5, and True one of dim 1
+        with pytest.raises(ContractViolation, match=f"^dim must be an integer, got {dim!r}$"):
+            GaussianConjugateModel(dim)
+
+    @pytest.mark.parametrize("model", [GAUSSIAN, BERNOULLI], ids=["gaussian", "bernoulli"])
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_dataset_size_must_be_an_integer(self, model, n):
+        # numpy once raised a bare TypeError
+        with pytest.raises(ContractViolation, match=f"^dataset size must be an integer, got {n!r}$"):
+            model.generate_data(np.zeros(model.theta_dim), n, substream(9, 2))
+
+    def test_node_count_must_be_an_integer(self):
+        with pytest.raises(ContractViolation, match="^n_nodes must be an integer, got 64.5$"):
+            BERNOULLI.oracle_log_evidence(np.ones(1), np.zeros(2), n_nodes=64.5)
+
+    def test_numpy_counts_are_accepted_as_python_ints(self):
+        model = GaussianConjugateModel(np.int64(2))
+        assert type(model.dim) is int and model.theta_dim == 6
+        assert GAUSSIAN.generate_data(np.zeros(3), np.int32(5), substream(9, 3)).n_total == 5
+
+
 class TestDataset:
     def test_rejects_nonfinite(self):
         with pytest.raises(ContractViolation):

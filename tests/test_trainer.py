@@ -66,6 +66,12 @@ class TestConfigValidation:
         assert type(getattr(cfg, key)) is float and getattr(cfg, key) == 0.5
         assert type(getattr(quick_config(**{key: 0}), key)) is float
 
+    @pytest.mark.parametrize("value", [None, {"n0": 8}, 8])
+    def test_estimator_must_be_an_estimator_config(self, value):
+        # None was once accepted and failed at the first step
+        with pytest.raises(ContractViolation, match="^estimator must be an EstimatorConfig, got"):
+            quick_config(estimator=value)
+
     def test_learning_rate_past_float_range_reads_as_infinite(self):
         with pytest.raises(ContractViolation, match="finite and nonnegative"):
             quick_config(lr_theta=10**400)

@@ -24,7 +24,10 @@ sums in milliseconds and their change/parent ratio, then the median ratio
 and the largest relative difference between the two trees' results (every
 float of every result; an integer or any other value that differs counts
 as a mismatch and is listed). It exits 1 if any result mismatches in that
-way.
+way. Both trees share one process and so one allocator, so the tool cannot
+see a change that moves only how the allocator serves later calls (how
+large a block `estimator.draw_chunks` frees, say, which can decide whether
+a call's temporaries map fresh pages): compare separate processes for that.
 """
 from __future__ import annotations
 
