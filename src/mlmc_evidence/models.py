@@ -50,12 +50,14 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class Dataset:
-    """Observations stacked row-wise, (n_total, x_dim)."""
+    """Observations stacked row-wise, (n_total, x_dim) with x_dim >= 1."""
 
     x: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.atleast_2d(np.asarray(self.x, dtype=np.float64)))
+        if self.x.ndim > 2 or self.x.shape[1] == 0:
+            raise ContractViolation(f"dataset must be (n, d) with d >= 1, got shape {self.x.shape}")
         if not np.isfinite(self.x).all():
             raise ContractViolation("dataset contains non-finite entries")
 
@@ -291,25 +293,23 @@ class GaussianConjugateModel(LatentVariableModel):
         self.theta_dim = 3 * dim
         self.phi_dim = 3 * dim
 
-    def split_theta(self, theta):
-        theta = _check_vector("theta", theta, self.theta_dim)
-        d = self.dim
-        return theta[:d], theta[d : 2 * d], theta[2 * d :]
+    def _split(self, name, v):
+        """The checked vector `name`'s three blocks of length dim."""
+        v, d = _check_vector(name, v, 3 * self.dim), self.dim
+        return v[:d], v[d : 2 * d], v[2 * d :]
 
-    def split_phi(self, phi):
-        phi = _check_vector("phi", phi, self.phi_dim)
-        d = self.dim
-        return phi[:d], phi[d : 2 * d], phi[2 * d :]
+    def _theta(self, theta):
+        """theta's (mu0, log s0, log sx) with the variances v0 = s0^2, vx = sx^2."""
+        mu0, log_s0, log_sx = self._split("theta", theta)
+        return mu0, log_s0, log_sx, np.exp(2.0 * log_s0), np.exp(2.0 * log_sx)
 
     def q_loc_log_scale(self, x, phi):
-        a, b, log_s = self.split_phi(phi)
+        a, b, log_s = self._split("phi", phi)
         return a * x + b, log_s
 
     def log_joint(self, x, z, theta, grad_theta):
-        mu0, log_s0, log_sx = self.split_theta(theta)
+        mu0, log_s0, log_sx, v0, vx = self._theta(theta)
         d = self.dim
-        v0 = np.exp(2.0 * log_s0)
-        vx = np.exp(2.0 * log_sx)
 
         # q accumulates the two squared standardized residuals; `r` holds
         # each residual in turn, then its square
@@ -341,24 +341,22 @@ class GaussianConjugateModel(LatentVariableModel):
 
     def generate_data(self, theta, n, rng):
         n = _check_size(n)
-        mu0, log_s0, log_sx = self.split_theta(theta)
+        mu0, log_s0, log_sx = self._split("theta", theta)
         z = mu0 + np.exp(log_s0) * rng.standard_normal((n, self.dim))
         x = z + np.exp(log_sx) * rng.standard_normal((n, self.dim))
-        return Dataset.from_rows(x)
+        return Dataset(x)
 
     # Closed-form oracles.
 
     def oracle_log_evidence(self, x, theta):
-        mu0, log_s0, log_sx = self.split_theta(theta)
+        mu0, _, _, v0, vx = self._theta(theta)
         x = _check_vector("x", x, self.x_dim)
-        v = np.exp(2.0 * log_s0) + np.exp(2.0 * log_sx)
+        v = v0 + vx
         return float(-0.5 * (self.dim * _LOG_2PI + np.log(v).sum() + ((x - mu0) ** 2 / v).sum()))
 
     def oracle_evidence_grad_theta(self, x, theta):
-        mu0, log_s0, log_sx = self.split_theta(theta)
+        mu0, _, _, v0, vx = self._theta(theta)
         x = _check_vector("x", x, self.x_dim)
-        v0 = np.exp(2.0 * log_s0)
-        vx = np.exp(2.0 * log_sx)
         v = v0 + vx
         dx = x - mu0
         dv = -1.0 / v + dx * dx / (v * v)  # d/dv of log evidence, times 2
@@ -366,19 +364,15 @@ class GaussianConjugateModel(LatentVariableModel):
 
     def posterior_params(self, x, theta):
         """Mean and variance vectors of the exact posterior p(z|x)."""
-        mu0, log_s0, log_sx = self.split_theta(theta)
+        mu0, _, _, v0, vx = self._theta(theta)
         x = _check_vector("x", x, self.x_dim)
-        v0 = np.exp(2.0 * log_s0)
-        vx = np.exp(2.0 * log_sx)
         var_p = v0 * vx / (v0 + vx)
         mean_p = var_p * (mu0 / v0 + x / vx)
         return mean_p, var_p
 
     def posterior_phi(self, theta) -> np.ndarray:
         """The phi for which q(z|x) equals the exact posterior for all x."""
-        mu0, log_s0, log_sx = self.split_theta(theta)
-        v0 = np.exp(2.0 * log_s0)
-        vx = np.exp(2.0 * log_sx)
+        mu0, _, _, v0, vx = self._theta(theta)
         var_p = v0 * vx / (v0 + vx)
         return np.concatenate([var_p / vx, var_p * mu0 / v0, 0.5 * np.log(var_p)])
 
@@ -420,6 +414,13 @@ def _log_sigmoid(eta: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_binary(x: np.ndarray) -> np.ndarray:
+    bad = (x != 0.0) & (x != 1.0)
+    if np.logical_or.reduce(bad, axis=None):
+        raise ContractViolation(f"observation must be 0 or 1, got {x[bad].flat[0]}")
+    return x
+
+
 class BernoulliGaussianModel(LatentVariableModel):
     """Non-conjugate scalar model: logistic observation of a Gaussian latent.
 
@@ -437,6 +438,7 @@ class BernoulliGaussianModel(LatentVariableModel):
     z_dim = 1
     theta_dim = 2
     phi_dim = 4
+    _nodes = 64  # Gauss-Hermite nodes of each quadrature; the evidence's least
 
     def q_loc_log_scale(self, x, phi):
         # the parameters of each observation's class: 0 for x = 0, else 1
@@ -446,10 +448,7 @@ class BernoulliGaussianModel(LatentVariableModel):
 
     def log_joint(self, x, z, theta, grad_theta):
         w, c = _check_vector("theta", theta, self.theta_dim).tolist()
-        xv = x[..., 0]
-        bad = (xv != 0.0) & (xv != 1.0)
-        if np.logical_or.reduce(bad, axis=None):
-            raise ContractViolation(f"observation must be 0 or 1, got {xv[bad].flat[0]}")
+        xv = _check_binary(x[..., 0])
         zs = z[:, 0]
         eta = w * zs
         eta += c
@@ -485,33 +484,32 @@ class BernoulliGaussianModel(LatentVariableModel):
         z = rng.standard_normal(n)
         p1 = 1.0 / (1.0 + np.exp(-(theta[0] * z + theta[1])))
         x = (rng.random(n) < p1).astype(np.float64)
-        return Dataset.from_rows(x.reshape(-1, 1))
+        return Dataset(x.reshape(-1, 1))
 
-    def oracle_log_evidence(self, x, theta, n_nodes: int = 64):
+    def _prior_quadrature(self, x, theta, n_nodes=_nodes):
+        """Quadrature of the joint against the prior: x's value, the nodes z_i,
+        w z_i + c and log weight_i + log p(x|z_i), whose log-sum-exp is log p(x)."""
         theta = _check_vector("theta", theta, self.theta_dim)
-        x = _check_vector("x", x, self.x_dim)
+        x = _check_binary(_check_vector("x", x, self.x_dim))
         n_nodes = _count("n_nodes", n_nodes)
-        if n_nodes < 64:
-            raise ContractViolation("evidence quadrature needs at least 64 nodes")
+        if n_nodes < self._nodes:
+            raise ContractViolation(f"evidence quadrature needs at least {self._nodes} nodes")
         nodes, log_wts = _hermgauss(n_nodes)
-        sign = 2.0 * x[0] - 1.0
-        log_lik = _log_sigmoid(sign * (theta[0] * nodes + theta[1]))
-        v = log_wts + log_lik
+        eta = theta[0] * nodes + theta[1]
+        return x[0], nodes, eta, log_wts + _log_sigmoid((2.0 * x[0] - 1.0) * eta)
+
+    def oracle_log_evidence(self, x, theta, n_nodes: int = _nodes):
+        *_, v = self._prior_quadrature(x, theta, n_nodes)
         m = v.max()
         return float(m + np.log(np.exp(v - m).sum()))
 
     def oracle_evidence_grad_theta(self, x, theta):
         """Posterior expectation of the likelihood score, by quadrature:
         grad log p(x) = E[ grad log p(x|z) | x ]."""
-        theta = _check_vector("theta", theta, self.theta_dim)
-        x = _check_vector("x", x, self.x_dim)
-        nodes, log_wts = _hermgauss(64)
-        sign = 2.0 * x[0] - 1.0
-        eta = theta[0] * nodes + theta[1]
-        v = log_wts + _log_sigmoid(sign * eta)
+        xv, nodes, eta, v = self._prior_quadrature(x, theta)
         post = np.exp(v - v.max())
         post /= post.sum()
-        resid = x[0] - 1.0 / (1.0 + np.exp(-eta))
+        resid = xv - 1.0 / (1.0 + np.exp(-eta))
         return np.array([post @ (nodes * resid), post @ resid])
 
     def oracle_elbo_grad_phi(self, x, theta, phi):
@@ -524,7 +522,7 @@ class BernoulliGaussianModel(LatentVariableModel):
         x = _check_vector("x", x, self.x_dim)
         (m,), (log_s,) = self.q_loc_log_scale(x, phi)
         k = int(x[0] != 0.0)
-        nodes, log_wts = _hermgauss(64)
+        nodes, log_wts = _hermgauss(self._nodes)
         s = math.exp(log_s)
         z = (m + s * nodes).reshape(-1, 1)
         gq = np.empty((nodes.size, self.phi_dim))
@@ -579,7 +577,7 @@ def load_dataset(path) -> tuple[Dataset, dict]:
         raise ContractViolation(f"sidecar {sidecar} is not valid JSON: {exc}") from None
     if not (isinstance(header, dict) and {"dim", "n_total"} <= header.keys()):
         raise ContractViolation(f"sidecar {sidecar} is not a JSON object with dim and n_total")
-    data = Dataset.from_rows(x)
+    data = Dataset(x)
     if data.n_total != header["n_total"] or data.x.shape[1] != header["dim"]:
         raise ContractViolation(f"dataset file {path} does not match its sidecar header")
     return data, header

@@ -28,12 +28,16 @@ def substream(seed: int, *path: int) -> np.random.Generator:
 
     Two calls with equal arguments yield generators producing identical
     output; distinct paths are statistically independent. `seed` must be
-    an integer in 0..2^64 - 1: no two seeds address the same streams.
+    an integer in 0..2^64 - 1 and each path entry an integer >= 0: no two
+    distinct addresses share a stream.
     """
     seed = _count("seed", seed)
     if not 0 <= seed <= _SEED_MAX:
         raise ContractViolation(f"seed must lie in 0..2^64 - 1, got {seed}")
-    key = np.random.SeedSequence(seed, spawn_key=tuple(int(p) for p in path))
+    path = tuple(_count("path entry", p) for p in path)
+    if min(path, default=0) < 0:
+        raise ContractViolation(f"path entry must be >= 0, got {min(path)}")
+    key = np.random.SeedSequence(seed, spawn_key=path)
     return np.random.Generator(np.random.Philox(key))
 
 

@@ -229,6 +229,14 @@ class TestBernoulliOracles:
             fd = central_difference(elbo, phi, j, step=1e-6)
             assert grad[j] == pytest.approx(fd, abs=1e-7)
 
+    @pytest.mark.parametrize("oracle", ["oracle_log_evidence", "oracle_evidence_grad_theta"])
+    @pytest.mark.parametrize("x, theta", [(0.5, [0.0, 0.0]), (2.0, [1.3, -0.4])])
+    def test_observation_must_be_0_or_1(self, oracle, x, theta):
+        # both quadrature oracles once answered for observations that
+        # `log_joint` refuses: 0.5 at w = c = 0 gave log(1/2) and a zero gradient
+        with pytest.raises(ContractViolation, match=f"^observation must be 0 or 1, got {x}$"):
+            getattr(BERNOULLI, oracle)(np.array([x]), np.array(theta))
+
 
 class SumOfTwoModel(LatentVariableModel):
     """Test-only model with two latents and a location depending on x; it
@@ -259,7 +267,7 @@ class SumOfTwoModel(LatentVariableModel):
 
     def generate_data(self, theta, n, rng):
         z = rng.standard_normal((n, 2))
-        return Dataset.from_rows(z.sum(axis=1, keepdims=True) + theta[0] + rng.standard_normal((n, 1)))
+        return Dataset(z.sum(axis=1, keepdims=True) + theta[0] + rng.standard_normal((n, 1)))
 
 
 class TestLogWeightGradients:
@@ -669,6 +677,20 @@ class TestDataset:
     def test_rejects_nonfinite(self):
         with pytest.raises(ContractViolation):
             Dataset.from_rows([[0.0], [math.nan]])
+
+    @pytest.mark.parametrize("x", [np.zeros((2, 2, 2)), np.array([]), np.zeros((3, 0))])
+    def test_rejects_shapes_no_model_draws(self, x):
+        # a 3-d array once failed only in the estimate, and an empty one
+        # became one observation with no columns
+        with pytest.raises(ContractViolation, match=r"^dataset must be \(n, d\) with d >= 1"):
+            Dataset(x)
+
+    def test_load_refuses_an_observation_with_no_columns(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("")
+        (tmp_path / "empty.txt.json").write_text('{"dim": 0, "n_total": 1}')
+        with pytest.raises(ContractViolation, match=r"^dataset must be \(n, d\) with d >= 1"):
+            load_dataset(path)
 
     def test_generate_shapes(self):
         data = GAUSSIAN.generate_data(np.zeros(3), 25, substream(9, 0))

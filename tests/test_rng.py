@@ -1,5 +1,5 @@
-"""Stream contracts: children spawned in blocks equal one spawn of all, and
-a seed is an integer in 0..2^64 - 1."""
+"""Stream contracts: children spawned in blocks equal one spawn of all, a
+seed is an integer in 0..2^64 - 1 and a path entry an integer >= 0."""
 
 import pytest
 
@@ -26,3 +26,16 @@ def test_no_two_seeds_share_a_stream(seed, alias):
 def test_seed_must_be_an_integer(seed):
     with pytest.raises(ContractViolation, match=f"^seed must be an integer, got {seed!r}$"):
         substream(seed, 1)
+
+
+@pytest.mark.parametrize("entry", [1.5, True])
+def test_path_entry_must_be_an_integer(entry):
+    # both once drew path 1's stream
+    with pytest.raises(ContractViolation, match=f"^path entry must be an integer, got {entry!r}$"):
+        substream(1, 0, entry)
+
+
+def test_path_entry_must_not_be_negative():
+    # numpy once raised a bare ValueError
+    with pytest.raises(ContractViolation, match="^path entry must be >= 0, got -1$"):
+        substream(1, -1)

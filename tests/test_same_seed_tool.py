@@ -30,7 +30,7 @@ def test_one_seed_twice_prints_equal_nonempty_families():
     first = fingerprint()
     assert fingerprint() == first
     lines = [line.split() for line in first.splitlines()]
-    assert len(lines) == 16 * 3  # family/model
+    assert len(lines) == 17 * 3  # family/model
     for family, count, digest in lines:
         assert int(count) > 0, family
         assert len(digest) == 64
@@ -54,7 +54,7 @@ def test_dump_matches_itself_and_catches_a_moved_float_or_integer(tmp_path):
     same = run_tool("--against", dump)  # --rtol 0: every bit equal
     assert same.returncode == 0, same.stderr
     rows = compared(same)
-    assert len(rows) == 16 * 3
+    assert len(rows) == 17 * 3
     assert all(count > 0 and worst == 0.0 and bad == 0 for count, worst, bad in rows.values())
 
     raw = json.loads(dump.read_text())

@@ -33,6 +33,9 @@ the seeds:
   duplicates (more levels than most hosts' CPUs, so each of the profile's
   processes runs several), antithetic and naive;
 - tail moments;
+- the closed forms: every `oracle_*` method at the first four observations
+  (an `UnsupportedOperation` recorded as its output) and the Gaussian
+  `posterior_phi`;
 - 20-step training records;
 - exit code, stdout, stderr and artifacts of each CLI command at small sizes,
   and of manifest reruns of estimate, a naive variance profile and grad-check.
@@ -71,6 +74,10 @@ SHAPES = [(1, 1), (4, 8), (8, 64), (32, 4)]
 SMALL_BUDGET = 64
 # unsorted, with duplicates, and more levels than most hosts' CPUs
 PROFILE_LEVELS = [5, 0, 3, 3, 1, 4, 2, 5, 0, 1, 4, 2]
+# every model's oracles, and whether each takes phi after x and theta
+ORACLES = [("oracle_log_evidence", False), ("oracle_evidence_grad_theta", False),
+           ("oracle_elbo_grad_phi", True), ("oracle_posterior_kl", True)]
+ORACLE_ROWS = 4
 
 # CLI cases, each run with --model, --dim and --seed appended; a rerun case
 # runs the command after "rerun", then replays its manifest (between them,
@@ -268,6 +275,13 @@ def fingerprint(seeds: int, keep: bool = False) -> dict[str, Family]:
                                      EstimatorConfig(), substream(seed, 5), antithetic=antithetic)))
             family("moments").add(tag, lambda: estimate_moments(
                 model, data.x[0], theta, phi, 4.5, 3.0, 10_000, substream(seed, 3)))
+            for row, x in enumerate(data.x[:ORACLE_ROWS]):
+                for method, takes_phi in ORACLES:
+                    args = (x, theta, phi) if takes_phi else (x, theta)
+                    family("oracles").add(f"{tag} row {row} {method}",
+                                          lambda: getattr(model, method)(*args))
+            if name == "gaussian":
+                family("oracles").add(f"{tag} posterior_phi", lambda: model.posterior_phi(theta))
             family("train").add(tag, lambda: train(
                 model, data, theta, phi,
                 TrainConfig(steps=20, eval_every=10, eval_replications=2,
