@@ -10,14 +10,15 @@ replications. The level value and its theta-gradient are formulas of the
 chunk's segment statistics (`estimator.LevelDraws`), so they share its one
 exponentiation and its one R per half.
 
-A profile's levels run concurrently, split by cost into one bin per CPU:
-the calling thread runs the bin holding the costliest level, and one
-persistent worker process per other CPU, forked on the first profile that
-needs it, runs each other bin; `_dispatch` lists where the caller runs a
-bin itself. Each level draws only from its own spawned stream, so no output
-depends on the split. Peak memory is one level's chunk block per process,
-and where levels fail, the first failing level in the caller's order is the
-one raised.
+A profile's levels run concurrently, taken costliest first as processes
+free up: the calling thread runs the costliest level, and one persistent
+worker process per other CPU, forked on the first profile that needs it,
+and the caller once free each take the next level still to run, until
+none is left; `_dispatch` lists where the caller runs every level itself.
+Each level draws only from its own spawned stream, so no output depends on
+which process runs it or when. Peak memory is one level's chunk block per
+process, and where levels fail, the first failing level in the caller's
+order is the one raised.
 
 Cost is counted in latent draws (the only quantity that doubles per level);
 wall clock is not asserted on anywhere.
@@ -110,6 +111,11 @@ def _cpu_count() -> int:
 #: time their use.
 _workers: list = []
 _workers_lock = threading.Lock()
+#: The (read, write) ends of the non-blocking pipe that holds a call's job
+#: tokens, made with the first worker. The caller and the workers take
+#: tokens by reading it, which holds nothing in user space, so a worker
+#: killed mid-call (`_discard`) leaves no lock held for the next call.
+_tokens: tuple | None = None
 
 
 def variance_profile(
@@ -136,12 +142,12 @@ def variance_profile(
     profiling both variants from identically constructed generators
     compares them on the same latent draws.
 
-    The levels are split by cost into bins run concurrently, the caller's
-    bin holding the costliest level; `_dispatch` lists where the caller runs
-    a bin itself. A level's values depend only on its own stream, so they
-    are the same bits under any split. Peak memory is one level's chunk
-    block per process. If levels fail, the first failing level in the order
-    of `levels` is the one raised.
+    The levels run concurrently, taken costliest first by the caller and
+    the worker processes as each frees up; `_dispatch` lists where the
+    caller runs every level itself. A level's values depend only on its own
+    stream, so they are the same bits wherever and whenever it runs. Peak
+    memory is one level's chunk block per process. If levels fail, the
+    first failing level in the order of `levels` is the one raised.
     """
     replications = _count("replications", replications)
     levels = [_count(f"levels[{i}]", lvl) for i, lvl in enumerate(levels)]
@@ -153,6 +159,14 @@ def variance_profile(
         raise ContractViolation(f"levels {levels} exceed level cap {cfg.level_cap}")
     if data.n_total < 1:
         raise ContractViolation("dataset is empty")
+    # the index draw and the rows of x it picks, in bytes; past 2^63 - 1
+    # numpy refuses either array with a bare ValueError
+    row = 8 * data.x.shape[1]
+    if (replications * row) >> 63:
+        raise ResourceGuardExceeded(
+            f"{replications} replications may need more than 2^63 - 1 bytes"
+            f" at {row} bytes per replication"
+        )
     jobs = []
     for lvl, stream in zip(levels, _rng.spawn(rng, len(levels))):
         indices = stream.integers(0, data.n_total, size=replications)
@@ -191,57 +205,48 @@ def _level_stats(call: tuple, lvl, x_rows, stream) -> LevelStats:
     )
 
 
-def _run_levels(call: tuple, jobs) -> list:
-    """Each (level, x rows, stream) job's `LevelStats`, or the exception
-    its level raised, to be raised in the caller's order."""
-    outcomes = []
-    for job in jobs:
-        try:
-            outcomes.append(_level_stats(call, *job))
-        except Exception as exc:
-            outcomes.append(exc)
-    return outcomes
-
-
-def _bins(levels: list, procs: int) -> list[list[int]]:
-    """The indices of `levels` split into `procs` bins by cost 2^level,
-    the costliest first onto the least-loaded bin, the earliest bin on a
-    tie: the first bin gets the costliest level."""
-    bins = [[] for _ in range(procs)]
-    loads = [0.0] * procs
-    # the stable sort keeps ties in caller order
-    for i in sorted(range(len(levels)), key=lambda i: -levels[i]):
-        b = loads.index(min(loads))
-        bins[b].append(i)
-        loads[b] += 2.0 ** levels[i]
-    return bins
+def _outcome(call: tuple, job) -> LevelStats | Exception:
+    """A (level, x rows, stream) job's `LevelStats`, or the exception its
+    level raised, to be raised in the caller's order."""
+    try:
+        return _level_stats(call, *job)
+    except Exception as exc:
+        return exc
 
 
 def _dispatch(call: tuple, jobs: list) -> list:
-    """Every job's outcome, as `_run_levels` gives it, with the jobs split
-    into min(len(jobs), CPUs) bins (`_bins`): the caller runs the first, and
-    each other bin goes to one persistent worker process, forked here if
-    missing, as one message of `call`, the caller's numpy error state,
-    `estimator.CHUNK_BYTES`, `ROUNDING_ULPS` and the bin's jobs. A worker
+    """Every job's outcome, as `_outcome` gives it. The jobs are ranked
+    costliest (deepest) first, ties in caller order, and the caller runs the
+    first itself. Each worker process, forked here if missing (one per CPU
+    but the caller's, at most one per other job), gets one message of `call`,
+    the caller's numpy error state, `estimator.CHUNK_BYTES`, `ROUNDING_ULPS`
+    and the other jobs, whose positions the caller writes as tokens into the
+    token pipe (`_tokens`). The caller, once free, and every worker take one
+    token at a time and run its job, until the pipe is empty, and each
+    worker replies with the positions it took and their outcomes. A worker
     runs the library as it was when forked, so other module state patched
     later is not seen there. The caller runs, with the same values:
-    - every bin, on one CPU, on a platform without `fork`, under a numpy
-      error state of `call` or `log` (the callback lives in the caller), or
-      while another thread's profile holds the workers;
-    - the bins of workers that cannot be forked;
-    - a bin that cannot be pickled (a local class, an open file, ...);
-    - a bin its worker answers with None: the worker cannot load it (a class
-      defined after the fork), or its outcomes do not pickle and load back.
+    - every job, costliest first, on one CPU, on a platform without `fork`,
+      under a numpy error state of `call` or `log` (the callback lives in
+      the caller), while another thread's profile holds the workers, where
+      no worker can be forked, or where the jobs cannot be pickled (a local
+      class, an open file, ...);
+    - the jobs whose tokens do not fit in the pipe, once it is empty;
+    - the tokens of a worker that cannot load the message (a class defined
+      after the fork): it takes none;
+    - the jobs whose outcomes do not pickle and load back: their worker
+      replies with their positions alone.
     A worker that exits or is interrupted mid-call is discarded, and the
     call raises."""
+    ranked = sorted(range(len(jobs)), key=lambda i: -jobs[i][0])  # stable: ties in caller order
     procs = min(len(jobs), _cpu_count()) if hasattr(os, "fork") else 1
     held = (
         procs > 1
         and not {"call", "log"} & set(np.geterr().values())
         and _workers_lock.acquire(blocking=False)
     )
-    local = []
-    pending = [(None, local)]  # (worker, or None for the caller; job indices)
+    outcomes = [None] * len(jobs)
+    pending = []  # workers whose reply is half-read or still to come
     try:
         if held:
             for worker in [w for w in _workers if not w[0].is_alive()]:
@@ -249,39 +254,83 @@ def _dispatch(call: tuple, jobs: list) -> list:
             while len(_workers) < procs - 1:
                 try:
                     _workers.append(_fork_worker())
-                except OSError:  # no process to be had: fewer bins
+                except OSError:  # no process to be had: fewer workers
                     break
         workers = _workers[: procs - 1] if held else []
-        bins = _bins([lvl for lvl, _, _ in jobs], len(workers) + 1)
-        local += bins[0]
-        for worker, part in zip(workers, bins[1:]):
-            bin_jobs = [jobs[i] for i in part]
+        rest = [jobs[i] for i in ranked[1:]]
+        message = None
+        if workers:
             try:
                 message = pickle.dumps(
-                    (call, np.geterr(), _estimator.CHUNK_BYTES, ROUNDING_ULPS, bin_jobs)
+                    (call, np.geterr(), _estimator.CHUNK_BYTES, ROUNDING_ULPS, rest)
                 )
             except Exception:  # a local class, an open file, ...
-                local += part
-                continue
-            pending.append((worker, part))
+                pass
+        if message is None:
+            for i in ranked:
+                outcomes[i] = _outcome(call, jobs[i])
+            return outcomes
+        unsent = _put_tokens(len(rest))
+        for worker in workers:
+            pending.append(worker)
             _pipe(worker, message)
-        outcomes = [None] * len(jobs)
+        outcomes[ranked[0]] = _outcome(call, jobs[ranked[0]])
+        done = dict(zip(*_claim(call, rest, _tokens[0])))  # outcomes by position in `rest`
+        done.update((k, _outcome(call, rest[k])) for k in unsent)
         while pending:
-            worker, part = pending[0]
-            theirs = pickle.loads(_pipe(worker)) if worker else None
+            taken, theirs = pickle.loads(_pipe(pending[0]))
             del pending[0]
             if theirs is None:
-                theirs = _run_levels(call, [jobs[i] for i in part])
-            for i, outcome in zip(part, theirs):
-                outcomes[i] = outcome
+                theirs = [_outcome(call, rest[k]) for k in taken]
+            done.update(zip(taken, theirs))
+        for k, outcome in done.items():
+            outcomes[ranked[k + 1]] = outcome
         return outcomes
     except BaseException:
-        for worker in [w for w, _ in pending if w]:  # a reply half-read or still to come
+        for worker in pending:
             _discard(worker)
         raise
     finally:
         if held:
             _workers_lock.release()
+
+
+def _put_tokens(count: int) -> range:
+    """Empty the token pipe of what a call cut short left there, then write
+    the tokens 0..count-1 into it, 4 little-endian bytes each; the tokens
+    that do not fit, for the caller to run itself."""
+    read, write = _tokens
+    try:
+        while os.read(read, 1 << 16):
+            pass
+    except BlockingIOError:  # empty
+        pass
+    data = np.arange(count, dtype="<u4").tobytes()
+    # POSIX's least PIPE_BUF: a write of at most 512 bytes to a non-blocking
+    # pipe writes all of them or none, so no token is ever split
+    for start in range(0, len(data), 512):
+        try:
+            os.write(write, data[start : start + 512])
+        except BlockingIOError:  # the pipe is full
+            return range(start // 4, count)
+    return range(0)
+
+
+def _claim(call: tuple, jobs: list, tokens: int) -> tuple[list, list]:
+    """Take one token at a time from the token pipe's read end `tokens` and
+    run its job of `jobs`, until the pipe is empty: the positions taken and
+    their outcomes. A 4-byte read takes one token whole, whichever of the
+    profile's processes reads at the same time."""
+    taken, outcomes = [], []
+    while True:
+        try:
+            token = os.read(tokens, 4)
+        except BlockingIOError:  # none left
+            return taken, outcomes
+        if not token:  # every write end has closed: the caller has exited
+            return taken, outcomes
+        taken.append(int.from_bytes(token, "little"))
+        outcomes.append(_outcome(call, jobs[taken[-1]]))
 
 
 def _pipe(worker, message: bytes | None = None):
@@ -297,17 +346,30 @@ def _pipe(worker, message: bytes | None = None):
 
 
 def _fork_worker():
-    """A new worker process and the caller's end of its pipe."""
+    """A new worker process and the caller's end of its pipe; the token
+    pipe is made with the first."""
+    global _tokens
     # imported here: at module level it would add about 20 ms (2-CPU host)
     # to the library import
     import multiprocessing
 
+    if _tokens is None:
+        _tokens = os.pipe()
+        for end in _tokens:
+            os.set_blocking(end, False)
     ctx = multiprocessing.get_context("fork")
     mine, theirs = ctx.Pipe()
-    process = ctx.Process(
-        target=_serve, args=(theirs, mine), name="variance-profile-worker", daemon=True
-    )
-    process.start()
+    # the worker's own read end: `_forget_workers` closes `_tokens` in every
+    # forked child, the workers included
+    tokens = os.dup(_tokens[0])
+    try:
+        process = ctx.Process(
+            target=_serve, args=(theirs, mine, tokens), name="variance-profile-worker",
+            daemon=True,
+        )
+        process.start()
+    finally:
+        os.close(tokens)
     theirs.close()  # so the caller reads EOF once the worker exits
     return process, mine
 
@@ -322,25 +384,32 @@ def _discard(worker) -> None:
 
 
 def _forget_workers() -> None:
-    """In a forked child, the workers are the parent's: close the child's
-    copies of the parent's pipe ends, so that each worker still reads EOF
-    once the parent exits, and give the child workers of its own."""
-    global _workers_lock
+    """In a forked child, the workers and the token pipe are the parent's:
+    close the child's copies of the parent's pipe ends, so that each worker
+    still reads EOF once the parent exits and the child's profiles never
+    take the parent's tokens, and give the child workers of its own."""
+    global _workers_lock, _tokens
     for _, conn in _workers:
         conn.close()
     _workers.clear()
     _workers_lock = threading.Lock()
+    if _tokens is not None:
+        for end in _tokens:
+            os.close(end)
+        _tokens = None
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_workers)
 
 
-def _serve(conn, callers_end) -> None:
-    """A worker's loop: load a bin, run its levels under the caller's
-    numpy error state and settings and reply with their outcomes, or with
-    None where the bin cannot be loaded or its outcomes cannot be pickled
-    and loaded back, until the caller's end of the pipe closes."""
+def _serve(conn, callers_end, tokens: int) -> None:
+    """A worker's loop, until the caller's end of the pipe closes: load a
+    call's message, take tokens from the token pipe's read end `tokens` and
+    run their jobs under the caller's numpy error state and settings
+    (`_claim`), and reply with the positions taken and their outcomes, or
+    with the positions alone where the outcomes cannot be pickled and
+    loaded back. A message that cannot be loaded takes no token."""
     global ROUNDING_ULPS
     import signal
 
@@ -357,15 +426,15 @@ def _serve(conn, callers_end) -> None:
         try:
             call, err, _estimator.CHUNK_BYTES, ROUNDING_ULPS, jobs = pickle.loads(message)
         except Exception:  # a class defined after the fork
-            outcomes = None
+            taken, outcomes = [], []
         else:
             with np.errstate(**err):
-                outcomes = _run_levels(call, jobs)
+                taken, outcomes = _claim(call, jobs, tokens)
         try:
-            reply = pickle.dumps(outcomes)
+            reply = pickle.dumps((taken, outcomes))
             pickle.loads(reply)  # an exception that does not rebuild from its args
         except Exception:  # or one holding what cannot be pickled
-            reply = pickle.dumps(None)
+            reply = pickle.dumps((taken, None))
         conn.send_bytes(reply)
 
 

@@ -577,6 +577,8 @@ def load_dataset(path) -> tuple[Dataset, dict]:
         raise ContractViolation(f"sidecar {sidecar} is not valid JSON: {exc}") from None
     if not (isinstance(header, dict) and {"dim", "n_total"} <= header.keys()):
         raise ContractViolation(f"sidecar {sidecar} is not a JSON object with dim and n_total")
+    if not rows and type(header["dim"]) is int and header["dim"] > 0:
+        x = x.reshape(0, header["dim"])  # no rows: a (0, dim) dataset
     data = Dataset(x)
     if data.n_total != header["n_total"] or data.x.shape[1] != header["dim"]:
         raise ContractViolation(f"dataset file {path} does not match its sidecar header")

@@ -639,6 +639,19 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: 100 members up to level")
 
+    def test_oversized_profile_exits_two_before_any_artifact(self, tmp_path, capsys):
+        # the index draw once ended in numpy's "array is too big" traceback
+        code, stdout, err = run_cli(
+            capsys, "variance-profile", "--reps", str(2**62), "--levels", "1..3",
+            "--out", str(tmp_path / "x"),
+        )
+        assert (code, stdout) == (2, "")
+        assert err == (
+            "error: 4611686018427387904 replications may need more than 2^63 - 1 bytes"
+            " at 8 bytes per replication\n"
+        )
+        assert not (tmp_path / "x" / "profile.csv").exists()
+
     def test_allocation_failure_exit_two(self, tmp_path):
         # a level-45 member at n0 = 8 needs 2 PiB, beyond a 47-bit user
         # address space, so the allocation fails at once and takes nothing;

@@ -4,6 +4,7 @@ concurrent profile against a sequential loop, the profile's worker process
 under failure, and moment estimates with the analytic divergence flag."""
 
 import contextvars
+import itertools
 import math
 import multiprocessing
 import os
@@ -216,6 +217,26 @@ class TestVarianceProfile:
                 MODEL, DATA, THETA, PHI_WIDE, levels, replications, CFG, substream(409, 0)
             )
 
+    @pytest.mark.parametrize("dim, replications, row", [(1, 2**62, 8), (3, 2**61, 24)])
+    def test_an_oversized_index_draw_is_refused_before_any_stream_is_spawned(
+        self, monkeypatch, dim, replications, row
+    ):
+        # numpy once refused the index draw with a bare "array is too big"
+        def forbidden(rng, n):
+            raise AssertionError("profile spawned level streams")
+
+        monkeypatch.setattr(rng_module, "spawn", forbidden)
+        model = GaussianConjugateModel(dim)
+        message = (
+            f"{replications} replications may need more than 2^63 - 1 bytes"
+            f" at {row} bytes per replication"
+        )
+        with pytest.raises(ResourceGuardExceeded, match=f"^{re.escape(message)}$"):
+            variance_profile(
+                model, Dataset(np.zeros((5, dim))), np.zeros(model.theta_dim),
+                np.zeros(model.phi_dim), [1, 2], replications, CFG, substream(409, 2),
+            )
+
     def test_numpy_counts_are_stored_as_python_ints(self):
         got = variance_profile(
             MODEL, DATA, THETA, PHI_WIDE, np.array([2, 1]), np.int64(100), CFG, substream(409, 1)
@@ -312,8 +333,8 @@ class FailsAtDraws(GaussianConjugateModel):
 
 
 class TestConcurrentProfile:
-    """The levels run on a thread pool, costliest first; every value must
-    equal a sequential loop's, bit for bit, under any schedule."""
+    """The levels run concurrently, costliest first; every value must equal
+    a sequential loop's, bit for bit, under any schedule."""
 
     @pytest.mark.parametrize("antithetic", [True, False])
     @pytest.mark.parametrize("name, dim", [("gaussian", 1), ("gaussian", 3), ("bernoulli", 1)])
@@ -384,38 +405,66 @@ class TestConcurrentProfile:
 TEST_PID = os.getpid()
 
 
-class ReportsErrorState(GaussianConjugateModel):
-    """Gaussian dim 1 whose every chunk fails, naming numpy's overflow mode
-    and the process the chunk ran in."""
+def wait_for(done, what: str) -> None:
+    """Poll `done()` until it is true; raise TimeoutError naming `what`
+    after 60 s."""
+    deadline = time.monotonic() + 60
+    while not done():
+        if time.monotonic() > deadline:
+            raise TimeoutError(f"no {what} within 60 s")
+        time.sleep(0.001)
+
+
+class AfterTheWorker(GaussianConjugateModel):
+    """Gaussian dim 1 whose chunks in a worker process first leave the file
+    `marker`, and whose chunks in the test's own process first wait for it,
+    then draw as `draw` does. With two CPUs the caller's costliest level
+    then waits until the worker has taken the other, so where each level
+    runs does not depend on timing. `TestWorkerProcess.profile` names a
+    fresh marker for each call."""
+
+    marker = None
 
     def __init__(self):
         super().__init__(1)
 
-    def draw_weighed(self, *args, **kwargs):
-        raise ContractViolation(f"over={np.geterr()['over']} pid={os.getpid()}")
-
-
-class RaisesAtDraws(GaussianConjugateModel):
-    """Gaussian dim 1 whose chunks of `size` draws raise `error()`."""
-
-    def __init__(self, size, error):
-        super().__init__(1)
-        self.size, self.error = size, error
-
     def draw_weighed(self, x, *args, **kwargs):
-        if x.shape[0] == self.size:
-            raise self.error()
+        if os.getpid() != TEST_PID:
+            self.marker.touch()
+        else:
+            wait_for(self.marker.exists, "chunk drawn in a worker process")
+        return self.draw(x, *args, **kwargs)
+
+    def draw(self, x, *args, **kwargs):
         return super().draw_weighed(x, *args, **kwargs)
 
 
-class ReportsChunks(GaussianConjugateModel):
-    """Gaussian dim 1 whose every chunk fails, naming its draw count and
+class ReportsErrorState(AfterTheWorker):
+    """`AfterTheWorker` whose every chunk fails, naming numpy's overflow
+    mode and the process the chunk ran in."""
+
+    def draw(self, x, *args, **kwargs):
+        raise ContractViolation(f"over={np.geterr()['over']} pid={os.getpid()}")
+
+
+class RaisesAtDraws(AfterTheWorker):
+    """`AfterTheWorker` whose chunks of `size` draws raise `error()`."""
+
+    def __init__(self, size, error):
+        super().__init__()
+        self.size, self.error = size, error
+
+    def draw(self, x, *args, **kwargs):
+        if x.shape[0] == self.size:
+            raise self.error()
+        return super().draw(x, *args, **kwargs)
+
+
+class ReportsChunks(AfterTheWorker):
+    """`AfterTheWorker` whose every chunk fails, naming its draw count and
     the process the chunk ran in."""
 
-    def __init__(self):
-        super().__init__(1)
-
-    def draw_weighed(self, x, *args, **kwargs):
+    def draw(self, x, *args, **kwargs):
         raise ContractViolation(f"chunk of {x.shape[0]} draws pid={os.getpid()}")
 
 
@@ -443,18 +492,40 @@ class Overflows(GaussianConjugateModel):
         return super().draw_weighed(*args, **kwargs)
 
 
-class ExitsAtDraws(GaussianConjugateModel):
-    """Gaussian dim 1 whose worker process exits on a chunk of `size` draws;
-    the test's own process draws it as the plain model does."""
+class ExitsAtDraws(AfterTheWorker):
+    """`AfterTheWorker` whose worker process exits on a chunk of `size`
+    draws; the test's own process draws it as the plain model does."""
 
     def __init__(self, size):
-        super().__init__(1)
+        super().__init__()
         self.size = size
 
-    def draw_weighed(self, x, *args, **kwargs):
+    def draw(self, x, *args, **kwargs):
         if x.shape[0] == self.size and os.getpid() != TEST_PID:
             os._exit(3)
-        return super().draw_weighed(x, *args, **kwargs)
+        return super().draw(x, *args, **kwargs)
+
+
+class AfterTheOthers(GaussianConjugateModel):
+    """Gaussian dim 1 whose chunks in a worker process each leave a file in
+    the directory `marks`, named by their draw count, once drawn, and whose
+    chunks in the test's own process first wait until the files of the
+    draw counts `others` all exist."""
+
+    def __init__(self, marks, others):
+        super().__init__(1)
+        self.marks, self.others = marks, others
+
+    def draw_weighed(self, x, *args, **kwargs):
+        if os.getpid() == TEST_PID:
+            wait_for(
+                lambda: all((self.marks / str(n)).exists() for n in self.others),
+                "chunk of every other level drawn in a worker process",
+            )
+        drawn = super().draw_weighed(x, *args, **kwargs)
+        if os.getpid() != TEST_PID:
+            (self.marks / str(x.shape[0])).touch()
+        return drawn
 
 
 def process_running(pid: int) -> bool:
@@ -469,15 +540,19 @@ def process_running(pid: int) -> bool:
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="profiles fork no worker here")
 class TestWorkerProcess:
     """With two CPUs, the caller runs the costliest level and one forked
-    worker process the others (levels [1, 4] or [5, 2]: the first level in
-    `levels` runs in the worker). Every model here is a module-level class,
-    so its levels are sent to the worker."""
+    worker process takes the others. With an `AfterTheWorker` model on
+    levels [1, 4] or [5, 2], the first level in `levels` runs in the worker.
+    Every model here is a module-level class, so its levels are sent to the
+    worker."""
 
     @pytest.fixture(autouse=True)
-    def two_cpus(self, monkeypatch):
+    def two_cpus(self, monkeypatch, tmp_path):
         monkeypatch.setattr(diagnostics, "_cpu_count", lambda: 2)
+        self.markers = (tmp_path / f"drawn-{k}" for k in itertools.count())
 
     def profile(self, model, levels, seed):
+        if isinstance(model, AfterTheWorker):
+            model.marker = next(self.markers)
         return bounded(
             variance_profile, model, DATA, THETA, PHI_WIDE, levels, 100, CFG, substream(430, seed)
         )
@@ -514,7 +589,8 @@ class TestWorkerProcess:
         assert str(error) == str(DivergenceError(error.step, 1.0, 2.0))
 
     def test_an_error_that_does_not_rebuild_is_raised_from_the_caller(self):
-        # the worker answers None, so the caller runs the bin itself
+        # the worker answers with the level's position alone, so the caller
+        # runs the level itself
         with pytest.raises(Unrebuildable) as raised:
             self.profile(RaisesAtDraws(800 << 1, unrebuildable), [1, 4], 5)
         assert raised.value.pid == os.getpid()
@@ -523,7 +599,7 @@ class TestWorkerProcess:
         )
 
     def test_a_level_in_the_worker_draws_under_the_callers_chunk_budget(self, monkeypatch):
-        # the budget goes with each bin, so a worker forked under one
+        # the budget goes with each call, so a worker forked under one
         # budget draws under whichever the caller holds at each call
         def chunk_of(seed):
             with pytest.raises(ContractViolation) as raised:
@@ -572,13 +648,13 @@ class TestWorkerProcess:
         )
 
     def test_a_level_in_the_worker_reads_rounding_under_the_callers_ulps(self, monkeypatch):
-        # the rounding threshold goes with each bin, so a worker forked
+        # the rounding threshold goes with each call, so a worker forked
         # under the default reads a spread as rounding noise exactly when
         # the caller's threshold at that call covers it
         default = diagnostics.ROUNDING_ULPS
         for ulps, seed in [(default, 15), (2.0**80, 16), (default, 17)]:
             monkeypatch.setattr(diagnostics, "ROUNDING_ULPS", ulps)
-            worker_level = self.profile(MODEL, [1, 4], seed)[0]
+            worker_level = self.profile(AfterTheWorker(), [1, 4], seed)[0]
             assert (worker_level.var_z > 0.0) == (ulps == default)
 
     def test_bins_whose_worker_cannot_be_forked_run_in_the_caller(self, monkeypatch):
@@ -617,9 +693,9 @@ class TestWorkerProcess:
             )
 
     def test_two_threads_profiling_at_once_get_their_sequential_values(self):
-        # the first thread's own bin (level 7) is long and the second's
-        # (level 1) short, so a second thread that shared the worker would
-        # likely read the first thread's level-0 reply as its own
+        # the first thread's own level (7) is long and the second's (1)
+        # short, so a second thread that shared the worker would likely
+        # read the first thread's level-0 reply as its own
         levels = [[7, 0], [1, 0]]
         want = [
             sequential_profile(
@@ -647,6 +723,89 @@ class TestWorkerProcess:
                 assert got == want
         finally:
             sys.setswitchinterval(interval)
+
+    def test_three_workers_take_twelve_levels(self, monkeypatch):
+        monkeypatch.setattr(diagnostics, "_cpu_count", lambda: 4)
+        levels = [3, 0, 5, 1, 4, 2, 2, 5, 0, 3, 1, 4]  # unsorted, with duplicates
+        assert self.profile(MODEL, levels, 18) == sequential_profile(
+            MODEL, DATA, THETA, PHI_WIDE, levels, 100, CFG, substream(430, 18)
+        )
+        assert len(diagnostics._workers) >= 3
+
+    def test_a_caller_held_until_the_worker_has_run_every_other_level(self, tmp_path):
+        # the caller's level 6 waits for the worker's chunks of levels 1..3,
+        # so the worker must take every other token while the caller is busy
+        levels = [2, 6, 1, 3, 1]
+        others = {800 << 1, 800 << 2, 800 << 3}
+        got = self.profile(AfterTheOthers(tmp_path, others), levels, 19)
+        assert got == sequential_profile(
+            MODEL, DATA, THETA, PHI_WIDE, levels, 100, CFG, substream(430, 19)
+        )
+        assert {int(p.name) for p in tmp_path.iterdir()} == others
+
+    def test_a_forked_child_profiling_with_its_parent_gets_its_own_values(self):
+        # the child forgets the parent's token pipe, so neither takes the
+        # other's tokens while both profile at once
+        levels = [3, 0, 5, 1, 4, 2, 2, 5, 0, 3, 1, 4]
+        self.profile(MODEL, [1, 4], 20)  # the parent's worker and token pipe exist
+        ctx = multiprocessing.get_context("fork")
+        reader, writer = ctx.Pipe(duplex=False)
+
+        def child():
+            writer.send(variance_profile(
+                MODEL, DATA, THETA, PHI_WIDE, levels, 100, CFG, substream(430, 21)
+            ))
+
+        process = ctx.Process(target=child)
+        process.start()
+        try:
+            mine = self.profile(MODEL, levels, 22)
+            theirs = bounded(reader.recv, timeout=60)
+        finally:
+            process.join(60)
+            reader.close()
+            writer.close()
+        assert process.exitcode == 0
+        for seed, profile in [(21, theirs), (22, mine)]:
+            assert profile == sequential_profile(
+                MODEL, DATA, THETA, PHI_WIDE, levels, 100, CFG, substream(430, seed)
+            )
+
+    def test_tokens_an_interrupted_call_left_are_not_taken(self, monkeypatch):
+        # the worker cannot load the class, so it takes no token, and the
+        # caller is interrupted on its own level before it takes any: both
+        # tokens stay in the pipe, and the next call must empty it first
+        self.profile(MODEL, [1, 4], 23)  # the worker is forked before the class exists
+        late = types.ModuleType("interrupted_after_the_fork")
+
+        class Late(GaussianConjugateModel):
+            def draw_weighed(self, *args, **kwargs):
+                raise KeyboardInterrupt
+
+        Late.__module__, Late.__qualname__ = late.__name__, "Late"
+        late.Late = Late
+        monkeypatch.setitem(sys.modules, late.__name__, late)
+        with pytest.raises(KeyboardInterrupt):
+            self.profile(Late(1), [5, 2, 1], 24)
+        assert self.profile(MODEL, [1, 4], 25) == sequential_profile(
+            MODEL, DATA, THETA, PHI_WIDE, [1, 4], 100, CFG, substream(430, 25)
+        )
+
+    def test_levels_whose_tokens_do_not_fit_in_the_pipe_run_in_the_caller(self):
+        fcntl = pytest.importorskip("fcntl")
+        if not hasattr(fcntl, "F_SETPIPE_SZ"):
+            pytest.skip("no pipe size to set here")
+        self.profile(MODEL, [1, 4], 26)  # the token pipe exists
+        write = diagnostics._tokens[1]
+        size = fcntl.fcntl(write, fcntl.F_GETPIPE_SZ)
+        fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, 4096)  # room for 1024 tokens
+        try:
+            levels = [1] + [0] * 1100
+            assert self.profile(MODEL, levels, 27) == sequential_profile(
+                MODEL, DATA, THETA, PHI_WIDE, levels, 100, CFG, substream(430, 27)
+            )
+        finally:
+            fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, size)
 
     @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="no /proc to read")
     def test_no_worker_outlives_a_killed_parent(self):

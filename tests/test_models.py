@@ -692,6 +692,15 @@ class TestDataset:
         with pytest.raises(ContractViolation, match=r"^dataset must be \(n, d\) with d >= 1"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_round_trip_of_an_empty_dataset(self, tmp_path, dim):
+        # a file with no rows once loaded as shape (0,) and was refused
+        path = tmp_path / "empty.txt"
+        save_dataset(path, Dataset(np.zeros((0, dim))), seed=4, true_theta=np.zeros(3))
+        loaded, header = load_dataset(path)
+        assert loaded.x.shape == (0, dim) and loaded.n_total == 0
+        assert (header["dim"], header["n_total"]) == (dim, 0)
+
     def test_generate_shapes(self):
         data = GAUSSIAN.generate_data(np.zeros(3), 25, substream(9, 0))
         assert data.x.shape == (25, 1)
