@@ -319,6 +319,8 @@ def finite_difference_check(model, data: Dataset, points: int, step: float, rng)
     not finite fails the check, since no error can be read there."""
     if points < 1:
         raise ContractViolation(f"points must be >= 1, got {points}")
+    if data.n_total < 1:
+        raise ContractViolation("dataset is empty")
     if not 0.0 < step < math.inf:
         raise ContractViolation(f"fd-step must be finite and positive, got {step}")
     worst = 0.0

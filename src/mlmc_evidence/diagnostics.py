@@ -41,7 +41,7 @@ from .errors import ContractViolation, ResourceGuardExceeded
 from .estimator import EstimatorConfig, antithetic_difference, draw_chunks, reduce_chunks
 from .estimator import draw_level_samples  # noqa: F401  perfbench/tracer.py wraps this name here
 from .gradients import grad_theta_level
-from .models import Dataset, LatentVariableModel, _count, _real
+from .models import Dataset, LatentVariableModel, _check_bytes, _count, _real
 
 log = logging.getLogger(__name__)
 # warnings reach stderr only where the application configures logging
@@ -159,14 +159,8 @@ def variance_profile(
         raise ContractViolation(f"levels {levels} exceed level cap {cfg.level_cap}")
     if data.n_total < 1:
         raise ContractViolation("dataset is empty")
-    # the index draw and the rows of x it picks, in bytes; past 2^63 - 1
-    # numpy refuses either array with a bare ValueError
-    row = 8 * data.x.shape[1]
-    if (replications * row) >> 63:
-        raise ResourceGuardExceeded(
-            f"{replications} replications may need more than 2^63 - 1 bytes"
-            f" at {row} bytes per replication"
-        )
+    # the index draw and the rows of x it picks
+    _check_bytes(replications, 8 * data.x.shape[1], "replication")
     jobs = []
     for lvl, stream in zip(levels, _rng.spawn(rng, len(levels))):
         indices = stream.integers(0, data.n_total, size=replications)
@@ -515,6 +509,7 @@ def estimate_moments(
     n_draws = _count("n_draws", n_draws)
     if n_draws < 10_000:
         raise ContractViolation(f"need at least 1e4 draws, got {n_draws}")
+    _check_bytes(n_draws, 8 * model.z_dim, "draw")
     log_p = model.oracle_log_evidence(x, theta)  # raises if no oracle
     if not math.isfinite(log_p):
         raise ContractViolation(f"oracle log evidence {log_p!r} is not finite")

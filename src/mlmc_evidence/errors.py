@@ -17,8 +17,9 @@ class UnsupportedOperation(RuntimeError):
 
 class ResourceGuardExceeded(RuntimeError):
     """A draw tripped a guard: a sampled level above the configured level
-    cap, or `estimator.draw_chunks` members that may need 2^63 bytes or more.
-    Also raised when a variance profile's worker process exits mid-call.
+    cap, or a count whose arrays may need more than 2^63 - 1 bytes
+    (`models._check_bytes`). Also raised when a variance profile's worker
+    process exits mid-call.
 
     The cap is a guard against runaway cost, not a truncation of the level
     distribution: hitting it is an error so the estimator never silently

@@ -44,21 +44,18 @@ from . import gradients as _gradients
 from .errors import ContractViolation, ResourceGuardExceeded
 from .logspace import log_mean_exp_unchecked  # noqa: F401  perfbench/tracer.py wraps this name here
 from .logspace import segment_exp
-from .models import Dataset, LatentVariableModel, _all_finite, _check_fields, _count, _real
+from .models import (
+    Dataset, LatentVariableModel, _all_finite, _check_bytes, _check_fields, _count, _real,
+    _real_array,
+)
 
 #: Most bytes of per-draw rows (`row_bytes`) one chunk holds when a batch
 #: is drawn: consecutive members share a model call up to this many bytes,
-#: and a member larger than it is drawn alone. Of 0.5, 1, 1.5, 2, 3 and
-#: 4 MiB, 4 MiB drew the most latents per second in level profiles while
-#: every chunk still mapped fresh pages, before the one block per draw and
-#: component-major theta rows. With them, a paired sweep of 1, 2 and 4 MiB
-#: showed no reliable gain on one thread. With a profile's levels split in
-#: fixed bins between the caller and one forked worker process (2 CPUs),
-#: before processes took levels as they freed up, a profile at levels 1..8
-#: took 0.68-0.69x the caller-only 4 MiB time per call at
-#: 4 MiB, 0.64-0.72x at 2 MiB, 0.69-0.77x at 1 MiB and 0.91-1.00x at
-#: 0.5 MiB (three interleaved measurements of 60 calls each). So 4 MiB
-#: stays.
+#: and a member larger than it is drawn alone. With a profile's processes
+#: taking its levels costliest first as they free up (the caller and one
+#: forked worker, 2 CPUs), a profile at levels 1..8 took, per call, 1.02-
+#: 1.03x its 4 MiB time at 2 MiB, 1.08-1.10x at 1 MiB, 1.27-1.34x at
+#: 0.5 MiB and 1.13x at 8 MiB. So 4 MiB stays.
 CHUNK_BYTES = 1 << 22
 
 
@@ -229,15 +226,12 @@ def draw_chunks(
     top = int(np.maximum.reduce(levels))
     if top > cfg.level_cap:
         raise ResourceGuardExceeded(f"level {top} exceeds level cap {cfg.level_cap}")
-    # the widest per-draw row a chunk holds, or all its rows, in bytes;
-    # past 2^63 - 1 bytes the draw offsets below or an array's size would overflow
+    # the widest per-draw row a chunk holds, or all its rows, in bytes
     per_draw = row_bytes(model, grads)
     row = max(8 * max(model.x_dim, model.z_dim, model.theta_dim, model.phi_dim), per_draw)
-    if (levels.size * (int(cfg.n0) << top) * row) >> 63:
-        raise ResourceGuardExceeded(
-            f"{levels.size} members up to level {top} may need more than 2^63 - 1 bytes"
-            f" at {row} bytes per draw"
-        )
+    _check_bytes(
+        levels.size * (int(cfg.n0) << top), row, "draw", f"{levels.size} members up to level {top}"
+    )
     sizes = cfg.n0 << levels
     ends = sizes.cumsum()
     budget = CHUNK_BYTES // per_draw  # draws per chunk
@@ -299,7 +293,7 @@ def draw_level_samples(
 ) -> LevelDraws:
     """Draw n0 * 2^level latents from q and evaluate log f and gradients:
     the one-member (M = 1) buffer."""
-    x_rows = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    x_rows = _real_array("x", x).reshape(1, -1)
     (draws,) = draw_chunks(model, x_rows, [level], theta, phi, cfg, rng)
     return draws
 
@@ -392,6 +386,9 @@ def draw_batch_indices(
     uniform on (0, 1]."""
     if data.n_total < 1:
         raise ContractViolation("dataset is empty")
+    # the widest of the index, uniform and level arrays and the x rows
+    # `run_batch` takes
+    _check_bytes(cfg.batch_size, 8 * data.x.shape[1], "member")
     indices = rng.integers(0, data.n_total, size=cfg.batch_size)
     u = rng.random(cfg.batch_size)
     u[u == 0.0] = 1.0

@@ -43,9 +43,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractViolation, UnsupportedOperation
+from .errors import ContractViolation, ResourceGuardExceeded, UnsupportedOperation
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_FLOAT64 = np.dtype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,7 @@ class Dataset:
     x: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.atleast_2d(np.asarray(self.x, dtype=np.float64)))
+        object.__setattr__(self, "x", np.atleast_2d(_real_array("dataset", self.x)))
         if self.x.ndim > 2 or self.x.shape[1] == 0:
             raise ContractViolation(f"dataset must be (n, d) with d >= 1, got shape {self.x.shape}")
         if not np.isfinite(self.x).all():
@@ -155,7 +156,7 @@ class LatentVariableModel(abc.ABC):
         x is one observation (x_dim,) for every row of z, or one row per
         row of z (n, x_dim). The gradients whose rows are lent are built as
         in `draw_weighed`, and log f does not depend on which are lent."""
-        z = np.asarray(z, dtype=np.float64)
+        z = _real_array("z", z)
         x = _check_x(x, self.x_dim, z.shape[0])
         loc, log_scale = self.q_loc_log_scale(x, phi)
         scale = np.exp(log_scale)
@@ -209,7 +210,7 @@ def _all_finite(a: np.ndarray) -> bool:
 
 
 def _check_vector(name: str, v, length: int) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
+    v = _real_array(name, v).reshape(-1)
     if v.shape[0] != length:
         raise ContractViolation(f"{name} must have length {length}, got {v.shape[0]}")
     if not _all_finite(v):
@@ -243,6 +244,39 @@ def _real(name: str, value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+def _real_array(name: str, v) -> np.ndarray:
+    """`v` as a float64 array; raise unless its entries are real: bool,
+    integer and float arrays convert, an array of objects converts entry by
+    entry as `_real` converts one, and complex, text or ragged input is
+    refused, not cast. A native float64 array is returned as it is, with no
+    work; `==`, not `is`, so that an unpickled one, whose dtype is a copy,
+    takes the same path."""
+    if type(v) is np.ndarray and v.dtype == _FLOAT64:  # every chunk's rows
+        return v
+    try:
+        a = np.asarray(v)
+    except ValueError as exc:  # rows of unequal lengths
+        raise ContractViolation(f"{name} is not an array of numbers: {exc}") from None
+    if a.dtype.kind == "O":
+        return np.array([_real(name, e) for e in a.flat], dtype=np.float64).reshape(a.shape)
+    if a.dtype.kind not in "biuf":
+        raise ContractViolation(f"{name} must hold real numbers, got {a.dtype} entries")
+    return a.astype(np.float64, copy=False)
+
+
+def _check_bytes(count: int, item_bytes: int, item: str, counted: str | None = None) -> None:
+    """Raise `ResourceGuardExceeded` unless `count` items of `item_bytes`
+    bytes each, the bytes one item puts in its widest array, fit in 2^63 - 1
+    bytes: past that numpy refuses the array with a bare ValueError, and
+    offsets into it would overflow int64. The message names `counted`,
+    "`count` `item`s" by default."""
+    if (count * item_bytes) >> 63:
+        raise ResourceGuardExceeded(
+            f"{counted or f'{count} {item}s'} may need more than 2^63 - 1 bytes"
+            f" at {item_bytes} bytes per {item}"
+        )
+
+
 def _check_fields(cfg, check, *names) -> None:
     """Store each named field of the frozen config `cfg` as `check` (`_count`
     or `_real`) returns it."""
@@ -250,16 +284,19 @@ def _check_fields(cfg, check, *names) -> None:
         object.__setattr__(cfg, name, check(name, getattr(cfg, name)))
 
 
-def _check_size(n) -> int:
+def _check_size(n, row_bytes: int) -> int:
+    """A synthetic dataset's size n >= 1, whose widest array holds
+    `row_bytes` bytes per observation."""
     n = _count("dataset size", n)
     if n < 1:
         raise ContractViolation(f"dataset size must be >= 1, got {n}")
+    _check_bytes(n, row_bytes, "observation")
     return n
 
 
 def _check_x(x, x_dim: int, n: int) -> np.ndarray:
     """One observation (x_dim,), or one row per draw (n, x_dim)."""
-    x = np.asarray(x, dtype=np.float64)
+    x = _real_array("x", x)
     if x.ndim < 2:
         return _check_vector("x", x, x_dim)
     if x.shape != (n, x_dim):
@@ -340,7 +377,7 @@ class GaussianConjugateModel(LatentVariableModel):
         out[:, 2 * d :] = dlog_scale
 
     def generate_data(self, theta, n, rng):
-        n = _check_size(n)
+        n = _check_size(n, 8 * self.dim)
         mu0, log_s0, log_sx = self._split("theta", theta)
         z = mu0 + np.exp(log_s0) * rng.standard_normal((n, self.dim))
         x = z + np.exp(log_sx) * rng.standard_normal((n, self.dim))
@@ -479,7 +516,7 @@ class BernoulliGaussianModel(LatentVariableModel):
             np.copyto(out[:, 2 * cls + 1], dlog_scale[:, 0], where=on)
 
     def generate_data(self, theta, n, rng):
-        n = _check_size(n)
+        n = _check_size(n, 8)
         theta = _check_vector("theta", theta, self.theta_dim)
         z = rng.standard_normal(n)
         p1 = 1.0 / (1.0 + np.exp(-(theta[0] * z + theta[1])))

@@ -19,7 +19,9 @@ from . import rng as _rng
 from .errors import ContractViolation, DivergenceError, UnsupportedOperation
 from .estimator import EstimatorConfig, estimate_log_evidence
 from .gradients import estimate_gradients
-from .models import Dataset, LatentVariableModel, _all_finite, _check_fields, _count, _real
+from .models import (
+    Dataset, LatentVariableModel, _all_finite, _check_fields, _count, _real, _real_array,
+)
 
 
 @dataclass(frozen=True)
@@ -115,8 +117,8 @@ def train(
     parameter aborts with a divergence error rather than clamping:
     heavy-tailed weights are a failure mode that must surface.
     """
-    theta0 = np.asarray(theta0, dtype=np.float64)
-    phi0 = np.asarray(phi0, dtype=np.float64)
+    theta0 = _real_array("theta0", theta0)
+    phi0 = _real_array("phi0", phi0)
     if theta0.shape != (model.theta_dim,) or phi0.shape != (model.phi_dim,):
         raise ContractViolation("initial parameters have wrong dimensions")
     # one stacked (theta, phi) vector, its velocity and its learning rates,

@@ -369,6 +369,19 @@ class TestGradCheckCommand:
         assert err.startswith("error: fd-step")
         assert not (out / "gradcheck.json").exists()
 
+    def test_an_empty_dataset_is_a_contract_error(self, tmp_path, capsys):
+        # the first finite-difference point's index draw once raised numpy's
+        # bare "high <= 0"
+        path = tmp_path / "empty.txt"
+        save_dataset(path, Dataset(np.zeros((0, 1))), seed=0, true_theta=np.zeros(3))
+        out = tmp_path / "gc"
+        code, stdout, err = run_cli(
+            capsys, "grad-check", "--data", str(path), "--points", "2", "--reps", "2",
+            "--out", str(out),
+        )
+        assert (code, stdout, err) == (1, "", "error: dataset is empty\n")
+        assert not out.exists() or not any(out.iterdir())
+
     def test_failed_fd_check_reports_failure(self, tmp_path, capsys):
         # a tolerance no central difference meets: the check fails cleanly
         out = tmp_path / "gc"
@@ -651,6 +664,29 @@ class TestExitCodes:
             " at 8 bytes per replication\n"
         )
         assert not (tmp_path / "x" / "profile.csv").exists()
+
+    @pytest.mark.parametrize("count", [2**62, 2**63 - 1], ids=["2^62", "2^63-1"])
+    @pytest.mark.parametrize("model", ["gaussian", "bernoulli"])
+    @pytest.mark.parametrize("command, flag, counted, item", [
+        *[(command, "--n", "observations", "observation") for command in (
+            "gen-data", "estimate", "variance-profile", "moments", "grad-check", "train")],
+        *[(command, "--batch", "members", "member")
+          for command in ("estimate", "grad-check", "train")],
+        ("moments", "--draws", "draws", "draw"),
+    ])
+    def test_a_count_past_addressable_bytes_exits_two_before_any_artifact(
+        self, tmp_path, capsys, command, flag, counted, item, model, count
+    ):
+        # each once ended in numpy's "array is too big" traceback
+        out = tmp_path / "x"
+        code, stdout, err = run_cli(
+            capsys, command, "--model", model, flag, str(count), "--out", str(out)
+        )
+        assert (code, stdout) == (2, "")
+        assert err == (
+            f"error: {count} {counted} may need more than 2^63 - 1 bytes at 8 bytes per {item}\n"
+        )
+        assert not out.exists() or not any(out.iterdir())
 
     def test_allocation_failure_exit_two(self, tmp_path):
         # a level-45 member at n0 = 8 needs 2 PiB, beyond a 47-bit user

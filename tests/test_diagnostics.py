@@ -870,6 +870,22 @@ class TestEstimateMoments:
         assert np.isfinite(d.log_s_moment_estimate)
         assert np.isfinite(d.t_moment_estimate)
 
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_an_oversized_draw_is_refused_before_it_is_made(self, dim):
+        # numpy once refused the draw's rows with a bare "array is too big"
+        model = GaussianConjugateModel(dim)
+        rng = substream(411, dim)
+        state = rng.bit_generator.state
+        message = (
+            f"{2**62} draws may need more than 2^63 - 1 bytes at {8 * dim} bytes per draw"
+        )
+        with pytest.raises(ResourceGuardExceeded, match=f"^{re.escape(message)}$"):
+            estimate_moments(
+                model, np.zeros(dim), np.zeros(model.theta_dim), np.zeros(model.phi_dim),
+                4.5, 3.0, 2**62, rng,
+            )
+        np.testing.assert_equal(rng.bit_generator.state, state)
+
     def test_log_s_moment_finite_past_float_overflow(self):
         # log E[(f/p)^s] is about 699.45 here: below float64's overflow at
         # about 709.78, and once reported as inf by a cut-off at 700

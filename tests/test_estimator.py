@@ -4,6 +4,7 @@ identity against an independent vectorized oracle, and determinism."""
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -514,6 +515,28 @@ class FixedUniforms:
     def random(self, size):
         assert size == self.u.size
         return self.u
+
+
+class TestOversizedBatch:
+    @pytest.mark.parametrize("estimate", [estimate_log_evidence, estimate_gradients])
+    @pytest.mark.parametrize(
+        "model, row", [(GaussianConjugateModel(3), 24), (BernoulliGaussianModel(), 8)],
+        ids=["gaussian3", "bernoulli"],
+    )
+    def test_an_oversized_batch_is_refused_before_any_draw(self, estimate, model, row):
+        # numpy once refused the index draw with a bare "array is too big"
+        data = model.generate_data(np.zeros(model.theta_dim), 5, substream(115, 0))
+        rng = substream(115, 1)
+        state = rng.bit_generator.state
+        message = (
+            f"{2**62} members may need more than 2^63 - 1 bytes at {row} bytes per member"
+        )
+        with pytest.raises(ResourceGuardExceeded, match=f"^{re.escape(message)}$"):
+            estimate(
+                model, data, np.zeros(model.theta_dim), np.zeros(model.phi_dim),
+                EstimatorConfig(batch_size=2**62), rng,
+            )
+        np.testing.assert_equal(rng.bit_generator.state, state)
 
 
 class TestBatchLevels:

@@ -3,6 +3,7 @@ finite-difference gradient checks, sampler/density agreement, and the
 dataset round trip."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,12 +12,13 @@ from mlmc_evidence import estimator as estimator_module
 from mlmc_evidence import models as models_module
 from mlmc_evidence.cli import finite_difference_check
 from mlmc_evidence.diagnostics import estimate_moments, variance_profile
-from mlmc_evidence.errors import ContractViolation, UnsupportedOperation
+from mlmc_evidence.errors import ContractViolation, ResourceGuardExceeded, UnsupportedOperation
 from mlmc_evidence.estimator import (
     ALL_GRADS,
     EstimatorConfig,
     draw_chunks,
     estimate_log_evidence,
+    level_estimate,
     row_bytes,
 )
 from mlmc_evidence.models import (
@@ -28,9 +30,11 @@ from mlmc_evidence.models import (
     save_dataset,
 )
 from mlmc_evidence.rng import substream
+from mlmc_evidence.trainer import TrainConfig, train
 
 GAUSSIAN = GaussianConjugateModel(1)
 BERNOULLI = BernoulliGaussianModel()
+DATA = Dataset(np.linspace(-1.0, 1.0, 5).reshape(-1, 1))
 
 
 def trapezoid_log_evidence(model, x, theta, lo=-10.0, hi=10.0, points=100_000):
@@ -671,6 +675,90 @@ class TestCounts:
         model = GaussianConjugateModel(np.int64(2))
         assert type(model.dim) is int and model.theta_dim == 6
         assert GAUSSIAN.generate_data(np.zeros(3), np.int32(5), substream(9, 3)).n_total == 5
+
+
+class TestSizeRule:
+    """`models._check_bytes` is the one rule for an array sized from a
+    caller's count: past 2^63 - 1 bytes numpy refuses it with a bare
+    ValueError."""
+
+    @pytest.mark.parametrize("row", [1, 8, 24, 104])
+    def test_the_largest_count_that_fits_passes_and_one_more_is_refused(self, row):
+        fits = (2**63 - 1) // row
+        models_module._check_bytes(fits, row, "member")
+        message = (
+            f"{fits + 1} members may need more than 2^63 - 1 bytes at {row} bytes per member"
+        )
+        with pytest.raises(ResourceGuardExceeded, match=f"^{re.escape(message)}$"):
+            models_module._check_bytes(fits + 1, row, "member")
+
+    @pytest.mark.parametrize(
+        "model, row", [(GAUSSIAN, 8), (GaussianConjugateModel(3), 24), (BERNOULLI, 8)],
+        ids=["gaussian1", "gaussian3", "bernoulli"],
+    )
+    def test_an_oversized_dataset_is_refused_before_any_draw(self, model, row):
+        # numpy once refused the observations with a bare "array is too big"
+        rng = substream(9, 4)
+        state = rng.bit_generator.state
+        message = (
+            f"{2**62} observations may need more than 2^63 - 1 bytes"
+            f" at {row} bytes per observation"
+        )
+        with pytest.raises(ResourceGuardExceeded, match=f"^{re.escape(message)}$"):
+            model.generate_data(np.zeros(model.theta_dim), 2**62, rng)
+        np.testing.assert_equal(rng.bit_generator.state, state)
+
+
+class TestRealInput:
+    """Complex and non-numeric input is refused where it is converted to
+    float64 (`Dataset`, `_check_vector`, `_check_x`), not cast: numpy once
+    dropped imaginary parts with only a warning and refused text with a
+    bare ValueError. Bool and integer input converts."""
+
+    def test_a_complex_dataset_is_refused(self):
+        message = "^dataset must hold real numbers, got complex128 entries$"
+        with pytest.raises(ContractViolation, match=message):
+            Dataset(np.array([[1 + 2j], [3 + 0j]]))
+
+    @pytest.mark.parametrize("name", ["theta", "phi"])
+    def test_a_complex_parameter_vector_is_refused(self, name):
+        vectors = {"theta": np.zeros(3), "phi": np.zeros(3)}
+        vectors[name] = np.array([1j, 0.0, 0.0])
+        with pytest.raises(ContractViolation, match=f"^{name} must hold real numbers"):
+            GAUSSIAN.oracle_posterior_kl(np.zeros(1), vectors["theta"], vectors["phi"])
+
+    @pytest.mark.parametrize("x", [np.full((2, 1), 1 + 1j), np.array([1 + 1j])],
+                             ids=["rows", "one-observation"])
+    def test_complex_observations_are_refused(self, x):
+        with pytest.raises(ContractViolation, match="^x must hold real numbers"):
+            GAUSSIAN.draw_weighed(x, np.zeros(3), np.zeros(3), substream(9, 5), np.empty((2, 1)))
+
+    @pytest.mark.parametrize("theta", [["a", "b", "c"], [[0.0, 1.0], [2.0]], [0.0, {}, 1.0]],
+                             ids=["text", "ragged", "object"])
+    def test_a_non_numeric_vector_is_refused(self, theta):
+        with pytest.raises(ContractViolation, match="^theta "):
+            GAUSSIAN.oracle_log_evidence(np.zeros(1), theta)
+
+    @pytest.mark.parametrize("name, call", [
+        ("theta0", lambda c: train(GAUSSIAN, DATA, c, np.zeros(3), TrainConfig(steps=1),
+                                   substream(9, 6))),
+        ("phi0", lambda c: train(GAUSSIAN, DATA, np.zeros(3), c, TrainConfig(steps=1),
+                                 substream(9, 6))),
+        ("z", lambda c: GAUSSIAN.log_weight_batch(np.zeros(1), c[:1, None], np.zeros(3),
+                                                  np.zeros(3))),
+        ("x", lambda c: level_estimate(GAUSSIAN, c[:1], np.zeros(3), np.zeros(3), 0,
+                                       EstimatorConfig(), substream(9, 6))),
+    ])
+    def test_complex_input_is_refused_at_every_other_conversion(self, name, call):
+        with pytest.raises(ContractViolation, match=f"^{name} must hold real numbers"):
+            call(np.array([1j, 0.0, 0.0]))
+
+    def test_bool_and_integer_input_converts(self):
+        data = Dataset(np.array([[True], [False]]))
+        assert data.x.dtype == np.float64 and data.x.tolist() == [[1.0], [0.0]]
+        assert Dataset([[2**70], [1]]).x.tolist() == [[2.0**70], [1.0]]
+        expected = GAUSSIAN.oracle_log_evidence(np.array([1.0]), np.zeros(3))
+        assert GAUSSIAN.oracle_log_evidence(np.array([1], dtype=np.int32), [0, 0, 0]) == expected
 
 
 class TestDataset:
