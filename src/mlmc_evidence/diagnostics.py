@@ -41,7 +41,7 @@ from .errors import ContractViolation, ResourceGuardExceeded
 from .estimator import EstimatorConfig, antithetic_difference, draw_chunks, reduce_chunks
 from .estimator import draw_level_samples  # noqa: F401  perfbench/tracer.py wraps this name here
 from .gradients import grad_theta_level
-from .models import Dataset, LatentVariableModel, _check_bytes, _count, _real
+from .models import Dataset, LatentVariableModel, _check_bytes, _count, _levels, _real
 
 log = logging.getLogger(__name__)
 # warnings reach stderr only where the application configures logging
@@ -150,11 +150,12 @@ def variance_profile(
     first failing level in the order of `levels` is the one raised.
     """
     replications = _count("replications", replications)
-    levels = [_count(f"levels[{i}]", lvl) for i, lvl in enumerate(levels)]
+    levels = _levels("levels", levels)
+    if levels.ndim != 1:
+        raise ContractViolation(f"levels must be a sequence of levels, got {levels.tolist()}")
+    levels = levels.tolist()
     if replications < 100:
         raise ContractViolation(f"need at least 100 replications, got {replications}")
-    if any(l < 0 for l in levels):
-        raise ContractViolation(f"levels must be >= 0, got {levels}")
     if any(l > cfg.level_cap for l in levels):
         raise ContractViolation(f"levels {levels} exceed level cap {cfg.level_cap}")
     if data.n_total < 1:

@@ -45,8 +45,8 @@ from .errors import ContractViolation, ResourceGuardExceeded
 from .logspace import log_mean_exp_unchecked  # noqa: F401  perfbench/tracer.py wraps this name here
 from .logspace import segment_exp
 from .models import (
-    Dataset, LatentVariableModel, _all_finite, _check_bytes, _check_fields, _count, _real,
-    _real_array,
+    Dataset, LatentVariableModel, _all_finite, _check_bytes, _check_fields, _count, _level,
+    _levels, _real, _real_array,
 )
 
 #: Most bytes of per-draw rows (`row_bytes`) one chunk holds when a batch
@@ -104,9 +104,7 @@ class EstimatorConfig:
 
     def mass(self, level):
         """mass(level) for one level, or elementwise for an array of levels."""
-        level = np.asarray(level)
-        if (level < 0).any():
-            raise ContractViolation(f"level must be >= 0, got {level}")
+        level = _levels("level", level)
         return (1.0 - self.ratio) * self.ratio**level
 
     @property
@@ -217,20 +215,18 @@ def draw_chunks(
     unknown = set(grads) - ALL_GRADS
     if unknown:
         raise ContractViolation(f"unknown gradients {sorted(unknown)}; choose from theta, phi")
-    levels = np.asarray(levels, dtype=np.int64)
+    levels = _levels("levels", levels)
     if not levels.size:
         return
-    low = int(np.minimum.reduce(levels))
-    if low < 0:
-        raise ContractViolation(f"level must be >= 0, got {low}")
-    top = int(np.maximum.reduce(levels))
+    top = levels.item(levels.argmax())
     if top > cfg.level_cap:
         raise ResourceGuardExceeded(f"level {top} exceeds level cap {cfg.level_cap}")
     # the widest per-draw row a chunk holds, or all its rows, in bytes
     per_draw = row_bytes(model, grads)
     row = max(8 * max(model.x_dim, model.z_dim, model.theta_dim, model.phi_dim), per_draw)
     _check_bytes(
-        levels.size * (int(cfg.n0) << top), row, "draw", f"{levels.size} members up to level {top}"
+        levels.size * (int(cfg.n0) << top), row, "draw",
+        lambda: f"{levels.size} members up to level {top}",
     )
     sizes = cfg.n0 << levels
     ends = sizes.cumsum()
@@ -293,6 +289,7 @@ def draw_level_samples(
 ) -> LevelDraws:
     """Draw n0 * 2^level latents from q and evaluate log f and gradients:
     the one-member (M = 1) buffer."""
+    level = _level("level", level)
     x_rows = _real_array("x", x).reshape(1, -1)
     (draws,) = draw_chunks(model, x_rows, [level], theta, phi, cfg, rng)
     return draws
@@ -344,6 +341,7 @@ def level_estimate(
     """Level value, its theta-gradient and the level phi-gradient average,
     all from one shared set of latent draws."""
     draws = draw_level_samples(model, x, theta, phi, level, cfg, rng)
+    level = int(draws.levels[0])
     return LevelEstimate(
         level=level,
         z_value=float(antithetic_difference(draws)[0]),
@@ -363,7 +361,7 @@ def sample_levels(cfg: EstimatorConfig, u: np.ndarray) -> np.ndarray:
     default ratio the cap sits at probability r^40 ~ 1e-18, so a trip
     means misconfiguration, not bad luck.
     """
-    u = np.asarray(u, dtype=np.float64)
+    u = _real_array("u", u)
     bounds = _level_law(cfg.ratio, cfg.level_cap)[0]
     if u.size:
         # a NaN makes both extremes NaN, so it fails the range test; a

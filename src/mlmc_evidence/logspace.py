@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation
+from .models import _real_array
 
 
 def log_mean_exp_unchecked(buf: np.ndarray) -> float:
@@ -54,7 +55,7 @@ class StreamingMoments:
     m2: np.ndarray = field(default_factory=lambda: np.float64(0.0))
 
     def push(self, value) -> None:
-        value = np.asarray(value, dtype=np.float64)
+        value = _real_array("value", value)
         if self.count == 0:
             self.mean = np.zeros_like(value)
             self.m2 = np.zeros_like(value)

@@ -37,6 +37,8 @@ import abc
 import json
 import math
 import numbers
+import reprlib
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -47,6 +49,7 @@ from .errors import ContractViolation, ResourceGuardExceeded, UnsupportedOperati
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _FLOAT64 = np.dtype(np.float64)
+_SEED_MAX = (1 << 64) - 1  # a seed is one 64-bit word
 
 
 @dataclass(frozen=True)
@@ -264,15 +267,64 @@ def _real_array(name: str, v) -> np.ndarray:
     return a.astype(np.float64, copy=False)
 
 
-def _check_bytes(count: int, item_bytes: int, item: str, counted: str | None = None) -> None:
+def _levels(name: str, levels) -> np.ndarray:
+    """`levels` as an int64 array; raise unless each is an integer, Python
+    or numpy, not a bool, and >= 0. A signed integer array passes as it is
+    or in one cast, the cost of the cast every batch draw's levels once
+    took; a bool, float, text or object array is refused. Any other
+    iterable but text is checked entry by entry as `_count` checks one,
+    each named `name[i]`, into a 1-d array, and any other value as one
+    level, into a 0-d array."""
+    if isinstance(levels, np.ndarray):
+        kind = levels.dtype.kind
+        if kind not in "iu":
+            raise ContractViolation(f"{name} must hold integers, got {levels.dtype} entries")
+        # unsigned levels go through Python ints, so none past 2^63 - 1 wraps
+        values = levels if kind == "i" else levels.tolist()
+    elif isinstance(levels, Iterable) and not isinstance(levels, (str, bytes)):
+        values = [_count(f"{name}[{i}]", v) for i, v in enumerate(levels)]
+    else:
+        values = _count(name, levels)
+    try:
+        a = np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        raise ContractViolation(
+            f"{name} must lie in 0..2^63 - 1, got {reprlib.repr(values)}"
+        ) from None
+    if a.size and a.item(a.argmin()) < 0:  # a third of `np.minimum.reduce`'s time
+        raise ContractViolation(f"{name} must be >= 0, got {reprlib.repr(a.tolist())}")
+    return a
+
+
+def _level(name: str, value) -> int:
+    """One level, by `_levels`' rule, as a Python int."""
+    level = _levels(name, value)
+    if level.ndim:
+        raise ContractViolation(f"{name} must be one integer, got {reprlib.repr(value)}")
+    return int(level)
+
+
+def _seed(value) -> int:
+    """A run seed as a Python int; raise unless it is an integer, as
+    `_count` checks one, in 0..2^64 - 1: one 64-bit word, so no two seeds
+    name the same streams."""
+    seed = _count("seed", value)
+    if not 0 <= seed <= _SEED_MAX:
+        raise ContractViolation(f"seed must lie in 0..2^64 - 1, got {seed}")
+    return seed
+
+
+def _check_bytes(
+    count: int, item_bytes: int, item: str, counted: Callable[[], str] | None = None
+) -> None:
     """Raise `ResourceGuardExceeded` unless `count` items of `item_bytes`
     bytes each, the bytes one item puts in its widest array, fit in 2^63 - 1
     bytes: past that numpy refuses the array with a bare ValueError, and
-    offsets into it would overflow int64. The message names `counted`,
-    "`count` `item`s" by default."""
+    offsets into it would overflow int64. The message names what `counted`,
+    a function called only then, returns, "`count` `item`s" by default."""
     if (count * item_bytes) >> 63:
         raise ResourceGuardExceeded(
-            f"{counted or f'{count} {item}s'} may need more than 2^63 - 1 bytes"
+            f"{counted() if counted else f'{count} {item}s'} may need more than 2^63 - 1 bytes"
             f" at {item_bytes} bytes per {item}"
         )
 
@@ -575,17 +627,25 @@ def save_dataset(path, dataset: Dataset, seed: int, true_theta) -> None:
     """Write observations one per line plus a sidecar JSON header.
 
     The sidecar lives at `<path>.json` and records dim, n_total, the
-    generation seed and the true parameter vector. Reals are formatted at
-    17 significant digits so a reload reproduces the array bit-exactly.
+    generation seed (an integer in 0..2^64 - 1) and the true parameter
+    vector (finite, 1-d), both checked before either file is written.
+    Reals are formatted at 17 significant digits so a reload reproduces the
+    array bit-exactly.
     """
+    seed = _seed(seed)
+    true_theta = _real_array("true_theta", true_theta)
+    if true_theta.ndim != 1:
+        raise ContractViolation(f"true_theta must be 1-d, got shape {true_theta.shape}")
+    if not _all_finite(true_theta):
+        raise ContractViolation("true_theta contains non-finite entries")
     path = Path(path)
     lines = [" ".join(format(v, ".17g") for v in row) for row in dataset.x]
     path.write_text("\n".join(lines) + "\n")
     header = {
         "dim": int(dataset.x.shape[1]),
         "n_total": int(dataset.n_total),
-        "seed": int(seed),
-        "true_theta": [float(v) for v in np.asarray(true_theta, dtype=np.float64)],
+        "seed": seed,
+        "true_theta": true_theta.tolist(),
     }
     Path(str(path) + ".json").write_text(json.dumps(header, indent=2) + "\n")
 

@@ -12,9 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolation
-from .models import _count
-
-_SEED_MAX = (1 << 64) - 1  # a seed is one 64-bit word
+from .models import _count, _seed
 
 # Stream ids for the top-level substreams of a run; seeded outputs depend on each value.
 STREAM_DATA = 0  # synthetic dataset generation
@@ -31,9 +29,7 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     an integer in 0..2^64 - 1 and each path entry an integer >= 0: no two
     distinct addresses share a stream.
     """
-    seed = _count("seed", seed)
-    if not 0 <= seed <= _SEED_MAX:
-        raise ContractViolation(f"seed must lie in 0..2^64 - 1, got {seed}")
+    seed = _seed(seed)
     path = tuple(_count("path entry", p) for p in path)
     if min(path, default=0) < 0:
         raise ContractViolation(f"path entry must be >= 0, got {min(path)}")

@@ -217,6 +217,32 @@ class TestVarianceProfile:
                 MODEL, DATA, THETA, PHI_WIDE, levels, replications, CFG, substream(409, 0)
             )
 
+    @pytest.mark.parametrize("levels, message", [
+        (3, "levels must be a sequence of levels, got 3"),
+        (np.array([[1, 2]]), "levels must be a sequence of levels, got [[1, 2]]"),
+        (np.array([1.0, 2.0]), "levels must hold integers, got float64 entries"),
+        (np.array([True, False]), "levels must hold integers, got bool entries"),
+        (np.array([3, -1]), "levels must be >= 0, got [3, -1]"),
+        ("12", "levels must be an integer, got '12'"),
+    ])
+    def test_levels_follow_the_level_rule_before_any_stream_is_spawned(
+        self, monkeypatch, levels, message
+    ):
+        # one level alone once ended in a bare TypeError
+        def forbidden(rng, n):
+            raise AssertionError("profile spawned level streams")
+
+        monkeypatch.setattr(rng_module, "spawn", forbidden)
+        with pytest.raises(ContractViolation, match=f"^{re.escape(message)}$"):
+            variance_profile(MODEL, DATA, THETA, PHI_WIDE, levels, 100, CFG, substream(409, 1))
+
+    def test_numpy_levels_run_as_python_ints(self):
+        stats = variance_profile(
+            MODEL, DATA, THETA, PHI_WIDE, np.array([1, 0], dtype=np.uint8), 100, CFG,
+            substream(409, 2),
+        )
+        assert [type(s.level) for s in stats] == [int, int] and [s.level for s in stats] == [1, 0]
+
     @pytest.mark.parametrize("dim, replications, row", [(1, 2**62, 8), (3, 2**61, 24)])
     def test_an_oversized_index_draw_is_refused_before_any_stream_is_spawned(
         self, monkeypatch, dim, replications, row

@@ -14,6 +14,7 @@ from conftest import lent_grads, log_mean_exp, recorded_draws
 from mlmc_evidence import diagnostics as diagnostics_module
 from mlmc_evidence import estimator as estimator_module
 from mlmc_evidence import gradients
+from mlmc_evidence import models as models_module
 from mlmc_evidence import rng as rng_module
 from mlmc_evidence.diagnostics import naive_difference, naive_grad_theta, variance_profile
 from mlmc_evidence.errors import ContractViolation, ResourceGuardExceeded
@@ -1001,3 +1002,93 @@ class TestSegmentReducers:
         np.testing.assert_array_equal(draws.b[~whole], draws.a[~whole] + 1)
         np.testing.assert_array_equal(draws.d, draws.log_sums[draws.a] - draws.log_sums[draws.b])
         assert len(draws.log_sums) == levels.size + draws.split.sum()
+
+
+def refused_unmoved(rng, call, message=None):
+    """`call()` raises ContractViolation (matching `message`, if given)
+    without advancing `rng`."""
+    state = rng.bit_generator.state
+    with pytest.raises(ContractViolation, match=message):
+        call()
+    np.testing.assert_equal(rng.bit_generator.state, state)
+
+
+LEVEL_CFG = EstimatorConfig(n0=4)
+# each once drew, was cast, or ended in a bare TypeError, ValueError,
+# OverflowError or UFuncTypeError
+NOT_LEVELS = [1.5, 1.7, True, np.float64(2.0), np.bool_(True), "2", None, 1 + 0j, -1,
+              np.int64(-1), 10**400]
+# a level array is not one level
+NOT_ONE_LEVEL = NOT_LEVELS + [[1], np.array([1])]
+
+
+def short(value) -> str:
+    return repr(value)[:24]
+
+
+class TestLevelRule:
+    """A level is an integer, Python or numpy, not a bool, and >= 0
+    (`models._levels`), at every entry that takes one, checked before any
+    generator is touched."""
+
+    @pytest.mark.parametrize("level", NOT_ONE_LEVEL, ids=short)
+    def test_level_estimate_refuses_a_non_level_before_drawing(self, level):
+        # 1.5 once drew level-1 latents, then failed in `n0 << level`
+        rng = substream(140, 0)
+        refused_unmoved(
+            rng, lambda: level_estimate(MODEL, DATA.x[0], THETA, PHI_WIDE, level, LEVEL_CFG, rng)
+        )
+
+    @pytest.mark.parametrize("level", NOT_ONE_LEVEL, ids=short)
+    def test_draw_level_samples_refuses_a_non_level_before_drawing(self, level):
+        # True and 1.7 once drew level 1
+        rng = substream(140, 1)
+        refused_unmoved(
+            rng,
+            lambda: draw_level_samples(MODEL, DATA.x[0], THETA, PHI_WIDE, level, LEVEL_CFG, rng),
+        )
+
+    @pytest.mark.parametrize("levels, message", [
+        (np.array([1.0, 2.0]), "levels must hold integers, got float64 entries"),
+        (np.array([True, False]), "levels must hold integers, got bool entries"),
+        (np.array([1, 2], dtype=object), "levels must hold integers, got object entries"),
+        (np.array(["1"]), "levels must hold integers, got <U1 entries"),
+        ([1, 2.5], "levels[1] must be an integer, got 2.5"),
+        (np.array([0, -3]), "levels must be >= 0, got [0, -3]"),
+        (np.array([2**63], dtype=np.uint64), f"levels must lie in 0..2^63 - 1, got [{2**63}]"),
+    ])
+    def test_draw_chunks_refuses_non_levels_before_drawing(self, levels, message):
+        # the float array was once cast to int64; the wide unsigned level
+        # wrapped to a negative one
+        rng = substream(140, 2)
+        refused_unmoved(
+            rng,
+            lambda: next(draw_chunks(MODEL, DATA.x[:2], levels, THETA, PHI_WIDE, LEVEL_CFG, rng)),
+            f"^{re.escape(message)}$",
+        )
+
+    @pytest.mark.parametrize("level", NOT_LEVELS + [
+        np.array([1.0]), np.array([True]), np.array([1], dtype=object),
+        np.array([2**64 - 1], dtype=np.uint64),
+    ], ids=short)
+    def test_mass_refuses_a_non_level(self, level):
+        # 1.5 and True once had masses; "2" and None ended in bare errors
+        with pytest.raises(ContractViolation):
+            EstimatorConfig().mass(level)
+
+    def test_integer_levels_keep_their_masses_and_shapes(self):
+        cfg = EstimatorConfig()
+        assert cfg.mass(np.int32(2)) == cfg.mass(2) == cfg.mass_table[2]
+        grid = np.arange(6, dtype=np.uint8).reshape(2, 3)
+        np.testing.assert_array_equal(cfg.mass(grid), cfg.mass_table[grid])
+        assert cfg.mass([]).shape == (0,)
+
+    def test_an_int64_level_array_passes_as_it_is(self):
+        levels = np.array([0, 3, 1])
+        assert models_module._levels("levels", levels) is levels
+
+    @pytest.mark.parametrize("u", [[0.5j], ["0.5"], [10**400], [0.5, None], "0.5"], ids=short)
+    def test_sample_levels_refuses_non_real_variates(self, u):
+        # text was once parsed, complex and 10**400 ended in bare errors
+        with pytest.raises(ContractViolation):
+            sample_levels(EstimatorConfig(), u)

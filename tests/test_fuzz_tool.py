@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).parents[1]
@@ -53,3 +54,57 @@ def test_a_dataset_size_without_its_size_check_is_a_fault(tmp_path):
             case = f"FAULT gen-data --model={model} --n=5 --n={n}: raised ValueError"
             assert any(f.startswith(case) for f in faults), case
     assert all("raised ValueError: array is too big" in f for f in faults)
+
+
+LEVEL_ENTRIES = ["EstimatorConfig.mass", "level_estimate"]
+SINGLE_LEVEL_CHECK = '    level = _level("level", level)\n'
+LEVEL_RULE_CALL = '    levels = _levels("levels", levels)\n'
+
+
+def fuzz_api(src: Path, *entries: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run(
+        [sys.executable, str(TOOL), "--api", *entries],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+
+
+def api_tallies(stdout: str) -> dict[str, list[int]]:
+    """Each entry's cases, calls returned and refused, alarms and faults."""
+    rows = [line.rsplit(maxsplit=5) for line in stdout.splitlines()[1:]]
+    return {row[0]: [int(v) for v in row[1:]] for row in rows if not row[0].startswith("FAULT")}
+
+
+def test_level_entries_refuse_every_edge_level_with_a_library_error():
+    start = time.monotonic()
+    proc = fuzz_api(ROOT / "src", *LEVEL_ENTRIES)
+    assert time.monotonic() - start < 15
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    tallies = api_tallies(proc.stdout)
+    assert set(tallies) == {"EstimatorConfig.mass", "level_estimate (gaussian)",
+                            "level_estimate (bernoulli)"}
+    for name, (cases, ok, refused, alarms, faults) in tallies.items():
+        assert faults == alarms == 0 and cases == ok + refused and min(ok, refused) > 0, name
+    assert "FAULT" not in proc.stdout
+
+
+def test_a_hand_cast_level_is_a_fault(tmp_path):
+    # the levels' former cast to int64 put back: None and complex levels
+    # end in numpy's bare TypeError, 2^64 in a bare OverflowError
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    estimator = src / "mlmc_evidence" / "estimator.py"
+    text = estimator.read_text()
+    assert text.count(SINGLE_LEVEL_CHECK) == text.count(LEVEL_RULE_CALL) == 1
+    text = text.replace(SINGLE_LEVEL_CHECK, "")
+    estimator.write_text(
+        text.replace(LEVEL_RULE_CALL, "    levels = np.asarray(levels, dtype=np.int64)\n")
+    )
+    proc = fuzz_api(src, "level_estimate")
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    faults = [line for line in proc.stdout.splitlines() if line.startswith("FAULT ")]
+    for model in ("gaussian", "bernoulli"):
+        for level, error in [("None", "TypeError"), ("1j", "TypeError"),
+                             ("18446744073709551616", "OverflowError")]:
+            case = f"FAULT level_estimate ({model}) level={level}: raised {error}"
+            assert any(f.startswith(case) for f in faults), case

@@ -115,3 +115,13 @@ class TestStreamingMoments:
         acc.push(1.0)
         with pytest.raises(ContractViolation):
             acc.variance()
+
+    @pytest.mark.parametrize("value", [1j, np.array([1.0, 2j]), "a", np.array(["1.0"]), None,
+                                       [1.0, None]], ids=repr)
+    def test_push_refuses_non_real_values(self, value):
+        # complex and text once ended in a bare TypeError or ValueError,
+        # and None was pushed as NaN
+        acc = StreamingMoments()
+        with pytest.raises(ContractViolation):
+            acc.push(value)
+        assert acc.count == 0

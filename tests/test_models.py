@@ -692,6 +692,14 @@ class TestSizeRule:
         with pytest.raises(ResourceGuardExceeded, match=f"^{re.escape(message)}$"):
             models_module._check_bytes(fits + 1, row, "member")
 
+    def test_the_counted_text_is_built_only_to_refuse(self):
+        def counted():
+            raise AssertionError("text built for a count that fits")
+
+        models_module._check_bytes(2**59, 8, "draw", counted)
+        with pytest.raises(ResourceGuardExceeded, match=r"^two members may need more than"):
+            models_module._check_bytes(2**60, 16, "draw", lambda: "two members")
+
     @pytest.mark.parametrize(
         "model, row", [(GAUSSIAN, 8), (GaussianConjugateModel(3), 24), (BERNOULLI, 8)],
         ids=["gaussian1", "gaussian3", "bernoulli"],
@@ -707,6 +715,37 @@ class TestSizeRule:
         with pytest.raises(ResourceGuardExceeded, match=f"^{re.escape(message)}$"):
             model.generate_data(np.zeros(model.theta_dim), 2**62, rng)
         np.testing.assert_equal(rng.bit_generator.state, state)
+
+
+class TestSaveDatasetInput:
+    """`save_dataset` checks its seed by the seed rule and its true theta as
+    a finite 1-d real vector, before either file is written: the sidecar
+    is JSON."""
+
+    @pytest.mark.parametrize("seed", [None, 1.5, -1, "2", True, 2**70, 2**64, np.float64(3.0)],
+                             ids=repr)
+    def test_a_seed_outside_the_rule_is_refused(self, tmp_path, seed):
+        # None once ended in a bare TypeError; 1.5 was written as 1, and
+        # -1, "2", True and 2^70 as given
+        with pytest.raises(ContractViolation, match="^seed must "):
+            save_dataset(tmp_path / "d.txt", DATA, seed, np.zeros(3))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("true_theta", [
+        [1j, 0.0], ["a", "b"], [[0.0, 1.0]], 0.5, None, [0.0, math.nan], [math.inf],
+    ], ids=repr)
+    def test_a_true_theta_that_is_not_a_finite_vector_is_refused(self, tmp_path, true_theta):
+        # each ended in a bare TypeError or ValueError after the data file
+        # was written, or NaN and inf were written as JSON's non-standard
+        # NaN and Infinity
+        with pytest.raises(ContractViolation, match="^true_theta "):
+            save_dataset(tmp_path / "d.txt", DATA, 0, true_theta)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_numpy_seeds_and_integer_vectors_are_written_as_python_numbers(self, tmp_path):
+        save_dataset(tmp_path / "d.txt", DATA, np.uint64(2**64 - 1), np.arange(3))
+        _, header = load_dataset(tmp_path / "d.txt")
+        assert header["seed"] == 2**64 - 1 and header["true_theta"] == [0.0, 1.0, 2.0]
 
 
 class TestRealInput:

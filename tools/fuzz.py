@@ -1,6 +1,8 @@
-"""Seeded edge-value fuzz of the command line, run in process.
+"""Seeded edge-value fuzz of the command line, or of the library's public
+API, run in process.
 
     PYTHONPATH=src python tools/fuzz.py [--command NAME ...]
+    PYTHONPATH=src python tools/fuzz.py --api [ENTRY ...]
 
 Every command but `rerun` runs on both models from small base flags (five
 observations, a batch of four, 100 replications, two training steps, ...),
@@ -29,9 +31,22 @@ stderr where `main` returns the code, after argparse's usage lines where
 argparse exits. A case that asks for unbounded work (`grad-check --reps
 4611686018427387904`, say) ends at its alarm and is not a fault.
 
-The tool prints one line per command with its case count, its counts of
-exits 0, 1 and 2, of alarms and of faults, then one line per fault with
-its arguments and what went wrong, and exits 1 if any case is a fault.
+`--api` calls each entry of `api_entries` instead (every callable in
+`mlmc_evidence.__all__` that takes a caller's value, on each model where it
+takes one, plus `EstimatorConfig.mass` and `StreamingMoments.push`; ENTRY
+names some of them), from small valid base arguments, one argument at a
+time at each value of its kind's edge set (`EDGES`: bools, numpy scalars,
+text, complex, None, empty, 2-d, 10**400 and NaN for every kind but paths,
+plus each kind's own values). Arguments that take a library object (a
+model, a dataset, a config, a generator) keep their base value; a
+generator is made afresh per case from SEED. A case is a fault when the
+call raises anything but the library's four exception types, or an
+`OSError` where a path is varied; it runs under the same alarm and limit.
+
+The tool prints one line per command or entry with its case count and
+outcome counts (exits 0, 1 and 2 of a command; calls returned and refused
+of an entry; alarms; faults), then one line per fault with its arguments
+and what went wrong, and exits 1 if any case is a fault.
 It sets no process count: only a variance profile starts processes, its
 one worker per extra CPU, and one that an alarm stops mid-call is replaced
 by the next profile.
@@ -41,6 +56,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import math
 import random
 import resource
 import shutil
@@ -53,8 +69,14 @@ from pathlib import Path
 
 import numpy as np
 
-from mlmc_evidence import cli
-from mlmc_evidence.models import Dataset, save_dataset
+import mlmc_evidence
+from mlmc_evidence import (
+    BernoulliGaussianModel, ContractViolation, Dataset, DivergenceError, EstimatorConfig,
+    GaussianConjugateModel, ResourceGuardExceeded, StreamingMoments, TrainConfig,
+    UnsupportedOperation, cli, estimate_gradients, estimate_log_evidence, level_estimate,
+    load_dataset, sample_levels, save_dataset, train,
+)
+from mlmc_evidence.rng import substream
 
 MODELS = ("gaussian", "bernoulli")
 BASE = {
@@ -185,6 +207,165 @@ def fault(code, stdout: str, stderr: str, returned: bool) -> str | None:
     return None if one_line or after_usage else f"stderr is not one error line: {stderr!r}"
 
 
+LIBRARY_ERRORS = (ContractViolation, DivergenceError, ResourceGuardExceeded, UnsupportedOperation)
+API_COLUMNS = ("cases", "ok", "refused", "alarm", "faults")
+#: Public callables not called: result records, which store what they are
+#: given, and the abstract model and the model with no arguments.
+NOT_CALLED = {
+    "EvidenceEstimate", "GradientEstimate", "LevelEstimate", "RunRecord", "LatentVariableModel",
+    "BernoulliGaussianModel",
+}
+#: Every kind's edge values but a path's: bools, numpy scalars, text,
+#: complex, None, empty, 2-d, 10**400 and NaN.
+COMMON = [True, np.bool_(False), np.float64(1.5), np.int64(1), "1", "", 1j, None, [],
+          [[1, 0], [0, 1]], 10**400, math.nan]
+EDGES = {
+    "level": COMMON + [0, -1, 1.5, 2**64, np.uint64(2**64 - 1), np.array([1]), np.array([1.0])],
+    "seed": COMMON + [-1, 2**64, 2**64 - 1, 1.5, np.uint64(2**64 - 1)],
+    "count": COMMON + [0, -1, 1.5, 2**62, 2**63 - 1, 2**64, np.int32(2)],
+    "real": COMMON + [0.0, -1.0, math.inf, -math.inf, np.float32(0.5)],
+}
+#: Each varied argument's kind by its name; any other is a vector.
+KIND = {
+    "level": "level", "seed": "seed", "level_ratio_log2": "real", "lr_theta": "real",
+    "lr_phi": "real", "momentum": "real", "path": "path",
+    **dict.fromkeys(["workers", "n0", "batch_size", "level_cap", "steps", "eval_every",
+                     "eval_replications", "dim"], "count"),
+}
+
+
+def vector_edges(length: int) -> list:
+    """The vector kind's edge values, about a base of `length` entries."""
+    return COMMON + [
+        0.5, np.zeros(length + 1), np.zeros(max(length - 1, 0)), np.ones((length, 1)),
+        np.full(length, 1e308), np.full(length, math.nan), ["a"] * length, [1j] * length,
+        [10**400] * length, [[0.0], [1.0, 2.0]], np.zeros(length, dtype=np.float32),
+        np.ones(length, dtype=bool),
+    ]
+
+
+def api_entries(root: Path) -> dict:
+    """Each entry's name, its call and its base arguments, the ones it varies:
+    the call takes them as keywords and makes its own generator."""
+    def rng():
+        return substream(SEED, 0)
+
+    entries = {
+        "EstimatorConfig.mass": (lambda level: EstimatorConfig().mass(level), {"level": 2}),
+        "StreamingMoments.push": (lambda value: StreamingMoments().push(value),
+                                  {"value": [1.0, 2.0]}),
+        "sample_levels": (lambda u: sample_levels(EstimatorConfig(), u), {"u": [0.5, 0.25]}),
+        "Dataset": (Dataset, {"x": np.zeros((3, 2))}),
+        "GaussianConjugateModel": (GaussianConjugateModel, {"dim": 2}),
+        "EstimatorConfig": (EstimatorConfig, {"n0": 8, "batch_size": 1,
+                                              "level_ratio_log2": -1.5, "level_cap": 40}),
+        "TrainConfig": (TrainConfig, {
+            "steps": 2, "lr_theta": 1e-3, "lr_phi": 1e-3, "momentum": 0.9, "eval_every": 1,
+            "eval_replications": 1,
+        }),
+    }
+    data = Dataset(np.array([[0.0], [1.0], [1.0]]))
+    saved = root / "api.txt"
+    save_dataset(saved, data, 0, [0.0, 0.0])
+    entries["save_dataset"] = (
+        lambda path, seed, true_theta: save_dataset(path, data, seed, true_theta),
+        {"path": root / "api-out.txt", "seed": 0, "true_theta": [0.0, 0.0]},
+    )
+    entries["load_dataset"] = (load_dataset, {"path": saved})
+    cfg = EstimatorConfig(n0=4, batch_size=4)
+    train_cfg = TrainConfig(steps=2, eval_every=1, eval_replications=1, estimator=cfg)
+    for name, model in zip(MODELS, [GaussianConjugateModel(1), BernoulliGaussianModel()]):
+        theta, phi = np.zeros(model.theta_dim), np.zeros(model.phi_dim)
+        entries |= {
+            f"level_estimate ({name})": (
+                lambda x, theta, phi, level, model=model: level_estimate(
+                    model, x, theta, phi, level, cfg, rng()),
+                {"x": [1.0], "theta": theta, "phi": phi, "level": 1},
+            ),
+            f"estimate_log_evidence ({name})": (
+                lambda theta, phi, workers, model=model: estimate_log_evidence(
+                    model, data, theta, phi, cfg, rng(), workers),
+                {"theta": theta, "phi": phi, "workers": 1},
+            ),
+            f"estimate_gradients ({name})": (
+                lambda theta, phi, model=model: estimate_gradients(
+                    model, data, theta, phi, cfg, rng()),
+                {"theta": theta, "phi": phi},
+            ),
+            f"train ({name})": (
+                lambda theta0, phi0, model=model: train(
+                    model, data, theta0, phi0, train_cfg, rng()),
+                {"theta0": theta, "phi0": phi},
+            ),
+        }
+    return entries
+
+
+def uncalled(entries) -> list[str]:
+    """Public callables that no entry calls and `NOT_CALLED` does not name."""
+    called = {name.split()[0].split(".")[0] for name in entries}
+    return sorted(
+        name for name in mlmc_evidence.__all__
+        if callable(obj := getattr(mlmc_evidence, name)) and name not in called | NOT_CALLED
+        and not (isinstance(obj, type) and issubclass(obj, BaseException))
+    )
+
+
+def api_cases(base: dict, root: Path):
+    """Each (argument, value) of an entry's cases: every argument of `base`
+    at each value of its kind's edge set."""
+    for arg, value in base.items():
+        kind = KIND.get(arg, "vector")
+        if kind == "path":
+            edges = [root / "absent" / "d.txt", root, ""]
+        elif kind == "vector":
+            edges = vector_edges(len(value))
+        else:
+            edges = EDGES[kind]
+        for edge in edges:
+            yield arg, edge
+
+
+def run_call(call, kwargs: dict, path: bool) -> str | None:
+    """"ok", "refused" or "alarm" for a call, or what is wrong with it: an
+    exception other than the library's, or an `OSError` where `path` holds."""
+    allowed = LIBRARY_ERRORS + ((OSError,) if path else ())
+    try:
+        try:
+            signal.setitimer(signal.ITIMER_REAL, ALARM_S)
+            with np.errstate(all="ignore"):  # as the command line runs
+                call(**kwargs)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+    except CaseAlarm:
+        return "alarm"
+    except allowed:
+        return "refused"
+    except Exception as exc:
+        return "raised " + traceback.format_exception_only(exc)[-1].strip()
+    return "ok"
+
+
+def fuzz_api(names: list[str], root: Path) -> list[tuple[str, str]]:
+    """Run the entries named (all, if none), printing a line per entry; the
+    faults, each as (case, what went wrong)."""
+    entries = api_entries(root)
+    faults = [(name, "no API entry calls it") for name in uncalled(entries)]
+    print(f"{'entry':<34}" + "".join(f"{c:>8}" for c in API_COLUMNS))
+    for name, (call, base) in entries.items():
+        if names and name.split()[0] not in names:
+            continue
+        tally = Counter()
+        for arg, value in api_cases(base, root):
+            got = run_call(call, {**base, arg: value}, KIND.get(arg) == "path")
+            tally["cases"] += 1
+            tally[got if got in API_COLUMNS else "faults"] += 1
+            if got not in API_COLUMNS:
+                faults.append((f"{name} {arg}={' '.join(repr(value).split()):.60}", got))
+        print(f"{name:<34}" + "".join(f"{tally[c]:>8}" for c in API_COLUMNS))
+    return faults
+
+
 def _limit_address_space(headroom_mib: int) -> None:
     """Hold this process's address space to `headroom_mib` MiB over its size now."""
     try:
@@ -202,30 +383,42 @@ def _limit_address_space(headroom_mib: int) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--command", nargs="+", choices=list(BASE), default=list(BASE))
+    parser.add_argument("--api", nargs="*", metavar="ENTRY",
+                        help="fuzz the public API's entries (all, or those named) instead")
     args = parser.parse_args(argv)
     _limit_address_space(HEADROOM_MIB)
     signal.signal(signal.SIGALRM, _ring)
+    with tempfile.TemporaryDirectory(prefix="fuzz-") as tmp:
+        root = Path(tmp)
+        if args.api is not None:
+            faults = fuzz_api(args.api, root)
+        else:
+            faults = fuzz_cli(args.command, root)
+    for case, wrong in faults:
+        print(f"FAULT {case}: {wrong}")
+    return 1 if faults else 0
+
+
+def fuzz_cli(commands: list[str], root: Path) -> list[tuple[str, str]]:
+    """Run the commands' cases, printing a line per command; the faults,
+    each as (case, what went wrong)."""
     rng = random.Random(SEED)
     faults = []
     print(f"{'command':<17}" + "".join(f"{c:>7}" for c in COLUMNS))
-    with tempfile.TemporaryDirectory(prefix="fuzz-") as tmp:
-        root = Path(tmp)
-        data = _datasets(root)
-        for command in args.command:
-            tally = Counter()
-            for i, case in enumerate(cases(command, rng, data)):
-                out = root / f"case-{i}"
-                code, *outcome = run_case(case + [f"--out={out}"])
-                shutil.rmtree(out, ignore_errors=True)
-                wrong = fault(code, *outcome)
-                tally["cases"] += 1
-                tally["faults" if wrong else code if code == "alarm" else f"exit{code}"] += 1
-                if wrong:
-                    faults.append((case, wrong))
-            print(f"{command:<17}" + "".join(f"{tally[c]:>7}" for c in COLUMNS))
-    for case, wrong in faults:
-        print(f"FAULT {' '.join(case)}: {wrong}")
-    return 1 if faults else 0
+    data = _datasets(root)
+    for command in commands:
+        tally = Counter()
+        for i, case in enumerate(cases(command, rng, data)):
+            out = root / f"case-{i}"
+            code, *outcome = run_case(case + [f"--out={out}"])
+            shutil.rmtree(out, ignore_errors=True)
+            wrong = fault(code, *outcome)
+            tally["cases"] += 1
+            tally["faults" if wrong else code if code == "alarm" else f"exit{code}"] += 1
+            if wrong:
+                faults.append((" ".join(case), wrong))
+        print(f"{command:<17}" + "".join(f"{tally[c]:>7}" for c in COLUMNS))
+    return faults
 
 
 if __name__ == "__main__":

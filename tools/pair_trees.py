@@ -28,6 +28,12 @@ way. Both trees share one process and so one allocator, so the tool cannot
 see a change that moves only how the allocator serves later calls (how
 large a block `estimator.draw_chunks` frees, say, which can decide whether
 a call's temporaries map fresh pages): compare separate processes for that.
+Nor can it judge a change that moves work into another process, such as
+train-bernoulli's evaluations run in a forked worker while the caller
+trains: that prototype read 0.88-0.92 here (and 1.14 in another spell),
+while nine alternating benchmark pairs read its latency_p50_ms 1.07-1.22
+times the parent's, slower in all nine. Judge such a change by the
+benchmark's own separate-process pairs.
 """
 from __future__ import annotations
 
