@@ -10,6 +10,7 @@ rate divergent once N is large.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -109,10 +110,10 @@ def train(
     """Run the two-objective ascent and return the evaluation records.
 
     Each step consumes one gradient batch (theta and phi gradients computed
-    from the same draws), drawn in order from that step's own generator,
-    spawned from the training branch shortly before use. Evaluations run on
-    a generator branch spawned before training starts, so metric noise
-    never perturbs the training stream. Records are written at
+    from the same draws), drawn in order from that step's own child stream
+    of the training branch (`rng.streams`). Evaluation replications take
+    the children of a branch spawned before training starts, in order, so
+    metric noise never perturbs the training stream. Records are written at
     step 0, every `eval_every` steps, and at the final step. A non-finite
     parameter aborts with a divergence error rather than clamping:
     heavy-tailed weights are a failure mode that must surface.
@@ -136,11 +137,17 @@ def train(
     rows, counts = np.unique(data.x, axis=0, return_counts=True)
     cumulative_cost = 0
     last_norms = (0.0, 0.0)
+    # every evaluation takes its replications' streams from one iterator:
+    # `streams` leaves eval_rng's child counter as it was, so a second call
+    # would take the same children again; records are made at step 0 and
+    # ceil(steps / eval_every) steps after it
+    evaluations = 1 + -(-cfg.steps // cfg.eval_every)
+    eval_streams = _rng.streams(eval_rng, evaluations * cfg.eval_replications)
 
     def evaluate(step: int) -> RunRecord:
         values = [
             estimate_log_evidence(model, data, theta, phi, cfg.estimator, stream).value
-            for stream in _rng.streams(eval_rng, cfg.eval_replications)
+            for stream in itertools.islice(eval_streams, cfg.eval_replications)
         ]
         evidence_oracle, kl_oracle = _oracle_metrics(model, rows, counts, theta, phi)
         return RunRecord(

@@ -26,7 +26,7 @@ from mlmc_evidence.estimator import (
 )
 from mlmc_evidence.gradients import estimate_gradients
 from mlmc_evidence.models import BernoulliGaussianModel, GaussianConjugateModel
-from mlmc_evidence.rng import substream
+from mlmc_evidence.rng import streams, substream
 from mlmc_evidence.trainer import TrainConfig, train
 
 MODEL = GaussianConjugateModel(1)
@@ -50,10 +50,9 @@ def test_criterion_1_evidence_unbiasedness():
     truth = sum(MODEL.oracle_log_evidence(x, THETA) for x in DATA.x)
     reps = 100_000
     values = np.empty(reps)
-    for r in range(reps):
-        values[r] = estimate_log_evidence(
-            MODEL, DATA, THETA, PHI_MISMATCHED, CFG, substream(901, r)
-        ).value
+    # child r of substream(901) is substream(901, r), bit for bit
+    for r, stream in enumerate(streams(substream(901), reps)):
+        values[r] = estimate_log_evidence(MODEL, DATA, THETA, PHI_MISMATCHED, CFG, stream).value
     elapsed = time.perf_counter() - t0
     se = values.std(ddof=1) / math.sqrt(reps)
     z = (values.mean() - truth) / se
@@ -120,8 +119,8 @@ def test_criterion_4_gradient_unbiasedness():
     sum_t2 = np.zeros(3)
     sum_p = np.zeros(3)
     sum_p2 = np.zeros(3)
-    for r in range(reps):
-        est = estimate_gradients(MODEL, DATA, THETA, PHI_MISMATCHED, CFG, substream(903, r))
+    for stream in streams(substream(903), reps):  # child r is substream(903, r)
+        est = estimate_gradients(MODEL, DATA, THETA, PHI_MISMATCHED, CFG, stream)
         sum_t += est.grad_theta
         sum_t2 += est.grad_theta**2
         sum_p += est.grad_phi

@@ -1092,3 +1092,45 @@ class TestLevelRule:
         # text was once parsed, complex and 10**400 ended in bare errors
         with pytest.raises(ContractViolation):
             sample_levels(EstimatorConfig(), u)
+
+
+BERNOULLI = BernoulliGaussianModel()
+BERNOULLI_DATA = BERNOULLI.generate_data(np.array([1.0, 0.0]), 20, substream(141, 0))
+
+
+class TestParametersBeforeDrawing:
+    """theta and phi are refused before a batch draws its indices, with the
+    models' own messages, so a refused call leaves the caller's generator
+    as it was."""
+
+    @pytest.mark.parametrize("estimate", [estimate_log_evidence, estimate_gradients])
+    @pytest.mark.parametrize("model, data", [(MODEL, DATA), (BERNOULLI, BERNOULLI_DATA)],
+                             ids=["gaussian", "bernoulli"])
+    @pytest.mark.parametrize("name", ["theta", "phi"])
+    @pytest.mark.parametrize("fault", ["nan", "long"])
+    def test_estimates_refuse_before_drawing(self, estimate, model, data, name, fault):
+        # each once drew the batch's indices and levels, and the phi
+        # faults' latents too, before the model refused
+        args = {"theta": np.zeros(model.theta_dim), "phi": np.zeros(model.phi_dim)}
+        length = args[name].size
+        if fault == "nan":
+            args[name][-1] = math.nan
+            message = f"^{name} contains non-finite entries$"
+        else:
+            args[name] = np.zeros(length + 1)
+            message = f"^{name} must have length {length}, got {length + 1}$"
+        rng = substream(142, 0)
+        cfg = EstimatorConfig(n0=4, batch_size=4)
+        refused_unmoved(rng, lambda: estimate(model, data, args["theta"], args["phi"], cfg, rng),
+                        message)
+
+    @pytest.mark.parametrize("model, x, theta, message", [
+        (MODEL, [1.0], [0.0, 0.0, math.nan], "^theta contains non-finite entries$"),
+        (BERNOULLI, [1.0], [0.0], "^theta must have length 2, got 1$"),
+        (BERNOULLI, [0.5], [0.0, 0.0], "^observation must be 0 or 1, got 0.5$"),
+    ], ids=["gaussian-theta", "bernoulli-theta", "bernoulli-x"])
+    def test_level_estimate_refuses_before_drawing(self, model, x, theta, message):
+        # each was refused by `log_joint`, after the member's latents were drawn
+        rng = substream(142, 1)
+        phi = np.zeros(model.phi_dim)
+        refused_unmoved(rng, lambda: level_estimate(model, x, theta, phi, 1, LEVEL_CFG, rng), message)

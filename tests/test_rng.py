@@ -1,17 +1,73 @@
-"""Stream contracts: children spawned in blocks equal one spawn of all, a
-seed is an integer in 0..2^64 - 1 and a path entry an integer >= 0."""
+"""Stream contracts: the children `streams` derives equal numpy's spawned
+children bit for bit, a seed is an integer in 0..2^64 - 1 and a path entry
+an integer >= 0.
 
+The derivation repeats numpy's `SeedSequence` mixing, so these tests also
+guard against a numpy release that changes it."""
+
+import numpy as np
 import pytest
 
 from mlmc_evidence.errors import ContractViolation
-from mlmc_evidence.rng import spawn, streams, substream
+from mlmc_evidence.rng import _child_keys, spawn, streams, substream
 
 
-@pytest.mark.parametrize("n", [0, 1, 64, 130])
+def draws(g):
+    """A child's state (for Philox, its key and counter) and its first draws
+    of each kind; the 32-bit integers leave half a 64-bit word buffered for
+    the uniforms."""
+    state = {k: np.asarray(v).tolist() for k, v in g.bit_generator.state["state"].items()}
+    return state, g.standard_normal(3).tolist(), g.integers(0, 1000, 3).tolist(), g.random(3).tolist()
+
+
+def philox(seq):
+    return np.random.Generator(np.random.Philox(seq))
+
+
+@pytest.mark.parametrize("n", [0, 1, 64, 65, 130])
 def test_streams_equal_one_spawn(n):
-    lazily = [g.random(3).tolist() for g in streams(substream(7, 1), n)]
-    at_once = [g.random(3).tolist() for g in spawn(substream(7, 1), n)]
-    assert lazily == at_once
+    for parent in [
+        lambda: substream(7, 1),
+        lambda: philox(np.random.SeedSequence(3, spawn_key=(2**32 + 5,), pool_size=8)),
+        lambda: np.random.default_rng(7),  # not Philox: spawned a block at a time
+    ]:
+        lazily = [draws(g) for g in streams(parent(), n)]
+        at_once = [draws(g) for g in spawn(parent(), n)]
+        assert lazily == at_once
+
+
+@pytest.mark.parametrize("entropy", [0, 1, 2**32, 2**64 - 1, None, [1, 2, 3, 4, 5, 6]])
+@pytest.mark.parametrize("spawn_key", [(), (2**32 + 5, 3)])
+@pytest.mark.parametrize("pool_size", [4, 8])
+@pytest.mark.parametrize("spawned", [0, 2, 2**32 - 2])
+def test_child_keys_equal_numpys(entropy, spawn_key, pool_size, spawned):
+    # entropy None is drawn from the OS; from 2^32 - 2 on, the fifth
+    # child's index has two 32-bit words
+    seq = np.random.SeedSequence(
+        entropy, spawn_key=spawn_key, pool_size=pool_size, n_children_spawned=spawned
+    )
+    # the children numpy's `spawn` makes; it is not called past 2^32 - 1,
+    # where numpy 2.4's does not return
+    children = [
+        np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key + (i,), pool_size=pool_size)
+        for i in range(spawned, spawned + 5)
+    ]
+    if spawned < 2**32 - 5:
+        assert [c.spawn_key for c in seq.spawn(5)] == [c.spawn_key for c in children]
+    assert _child_keys(seq, spawned, 5) == [c.generate_state(2, np.uint64).tolist() for c in children]
+    parent = philox(np.random.SeedSequence(
+        seq.entropy, spawn_key=spawn_key, pool_size=pool_size, n_children_spawned=spawned
+    ))
+    assert [draws(g) for g in streams(parent, 5)] == [draws(philox(c)) for c in children]
+
+
+def test_a_yielded_stream_cannot_be_spawned_from():
+    # it is re-keyed per child, so a spawn would draw another tree's streams
+    stream = next(streams(substream(7, 1), 2))
+    with pytest.raises(TypeError, match="does not implement spawning"):
+        spawn(stream, 1)
+    with pytest.raises(TypeError, match="does not implement spawning"):
+        next(streams(stream, 1))
 
 
 @pytest.mark.parametrize("seed, alias", [(2**64 - 1, -1), (0, 2**64)])
@@ -39,3 +95,10 @@ def test_path_entry_must_not_be_negative():
     # numpy once raised a bare ValueError
     with pytest.raises(ContractViolation, match="^path entry must be >= 0, got -1$"):
         substream(1, -1)
+
+
+@pytest.mark.parametrize("path", [(), (4,), (2**40, 0)])
+def test_child_r_of_a_substream_is_its_path_extended_by_r(path):
+    # loops over many substreams of one path take them as its children
+    children = [draws(g) for g in streams(substream(901, *path), 70)]
+    assert children == [draws(substream(901, *path, r)) for r in range(70)]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mlmc_evidence.errors import ContractViolation, DivergenceError
-from mlmc_evidence.estimator import EstimatorConfig
+from mlmc_evidence.estimator import EstimatorConfig, estimate_log_evidence
 from mlmc_evidence.models import GaussianConjugateModel
 from mlmc_evidence.rng import substream
 from mlmc_evidence.trainer import TrainConfig, _norm, train
@@ -183,31 +183,63 @@ class TestTrain:
             )
 
     @staticmethod
-    def spawn_sizes(monkeypatch, cfg, seed):
-        """The child count of every `rng.spawn` call one training run makes."""
+    def children_taken(monkeypatch, cfg, seed):
+        """The child count of every `rng.spawn` call one training run makes,
+        and of every block of child keys `rng.streams` derives."""
         import mlmc_evidence.rng as rng_module
 
-        asked = []
-        spawn = rng_module.spawn
+        spawned, derived = [], []
+        spawn, child_keys = rng_module.spawn, rng_module._child_keys
 
         def counting_spawn(rng, n):
-            asked.append(n)
+            spawned.append(n)
             return spawn(rng, n)
 
+        def counting_keys(seq, start, n):
+            derived.append(n)
+            return child_keys(seq, start, n)
+
         monkeypatch.setattr(rng_module, "spawn", counting_spawn)
+        monkeypatch.setattr(rng_module, "_child_keys", counting_keys)
         train(MODEL, DATA, np.zeros(3), np.zeros(3), cfg, substream(seed, 0))
-        return asked
+        return spawned, derived
 
     def test_step_streams_are_spawned_in_blocks(self, monkeypatch):
-        # spawning every step's stream up front costs memory in proportion to steps
+        # deriving every step's key up front costs memory in proportion to steps
         cfg = quick_config(steps=200, eval_every=100, eval_replications=3)
-        asked = self.spawn_sizes(monkeypatch, cfg, 510)
-        assert max(asked) <= 64  # one block
-        assert sum(asked) == 2 + 200 + 3 * 3  # branches, steps, three evaluations
+        spawned, derived = self.children_taken(monkeypatch, cfg, 510)
+        assert spawned == [2]  # the branches
+        assert max(derived) <= 64  # one block
+        assert sum(spawned) + sum(derived) == 2 + 200 + 3 * 3  # branches, steps, three evaluations
 
     def test_eval_streams_are_spawned_in_blocks(self, monkeypatch):
-        # each generator holds about 1 KB until its replication runs
+        # each key is held until its replication runs
         cfg = quick_config(steps=2, eval_every=2, eval_replications=70)
-        asked = self.spawn_sizes(monkeypatch, cfg, 511)
-        assert max(asked) <= 64  # one block
-        assert sum(asked) == 2 + 2 + 2 * 70  # branches, steps, two evaluations
+        spawned, derived = self.children_taken(monkeypatch, cfg, 511)
+        assert spawned == [2]  # the branches
+        assert max(derived) <= 64  # one block
+        assert sum(spawned) + sum(derived) == 2 + 2 + 2 * 70  # branches, steps, two evaluations
+
+    def test_records_equal_a_loop_over_spawned_streams(self, monkeypatch):
+        # records at steps 0, 2, 4 and 5; more replications than one block of keys
+        import mlmc_evidence.rng as rng_module
+
+        cfg = quick_config(steps=5, eval_every=2, eval_replications=70)
+        derived = train(MODEL, DATA, np.zeros(3), np.zeros(3), cfg, substream(512, 0))
+        monkeypatch.setattr(rng_module, "streams", lambda rng, n: iter(rng.spawn(n)))
+        spawned = train(MODEL, DATA, np.zeros(3), np.zeros(3), cfg, substream(512, 0))
+        assert [r.step for r in derived] == [0, 2, 4, 5]
+        for a, b in zip(derived, spawned, strict=True):
+            assert a.theta.tobytes() == b.theta.tobytes() and a.phi.tobytes() == b.phi.tobytes()
+            assert (a.evidence_estimate, a.grad_norms, a.cumulative_cost) == (
+                b.evidence_estimate, b.grad_norms, b.cumulative_cost,
+            )
+        # evaluation k takes the eval branch's children 70k..70k + 69
+        _, eval_rng = substream(512, 0).spawn(2)
+        children = iter(eval_rng.spawn(4 * 70))
+        for r in derived:
+            values = [
+                estimate_log_evidence(MODEL, DATA, r.theta, r.phi, cfg.estimator, next(children)).value
+                for _ in range(70)
+            ]
+            assert r.evidence_estimate == float(np.mean(values))

@@ -41,7 +41,10 @@ plus each kind's own values). Arguments that take a library object (a
 model, a dataset, a config, a generator) keep their base value; a
 generator is made afresh per case from SEED. A case is a fault when the
 call raises anything but the library's four exception types, or an
-`OSError` where a path is varied; it runs under the same alarm and limit.
+`OSError` where a path is varied, or when it refuses an argument after
+drawing from or spawning off its generator (a refusal of a drawn value,
+`DRAWN`, or a divergence may follow draws); it runs under the same alarm
+and limit.
 
 The tool prints one line per command or entry with its case count and
 outcome counts (exits 0, 1 and 2 of a command; calls returned and refused
@@ -209,6 +212,9 @@ def fault(code, stdout: str, stderr: str, returned: bool) -> str | None:
 
 LIBRARY_ERRORS = (ContractViolation, DivergenceError, ResourceGuardExceeded, UnsupportedOperation)
 API_COLUMNS = ("cases", "ok", "refused", "alarm", "faults")
+#: Refusals of a value drawn, not of an argument, which only a draw can
+#: find; a `DivergenceError` is one too.
+DRAWN = ("non-finite log weight",)
 #: Public callables not called: result records, which store what they are
 #: given, and the abstract model and the model with no arguments.
 NOT_CALLED = {
@@ -244,11 +250,13 @@ def vector_edges(length: int) -> list:
     ]
 
 
-def api_entries(root: Path) -> dict:
+def api_entries(root: Path, made: list) -> dict:
     """Each entry's name, its call and its base arguments, the ones it varies:
-    the call takes them as keywords and makes its own generator."""
+    the call takes them as keywords and makes its own generator, appended
+    to `made`."""
     def rng():
-        return substream(SEED, 0)
+        made.append(substream(SEED, 0))
+        return made[-1]
 
     entries = {
         "EstimatorConfig.mass": (lambda level: EstimatorConfig().mass(level), {"level": 2}),
@@ -326,9 +334,11 @@ def api_cases(base: dict, root: Path):
             yield arg, edge
 
 
-def run_call(call, kwargs: dict, path: bool) -> str | None:
+def run_call(call, kwargs: dict, path: bool, untouched) -> str | None:
     """"ok", "refused" or "alarm" for a call, or what is wrong with it: an
-    exception other than the library's, or an `OSError` where `path` holds."""
+    exception other than the library's, an `OSError` where `path` holds,
+    or a refusal of an argument after `untouched()` turned false (the call
+    drew from its generator)."""
     allowed = LIBRARY_ERRORS + ((OSError,) if path else ())
     try:
         try:
@@ -339,17 +349,25 @@ def run_call(call, kwargs: dict, path: bool) -> str | None:
             signal.setitimer(signal.ITIMER_REAL, 0)
     except CaseAlarm:
         return "alarm"
-    except allowed:
-        return "refused"
+    except allowed as exc:
+        drawn = isinstance(exc, DivergenceError) or str(exc).startswith(DRAWN)
+        return "refused" if drawn or untouched() else "refused after drawing from its generator"
     except Exception as exc:
         return "raised " + traceback.format_exception_only(exc)[-1].strip()
     return "ok"
 
 
+def _state(g: np.random.Generator) -> str:
+    """A generator's bit-generator state and its seed's child count."""
+    return repr((g.bit_generator.state, g.bit_generator.seed_seq.n_children_spawned))
+
+
 def fuzz_api(names: list[str], root: Path) -> list[tuple[str, str]]:
     """Run the entries named (all, if none), printing a line per entry; the
     faults, each as (case, what went wrong)."""
-    entries = api_entries(root)
+    made = []
+    entries = api_entries(root, made)
+    fresh = _state(substream(SEED, 0))
     faults = [(name, "no API entry calls it") for name in uncalled(entries)]
     print(f"{'entry':<34}" + "".join(f"{c:>8}" for c in API_COLUMNS))
     for name, (call, base) in entries.items():
@@ -357,7 +375,11 @@ def fuzz_api(names: list[str], root: Path) -> list[tuple[str, str]]:
             continue
         tally = Counter()
         for arg, value in api_cases(base, root):
-            got = run_call(call, {**base, arg: value}, KIND.get(arg) == "path")
+            made.clear()
+            got = run_call(
+                call, {**base, arg: value}, KIND.get(arg) == "path",
+                lambda: all(_state(g) == fresh for g in made),
+            )
             tally["cases"] += 1
             tally[got if got in API_COLUMNS else "faults"] += 1
             if got not in API_COLUMNS:
