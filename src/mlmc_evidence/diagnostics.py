@@ -162,6 +162,7 @@ def variance_profile(
         raise ContractViolation("dataset is empty")
     # the index draw and the rows of x it picks
     _check_bytes(replications, 8 * data.x.shape[1], "replication")
+    theta, phi = model._check_parameters(theta, phi)
     jobs = []
     for lvl, stream in zip(levels, _rng.spawn(rng, len(levels))):
         indices = stream.integers(0, data.n_total, size=replications)

@@ -45,8 +45,8 @@ from .errors import ContractViolation, ResourceGuardExceeded
 from .logspace import log_mean_exp_unchecked  # noqa: F401  perfbench/tracer.py wraps this name here
 from .logspace import segment_exp
 from .models import (
-    Dataset, LatentVariableModel, _all_finite, _check_bytes, _check_fields, _check_vector,
-    _check_x, _count, _level, _levels, _real, _real_array,
+    Dataset, LatentVariableModel, _all_finite, _check_bytes, _check_fields, _count, _level,
+    _levels, _real, _real_array,
 )
 
 #: Most bytes of per-draw rows (`row_bytes`) one chunk holds when a batch
@@ -291,13 +291,6 @@ def draw_level_samples(
     the one-member (M = 1) buffer."""
     level = _level("level", level)
     x_rows = _real_array("x", x).reshape(1, -1)
-    if x_rows.shape[1] == model.x_dim:
-        # `draw_weighed`'s checks, in its order, before `rng` is drawn from:
-        # it checks theta (and the model x's values) only after drawing, in
-        # `log_joint`, run here on one zero latent
-        x_rows = _check_x(x_rows, model.x_dim, 1)
-        model.q_loc_log_scale(x_rows, phi)
-        model.log_joint(x_rows, np.zeros((1, model.z_dim)), theta, None)
     (draws,) = draw_chunks(model, x_rows, [level], theta, phi, cfg, rng)
     return draws
 
@@ -421,9 +414,7 @@ def run_batch(
     reducers read. theta and phi are checked before `rng` is drawn from,
     so a refused batch leaves it as it was.
     """
-    # in the order, and with the messages, of the model's own checks
-    phi = _check_vector("phi", phi, model.phi_dim)
-    theta = _check_vector("theta", theta, model.theta_dim)
+    theta, phi = model._check_parameters(theta, phi)
     indices, levels = draw_batch_indices(data, cfg, rng)
     chunks = draw_chunks(model, data.x.take(indices, axis=0), levels, theta, phi, cfg, rng, grads)
     return levels, reduce_chunks(chunks, reducers)

@@ -46,8 +46,9 @@ def softmax_weights_unchecked(buf: np.ndarray) -> np.ndarray:
 class StreamingMoments:
     """Single-pass (Welford) accumulator for mean and variance.
 
-    Works on scalars or fixed-shape vectors; `m2` is the running sum of
-    squared deviations, so variance = m2 / (count - 1).
+    Works on scalars or fixed-shape vectors: every value pushed has the
+    first one's shape. `m2` is the running sum of squared deviations, so
+    variance = m2 / (count - 1).
     """
 
     count: int = 0
@@ -59,6 +60,10 @@ class StreamingMoments:
         if self.count == 0:
             self.mean = np.zeros_like(value)
             self.m2 = np.zeros_like(value)
+        elif value.shape != self.mean.shape:
+            raise ContractViolation(
+                f"value has shape {value.shape}, but the first value pushed had {self.mean.shape}"
+            )
         self.count += 1
         delta = value - self.mean
         self.mean = self.mean + delta / self.count

@@ -95,16 +95,16 @@ class LatentVariableModel(abc.ABC):
     @abc.abstractmethod
     def q_loc_log_scale(self, x, phi) -> tuple[np.ndarray, np.ndarray]:
         """q(z|x, phi)'s location and log scale, each (z_dim,) or (n, z_dim),
-        for x checked by `_check_x`. A location of shape (n, z_dim) belongs
-        to the caller, which may overwrite it: never one the model keeps."""
+        for x and phi checked; it refuses an x the model cannot observe. A
+        location (n, z_dim) is the caller's to overwrite: never one it keeps."""
 
     @abc.abstractmethod
     def log_joint(self, x, z, theta, grad_theta) -> np.ndarray:
-        """log p(x|z) + log p(z), a fresh (n,) array, for z (n, z_dim) and x
-        checked by `_check_x`; writes d(log p(x, z))/d(theta) into
-        `grad_theta`, an (n, theta_dim) float64 array, unless it is None.
-        A chunk lends it component-major, as the transposed view of a
-        (theta_dim, n) array, so writes by column run along the draws."""
+        """log p(x|z) + log p(z), a fresh (n,) array, for z (n, z_dim), x and
+        theta checked; writes d(log p(x, z))/d(theta) into `grad_theta`, an
+        (n, theta_dim) float64 array, unless it is None. A chunk lends it
+        component-major, as the transposed view of a (theta_dim, n) array,
+        so writes by column run along the draws."""
 
     @abc.abstractmethod
     def q_grad_phi(self, x, dloc, dlog_scale, out) -> None:
@@ -115,6 +115,11 @@ class LatentVariableModel(abc.ABC):
         transposed view of a (phi_dim, n) array, so writes by column run
         along the draws."""
 
+    def _check_parameters(self, theta, phi) -> tuple[np.ndarray, np.ndarray]:
+        """theta and phi checked, phi first: the rule each model call runs before drawing."""
+        phi = _check_vector("phi", phi, self.phi_dim)
+        return _check_vector("theta", theta, self.theta_dim), phi
+
     def sample_q(self, x, phi, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n latents from q(z|x, phi); returns (n, z_dim).
 
@@ -122,7 +127,7 @@ class LatentVariableModel(abc.ABC):
         (n, x_dim). Kept only for perfbench/tracer.py to wrap.
         """
         x = _check_x(x, self.x_dim, n)
-        loc, log_scale = self.q_loc_log_scale(x, phi)
+        loc, log_scale = self.q_loc_log_scale(x, _check_vector("phi", phi, self.phi_dim))
         z = rng.standard_normal((n, self.z_dim))
         z *= np.exp(log_scale)
         z += loc
@@ -133,7 +138,7 @@ class LatentVariableModel(abc.ABC):
         grad_theta_out=None, grad_phi_out=None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Draw n = len(eps) latents z, (n, z_dim), from q(z|x, phi) and
-        weigh them, checking x and evaluating q once: (z, log f (n,)).
+        weigh them, every input checked first, q evaluated once: (z, log f (n,)).
 
         The standard normals are drawn into `eps`, a C-contiguous
         (n, z_dim) float64 array, which the weighing overwrites. z is what
@@ -147,6 +152,7 @@ class LatentVariableModel(abc.ABC):
         if eps.ndim != 2 or eps.shape[1] != self.z_dim:
             raise ContractViolation(f"eps must have shape (n, {self.z_dim}), got {eps.shape}")
         x = _check_x(x, self.x_dim, eps.shape[0])
+        theta, phi = self._check_parameters(theta, phi)
         loc, log_scale = self.q_loc_log_scale(x, phi)
         scale = np.exp(log_scale)
         rng.standard_normal(out=eps)
@@ -161,6 +167,7 @@ class LatentVariableModel(abc.ABC):
         in `draw_weighed`, and log f does not depend on which are lent."""
         z = _real_array("z", z)
         x = _check_x(x, self.x_dim, z.shape[0])
+        theta, phi = self._check_parameters(theta, phi)
         loc, log_scale = self.q_loc_log_scale(x, phi)
         scale = np.exp(log_scale)
         eps = np.subtract(z, loc, out=loc if loc.shape == z.shape else None)
@@ -253,9 +260,10 @@ def _real_array(name: str, v) -> np.ndarray:
     """`v` as a float64 array; raise unless its entries are real: bool,
     integer and float arrays convert, an array of objects converts entry by
     entry as `_real` converts one, and complex, text or ragged input is
-    refused, not cast. A native float64 array is returned as it is, with no
-    work; `==`, not `is`, so that an unpickled one, whose dtype is a copy,
-    takes the same path."""
+    refused, not cast, as is a lone bool (Python, numpy or a 0-d array),
+    which `_real` refuses too. A native float64 array is returned as it is,
+    with no work; `==`, not `is`, so that an unpickled one, whose dtype is a
+    copy, takes the same path."""
     if type(v) is np.ndarray and v.dtype == _FLOAT64:  # every chunk's rows
         return v
     try:
@@ -266,6 +274,8 @@ def _real_array(name: str, v) -> np.ndarray:
         return np.array([_real(name, e) for e in a.flat], dtype=np.float64).reshape(a.shape)
     if a.dtype.kind not in "biuf":
         raise ContractViolation(f"{name} must hold real numbers, got {a.dtype} entries")
+    if a.dtype.kind == "b" and not a.ndim:
+        raise ContractViolation(f"{name} must be a real number, got {v!r}")
     return a.astype(np.float64, copy=False)
 
 
@@ -384,23 +394,23 @@ class GaussianConjugateModel(LatentVariableModel):
         self.theta_dim = 3 * dim
         self.phi_dim = 3 * dim
 
-    def _split(self, name, v):
-        """The checked vector `name`'s three blocks of length dim."""
-        v, d = _check_vector(name, v, 3 * self.dim), self.dim
+    def _split(self, v):
+        """A checked vector's three blocks of length dim."""
+        d = self.dim
         return v[:d], v[d : 2 * d], v[2 * d :]
 
     def _theta(self, theta):
         """theta's (mu0, log s0, log sx) with the variances v0 = s0^2, vx = sx^2."""
-        mu0, log_s0, log_sx = self._split("theta", theta)
+        mu0, log_s0, log_sx = self._split(_check_vector("theta", theta, self.theta_dim))
         return mu0, log_s0, log_sx, np.exp(2.0 * log_s0), np.exp(2.0 * log_sx)
 
     def q_loc_log_scale(self, x, phi):
-        a, b, log_s = self._split("phi", phi)
+        a, b, log_s = self._split(phi)
         return a * x + b, log_s
 
     def log_joint(self, x, z, theta, grad_theta):
-        mu0, log_s0, log_sx, v0, vx = self._theta(theta)
-        d = self.dim
+        (mu0, log_s0, log_sx), d = self._split(theta), self.dim
+        v0, vx = np.exp(2.0 * log_s0), np.exp(2.0 * log_sx)
 
         # q accumulates the two squared standardized residuals; `r` holds
         # each residual in turn, then its square
@@ -432,7 +442,7 @@ class GaussianConjugateModel(LatentVariableModel):
 
     def generate_data(self, theta, n, rng):
         n = _check_size(n, 8 * self.dim)
-        mu0, log_s0, log_sx = self._split("theta", theta)
+        mu0, log_s0, log_sx = self._split(_check_vector("theta", theta, self.theta_dim))
         z = mu0 + np.exp(log_s0) * rng.standard_normal((n, self.dim))
         x = z + np.exp(log_sx) * rng.standard_normal((n, self.dim))
         return Dataset(x)
@@ -470,7 +480,7 @@ class GaussianConjugateModel(LatentVariableModel):
     def oracle_posterior_kl(self, x, theta, phi):
         """KL(q(.|x) || p(.|x)) between two diagonal Gaussians; >= 0."""
         x = _check_vector("x", x, self.x_dim)
-        m, log_s = self.q_loc_log_scale(x, phi)
+        m, log_s = self.q_loc_log_scale(x, _check_vector("phi", phi, self.phi_dim))
         mean_p, var_p = self.posterior_params(x, theta)
         vq = np.exp(2.0 * log_s)
         kl = 0.5 * np.log(var_p) - log_s + (vq + (m - mean_p) ** 2) / (2.0 * var_p) - 0.5
@@ -479,7 +489,7 @@ class GaussianConjugateModel(LatentVariableModel):
     def oracle_elbo_grad_phi(self, x, theta, phi):
         """Gradient of log p(x) - KL(q||posterior) in phi (= -grad KL)."""
         x = _check_vector("x", x, self.x_dim)
-        m, log_s = self.q_loc_log_scale(x, phi)
+        m, log_s = self.q_loc_log_scale(x, _check_vector("phi", phi, self.phi_dim))
         mean_p, var_p = self.posterior_params(x, theta)
         vq = np.exp(2.0 * log_s)
         dkl_dm = (m - mean_p) / var_p
@@ -533,13 +543,13 @@ class BernoulliGaussianModel(LatentVariableModel):
 
     def q_loc_log_scale(self, x, phi):
         # the parameters of each observation's class: 0 for x = 0, else 1
-        m0, log_s0, m1, log_s1 = _check_vector("phi", phi, self.phi_dim).tolist()
-        one = x[..., :1] != 0.0
+        m0, log_s0, m1, log_s1 = phi.tolist()
+        one = _check_binary(x[..., :1]) != 0.0
         return np.where(one, m1, m0), np.where(one, log_s1, log_s0)
 
     def log_joint(self, x, z, theta, grad_theta):
-        w, c = _check_vector("theta", theta, self.theta_dim).tolist()
-        xv = _check_binary(x[..., 0])
+        w, c = theta.tolist()
+        xv = x[..., 0]
         zs = z[:, 0]
         eta = w * zs
         eta += c
@@ -611,7 +621,7 @@ class BernoulliGaussianModel(LatentVariableModel):
         """
         theta = _check_vector("theta", theta, self.theta_dim)
         x = _check_vector("x", x, self.x_dim)
-        (m,), (log_s,) = self.q_loc_log_scale(x, phi)
+        (m,), (log_s,) = self.q_loc_log_scale(x, _check_vector("phi", phi, self.phi_dim))
         k = int(x[0] != 0.0)
         nodes, log_wts = _hermgauss(self._nodes)
         s = math.exp(log_s)

@@ -13,8 +13,12 @@ import functools
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, ResourceGuardExceeded
 from .models import _count, _seed
+
+# Most children a `SeedSequence` spawns: numpy 2.4's `spawn` does not return
+# once its child counter would pass this
+_SPAWN_MAX = (1 << 32) - 1
 
 # Stream ids for the top-level substreams of a run; seeded outputs depend on each value.
 STREAM_DATA = 0  # synthetic dataset generation
@@ -43,8 +47,15 @@ def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
     """Split `rng` into `n` independent child generators.
 
     Deterministic given the parent's state; children may be consumed in any
-    order (or concurrently) without affecting each other.
+    order (or concurrently) without affecting each other. Raises
+    `ResourceGuardExceeded`, with `rng` untouched, where its seed's child
+    counter plus `n` would pass 2^32 - 1.
     """
+    spawned = getattr(rng.bit_generator.seed_seq, "n_children_spawned", 0)
+    if spawned + n > _SPAWN_MAX:
+        raise ResourceGuardExceeded(
+            f"spawning {n} more children after {spawned} would pass 2^32 - 1 children"
+        )
     return rng.spawn(n)
 
 

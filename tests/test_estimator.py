@@ -1006,11 +1006,13 @@ class TestSegmentReducers:
 
 def refused_unmoved(rng, call, message=None):
     """`call()` raises ContractViolation (matching `message`, if given)
-    without advancing `rng`."""
+    without advancing `rng` or spawning from it."""
     state = rng.bit_generator.state
+    spawned = rng.bit_generator.seed_seq.n_children_spawned
     with pytest.raises(ContractViolation, match=message):
         call()
     np.testing.assert_equal(rng.bit_generator.state, state)
+    assert rng.bit_generator.seed_seq.n_children_spawned == spawned
 
 
 LEVEL_CFG = EstimatorConfig(n0=4)
@@ -1134,3 +1136,52 @@ class TestParametersBeforeDrawing:
         rng = substream(142, 1)
         phi = np.zeros(model.phi_dim)
         refused_unmoved(rng, lambda: level_estimate(model, x, theta, phi, 1, LEVEL_CFG, rng), message)
+
+    @pytest.mark.parametrize("model, data", [(MODEL, DATA), (BERNOULLI, BERNOULLI_DATA)],
+                             ids=["gaussian", "bernoulli"])
+    @pytest.mark.parametrize("name", ["theta", "phi"])
+    @pytest.mark.parametrize("fault", ["nan", "long"])
+    def test_variance_profile_refuses_before_spawning(self, model, data, name, fault):
+        # each once spawned one stream per level from the caller's
+        # generator, then the levels refused
+        args, message = bad_parameters(model, name, fault)
+        rng = substream(142, 2)
+        refused_unmoved(rng, lambda: variance_profile(
+            model, data, args["theta"], args["phi"], [1, 2, 3], 100, LEVEL_CFG, rng,
+        ), message)
+
+    @pytest.mark.parametrize("model", [MODEL, BERNOULLI], ids=["gaussian", "bernoulli"])
+    @pytest.mark.parametrize("fault", ["nan", "long"])
+    def test_draw_weighed_refuses_a_bad_theta_before_drawing(self, model, fault):
+        # `log_joint` once refused it after the normals were drawn
+        args, message = bad_parameters(model, "theta", fault)
+        rng = substream(142, 3)
+        x = np.ones(model.x_dim)
+        refused_unmoved(rng, lambda: model.draw_weighed(
+            x, args["theta"], args["phi"], rng, np.empty((4, model.z_dim)),
+        ), message)
+
+    def test_draw_weighed_refuses_an_unobservable_x_before_drawing(self):
+        # `log_joint` once refused it after the normals were drawn
+        rng = substream(142, 4)
+        refused_unmoved(rng, lambda: BERNOULLI.draw_weighed(
+            [0.5], np.zeros(2), np.zeros(4), rng, np.empty((4, 1)),
+        ), "^observation must be 0 or 1, got 0.5$")
+
+    def test_sample_q_refuses_an_unobservable_x_before_drawing(self):
+        # it once drew from class 1's q
+        rng = substream(142, 5)
+        refused_unmoved(rng, lambda: BERNOULLI.sample_q([0.5], np.zeros(4), rng, 4),
+                        "^observation must be 0 or 1, got 0.5$")
+
+
+def bad_parameters(model, name: str, fault: str) -> tuple[dict, str]:
+    """Zero theta and phi for `model` with `name` made faulty, a NaN last
+    entry or one entry too many, and the message that refuses it."""
+    args = {"theta": np.zeros(model.theta_dim), "phi": np.zeros(model.phi_dim)}
+    length = args[name].size
+    if fault == "nan":
+        args[name][-1] = math.nan
+        return args, f"^{name} contains non-finite entries$"
+    args[name] = np.zeros(length + 1)
+    return args, f"^{name} must have length {length}, got {length + 1}$"

@@ -108,3 +108,36 @@ def test_a_hand_cast_level_is_a_fault(tmp_path):
                              ("18446744073709551616", "OverflowError")]:
             case = f"FAULT level_estimate ({model}) level={level}: raised {error}"
             assert any(f.startswith(case) for f in faults), case
+
+
+PROFILE_CHECK = "    theta, phi = model._check_parameters(theta, phi)\n"
+
+
+def test_profile_entries_refuse_before_spawning():
+    proc = fuzz_api(ROOT / "src", "variance_profile")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    tallies = api_tallies(proc.stdout)
+    assert set(tallies) == {"variance_profile (gaussian)", "variance_profile (bernoulli)"}
+    for name, (cases, ok, refused, alarms, faults) in tallies.items():
+        assert faults == alarms == 0 and cases == ok + refused and min(ok, refused) > 0, name
+    assert "FAULT" not in proc.stdout
+
+
+def test_a_profile_without_its_parameter_check_is_a_fault(tmp_path):
+    # without it, a NaN or wrong-length theta or phi is refused by the
+    # levels, after one stream per level was spawned from the caller's
+    # generator
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    diagnostics = src / "mlmc_evidence" / "diagnostics.py"
+    text = diagnostics.read_text()
+    assert text.count(PROFILE_CHECK) == 1
+    diagnostics.write_text(text.replace(PROFILE_CHECK, ""))
+    proc = fuzz_api(src, "variance_profile")
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    faults = [line for line in proc.stdout.splitlines() if line.startswith("FAULT ")]
+    for model in ("gaussian", "bernoulli"):
+        for arg in ("theta", "phi"):
+            case = f"FAULT variance_profile ({model}) {arg}=array([nan, nan"
+            assert any(f.startswith(case) and f.endswith("refused after drawing from its generator")
+                       for f in faults), case

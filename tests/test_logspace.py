@@ -2,6 +2,7 @@
 with direct linear-space arithmetic where that is computable."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -125,3 +126,16 @@ class TestStreamingMoments:
         with pytest.raises(ContractViolation):
             acc.push(value)
         assert acc.count == 0
+
+    @pytest.mark.parametrize("first, then", [([1, 2], [1, 2, 3]), (1.0, [1, 5])],
+                             ids=["longer", "scalar-then-vector"])
+    def test_push_refuses_a_value_of_another_shape(self, first, then):
+        # the first pair once ended in numpy's bare broadcasting ValueError,
+        # the second broadcast the mean to [1, 3]
+        acc = StreamingMoments()
+        acc.push(first)
+        shapes = f"{np.shape(then)}, but the first value pushed had {np.shape(first)}"
+        with pytest.raises(ContractViolation, match=f"^value has shape {re.escape(shapes)}$"):
+            acc.push(then)
+        assert acc.count == 1
+        np.testing.assert_array_equal(acc.mean, first)

@@ -21,6 +21,7 @@ from mlmc_evidence.estimator import (
     level_estimate,
     row_bytes,
 )
+from mlmc_evidence.logspace import StreamingMoments
 from mlmc_evidence.models import (
     BernoulliGaussianModel,
     Dataset,
@@ -800,6 +801,25 @@ class TestRealInput:
         assert GAUSSIAN.oracle_log_evidence(np.array([1], dtype=np.int32), [0, 0, 0]) == expected
 
 
+class TestLoneBool:
+    """A bool alone is not a real number, in `_real_array` as in `_real`;
+    an array of bools still converts (`TestRealInput`)."""
+
+    @pytest.mark.parametrize("value", [True, np.bool_(False), np.array(True)], ids=repr)
+    @pytest.mark.parametrize("name, call", [
+        ("u", lambda v: estimator_module.sample_levels(EstimatorConfig(), v)),
+        ("value", lambda v: StreamingMoments().push(v)),
+        ("theta", lambda v: GAUSSIAN.oracle_log_evidence(np.zeros(1), v)),
+        ("theta", lambda v: BERNOULLI.oracle_log_evidence(np.ones(1), v)),
+        ("x", lambda v: BERNOULLI.sample_q(v, np.zeros(4), substream(9, 7), 2)),
+    ], ids=["sample_levels", "push", "gaussian-theta", "bernoulli-theta", "bernoulli-x"])
+    def test_a_lone_bool_is_refused(self, name, call, value):
+        # `sample_levels(cfg, True)` once returned level 0, `push(True)`
+        # pushed 1.0 and a theta of True was refused only for its length
+        with pytest.raises(ContractViolation, match=f"^{name} must be a real number, got "):
+            call(value)
+
+
 class TestDataset:
     def test_rejects_nonfinite(self):
         with pytest.raises(ContractViolation):
@@ -834,6 +854,23 @@ class TestDataset:
         assert data.n_total == 25
         data_b = BERNOULLI.generate_data(np.array([1.0, 0.0]), 25, substream(9, 1))
         assert set(np.unique(data_b.x)) <= {0.0, 1.0}
+
+    @pytest.mark.parametrize("x", [
+        np.array([[0.25]]),
+        np.arange(64.0).reshape(1, 64) / 7.0,
+        np.array([[1.7976931348623157e308, -1.7976931348623157e308, 5e-324, -5e-324,
+                   2.2250738585072014e-308]]),
+        np.array([[-0.0], [0.0], [-0.0]]),
+        np.zeros((0, 3)),
+    ], ids=["one-row", "64-columns", "extremes", "signed-zeros", "empty"])
+    def test_round_trip_keeps_every_bit_at_edge_values(self, tmp_path, x):
+        # the largest and smallest normal and subnormal magnitudes and -0.0's
+        # sign bit survive the 17-digit text
+        path = tmp_path / "edge.txt"
+        save_dataset(path, Dataset(x), seed=0, true_theta=[0.0])
+        loaded, _ = load_dataset(path)
+        assert loaded.x.shape == x.shape and loaded.x.dtype == np.float64
+        assert loaded.x.tobytes() == x.tobytes()
 
     def test_round_trip_is_byte_identical(self, tmp_path):
         theta = np.array([1.0, 0.0, math.log(0.5)])

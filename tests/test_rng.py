@@ -8,7 +8,7 @@ guard against a numpy release that changes it."""
 import numpy as np
 import pytest
 
-from mlmc_evidence.errors import ContractViolation
+from mlmc_evidence.errors import ContractViolation, ResourceGuardExceeded
 from mlmc_evidence.rng import _child_keys, spawn, streams, substream
 
 
@@ -102,3 +102,33 @@ def test_child_r_of_a_substream_is_its_path_extended_by_r(path):
     # loops over many substreams of one path take them as its children
     children = [draws(g) for g in streams(substream(901, *path), 70)]
     assert children == [draws(substream(901, *path, r)) for r in range(70)]
+
+
+class NoNumpySpawn:
+    """A Philox generator's stand-in whose own `spawn` fails the test, so a
+    refusal is checked without ever calling numpy's spawn past its limit
+    (numpy 2.4's does not return there)."""
+
+    def __init__(self, spawned):
+        self.bit_generator = np.random.Philox(np.random.SeedSequence(5, n_children_spawned=spawned))
+
+    def spawn(self, n):
+        pytest.fail(f"numpy's spawn was called for {n} children")
+
+
+@pytest.mark.parametrize("spawned, n", [(2**32 - 1, 1), (2**32 - 2, 2), (0, 2**32)])
+def test_spawn_refuses_past_numpys_child_limit(spawned, n):
+    rng = NoNumpySpawn(spawned)
+    state = rng.bit_generator.state
+    with pytest.raises(ResourceGuardExceeded,
+                       match=rf"^spawning {n} more children after {spawned} would pass 2\^32 - 1"):
+        spawn(rng, n)
+    assert rng.bit_generator.seed_seq.n_children_spawned == spawned
+    np.testing.assert_equal(rng.bit_generator.state, state)
+
+
+def test_the_largest_spawn_that_fits_is_numpys():
+    parent = philox(np.random.SeedSequence(5, n_children_spawned=2**32 - 2))
+    (child,) = spawn(parent, 1)
+    assert parent.bit_generator.seed_seq.n_children_spawned == 2**32 - 1
+    assert child.bit_generator.seed_seq.spawn_key == (2**32 - 2,)

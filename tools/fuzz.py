@@ -33,8 +33,9 @@ argparse exits. A case that asks for unbounded work (`grad-check --reps
 
 `--api` calls each entry of `api_entries` instead (every callable in
 `mlmc_evidence.__all__` that takes a caller's value, on each model where it
-takes one, plus `EstimatorConfig.mass` and `StreamingMoments.push`; ENTRY
-names some of them), from small valid base arguments, one argument at a
+takes one, plus `EstimatorConfig.mass`, `StreamingMoments.push` and, on each
+model, `variance_profile`, `draw_weighed` and `sample_q`; ENTRY names some
+of them), from small valid base arguments, one argument at a
 time at each value of its kind's edge set (`EDGES`: bools, numpy scalars,
 text, complex, None, empty, 2-d, 10**400 and NaN for every kind but paths,
 plus each kind's own values). Arguments that take a library object (a
@@ -79,6 +80,7 @@ from mlmc_evidence import (
     UnsupportedOperation, cli, estimate_gradients, estimate_log_evidence, level_estimate,
     load_dataset, sample_levels, save_dataset, train,
 )
+from mlmc_evidence.diagnostics import variance_profile
 from mlmc_evidence.rng import substream
 
 MODELS = ("gaussian", "bernoulli")
@@ -304,6 +306,20 @@ def api_entries(root: Path, made: list) -> dict:
                 lambda theta0, phi0, model=model: train(
                     model, data, theta0, phi0, train_cfg, rng()),
                 {"theta0": theta, "phi0": phi},
+            ),
+            f"variance_profile ({name})": (
+                lambda theta, phi, model=model: variance_profile(
+                    model, data, theta, phi, [1, 2, 3], 100, cfg, rng()),
+                {"theta": theta, "phi": phi},
+            ),
+            f"draw_weighed ({name})": (
+                lambda x, theta, phi, model=model: model.draw_weighed(
+                    x, theta, phi, rng(), np.empty((4, model.z_dim))),
+                {"x": [1.0], "theta": theta, "phi": phi},
+            ),
+            f"sample_q ({name})": (
+                lambda x, phi, model=model: model.sample_q(x, phi, rng(), 4),
+                {"x": [1.0], "phi": phi},
             ),
         }
     return entries
