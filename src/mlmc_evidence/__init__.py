@@ -10,13 +10,10 @@ from .errors import (
 from .estimator import (
     EstimatorConfig,
     EvidenceEstimate,
-    LevelEstimate,
     estimate_log_evidence,
-    level_estimate,
     sample_levels,
 )
 from .gradients import GradientEstimate, estimate_gradients
-from .logspace import StreamingMoments
 from .models import (
     BernoulliGaussianModel,
     Dataset,
@@ -39,15 +36,12 @@ __all__ = [
     "GaussianConjugateModel",
     "GradientEstimate",
     "LatentVariableModel",
-    "LevelEstimate",
     "ResourceGuardExceeded",
     "RunRecord",
-    "StreamingMoments",
     "TrainConfig",
     "UnsupportedOperation",
     "estimate_gradients",
     "estimate_log_evidence",
-    "level_estimate",
     "load_dataset",
     "sample_levels",
     "save_dataset",

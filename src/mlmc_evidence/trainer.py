@@ -21,7 +21,7 @@ from .errors import ContractViolation, DivergenceError, UnsupportedOperation
 from .estimator import EstimatorConfig, estimate_log_evidence
 from .gradients import estimate_gradients
 from .models import (
-    Dataset, LatentVariableModel, _all_finite, _check_fields, _count, _real, _real_array,
+    Dataset, LatentVariableModel, _all_finite, _check_fields, _count, _real,
 )
 
 
@@ -116,17 +116,12 @@ def train(
     metric noise never perturbs the training stream. Records are written at
     step 0, every `eval_every` steps, and at the final step. A non-finite
     parameter aborts with a divergence error rather than clamping:
-    heavy-tailed weights are a failure mode that must surface.
+    heavy-tailed weights are a failure mode that must surface. theta0 and
+    phi0 are checked by the model's rule before `rng` is spawned from.
     """
-    theta0 = _real_array("theta0", theta0)
-    phi0 = _real_array("phi0", phi0)
-    if theta0.shape != (model.theta_dim,) or phi0.shape != (model.phi_dim,):
-        raise ContractViolation("initial parameters have wrong dimensions")
     # one stacked (theta, phi) vector, its velocity and its learning rates,
     # so a step updates both with one operation each; theta and phi are views
-    params = np.concatenate([theta0, phi0])
-    if not _all_finite(params):
-        raise ContractViolation("initial parameters must be finite")
+    params = np.concatenate(model._check_parameters(theta0, phi0))
     k = model.theta_dim
     theta, phi = params[:k], params[k:]
     velocity = np.zeros_like(params)

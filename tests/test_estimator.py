@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import lent_grads, log_mean_exp, recorded_draws
+from conftest import lent_grads, log_mean_exp, recorded_draws, refused_unmoved
 from mlmc_evidence import diagnostics as diagnostics_module
 from mlmc_evidence import estimator as estimator_module
 from mlmc_evidence import gradients
@@ -1002,17 +1002,6 @@ class TestSegmentReducers:
         np.testing.assert_array_equal(draws.b[~whole], draws.a[~whole] + 1)
         np.testing.assert_array_equal(draws.d, draws.log_sums[draws.a] - draws.log_sums[draws.b])
         assert len(draws.log_sums) == levels.size + draws.split.sum()
-
-
-def refused_unmoved(rng, call, message=None):
-    """`call()` raises ContractViolation (matching `message`, if given)
-    without advancing `rng` or spawning from it."""
-    state = rng.bit_generator.state
-    spawned = rng.bit_generator.seed_seq.n_children_spawned
-    with pytest.raises(ContractViolation, match=message):
-        call()
-    np.testing.assert_equal(rng.bit_generator.state, state)
-    assert rng.bit_generator.seed_seq.n_children_spawned == spawned
 
 
 LEVEL_CFG = EstimatorConfig(n0=4)

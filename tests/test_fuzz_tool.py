@@ -1,6 +1,7 @@
 """tools/fuzz.py runs the command line's edge-value cases in process and
 reports every case that ends in a traceback or off the exit-code contract."""
 
+import importlib.util
 import os
 import shutil
 import subprocess
@@ -13,17 +14,17 @@ TOOL = ROOT / "tools" / "fuzz.py"
 SIZE_CHECK = '    _check_bytes(n, row_bytes, "observation")\n'
 
 
-def fuzz_gen_data(src: Path) -> subprocess.CompletedProcess:
+def fuzz_gen_data(src: Path, *commands: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(src)}
     return subprocess.run(
-        [sys.executable, str(TOOL), "--command", "gen-data"],
+        [sys.executable, str(TOOL), "--command", "gen-data", *commands],
         capture_output=True, text=True, env=env, timeout=300,
     )
 
 
-def tally(stdout: str) -> list[int]:
-    """gen-data's cases, exits 0, 1 and 2, alarms and faults."""
-    (line,) = [line for line in stdout.splitlines() if line.startswith("gen-data ")]
+def tally(stdout: str, command: str = "gen-data") -> list[int]:
+    """A command's cases, exits 0, 1 and 2, alarms and faults."""
+    (line,) = [line for line in stdout.splitlines() if line.startswith(f"{command} ")]
     return [int(v) for v in line.split()[1:]]
 
 
@@ -54,6 +55,54 @@ def test_a_dataset_size_without_its_size_check_is_a_fault(tmp_path):
             case = f"FAULT gen-data --model={model} --n=5 --n={n}: raised ValueError"
             assert any(f.startswith(case) for f in faults), case
     assert all("raised ValueError: array is too big" in f for f in faults)
+
+
+def test_a_commands_cases_do_not_depend_on_the_commands_before_it(tmp_path):
+    # one generator for every command's mixed cases made `--command
+    # estimate` alone run other cases than a full run
+    spec = importlib.util.spec_from_file_location("fuzz", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    data = tool._datasets(tmp_path)
+    alone = list(tool.cases("estimate", data))
+    for before in ("gen-data", "train"):
+        list(tool.cases(before, data))
+        assert list(tool.cases("estimate", data)) == alone, before
+
+
+def test_rerun_cases_keep_the_exit_code_contract():
+    # gen-data's base manifests, each key dropped and set to each JSON edge
+    # value, an extra key, other commands and manifests that are no object
+    proc = fuzz_gen_data(ROOT / "src", "rerun")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    cases, exit0, exit1, exit2, alarms, faults = tally(proc.stdout, "rerun")
+    assert faults == 0 and cases == exit0 + exit1 + exit2 + alarms
+    assert min(exit0, exit1) > 0
+    assert "FAULT" not in proc.stdout
+
+
+MANIFEST_OBJECT_CHECK = """    if not isinstance(manifest, dict):
+        raise ContractViolation(f"manifest {path} is not a JSON object")
+"""
+
+
+def test_a_manifest_read_without_its_object_check_is_a_fault(tmp_path):
+    # a manifest that is a list or a string ends in a bare TypeError or
+    # AttributeError where the command is looked up
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    cli = src / "mlmc_evidence" / "cli.py"
+    text = cli.read_text()
+    assert text.count(MANIFEST_OBJECT_CHECK) == 1
+    cli.write_text(text.replace(MANIFEST_OBJECT_CHECK, ""))
+    proc = fuzz_gen_data(src, "rerun")
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    faults = [line for line in proc.stdout.splitlines() if line.startswith("FAULT ")]
+    assert tally(proc.stdout, "rerun")[-1] == len(faults) == 6  # three per model
+    assert tally(proc.stdout)[-1] == 0
+    for fault in faults:
+        assert fault.startswith("FAULT rerun [") or fault.startswith('FAULT rerun "'), fault
+        assert "raised TypeError" in fault or "raised AttributeError" in fault, fault
 
 
 LEVEL_ENTRIES = ["EstimatorConfig.mass", "level_estimate"]

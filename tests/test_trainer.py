@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import refused_unmoved
 from mlmc_evidence.errors import ContractViolation, DivergenceError
 from mlmc_evidence.estimator import EstimatorConfig, estimate_log_evidence
 from mlmc_evidence.models import GaussianConjugateModel
@@ -173,13 +174,31 @@ class TestTrain:
         assert _norm(v) == float(np.linalg.norm(v))
         assert _norm(np.array([math.inf, 1.0])) == math.inf
 
-    def test_initial_parameter_validation(self):
-        cfg = quick_config()
-        with pytest.raises(ContractViolation):
-            train(MODEL, DATA, np.zeros(2), np.zeros(3), cfg, substream(509, 0))
-        with pytest.raises(ContractViolation):
-            train(
-                MODEL, DATA, np.array([np.nan, 0, 0]), np.zeros(3), cfg, substream(509, 1)
+    @pytest.mark.parametrize("theta0, phi0, message", [
+        ([np.nan, 0.0, 0.0], np.zeros(3), "theta contains non-finite entries"),
+        (np.zeros(2), np.zeros(3), "theta must have length 3, got 2"),
+        (np.zeros(3), [0.0, np.inf, 0.0], "phi contains non-finite entries"),
+        (np.zeros(3), np.zeros(4), "phi must have length 3, got 4"),
+        (np.zeros(2), [np.nan, 0.0, 0.0], "phi contains non-finite entries"),  # phi first
+    ], ids=["nan-theta", "short-theta", "inf-phi", "long-phi", "both"])
+    def test_initial_parameter_validation(self, theta0, phi0, message):
+        # by the model's rule, with its messages, before the branches are spawned
+        rng = substream(509, 2)
+        refused_unmoved(
+            rng, lambda: train(MODEL, DATA, theta0, phi0, quick_config(), rng), f"^{message}$"
+        )
+
+    def test_a_column_of_initial_parameters_trains_as_a_vector(self):
+        # estimate_gradients takes a (k, 1) theta at every step, so train does too
+        cfg = quick_config(steps=4, eval_every=2)
+        theta0 = np.array([0.2, -0.1, 0.3])
+        column = train(MODEL, DATA, theta0[:, None], np.zeros((3, 1)), cfg, substream(509, 3))
+        flat = train(MODEL, DATA, theta0, np.zeros(3), cfg, substream(509, 3))
+        for a, b in zip(column, flat, strict=True):
+            assert a.theta.shape == (3,) and a.phi.shape == (3,)
+            assert a.theta.tobytes() == b.theta.tobytes() and a.phi.tobytes() == b.phi.tobytes()
+            assert (a.evidence_estimate, a.grad_norms, a.cumulative_cost) == (
+                b.evidence_estimate, b.grad_norms, b.cumulative_cost,
             )
 
     @staticmethod

@@ -9,7 +9,8 @@ observations, a batch of four, 100 replications, two training steps, ...),
 which each case then overrides. First one flag at a time takes each value of
 its type's edge set; then MIXED cases per command and model set two to four
 flags at once, each to a value of its edge set, drawn by a `random.Random`
-seeded with SEED, so a run's cases are fixed. The edge sets:
+seeded with SEED and the command's name, so a command's cases are the same
+whether it runs alone or after others. The edge sets:
 
 - counts and reals: 0, -1, 1, 1.5, 2^62, 2^63 - 1, nan, inf and empty;
 - vectors: empty, one entry short, one entry over, and at the model's
@@ -18,6 +19,14 @@ seeded with SEED, so a run's cases are fixed. The edge sets:
 - `--data`: an absent file, a dataset with no rows, a malformed file, a
   valid dim-1 dataset of 0/1 observations and a valid dim-3 one;
 - `--naive`: set.
+
+`rerun` replays variants of base manifests: the manifest that a run of
+each other command named, or of every command where `rerun` is named alone,
+writes from its base flags on each model. Each key is dropped, and set to
+each value of MANIFEST_VALUES (null, true, 0, -1, 1.5, 2^63, 2^64, "",
+"x", [], [1], {}, NaN and +-Infinity); one extra key is added; the command
+is renamed to each other command; and the manifest is replayed inside a
+list, as the list of its keys and as a JSON string.
 
 Each case calls `cli.main` with `--out` in a fresh temporary directory,
 with stdout and stderr captured, under a per-case alarm of ALARM_S
@@ -34,9 +43,9 @@ argparse exits. A case that asks for unbounded work (`grad-check --reps
 `--api` calls each entry of `api_entries` instead (every callable in
 `mlmc_evidence.__all__` that takes a caller's value, on each model where it
 takes one, plus `EstimatorConfig.mass`, `StreamingMoments.push` and, on each
-model, `variance_profile`, `draw_weighed` and `sample_q`; ENTRY names some
-of them), from small valid base arguments, one argument at a
-time at each value of its kind's edge set (`EDGES`: bools, numpy scalars,
+model, `level_estimate`, `variance_profile`, `draw_weighed` and `sample_q`;
+ENTRY names some of them), from small valid base arguments, one argument at
+a time at each value of its kind's edge set (`EDGES`: bools, numpy scalars,
 text, complex, None, empty, 2-d, 10**400 and NaN for every kind but paths,
 plus each kind's own values). Arguments that take a library object (a
 model, a dataset, a config, a generator) keep their base value; a
@@ -60,6 +69,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import json
 import math
 import random
 import resource
@@ -76,11 +86,12 @@ import numpy as np
 import mlmc_evidence
 from mlmc_evidence import (
     BernoulliGaussianModel, ContractViolation, Dataset, DivergenceError, EstimatorConfig,
-    GaussianConjugateModel, ResourceGuardExceeded, StreamingMoments, TrainConfig,
-    UnsupportedOperation, cli, estimate_gradients, estimate_log_evidence, level_estimate,
-    load_dataset, sample_levels, save_dataset, train,
+    GaussianConjugateModel, ResourceGuardExceeded, TrainConfig, UnsupportedOperation, cli,
+    estimate_gradients, estimate_log_evidence, load_dataset, sample_levels, save_dataset, train,
 )
 from mlmc_evidence.diagnostics import variance_profile
+from mlmc_evidence.estimator import level_estimate
+from mlmc_evidence.logspace import StreamingMoments
 from mlmc_evidence.rng import substream
 
 MODELS = ("gaussian", "bernoulli")
@@ -99,6 +110,8 @@ HEADROOM_MIB = 1024
 COLUMNS = ("cases", "exit0", "exit1", "exit2", "alarm", "faults")
 SCALARS = ["0", "-1", "1", "1.5", str(2**62), str(2**63 - 1), "nan", "inf", ""]
 LEVELS = ["0..0", "1..1", "0..62", "62..62", "3..1", "63", "-1..2", ""]
+MANIFEST_VALUES = [None, True, 0, -1, 1.5, 2**63, 2**64, "", "x", [], [1], {}, math.nan,
+                   math.inf, -math.inf]
 
 
 class CaseAlarm(BaseException):
@@ -150,9 +163,10 @@ def _flag(action: argparse.Action, value: str | None) -> str:
     return name if value is None else f"{name}={value}"
 
 
-def cases(command: str, rng: random.Random, data: list[str]):
+def cases(command: str, data: list[str]):
     """Each case's arguments but `--out`: every (flag, edge value) alone,
     then MIXED cases of two to four flags, on each model."""
+    rng = random.Random(f"{SEED} {command}")
     actions = [a for k, a in cli.manifest_flags(command).items() if k != "model"]
     for model in MODELS:
         base = [command, f"--model={model}", *BASE[command]]
@@ -162,6 +176,46 @@ def cases(command: str, rng: random.Random, data: list[str]):
         for _ in range(MIXED):
             chosen = rng.sample(actions, min(len(actions), rng.randint(2, 4)))
             yield base + [_flag(a, rng.choice(edge_set(a, model, data))) for a in chosen]
+
+
+def base_manifests(commands: list[str], root: Path):
+    """The manifest that each command's base run writes, on each model."""
+    out = root / "base"
+    for command in commands:
+        for model in MODELS:
+            run_case([command, f"--model={model}", *BASE[command], f"--out={out}"])
+            yield json.loads((out / "manifest.json").read_text())
+            shutil.rmtree(out)
+
+
+def manifests(base: dict):
+    """The variants of the manifest `base` that rerun cases replay."""
+    for key in base:
+        yield {k: v for k, v in base.items() if k != key}
+        for value in MANIFEST_VALUES:
+            yield base | {key: value}
+    yield base | {"extra": 0}
+    for command in [*BASE, "rerun"]:
+        if command != base["command"]:
+            yield base | {"command": command}
+    yield from ([base], list(base), json.dumps(base))
+
+
+def rerun_cases(commands: list[str], root: Path):
+    """Each rerun case's arguments but `--out`; its manifest is written to
+    one file under `root` as the case is drawn."""
+    path = root / "manifest.json"
+    for base in base_manifests(commands, root):
+        for manifest in manifests(base):
+            path.write_text(json.dumps(manifest))
+            yield ["rerun", f"--manifest={path}"]
+
+
+def shown(case: list[str]) -> str:
+    """A case as its fault line shows it; a rerun's by its manifest."""
+    if case[0] != "rerun":
+        return " ".join(case)
+    return "rerun " + Path(case[1].removeprefix("--manifest=")).read_text()
 
 
 def run_case(argv: list[str]) -> tuple[object, str, str, bool]:
@@ -220,7 +274,7 @@ DRAWN = ("non-finite log weight",)
 #: Public callables not called: result records, which store what they are
 #: given, and the abstract model and the model with no arguments.
 NOT_CALLED = {
-    "EvidenceEstimate", "GradientEstimate", "LevelEstimate", "RunRecord", "LatentVariableModel",
+    "EvidenceEstimate", "GradientEstimate", "RunRecord", "LatentVariableModel",
     "BernoulliGaussianModel",
 }
 #: Every kind's edge values but a path's: bools, numpy scalars, text,
@@ -420,7 +474,8 @@ def _limit_address_space(headroom_mib: int) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--command", nargs="+", choices=list(BASE), default=list(BASE))
+    commands = [*BASE, "rerun"]
+    parser.add_argument("--command", nargs="+", choices=commands, default=commands)
     parser.add_argument("--api", nargs="*", metavar="ENTRY",
                         help="fuzz the public API's entries (all, or those named) instead")
     args = parser.parse_args(argv)
@@ -440,13 +495,16 @@ def main(argv=None) -> int:
 def fuzz_cli(commands: list[str], root: Path) -> list[tuple[str, str]]:
     """Run the commands' cases, printing a line per command; the faults,
     each as (case, what went wrong)."""
-    rng = random.Random(SEED)
     faults = []
     print(f"{'command':<17}" + "".join(f"{c:>7}" for c in COLUMNS))
     data = _datasets(root)
     for command in commands:
+        if command == "rerun":
+            drawn = rerun_cases([c for c in commands if c != "rerun"] or list(BASE), root)
+        else:
+            drawn = cases(command, data)
         tally = Counter()
-        for i, case in enumerate(cases(command, rng, data)):
+        for i, case in enumerate(drawn):
             out = root / f"case-{i}"
             code, *outcome = run_case(case + [f"--out={out}"])
             shutil.rmtree(out, ignore_errors=True)
@@ -454,7 +512,7 @@ def fuzz_cli(commands: list[str], root: Path) -> list[tuple[str, str]]:
             tally["cases"] += 1
             tally["faults" if wrong else code if code == "alarm" else f"exit{code}"] += 1
             if wrong:
-                faults.append((" ".join(case), wrong))
+                faults.append((shown(case), wrong))
         print(f"{command:<17}" + "".join(f"{tally[c]:>7}" for c in COLUMNS))
     return faults
 

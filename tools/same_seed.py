@@ -26,7 +26,8 @@ and exits 1 if any case mismatches. The models are gaussian1, gaussian3
 the seeds:
 
 - evidence and gradients at (n0, batch) in (1, 1), (4, 8), (8, 64), (32, 4),
-  at the library's chunk byte budget and at a budget of 64 draws' rows;
+  (4, 6), at the library's chunk byte budget and at a budget of 64 draws'
+  rows;
 - one-member level estimates (`level_estimate`) at levels 0..4 for the
   first observation, drawn in turn from one stream;
 - variance profiles at levels 0..5, and at twelve unsorted levels with
@@ -70,7 +71,9 @@ from mlmc_evidence.rng import substream
 from mlmc_evidence.trainer import TrainConfig, train
 
 MODELS = [("gaussian", 1), ("gaussian", 3), ("bernoulli", 1)]
-SHAPES = [(1, 1), (4, 8), (8, 64), (32, 4)]
+# (4, 6): a batch that is not a power of two, where (N/M)·sum and
+# N·(sum/M) round apart, so a change to a fold's operand order shows
+SHAPES = [(1, 1), (4, 8), (8, 64), (32, 4), (4, 6)]
 SMALL_BUDGET = 64
 # unsorted, with duplicates, and more levels than most hosts' CPUs
 PROFILE_LEVELS = [5, 0, 3, 3, 1, 4, 2, 5, 0, 1, 4, 2]
