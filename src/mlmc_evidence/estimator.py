@@ -25,11 +25,12 @@ reducer is a formula of those and reads no per-draw row. `run_batch`
 reduces the batch chunk by chunk as it is drawn (`reduce_chunks`), with no
 loop over members, to one row per member of each quantity its caller
 names, so no buffer spans the batch. A chunk lends the model rows for only
-the gradients the reducers read. The evidence estimate folds the level
-values here and lends no gradient rows, and
-`gradients.estimate_gradients` folds the level gradients of the same
-draws; both read the level masses from one read-only table per level law
-(`EstimatorConfig.mass_table`).
+the gradients the reducers read. `run_batch` also returns what both folds
+read besides those rows: each member's level mass, from one read-only
+table per level law (`EstimatorConfig.mass_table`), and the batch's draws
+and member counts per level. The evidence estimate folds the level values
+here and lends no gradient rows, and `gradients.estimate_gradients` folds
+the level gradients of the same draws.
 """
 from __future__ import annotations
 
@@ -403,21 +404,29 @@ def run_batch(
     *,
     reducers,
     grads=ALL_GRADS,
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Draw one batch and reduce it chunk by chunk as it is drawn: the
-    batch's levels, (M,), and per reducer its (M, ...) per-member rows.
+) -> tuple[np.ndarray, list[np.ndarray], int, dict[int, int]]:
+    """Draw one batch and reduce it chunk by chunk as it is drawn: each
+    member's level mass, (M,), per reducer its (M, ...) per-member rows,
+    the batch's latent draws and its member count per drawn level.
 
     Every (data index, level) pair is drawn from `rng` before any latent,
     then the members draw their latents from `rng` in batch order, in
     the chunks of `draw_chunks`, each reduced as it is drawn. The chunks
     carry the gradient arrays named in `grads`, which must cover those the
     reducers read. theta and phi are checked before `rng` is drawn from,
-    so a refused batch leaves it as it was.
+    so a refused batch leaves it as it was. The batch keeps no draws: its
+    cost is counted from its levels.
     """
     theta, phi = model._check_parameters(theta, phi)
     indices, levels = draw_batch_indices(data, cfg, rng)
     chunks = draw_chunks(model, data.x.take(indices, axis=0), levels, theta, phi, cfg, rng, grads)
-    return levels, reduce_chunks(chunks, reducers)
+    rows = reduce_chunks(chunks, reducers)
+    total, counts = 0, {}
+    for l, c in enumerate(np.bincount(levels).tolist()):
+        if c:
+            counts[l] = c
+            total += c * (cfg.n0 << l)
+    return cfg.mass_table[levels], rows, total, counts
 
 
 def reduce_chunks(chunks: Iterator[LevelDraws], reducers) -> list[np.ndarray]:
@@ -428,17 +437,6 @@ def reduce_chunks(chunks: Iterator[LevelDraws], reducers) -> list[np.ndarray]:
         for out, reduce in zip(rows, reducers):
             out.append(reduce(draws))
     return [r[0] if len(r) == 1 else np.concatenate(r) for r in rows]
-
-
-def batch_cost(levels: np.ndarray, n0: int) -> tuple[int, dict[int, int]]:
-    """Latent draws and per-level member counts of a batch, from its levels
-    alone: the batch is reduced chunk by chunk as drawn and keeps no draws."""
-    total, counts = 0, {}
-    for l, c in enumerate(np.bincount(levels).tolist()):
-        if c:
-            counts[l] = c
-            total += c * (n0 << l)
-    return total, counts
 
 
 @dataclass
@@ -466,12 +464,12 @@ def estimate_log_evidence(
     terms, an estimate of this batch estimator's own noise (0 when M = 1).
     `workers` is accepted only as 1: batches run in order on one thread.
     """
-    if workers != 1:
+    if _count("workers", workers) != 1:
         raise ContractViolation(f"workers must be 1, got {workers}")
-    levels, (values,) = run_batch(
+    masses, (values,), total_cost, counts = run_batch(
         model, data, theta, phi, cfg, rng, reducers=[antithetic_difference], grads=()
     )
-    terms = values / cfg.mass_table[levels]
+    terms = values / masses
     n = data.n_total
     m = len(terms)
     # terms.mean() and terms.std(ddof=1) in numpy's own operand order
@@ -483,7 +481,6 @@ def estimate_log_evidence(
         terms -= mean
         terms *= terms
         std_error = n * math.sqrt(np.add.reduce(terms) / (m - 1)) / math.sqrt(m)
-    total_cost, counts = batch_cost(levels, cfg.n0)
     return EvidenceEstimate(
         value=value,
         std_error=std_error,

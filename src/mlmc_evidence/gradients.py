@@ -8,7 +8,7 @@ both level gradients are formulas of each chunk's segment statistics
 (`estimator.LevelDraws`: the halves' log-sums, R of each half and each
 member's phi score sums, formed where the chunk was drawn), one row per
 member with no loop over members, and `estimate_gradients` folds those
-rows.
+rows with the level masses and the accounting `run_batch` returns.
 """
 from __future__ import annotations
 
@@ -77,13 +77,11 @@ def estimate_gradients(
     grad_phi is the plain average (N/M) sum_m of the per-member
     score-function term (each level average is unbiased on its own).
     """
-    levels, (rows_theta, rows_phi) = _estimator.run_batch(
+    masses, (rows_theta, rows_phi), total_cost, counts = _estimator.run_batch(
         model, data, theta, phi, cfg, rng,
         reducers=[grad_theta_level, grad_phi_elbo_level], grads=("theta", "phi"),
     )
-    masses = cfg.mass_table[levels]
-    scale = data.n_total / levels.size
-    total_cost, counts = _estimator.batch_cost(levels, cfg.n0)
+    scale = data.n_total / masses.size
     return GradientEstimate(
         grad_theta=scale * np.add.reduce(rows_theta / masses[:, None], axis=0),
         grad_phi=scale * np.add.reduce(rows_phi, axis=0),

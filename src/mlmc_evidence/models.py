@@ -220,7 +220,10 @@ def _all_finite(a: np.ndarray) -> bool:
 
 
 def _check_vector(name: str, v, length: int) -> np.ndarray:
-    v = _real_array(name, v).reshape(-1)
+    v = _real_array(name, v)
+    if v.ndim > 2 or v.ndim == 2 and v.shape[1] > 1:
+        raise ContractViolation(f"{name} must be a vector of length {length}, got shape {v.shape}")
+    v = v.reshape(-1)
     if v.shape[0] != length:
         raise ContractViolation(f"{name} must have length {length}, got {v.shape[0]}")
     # `_all_finite` by a Python sum, a fifth of numpy's reduce's time on a

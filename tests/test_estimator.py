@@ -429,6 +429,20 @@ class TestEstimateLogEvidence:
                 MODEL, DATA, THETA, PHI_WIDE, cfg, substream(118, 0), workers=2
             )
 
+    def test_workers_is_a_count(self):
+        # workers is a count by the rule of every other count: a bool or a
+        # float is refused, a numpy integer is not
+        cfg = EstimatorConfig(n0=8, batch_size=4)
+        for workers in (True, 1.0, np.float64(1)):
+            rng = substream(118, 1)
+            refused_unmoved(rng, lambda: estimate_log_evidence(
+                MODEL, DATA, THETA, PHI_WIDE, cfg, rng, workers=workers,
+            ), f"^workers must be an integer, got {re.escape(repr(workers))}$")
+        one = estimate_log_evidence(
+            MODEL, DATA, THETA, PHI_WIDE, cfg, substream(118, 1), workers=np.int64(1)
+        )
+        assert one == estimate_log_evidence(MODEL, DATA, THETA, PHI_WIDE, cfg, substream(118, 1))
+
     def test_members_draw_in_order_from_the_callers_generator(self, monkeypatch):
         # no member gets a child stream: the batch draws its (index, level)
         # pairs, then each member's latents in batch order, from one
@@ -455,10 +469,10 @@ class TestEstimateLogEvidence:
         assert len(calls) == len(expected)
         assert est.total_cost == sum(call.log_f.size for call in calls) > 64
         reducers = [antithetic_difference, grad_theta_level, grad_phi_elbo_level]
-        batch_levels, rows = run_batch(
+        masses, rows, _, _ = run_batch(
             MODEL, DATA, THETA, PHI_WIDE, cfg, substream(119, 0), reducers=reducers
         )
-        np.testing.assert_array_equal(batch_levels, levels)
+        np.testing.assert_array_equal(masses, cfg.mass(levels))
         for reduce, got in zip(reducers, rows):
             assert len(got) == cfg.batch_size
             for row, want in zip(got, expected):
@@ -475,17 +489,19 @@ class TestEstimateLogEvidence:
         est = estimate_log_evidence(MODEL, DATA, THETA, PHI_WIDE, cfg, substream(117, 0))
         assert sum(est.per_level_counts.values()) == 16
 
-    @pytest.mark.parametrize("m", [1, 2, 64])
+    @pytest.mark.parametrize("m", [1, 2, 6, 64])
     def test_fold_is_numpy_mean_and_std(self, m):
         # the fold's mean and std(ddof=1) equal numpy's bit for bit, on
-        # terms rebuilt from the same seed's per-member rows
+        # terms rebuilt from the same seed's per-member rows; at m = 6, not
+        # a power of two, N * (sum / M) and (N / M) * sum round apart
         cfg = EstimatorConfig(n0=4, batch_size=m)
         for seed in range(20):
             est = estimate_log_evidence(MODEL, DATA, THETA, PHI_WIDE, cfg, substream(127, seed))
-            levels, (values,) = run_batch(
+            _, (values,), _, _ = run_batch(
                 MODEL, DATA, THETA, PHI_WIDE, cfg, substream(127, seed),
                 reducers=[antithetic_difference], grads=(),
             )
+            _, levels = draw_batch_indices(DATA, cfg, substream(127, seed))
             terms = values / cfg.mass(levels)
             n = DATA.n_total
             assert est.value == n * np.mean(terms)
@@ -680,9 +696,9 @@ class TestWorkspace:
                 reducers=reducers, grads=("theta",),
             )
 
-        levels, one_chunk = rows(reducers)
+        _, one_chunk, total_cost, _ = rows(reducers)
         chunk_draws(monkeypatch, 64, MODEL, ("theta",))
-        assert (cfg.n0 << levels).sum() > 64
+        assert total_cost > 64
         together = rows(reducers)[1]
         alone = [rows([reduce])[1][0] for reduce in reducers]
         for got in (together, alone):
@@ -733,7 +749,7 @@ class TestWorkspace:
         cfg = EstimatorConfig(n0=8, batch_size=16)
         reducers = [antithetic_difference, grad_theta_level, grad_phi_elbo_level]
         with recorded_draws(MODEL) as calls:
-            levels, _ = run_batch(
+            masses, _, _, _ = run_batch(
                 MODEL, DATA, THETA, PHI_WIDE, cfg, substream(127, 0), reducers=reducers
             )
             batch_chunks = len(calls)
@@ -748,7 +764,7 @@ class TestWorkspace:
         for row in second.lent:
             assert row.base is block
 
-        results = [levels, *reduced, grads.grad_theta, grads.grad_phi]
+        results = [masses, *reduced, grads.grad_theta, grads.grad_phi]
         for drawn in calls:
             rows = [row for row in drawn.lent if row is not None]
             for row in rows + [row.base for row in rows]:

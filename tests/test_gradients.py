@@ -6,6 +6,7 @@ shared-draw determinism."""
 import math
 
 import numpy as np
+import pytest
 
 from conftest import recorded_draws
 from mlmc_evidence.estimator import (
@@ -179,24 +180,26 @@ class TestEstimateGradients:
         assert np.all(np.abs(gt.mean(axis=0)) < 4 * se_t)
         assert np.all(np.abs(gp.mean(axis=0)) < 4 * se_p)
 
-    def test_shared_draws_with_batch_fold(self):
+    @pytest.mark.parametrize("batch", [CFG.batch_size, 6])
+    def test_shared_draws_with_batch_fold(self, batch):
         # from one seed, both estimators are exact folds of the same batch's
         # per-member rows: the gradients fold its gradient rows, the
         # evidence estimate folds its reweighted level values, and each
-        # member's rows are the reductions of its own draws alone
+        # member's rows are the reductions of its own draws alone; at batch
+        # 6, not a power of two, (N / M) * sum and N * (sum / M) round apart
+        cfg = EstimatorConfig(n0=CFG.n0, batch_size=batch)
         reducers = [antithetic_difference, grad_theta_level, grad_phi_elbo_level]
-        levels, (values, rows_t, rows_p) = run_batch(
-            MODEL, DATA, THETA, PHI_WIDE, CFG, substream(212, 0), reducers=reducers
+        masses, (values, rows_t, rows_p), total_cost, _ = run_batch(
+            MODEL, DATA, THETA, PHI_WIDE, cfg, substream(212, 0), reducers=reducers
         )
-        masses = CFG.mass(levels)
-        n, m = DATA.n_total, CFG.batch_size
+        n, m = DATA.n_total, cfg.batch_size
         assert rows_t.shape == (m, MODEL.theta_dim) and rows_p.shape == (m, MODEL.phi_dim)
         rng = substream(212, 0)
-        indices, member_levels = draw_batch_indices(DATA, CFG, rng)
-        np.testing.assert_array_equal(member_levels, levels)
+        indices, levels = draw_batch_indices(DATA, cfg, rng)
+        np.testing.assert_array_equal(masses, cfg.mass(levels))
         with recorded_draws(MODEL) as calls:
             members = [
-                draw_level_samples(MODEL, DATA.x[i], THETA, PHI_WIDE, level, CFG, rng)
+                draw_level_samples(MODEL, DATA.x[i], THETA, PHI_WIDE, level, cfg, rng)
                 for i, level in zip(indices, levels)
             ]
         for i, alone in enumerate(members):
@@ -204,13 +207,13 @@ class TestEstimateGradients:
             np.testing.assert_array_equal(grad_phi_elbo_level(alone)[0], rows_p[i])
             assert antithetic_difference(alone)[0] == values[i]
 
-        est = estimate_gradients(MODEL, DATA, THETA, PHI_WIDE, CFG, substream(212, 0))
+        est = estimate_gradients(MODEL, DATA, THETA, PHI_WIDE, cfg, substream(212, 0))
         np.testing.assert_array_equal(est.grad_theta, n / m * (rows_t / masses[:, None]).sum(axis=0))
         np.testing.assert_array_equal(est.grad_phi, n / m * rows_p.sum(axis=0))
         assert len(calls) == len(members)
-        assert est.total_cost == sum(c.log_f.size for c in calls) == (CFG.n0 << levels).sum()
+        assert est.total_cost == sum(c.log_f.size for c in calls) == total_cost
 
-        ev = estimate_log_evidence(MODEL, DATA, THETA, PHI_WIDE, CFG, substream(212, 0))
+        ev = estimate_log_evidence(MODEL, DATA, THETA, PHI_WIDE, cfg, substream(212, 0))
         terms = values / masses
         assert ev.value == n * float(terms.mean())
         assert ev.std_error == n * float(terms.std(ddof=1)) / math.sqrt(m)

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import trapezoid_log_evidence
+from conftest import refused_unmoved, trapezoid_log_evidence
 from mlmc_evidence import estimator as estimator_module
 from mlmc_evidence import models as models_module
 from mlmc_evidence.cli import finite_difference_check
@@ -22,6 +22,7 @@ from mlmc_evidence.estimator import (
     level_estimate,
     row_bytes,
 )
+from mlmc_evidence.gradients import estimate_gradients
 from mlmc_evidence.logspace import StreamingMoments
 from mlmc_evidence.models import (
     BernoulliGaussianModel,
@@ -777,6 +778,33 @@ class TestRealInput:
         assert Dataset([[2**70], [1]]).x.tolist() == [[2.0**70], [1.0]]
         expected = GAUSSIAN.oracle_log_evidence(np.array([1.0]), np.zeros(3))
         assert GAUSSIAN.oracle_log_evidence(np.array([1], dtype=np.int32), [0, 0, 0]) == expected
+
+
+class TestVectorShape:
+    """A parameter vector is 0-d, 1-d or one column: a matrix is refused
+    even where its entries would fill the vector."""
+
+    @pytest.mark.parametrize("call", [
+        lambda phi, rng: estimate_gradients(
+            BERNOULLI, Dataset([[0.0], [1.0], [1.0]]), np.zeros(2), phi,
+            EstimatorConfig(n0=4, batch_size=4), rng,
+        ),
+        lambda phi, rng: train(BERNOULLI, Dataset([[0.0], [1.0]]), np.zeros(2), phi,
+                               TrainConfig(steps=1), rng),
+        lambda phi, rng: BERNOULLI.draw_weighed([1.0], np.zeros(2), phi, rng, np.empty((4, 1))),
+    ], ids=["estimate_gradients", "train", "draw_weighed"])
+    def test_a_square_phi_is_refused_before_drawing(self, call):
+        # four entries, as many as the Bernoulli model's phi has
+        rng = substream(9, 8)
+        refused_unmoved(rng, lambda: call([[1, 0], [0, 1]], rng),
+                        r"^phi must be a vector of length 4, got shape \(2, 2\)$")
+
+    def test_a_three_by_two_theta_is_refused(self):
+        model = GaussianConjugateModel(2)
+        rng = substream(9, 9)
+        refused_unmoved(rng, lambda: model.draw_weighed(
+            np.zeros(2), np.zeros((3, 2)), np.zeros(6), rng, np.empty((4, 2)),
+        ), r"^theta must be a vector of length 6, got shape \(3, 2\)$")
 
 
 class TestLoneBool:
