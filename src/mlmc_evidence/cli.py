@@ -107,6 +107,8 @@ def build_model(name: str, dim: int):
     if name == "gaussian":
         return GaussianConjugateModel(dim=dim)
     if name == "bernoulli":
+        if dim != 1:
+            raise ContractViolation(f"the bernoulli model has dim 1, got --dim {dim}")
         return BernoulliGaussianModel()
     raise ContractViolation(f"unknown model {name!r}")
 
@@ -150,6 +152,16 @@ def _estimator_config(params: dict) -> EstimatorConfig:
         level_ratio_log2=params["ratio_log2"],
         level_cap=params["level_cap"],
     )
+
+
+def _law_note(cfg: EstimatorConfig) -> str:
+    """A summary line's note on a level law at ratio r <= 1/4: with level
+    variances falling like 4^-l, sum_l 4^-l / mass(l) diverges there, so
+    the estimator's variance is not finite; empty for any other law."""
+    if cfg.ratio > 0.25:
+        return ""
+    return (f" [level ratio 2^{_fmt(cfg.level_ratio_log2)} <= 1/4: the variance is not"
+            " finite where level variances fall like 4^-l]")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -223,7 +235,10 @@ def run_estimate(params: dict, out: RunDir) -> str:
             "level_counts": [result.per_level_counts[l] for l in levels],
         },
     )
-    return f"log-evidence estimate {_fmt(result.value)} +/- {_fmt(result.std_error)} (cost {result.total_cost} draws)"
+    return (
+        f"log-evidence estimate {_fmt(result.value)} +/- {_fmt(result.std_error)}"
+        f" (cost {result.total_cost} draws){_law_note(cfg)}"
+    )
 
 
 def run_variance_profile(params: dict, out: RunDir) -> str:
@@ -424,7 +439,7 @@ def run_train(params: dict, out: RunDir) -> str:
     kl = "" if final.kl_oracle is None else f" kl {_fmt(final.kl_oracle)}"
     return (
         f"trained {params['steps']} steps: evidence {_fmt(final.evidence_estimate)}"
-        f"{oracle}{kl} (cost {final.cumulative_cost} draws)"
+        f"{oracle}{kl} (cost {final.cumulative_cost} draws){_law_note(cfg.estimator)}"
     )
 
 
@@ -499,7 +514,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _model_flags(p):
     p.add_argument("--model", choices=["gaussian", "bernoulli"], default="gaussian")
-    p.add_argument("--dim", type=parse_int64, default=1, help="latent dimension (gaussian only)")
+    p.add_argument("--dim", type=parse_int64, default=1, help="latent dimension (1 for bernoulli)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--theta", type=parse_vector, default=None)

@@ -6,9 +6,9 @@ A profile draws each level's replications as the members of flat draw
 buffers (`estimator.draw_chunks`), with the theta-gradient array only, and
 reduces them by segment as they are drawn (`estimator.reduce_chunks`, the
 batch's own loop), one row per replication, with no loop over
-replications. The level value and its theta-gradient are formulas of the
-chunk's segment statistics (`estimator.LevelDraws`), so they share its one
-exponentiation and its one R per half.
+replications. The level value and its theta-gradient are `estimator`'s
+reducers of the chunk's segment statistics (`estimator.LevelDraws`), so
+they share its one exponentiation and its one R per half.
 
 A profile's levels run concurrently, taken costliest first as processes
 free up: the calling thread runs the costliest level, and one persistent
@@ -38,16 +38,15 @@ import numpy as np
 from . import estimator as _estimator
 from . import rng as _rng
 from .errors import ContractViolation, ResourceGuardExceeded
-from .estimator import EstimatorConfig, antithetic_difference, draw_chunks, reduce_chunks
+from .estimator import EstimatorConfig, _log_sum_scale, antithetic_difference, draw_chunks
+from .estimator import grad_theta_level, naive_difference, naive_grad_theta, reduce_chunks
 from .estimator import draw_level_samples  # noqa: F401  perfbench/tracer.py wraps this name here
-from .gradients import grad_theta_level
 from .models import Dataset, LatentVariableModel, _check_bytes, _count, _levels, _real
 
 log = logging.getLogger(__name__)
 # warnings reach stderr only where the application configures logging
 log.addHandler(logging.NullHandler())
 
-_LOG2 = math.log(2.0)
 _EPS = 2.0**-52  # float64's machine epsilon
 
 #: A level's var_z reads 0 when the standard deviation of its level values
@@ -70,30 +69,6 @@ class LevelStats:
     var_grad_theta_max: float  # max over gradient components
     mean_cost: float
     replications: int
-
-
-def naive_difference(draws) -> np.ndarray:
-    """Level value without the antithetic half-average, (M,): full log-mean
-    minus the first-half log-mean only. Decays one order slower in
-    variance; kept as the contrast case the profile can instrument. With
-    the halves' log-sums differing by d, the value is log((1 + e^-d) / 2)."""
-    # level-0 members hold n0 draws
-    return draws.merge(draws.log_sums - math.log(draws.n0), np.logaddexp(0.0, -draws.d) - _LOG2)
-
-
-def naive_grad_theta(draws) -> np.ndarray:
-    """Theta-gradient of `naive_difference`, (M, theta_dim): the full-buffer
-    ratio minus the first half's, which is the second half's weight share
-    times R_b - R_a."""
-    r = draws.theta_avg
-    diff = r.take(draws.b, axis=0) - r.take(draws.a, axis=0)
-    return draws.merge(r, (0.5 - 0.5 * np.tanh(0.5 * draws.d))[:, None] * diff)
-
-
-def _log_sum_scale(draws) -> np.ndarray:
-    """The largest |log-sum| of a chunk's segments, (1,): the magnitude whose
-    rounding sets that of the chunk's level values."""
-    return np.maximum.reduce(np.abs(draws.log_sums), keepdims=True)
 
 
 def _cpu_count() -> int:

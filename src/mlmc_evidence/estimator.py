@@ -8,29 +8,20 @@ so drawing the level from a geometric distribution and reweighting each
 difference by its level probability gives an estimator of log p(X) with no
 bias at any finite cost.
 
-A batch is drawn in chunks of consecutive members (`draw_chunks`):
-member i owns a contiguous slice of n0 * 2^level_i draws, and the model
-draws and weighs a chunk in one call (`draw_weighed`) with the
-observations repeated as one row per draw, from standard normals drawn
-into rows the chunk lends. A chunk's per-draw rows take at most
-CHUNK_BYTES, so its memory stays bounded at any dimension, and every chunk
-of one draw cuts them from the start of one block allocated per draw, so
-only the first maps fresh pages for them. Theta and phi rows are
-component-major: each component's values over the chunk's draws are one
-contiguous row. Where a chunk is drawn it is cut once into its members'
-halves, exponentiated once, and reduced to its segment statistics
-(`LevelDraws`): the halves' log-sums, the softmax-weighted theta-gradient
-average R of each half and each member's phi score sums. Every level
-reducer is a formula of those and reads no per-draw row. `run_batch`
-reduces the batch chunk by chunk as it is drawn (`reduce_chunks`), with no
-loop over members, to one row per member of each quantity its caller
-names, so no buffer spans the batch. A chunk lends the model rows for only
-the gradients the reducers read. `run_batch` also returns what both folds
-read besides those rows: each member's level mass, from one read-only
-table per level law (`EstimatorConfig.mass_table`), and the batch's draws
-and member counts per level. The evidence estimate folds the level values
-here and lends no gradient rows, and `gradients.estimate_gradients` folds
-the level gradients of the same draws.
+A batch is drawn in chunks of consecutive members (`draw_chunks`), each
+one `draw_weighed` call whose per-draw rows take at most CHUNK_BYTES and
+are cut from one block allocated per call. Where a chunk is drawn,
+`segment_exp` exponentiates it once and it is reduced to its segment
+statistics (`LevelDraws`). This module owns that record and every formula
+of it: the level values (`antithetic_difference`, `naive_difference`), the
+level gradients (`grad_theta_level`, `naive_grad_theta`,
+`grad_phi_elbo_level`) and the rounding scale a profile reads
+(`_log_sum_scale`); no other module reads a field of the record.
+`run_batch` reduces a batch chunk by chunk as it is drawn
+(`reduce_chunks`), one row per member of each quantity its caller names,
+and returns each member's level mass and the batch's draws and member
+counts per level. The evidence estimate folds the level values here, and
+`gradients.estimate_gradients` folds the level gradients of the same draws.
 """
 from __future__ import annotations
 
@@ -41,10 +32,8 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from . import gradients as _gradients
 from .errors import ContractViolation, ResourceGuardExceeded
 from .logspace import log_mean_exp_unchecked  # noqa: F401  perfbench/tracer.py wraps this name here
-from .logspace import segment_exp
 from .models import (
     Dataset, LatentVariableModel, _all_finite, _check_bytes, _check_fields, _count, _level,
     _levels, _real, _real_array,
@@ -160,6 +149,22 @@ class LevelDraws(NamedTuple):
         only segment's `level_zero` row where it is not."""
         split = self.split.reshape(self.split.shape + (1,) * (split_rows.ndim - 1))
         return np.where(split, split_rows, level_zero.take(self.a, axis=0))
+
+
+def segment_exp(
+    buf: np.ndarray, starts: np.ndarray, sizes: np.ndarray, out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The peak/exp/sum pass over the nonempty segments of a validated
+    buffer that tile it in order, segment j holding sizes[j] values from
+    starts[j]: (shifted, total, log_sums), each value's exp shifted by its
+    segment's peak (built in `out`, shaped like buf), each segment's sum of
+    those, and each segment's log-sum-exp, its peak plus the log of its
+    shifted sum."""
+    peak = np.maximum.reduceat(buf, starts)
+    shifted = np.subtract(buf, peak.repeat(sizes), out=out)
+    np.exp(shifted, out=shifted)
+    total = np.add.reduceat(shifted, starts)
+    return shifted, total, peak + np.log(total)
 
 
 #: Every gradient a caller can name; `draw_chunks` lends the model its rows.
@@ -296,6 +301,9 @@ def draw_level_samples(
     return draws
 
 
+_LOG2 = math.log(2.0)
+
+
 def _log_cosh(y: np.ndarray) -> np.ndarray:
     # log((e^y + e^-y) / 2) = |y| + log((1 + e^(-2|y|)) / 2), without
     # cancelling to zero for small y
@@ -312,11 +320,71 @@ def antithetic_difference(draws: LevelDraws) -> np.ndarray:
     the same draw buffer, which is what makes the averaged half-means equal
     the full mean identically (the antithetic cancellation). With the
     halves' log-sums differing by d, the value is exactly log cosh(d / 2),
-    so each half is reduced once and the full buffer never again. Draw
-    buffers were validated when drawn, so the raw reduction applies.
+    a formula of the halves' log-sums alone.
     """
-    # level-0 members hold n0 draws
-    return draws.merge(draws.log_sums - math.log(draws.n0), _log_cosh(0.5 * draws.d))
+    return _level_value(draws, _log_cosh(0.5 * draws.d))
+
+
+def naive_difference(draws: LevelDraws) -> np.ndarray:
+    """Level value without the antithetic half-average, (M,): full log-mean
+    minus the first-half log-mean only, the contrast case a profile can
+    measure; its variance decays one order slower. With the halves'
+    log-sums differing by d, the value is log((1 + e^-d) / 2)."""
+    return _level_value(draws, np.logaddexp(0.0, -draws.d) - _LOG2)
+
+
+def _level_value(draws: LevelDraws, split_values: np.ndarray) -> np.ndarray:
+    """`split_values` where a member is split, its n0 draws' log-mean where not."""
+    return draws.merge(draws.log_sums - math.log(draws.n0), split_values)
+
+
+def grad_theta_level(draws: LevelDraws) -> np.ndarray:
+    """Theta-gradient of each member's level value, (M, theta_dim).
+
+    Each weighted mean of per-draw gradients of log f equals the ratio of
+    the gradient-weight mean to the weight mean (since df = f dlog f), so
+    the level-0 gradient is the softmax-weighted gradient average R of the
+    member's draws. A deeper member subtracts the averaged half-buffer
+    ratios R_a, R_b from the full-buffer ratio, which weights the halves by
+    their shares of the total weight; with the halves' log-sums differing
+    by d that leaves tanh(d / 2) / 2 * (R_a - R_b).
+    """
+    return _theta_level(draws, 0.5 * np.tanh(0.5 * draws.d), draws.a, draws.b)
+
+
+def naive_grad_theta(draws: LevelDraws) -> np.ndarray:
+    """Theta-gradient of `naive_difference`, (M, theta_dim): the full-buffer
+    ratio minus the first half's, which is the second half's weight share
+    times R_b - R_a."""
+    return _theta_level(draws, 0.5 - 0.5 * np.tanh(0.5 * draws.d), draws.b, draws.a)
+
+
+def _theta_level(draws: LevelDraws, share: np.ndarray, first, second) -> np.ndarray:
+    """share * (R_first - R_second) where a member is split, its R where not."""
+    r = draws.theta_avg
+    diff = r.take(first, axis=0) - r.take(second, axis=0)
+    return draws.merge(r, share[:, None] * diff)
+
+
+def grad_phi_elbo_level(draws: LevelDraws) -> np.ndarray:
+    """Score-function phi-gradient term averaged over each member's draws,
+    (M, phi_dim).
+
+    Per draw the integrand is (log f - 1) * dlog q/dphi: the -1 comes from
+    the phi-dependence of f through the q denominator and has expectation
+    zero, the log f * score part is the likelihood-ratio gradient of the
+    expected log weight. A plain (unweighted) average at any level is
+    unbiased for the lower-bound gradient, so no level reweighting applies:
+    each member's sum of the integrand over its draws, divided by its size.
+    """
+    # row-major rows, as the batch fold and the concatenation of chunks sum them
+    return np.divide(draws.phi_sums, (draws.n0 << draws.levels)[:, None], order="C")
+
+
+def _log_sum_scale(draws: LevelDraws) -> np.ndarray:
+    """The largest |log-sum| of a chunk's segments, (1,): the magnitude whose
+    rounding sets that of the chunk's level values."""
+    return np.maximum.reduce(np.abs(draws.log_sums), keepdims=True)
 
 
 @dataclass
@@ -346,8 +414,8 @@ def level_estimate(
     return LevelEstimate(
         level=level,
         z_value=float(antithetic_difference(draws)[0]),
-        grad_theta=_gradients.grad_theta_level(draws)[0],
-        phi_grad_term=_gradients.grad_phi_elbo_level(draws)[0],
+        grad_theta=grad_theta_level(draws)[0],
+        phi_grad_term=grad_phi_elbo_level(draws)[0],
         cost=cfg.n0 << level,
     )
 

@@ -3,12 +3,10 @@ member: the multilevel antithetic estimator for the evidence gradient in
 theta, and the single-level score-function estimator for the lower-bound
 gradient in phi.
 
-A batch is reduced chunk by chunk as it is drawn (`estimator.run_batch`):
-both level gradients are formulas of each chunk's segment statistics
-(`estimator.LevelDraws`: the halves' log-sums, R of each half and each
-member's phi score sums, formed where the chunk was drawn), one row per
-member with no loop over members, and `estimate_gradients` folds those
-rows with the level masses and the accounting `run_batch` returns.
+`estimate_gradients` reduces a batch by `estimator.run_batch` with the two
+level-gradient reducers of `estimator` (`grad_theta_level`,
+`grad_phi_elbo_level`), one row per member, and folds those rows with the
+level masses and the accounting `run_batch` returns.
 """
 from __future__ import annotations
 
@@ -17,39 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import estimator as _estimator
+from .estimator import grad_phi_elbo_level, grad_theta_level
 from .logspace import softmax_weights_unchecked  # noqa: F401  perfbench/tracer.py wraps this name here
-
-
-def grad_theta_level(draws) -> np.ndarray:
-    """Theta-gradient of each member's level value, (M, theta_dim).
-
-    Each weighted mean of per-draw gradients of log f equals the ratio of
-    the gradient-weight mean to the weight mean (since df = f dlog f), so
-    the level-0 gradient is the softmax-weighted gradient average R of the
-    member's draws. A deeper member subtracts the averaged half-buffer
-    ratios R_a, R_b from the full-buffer ratio, which weights the halves by
-    their shares of the total weight; with the halves' log-sums differing
-    by d that leaves tanh(d / 2) / 2 * (R_a - R_b), from the identical
-    draws and with each half reduced once.
-    """
-    r = draws.theta_avg
-    diff = r.take(draws.a, axis=0) - r.take(draws.b, axis=0)
-    return draws.merge(r, 0.5 * np.tanh(0.5 * draws.d)[:, None] * diff)
-
-
-def grad_phi_elbo_level(draws) -> np.ndarray:
-    """Score-function phi-gradient term averaged over each member's draws,
-    (M, phi_dim).
-
-    Per draw the integrand is (log f - 1) * dlog q/dphi: the -1 comes from
-    the phi-dependence of f through the q denominator and has expectation
-    zero, the log f * score part is the likelihood-ratio gradient of the
-    expected log weight. A plain (unweighted) average at any level is
-    unbiased for the lower-bound gradient, so no level reweighting applies:
-    each member's sum of the integrand over its draws, divided by its size.
-    """
-    # row-major rows, as the batch fold and the concatenation of chunks sum them
-    return np.divide(draws.phi_sums, (draws.n0 << draws.levels)[:, None], order="C")
 
 
 @dataclass

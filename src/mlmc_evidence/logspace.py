@@ -1,8 +1,10 @@
-"""Numerically stable log-domain kernels.
+"""Streaming moments, and two log-domain kernels that no estimator calls.
 
-All densities and importance weights in this package live in natural-log
-domain end to end; raw weights are never materialized. Reductions use a
-single max-shift pass in double precision.
+`StreamingMoments` is the single-pass (Welford) mean and variance of a
+stream of values. `log_mean_exp_unchecked` and `softmax_weights_unchecked`
+stay only for the benchmark's tracer (`perfbench/tracer.py`) to wrap; the
+estimator's one kernel, `segment_exp`, sits in `estimator` beside the
+record it forms.
 """
 from __future__ import annotations
 
@@ -18,22 +20,6 @@ def log_mean_exp_unchecked(buf: np.ndarray) -> float:
     """log-mean-exp of a nonempty finite buffer, kept only for perfbench/tracer.py to wrap."""
     m = buf.max()
     return float(m + np.log(np.exp(buf - m).mean()))
-
-
-def segment_exp(
-    buf: np.ndarray, starts: np.ndarray, sizes: np.ndarray, out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The peak/exp/sum pass over the nonempty segments of a validated
-    buffer that tile it in order, segment j holding sizes[j] values from
-    starts[j]: (shifted, total, log_sums), each value's exp shifted by its
-    segment's peak (built in `out`, shaped like buf), each segment's sum of
-    those, and each segment's log-sum-exp, its peak plus the log of its
-    shifted sum."""
-    peak = np.maximum.reduceat(buf, starts)
-    shifted = np.subtract(buf, peak.repeat(sizes), out=out)
-    np.exp(shifted, out=shifted)
-    total = np.add.reduceat(shifted, starts)
-    return shifted, total, peak + np.log(total)
 
 
 def softmax_weights_unchecked(buf: np.ndarray) -> np.ndarray:

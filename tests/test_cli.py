@@ -563,7 +563,71 @@ class TestTrainCommand:
             assert (replay / name).read_bytes() == (first / name).read_bytes()
 
 
+class TestLawNote:
+    ARGV = {
+        "estimate": ["--n", "20", "--batch", "8"],
+        "train": ["--n", "20", "--batch", "4", "--steps", "4", "--eval-every", "2",
+                  "--eval-reps", "2"],
+    }
+    ARTIFACTS = {"estimate": ["estimate.json"], "train": ["records.csv", "summary.json"]}
+
+    @pytest.mark.parametrize("command", ["estimate", "train"])
+    @pytest.mark.parametrize("ratio_log2", ["-2", "-3"])
+    def test_a_ratio_at_or_below_a_quarter_is_named(self, tmp_path, capsys, command, ratio_log2):
+        # at r <= 1/4 the estimator's variance is not finite where level
+        # variances fall like 4^-l; the summary says so and no artifact changes
+        out = tmp_path / "x"
+        code, line, err = run_cli(capsys, command, *self.ARGV[command], "--ratio-log2", ratio_log2,
+                                  "--out", str(out))
+        assert (code, err) == (0, "")
+        note = (f" [level ratio 2^{ratio_log2} <= 1/4: the variance is not finite"
+                " where level variances fall like 4^-l]\n")
+        assert line.endswith(note) and line.count("\n") == 1
+        for name in self.ARTIFACTS[command]:
+            assert "1/4" not in (out / name).read_text()
+
+    @pytest.mark.parametrize("command", ["estimate", "train"])
+    @pytest.mark.parametrize("ratio_log2", [None, "-1.9"], ids=["default", "-1.9"])
+    def test_a_finite_variance_law_has_no_note(self, tmp_path, capsys, command, ratio_log2):
+        extra = [] if ratio_log2 is None else ["--ratio-log2", ratio_log2]
+        code, line, _ = run_cli(capsys, command, *self.ARGV[command], *extra,
+                                "--out", str(tmp_path / "x"))
+        assert code == 0
+        assert line.endswith(" draws)\n") and "1/4" not in line
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("dim", ["-7", "0", "2"])
+    @pytest.mark.parametrize(
+        "command", ["gen-data", "estimate", "variance-profile", "grad-check", "moments", "train"]
+    )
+    def test_bernoulli_refuses_any_dim_but_one(self, tmp_path, capsys, command, dim):
+        # the bernoulli model once ignored --dim and wrote it into the manifest
+        out = tmp_path / "x"
+        code, stdout, err = run_cli(
+            capsys, command, "--model", "bernoulli", "--dim", dim, "--n", "10", "--out", str(out)
+        )
+        assert (code, stdout) == (1, "")
+        assert err == f"error: the bernoulli model has dim 1, got --dim {dim}\n"
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_a_bernoulli_manifest_of_another_dim_is_refused(self, tmp_path, capsys):
+        first = tmp_path / "first"
+        code, _, _ = run_cli(capsys, "estimate", "--model", "bernoulli", "--n", "10",
+                             "--batch", "4", "--out", str(first))
+        assert code == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        assert manifest["dim"] == 1
+        manifest["dim"] = -7
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(manifest))
+        replay = tmp_path / "replay"
+        code, stdout, err = run_cli(capsys, "rerun", "--manifest", str(edited),
+                                    "--out", str(replay))
+        assert (code, stdout) == (1, "")
+        assert err == "error: the bernoulli model has dim 1, got --dim -7\n"
+        assert not replay.exists() or not any(replay.iterdir())
+
     def test_unknown_flag_is_usage_error(self, tmp_path):
         # argparse errors are remapped from its default 2 to the usage code 1
         proc = subprocess.run(

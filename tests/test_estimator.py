@@ -13,7 +13,6 @@ import pytest
 from conftest import lent_grads, log_mean_exp, recorded_draws, refused_unmoved
 from mlmc_evidence import diagnostics as diagnostics_module
 from mlmc_evidence import estimator as estimator_module
-from mlmc_evidence import gradients
 from mlmc_evidence import models as models_module
 from mlmc_evidence import rng as rng_module
 from mlmc_evidence.diagnostics import naive_difference, naive_grad_theta, variance_profile
@@ -30,9 +29,9 @@ from mlmc_evidence.estimator import (
     row_bytes,
     run_batch,
     sample_levels,
+    segment_exp,
 )
 from mlmc_evidence.gradients import estimate_gradients, grad_phi_elbo_level, grad_theta_level
-from mlmc_evidence.logspace import segment_exp
 from mlmc_evidence.models import BernoulliGaussianModel, GaussianConjugateModel
 from mlmc_evidence.rng import substream
 
@@ -483,8 +482,8 @@ class TestEstimateLogEvidence:
         def forbidden(draws):
             raise AssertionError("evidence estimate computed a level gradient")
 
-        monkeypatch.setattr(gradients, "grad_theta_level", forbidden)
-        monkeypatch.setattr(gradients, "grad_phi_elbo_level", forbidden)
+        monkeypatch.setattr(estimator_module, "grad_theta_level", forbidden)
+        monkeypatch.setattr(estimator_module, "grad_phi_elbo_level", forbidden)
         cfg = EstimatorConfig(n0=8, batch_size=16)
         est = estimate_log_evidence(MODEL, DATA, THETA, PHI_WIDE, cfg, substream(117, 0))
         assert sum(est.per_level_counts.values()) == 16
